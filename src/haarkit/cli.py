@@ -95,8 +95,13 @@ def _builtin_tag(spec: str) -> str | None:
     return tag if tag in BUILTIN_NAMES else None
 
 
-def _default_chart(group: str) -> str:
-    return "so2-angle" if group.endswith("2") else "so3-quat"
+def _averaging_args(args):
+    """(density, rule) of --chart at --nodes, or (None, None) for the exact rule."""
+    if not args.chart:
+        return None, None
+    chart = _chart_arg(args.chart)
+    rule = _nodes_arg(args, chart)
+    return normalize(chart, rule=rule), rule
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +214,7 @@ def _cmd_dim(args) -> str:
 def _cmd_reynolds(args) -> str:
     with open(args.tensor, "r", encoding="utf-8") as fh:
         tensor = Tensor.from_json(fh.read())
-    chart = _chart_arg(args.chart or f"builtin:{_default_chart(args.group)}")
-    rule = _nodes_arg(args, chart)
-    density = normalize(chart, rule=rule)
+    density, rule = _averaging_args(args)
     averaged = reynolds_continuous(args.group, density, rule, tensor)
     return averaged.to_json()
 
@@ -225,9 +228,7 @@ def _cmd_orbit_moments(args) -> str:
         with open(args.seed_tensor, "r", encoding="utf-8") as fh:
             seed = Tensor.from_json(fh.read())
     spec = OrbitSpec(group=args.group, representation=args.representation, seed=seed)
-    chart = _chart_arg(args.chart or f"builtin:{_default_chart(args.group)}")
-    rule = _nodes_arg(args, chart)
-    density = normalize(chart, rule=rule)
+    density, rule = _averaging_args(args)
     m1 = moment(spec, 1, density, rule=rule)
     m2 = moment(spec, 2, density, rule=rule)
     cov = covariance(spec, density, rule=rule)
@@ -340,8 +341,10 @@ def build_parser() -> _Parser:
     p = add("reynolds", _cmd_reynolds, "Average a tensor over a group.")
     p.add_argument("--group", required=True, choices=GROUP_TAGS)
     p.add_argument("--tensor", required=True, help="tensor JSON file")
-    p.add_argument("--chart", default="", help="chart to integrate in (default per group)")
-    p.add_argument("--nodes", type=int, default=32, help="quadrature nodes per axis (default 32)")
+    p.add_argument("--chart", default="",
+                   help="chart to integrate in (default: the exact product rule)")
+    p.add_argument("--nodes", type=int, default=32,
+                   help="quadrature nodes per axis with --chart (default 32)")
 
     p = add("orbit-moments", _cmd_orbit_moments,
             "Quadrature and Monte Carlo moments of an orbit random variable.")
@@ -349,8 +352,10 @@ def build_parser() -> _Parser:
     p.add_argument("--representation", choices=("sym2", "natural", "tensor"), default="sym2")
     p.add_argument("--seed-tensor", help="seed tensor JSON file")
     p.add_argument("--diag", help="diagonal seed matrix, e.g. 1,2,3 (sym2 shorthand)")
-    p.add_argument("--chart", default="", help="chart to integrate in (default per group)")
-    p.add_argument("--nodes", type=int, default=32, help="quadrature nodes per axis (default 32)")
+    p.add_argument("--chart", default="",
+                   help="chart to integrate in (default: the exact product rule)")
+    p.add_argument("--nodes", type=int, default=32,
+                   help="quadrature nodes per axis with --chart (default 32)")
     p.add_argument("--mc", type=int, default=0, help="Monte Carlo sample count (0 disables)")
     p.add_argument("--mc-seed", type=int, default=0, help="Monte Carlo RNG seed")
     p.add_argument("--mc-chart", default="", help="sampling chart for Monte Carlo")

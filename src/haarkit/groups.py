@@ -69,6 +69,23 @@ def so_algebra_basis(dim: int) -> list[np.ndarray]:
     raise ValueError(f"no algebra basis for dimension {dim}")
 
 
+def improper_coset(mats) -> np.ndarray:
+    """sigma g for an (N, D, D) stack of proper elements g.
+
+    sigma = diag(-1, 1) on O(2) and -I on O(3); every O-group average,
+    sampler and averaging operator uses this one representative.
+    """
+    mats = np.asarray(mats, dtype=float)
+    dim = mats.shape[-1]
+    if dim == 2:
+        sigma = np.diag([-1.0, 1.0])
+    elif dim == 3:
+        sigma = -np.eye(3)
+    else:
+        raise ValueError(f"no improper coset for dimension {dim}")
+    return np.einsum("ij,njk->nik", sigma, mats)
+
+
 def _check_unit(n: np.ndarray, what: str, tol: float) -> None:
     norm = float(np.linalg.norm(n))
     if abs(norm - 1.0) > tol:

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import Chart, builtin_chart
-from .groups import quat_conjugate, quat_mul, quat_rotation_matrices, so_algebra_basis
-from .quadrature import DEFAULT_NODES, QuadratureRule
+from .groups import (improper_coset, quat_conjugate, quat_mul, quat_rotation_matrices,
+                     so_algebra_basis)
+from .quadrature import DEFAULT_NODES, QuadratureRule, axis_rule
 
 DEGENERATE_C = 1e-12
 
@@ -93,7 +94,7 @@ class HaarDensity:
     C: float
     mode: str  # "numeric" | "closed-form"
     algebra_basis: tuple = ()
-    _closed_unnormalized: object = None  # (N, d) -> (N,), already scaled so C matches
+    _closed_unnormalized: object = None  # (N, d) -> (N,); C is its integral over the domain
     _grids: dict = field(default_factory=dict, repr=False)
 
     def density_many(self, points) -> np.ndarray:
@@ -118,7 +119,7 @@ class HaarDensity:
         matrices at the nodes (quaternion charts are pushed to matrices).
         """
         rule = _rule_for(self.chart, rule)
-        key = rule.nodes_per_axis
+        key = (rule.nodes_per_axis, rule.domain.tobytes())
         if key not in self._grids:
             k = self.density_many(rule.points)
             if self.chart.is_quaternion:
@@ -142,9 +143,13 @@ def normalize(chart: Chart, basis=None, rule=None) -> HaarDensity:
                        algebra_basis=tuple(basis) if basis is not None else ())
 
 
-# Closed forms for the built-in charts: unnormalized integrand and exact C.
-# The axis-angle density carries sin^2(alpha/2); the numeric engine above
-# is the arbiter and the acceptance suite checks agreement at 1e-6.
+# Closed forms for the built-in charts: unnormalized integrand and its C.
+# Each C is the exact integral of its own integrand over the chart domain,
+# so the normalized closed and numeric densities agree even where the two
+# constants differ: the axis-angle integrand cos(psi) sin^2(alpha/2)
+# integrates to 2 pi^2, while the numeric |det M| = 4 cos(psi) sin^2(alpha/2)
+# gives 8 pi^2.  The numeric engine above is the arbiter and the acceptance
+# suite checks agreement at 1e-6.
 
 
 def _closed_so2(pts):
@@ -224,17 +229,61 @@ def chart_change_check(c1, c2, phi, u, rule=None, step: float = 1e-5) -> float:
 # Normalized integration over SO / O groups
 
 
-def _coset_reps(group_tag: str, dim: int):
-    """Improper-coset factors: O(D) integrates (1/2)[f(g) + f(sigma g)]."""
+def coset_stacks(group_tag: str, elements: np.ndarray) -> list[np.ndarray]:
+    """The element stacks a group average runs over.
+
+    SO(D) averages f over the proper elements; O(D) integrates
+    (1/2)[f(g) + f(sigma g)], so its list adds the improper coset.
+    """
     if group_tag not in GROUP_TAGS:
         raise KeyError(f"unknown group tag {group_tag!r}; expected one of {', '.join(GROUP_TAGS)}")
     expected = 2 if group_tag.endswith("2") else 3
+    dim = elements.shape[-1]
     if dim != expected:
         raise ValueError(f"group {group_tag} needs {expected}x{expected} charts, got dimension {dim}")
     if group_tag.startswith("so"):
-        return [None]
-    sigma = np.diag([-1.0, 1.0]) if dim == 2 else -np.eye(3)
-    return [None, sigma]
+        return [elements]
+    return [elements, improper_coset(elements)]
+
+
+def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and proper elements of a Haar rule exact up to polynomial degree n.
+
+    Averages of polynomials of degree <= n = ``degree`` in the entries of g
+    are exact up to roundoff.  SO(2) uses n + 1 equispaced angles.  SO(3)
+    uses the z-x-z Euler product grid: n + 1 equispaced alpha and gamma,
+    and beta = arccos x_k at the floor(n/2) + 1 Gauss-Legendre nodes x_k of
+    [-1, 1], weighted w_k / (2 (n + 1)^2).  The alpha and gamma rules are
+    exact for trigonometric polynomials of degree <= n; terms odd in
+    sin(beta) cancel, because Rz(pi) Rx(beta) Rz(-pi) = Rx(-beta) and the
+    exact alpha and gamma averages are invariant under a shift by pi; what
+    remains is a polynomial of degree <= n in cos(beta), which Gauss-Legendre
+    integrates exactly (Graf & Potts, Numer. Funct. Anal. Optim. 2009).
+    The group tag only picks SO(2) or SO(3); coset_stacks validates it.
+    """
+    if degree < 0:
+        raise ValueError("polynomial degree must be nonnegative")
+    chart = builtin_chart("so2-angle" if group_tag.endswith("2") else "so3-euler")
+    m = degree + 1
+    turns = chart.domain[0, 0] + 2.0 * np.pi * np.arange(m) / m
+    if chart.d == 1:
+        return np.full(m, 1.0 / m), chart.evaluate_many(turns[:, None])
+    x, w = axis_rule(degree // 2 + 1, -1.0, 1.0)
+    alpha, beta, gamma = np.meshgrid(turns, np.arccos(x), turns, indexing="ij")
+    points = np.stack([alpha.ravel(), beta.ravel(), gamma.ravel()], axis=-1)
+    weights = np.broadcast_to(w[None, :, None], alpha.shape).ravel() / (2.0 * m * m)
+    return weights, chart.evaluate_many(points)
+
+
+def haar_nodes(group_tag: str, density: HaarDensity | None, rule=None,
+               degree: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, proper elements): the chart grid of a density, else the exact rule."""
+    if density is not None:
+        _, weighted, elements = density.grid(rule)
+        return weighted, elements
+    if degree is None:
+        raise ValueError("without a density the exact rule needs the integrand's polynomial degree")
+    return exact_nodes(group_tag, degree)
 
 
 def _apply_f(f, mats: np.ndarray, vectorized: bool) -> np.ndarray:
@@ -255,18 +304,20 @@ def integrate_scalar(f, group_tag: str, density: HaarDensity, rule=None,
     return float(value)
 
 
-def integrate_tensor(f, group_tag: str, density: HaarDensity, rule=None,
-                     vectorized: bool = False) -> np.ndarray:
+def integrate_tensor(f, group_tag: str, density: HaarDensity | None, rule=None,
+                     vectorized: bool = False, degree: int | None = None) -> np.ndarray:
     """Entry-wise normalized integral of a tensor-valued function.
 
     Vectorized integrands map the (N, D, D) element stack to (N, *shape).
+    With a density the integral runs on its chart grid at ``rule``; with
+    ``density=None`` it runs on exact_nodes(group_tag, degree), which is
+    exact when f is a polynomial of degree <= ``degree`` in the entries of g.
     """
-    _, weighted, elements = density.grid(rule)
-    reps = _coset_reps(group_tag, elements.shape[-1])
+    weights, elements = haar_nodes(group_tag, density, rule, degree)
+    stacks = coset_stacks(group_tag, elements)
     total = None
-    for sigma in reps:
-        mats = elements if sigma is None else np.einsum("ij,njk->nik", sigma, elements)
+    for mats in stacks:
         vals = _apply_f(f, mats, vectorized)
-        part = np.tensordot(weighted, vals, axes=1)
+        part = np.tensordot(weights, vals, axes=1)
         total = part if total is None else total + part
-    return total / len(reps)
+    return total / len(stacks)

@@ -77,19 +77,24 @@ def _power_shape(spec: OrbitSpec, r: int) -> tuple[int, ...]:
     return shape
 
 
-def moment(spec: OrbitSpec, r: int, density: HaarDensity, rule=None) -> Tensor:
-    """The r-th moment m_r(X), an order r*n tensor, by quadrature."""
+def moment(spec: OrbitSpec, r: int, density: HaarDensity | None = None, rule=None) -> Tensor:
+    """The r-th moment m_r(X), an order r*n tensor, by quadrature.
+
+    X^{(x) r} is a polynomial of degree r * n in the entries of g (n the
+    seed order), so without a density the exact rule of that degree gives
+    the moment up to roundoff; with one it is integrated on the chart grid.
+    """
     if r < 1:
         raise ValueError("moment order must be positive")
     shape = _power_shape(spec, r)
     flat = integrate_tensor(
         lambda mats: _tensor_power_batch(spec.values(mats), r),
-        spec.group, density, rule=rule, vectorized=True)
+        spec.group, density, rule=rule, vectorized=True, degree=r * spec.seed.order)
     return Tensor.from_array(np.asarray(flat).reshape(shape) if shape else float(np.asarray(flat)),
                              dim=spec.seed.dim)
 
 
-def covariance(spec: OrbitSpec, density: HaarDensity, rule=None) -> Tensor:
+def covariance(spec: OrbitSpec, density: HaarDensity | None = None, rule=None) -> Tensor:
     """Cov(X) = m2 - m1 (x) m1, the standard (positive-semidefinite) convention."""
     m1 = moment(spec, 1, density, rule=rule)
     m2 = moment(spec, 2, density, rule=rule)

@@ -6,6 +6,11 @@ uniform measure.  The trace formula turns the same integral into the
 dimension of the invariant subspace of order-n tensors; for the rotation
 groups that reduces to a 1D integral in the rotation angle, and binomial
 sums give the SO(3)/O(3) dimensions exactly.
+
+The action on order-n tensors is a polynomial of degree n in the entries
+of g, so without a density the continuous averages run on the exact rule
+of haar.exact_nodes at degree n and are exact up to roundoff.  Passing a
+HaarDensity integrates in its chart instead, which cross-checks user charts.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from math import comb
 import numpy as np
 
 from .groups import GroupElement, rodrigues
-from .haar import HaarDensity, NumericalError, integrate_scalar, integrate_tensor
+from .haar import (HaarDensity, NumericalError, coset_stacks, haar_nodes, integrate_scalar,
+                   integrate_tensor)
 from .quadrature import axis_rule
 from .tensors import MAX_ENTRIES, Tensor, act, act_batch
 
@@ -83,22 +89,24 @@ def reynolds_finite(group: FiniteGroup, t: Tensor) -> Tensor:
 # Continuous Reynolds projector
 
 
-def reynolds_continuous(group_tag: str, density: HaarDensity, rule, t: Tensor) -> Tensor:
-    """Group average of a tensor by quadrature over the uniform measure."""
+def reynolds_continuous(group_tag: str, density: HaarDensity | None, rule, t: Tensor) -> Tensor:
+    """Group average of a tensor, exact without a density, else by chart quadrature."""
     out = integrate_tensor(lambda mats: act_batch(mats, t), group_tag, density,
-                           rule=rule, vectorized=True)
+                           rule=rule, vectorized=True, degree=t.order)
     return Tensor.from_array(np.asarray(out), dim=t.dim)
 
 
-def reynolds_matrix(group_tag: str, n: int, density: HaarDensity, rule=None,
+def reynolds_matrix(group_tag: str, n: int, density: HaarDensity | None = None, rule=None,
                     chunk: int = 512) -> np.ndarray:
     """The averaging operator on order-n tensors as a (D^n, D^n) matrix.
 
     Column (j1..jn) is the group average of the canonical basis tensor
-    e_{j1} x ... x e_{jn}.  Nodes are processed in chunks to bound the
+    e_{j1} x ... x e_{jn}.  Without a density the exact rule of degree n
+    makes the operator exact up to roundoff; with one it is integrated on
+    the chart grid.  Nodes are processed in chunks to bound the
     (chunk, D^n, D^n) workspace.
     """
-    _, weighted, elements = density.grid(rule)
+    weighted, elements = haar_nodes(group_tag, density, rule, degree=n)
     dim = elements.shape[-1]
     size = dim**n
     if size * size > MAX_ENTRIES:
@@ -107,26 +115,22 @@ def reynolds_matrix(group_tag: str, n: int, density: HaarDensity, rule=None,
     if n == 0:
         # scalars are fixed by every group element; both cosets integrate to 1
         return np.array([[float(weighted.sum())]])
-    sigma = None
-    if group_tag.startswith("o"):
-        sigma = np.diag([-1.0, 1.0]) if dim == 2 else -np.eye(3)
     total = np.zeros((size, size))
     for start in range(0, elements.shape[0], chunk):
-        mats = elements[start:start + chunk]
         w = weighted[start:start + chunk]
-        stacks = [mats] if sigma is None else [mats, np.einsum("ij,njk->nik", sigma, mats)]
+        stacks = coset_stacks(group_tag, elements[start:start + chunk])
         for stack in stacks:
             power = stack
             for _ in range(n - 1):
                 m = power.shape[1]
                 power = np.einsum("nab,ncd->nacbd", power, stack).reshape(-1, m * dim, m * dim)
             total += np.tensordot(w, power, axes=1)
-    return total / (1 if sigma is None else 2)
+    return total / len(stacks)
 
 
-def invariant_rank(group_tag: str, n: int, density: HaarDensity, rule=None,
+def invariant_rank(group_tag: str, n: int, density: HaarDensity | None = None, rule=None,
                    threshold: float = RANK_THRESHOLD) -> int:
-    """Numerical rank of the order-n averaging operator."""
+    """Numerical rank of the order-n averaging operator (exact rule without a density)."""
     op = reynolds_matrix(group_tag, n, density, rule=rule)
     singular = np.linalg.svd(op, compute_uv=False)
     return int(np.sum(singular > threshold))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart, builtin_chart
-from .groups import GroupElement, quat_rotation_matrices
+from .groups import GroupElement, improper_coset, quat_rotation_matrices
 from .haar import NumericalError
 
 CDF_TOL = 1e-12
@@ -204,8 +204,6 @@ def sample(config: SamplerConfig) -> SampleBatch:
         mats = chart.evaluate_many(coords)
     if config.group.startswith("o"):
         flip = streams[chart.d].random(config.count) < 0.5
-        dim = mats.shape[-1]
-        sigma = np.diag([-1.0, 1.0]) if dim == 2 else -np.eye(3)
-        mats = np.where(flip[:, None, None], np.einsum("ij,njk->nik", sigma, mats), mats)
+        mats = np.where(flip[:, None, None], improper_coset(mats), mats)
         quats = None
     return SampleBatch(config=config, coordinates=coords, matrices=mats, quaternions=quats)

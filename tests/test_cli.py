@@ -219,3 +219,22 @@ def test_malformed_chart_diagnostics(label, source, tmp_path, capsys):
     code, out, err = run(capsys, "check-chart", "--chart", str(path))
     assert code != 0
     assert "line" in err and "column" in err
+
+
+def test_reynolds_default_exact_rule_matches_chart(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    tensor = {"dim": 3, "order": 4, "entries": rng.normal(size=81).tolist()}
+    path = tmp_path / "t4.json"
+    path.write_text(json.dumps(tensor))
+    code, exact, _ = run(capsys, "reynolds", "--group", "so3", "--tensor", str(path))
+    assert code == 0
+    code, chart, _ = run(capsys, "reynolds", "--group", "so3", "--tensor", str(path),
+                         "--chart", "builtin:so3-quat")
+    assert code == 0
+    got = np.array(json.loads(exact)["entries"])
+    ref = np.array(json.loads(chart)["entries"])
+    assert np.abs(got - ref).max() <= 1e-10
+    # --nodes only applies with --chart; the exact rule ignores it
+    code, again, _ = run(capsys, "reynolds", "--group", "so3", "--tensor", str(path),
+                         "--nodes", "8")
+    assert code == 0 and again == exact

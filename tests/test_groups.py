@@ -7,6 +7,7 @@ from haarkit.groups import (GroupElement, Quaternion, frobenius, hat, quat_conju
                             quat_mul, quat_rotation_matrices, quat_to_rotation,
                             reflection, rodrigues, rotation_to_quat, so_algebra_basis,
                             vee)
+from haarkit.groups import improper_coset
 
 RNG = np.random.default_rng(1234)
 
@@ -164,3 +165,13 @@ def test_rotation_to_quat_all_branches():
 def test_rotation_to_quat_rejects_improper():
     with pytest.raises(ValueError):
         rotation_to_quat(np.diag([-1.0, 1.0, 1.0]))
+
+
+def test_improper_coset_representatives():
+    mats = np.stack([rodrigues([0.0, 0.0, 1.0], a).matrix for a in (0.0, 0.7)])
+    assert np.array_equal(improper_coset(mats), -mats)
+    planar = np.stack([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])])
+    assert np.array_equal(improper_coset(planar), np.diag([-1.0, 1.0]) @ planar)
+    assert np.all(np.linalg.det(improper_coset(planar)) < 0)
+    with pytest.raises(ValueError):
+        improper_coset(np.eye(4)[None])

@@ -207,3 +207,28 @@ def test_integrate_tensor_first_moment_vanishes():
     density = normalize(builtin_chart("so3-euler"))
     value = integrate_tensor(lambda m: m, "so3", density, vectorized=True)
     assert np.abs(value).max() < 1e-9
+
+
+def test_grid_cache_is_keyed_on_the_rule_domain():
+    # same node counts over half the beta range: a different rule, not a cache hit
+    density = normalize(builtin_chart("so3-euler"), rule=16)
+    full = QuadratureRule.for_domain(density.chart.domain, 16)
+    half_domain = density.chart.domain.copy()
+    half_domain[1, 1] = np.pi / 2
+    half = QuadratureRule.for_domain(half_domain, 16)
+    assert abs(density.grid(full)[1].sum() - 1.0) < 1e-12
+    _, weighted, _ = density.grid(half)
+    assert abs(weighted.sum() - 0.5) < 1e-12
+    assert density.grid(half)[0] is half
+    assert density.grid(full)[0] is full
+
+
+@pytest.mark.parametrize("tag", ["so2-angle", "so2-shifted", "so3-euler",
+                                 "so3-polar", "so3-quat"])
+def test_closed_form_constant_is_integral_of_its_integrand(tag):
+    # each closed-form C integrates that closed form's own integrand; for
+    # so3-polar this is 2 pi^2 although the numeric C is 8 pi^2
+    density = closed_form(tag)
+    rule = QuadratureRule.for_domain(density.chart.domain, 32)
+    raw = density.density_many(rule.points) * density.C
+    assert abs(rule.integrate(raw) - density.C) < 1e-12 * density.C
