@@ -18,8 +18,9 @@ optional group tag.  Grammar (EBNF):
 
 Functions: sin cos tan sqrt arccos arcsin.  Bounds must be constant
 expressions with lower < upper; matrix entries may use declared parameters
-and pi.  Evaluation is tree-walking over numpy scalars or arrays; there is
-no compilation and no use of eval().
+and pi.  ``evaluate_expr`` walks the tree over numpy scalars or arrays;
+``charts.Chart`` compiles its matrix once into a straight-line plan of the
+same numpy calls for batches.  Nothing uses eval().
 """
 
 from __future__ import annotations

@@ -4,6 +4,15 @@ A Chart wraps a parsed AST with vectorized evaluation, domain checks, and
 finite-difference jacobians.  Built-in charts ship as chart-language files
 under ``haarkit/data`` and go through the same parser as user charts.
 
+Batch evaluation runs a straight-line plan (Griewank & Walther, *Evaluating
+Derivatives*, SIAM 2008) that each chart compiles once from its matrix:
+equal subtrees are computed once, variable-free subtrees are folded to
+constants, and every remaining node is one numpy ufunc step writing into a
+row of a (registers, N) scratch block, a row being reused once its last
+reader has run.  The steps are the ufuncs the tree walk of
+``chartlang.evaluate_expr`` calls, on the same operands, so the plan gives
+the walk's values bit for bit.
+
 Square charts tagged ``group: so(D)`` or ``o(D)`` are validated at load
 time (orthogonality at 100 random domain points, det +1 for so).  A chart
 whose matrix is 4 x 1 is interpreted as a unit-quaternion parametrisation
@@ -18,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chartlang import ChartAst, ChartError, evaluate_expr, parse_chart, print_chart
+from .chartlang import (FUNCTIONS, BinOp, Call, ChartAst, ChartError, Neg, Pow, Var,
+                        evaluate_expr, parse_chart, print_chart)
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -32,12 +42,138 @@ class DomainError(ValueError):
     """A coordinate tuple outside (or too close to the edge of) the domain."""
 
 
+# ---------------------------------------------------------------------------
+# Straight-line plans
+
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}
+
+
+def _power(base, exponent, out):
+    # ndarray ** int, as in the walk: numpy special-cases small exponents
+    out[...] = base ** exponent
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A chart matrix as straight-line code over (N, d) points.
+
+    At run time the slots are the d parameter columns, then the register
+    rows of the scratch block, then the constants.  ``preset`` pairs a slot
+    with an entry that is a constant or a bare parameter; each step is
+    (function, argument slots, destination slot, entries it stores).
+    """
+
+    shape: tuple[int, int]
+    constants: tuple
+    registers: int
+    preset: tuple  # (slot, (i, j))
+    steps: tuple  # (function, (slot, ...), slot, ((i, j), ...))
+
+    def run(self, pts: np.ndarray) -> np.ndarray:
+        n = pts.shape[0]
+        out = np.empty((n, *self.shape))
+        scratch = np.empty((self.registers, n))
+        slots = [*pts.T, *scratch, *self.constants]
+        for slot, (i, j) in self.preset:
+            out[:, i, j] = slots[slot]
+        for fn, args, dest, entries in self.steps:
+            fn(*[slots[a] for a in args], out=slots[dest])
+            for i, j in entries:
+                out[:, i, j] = slots[dest]
+        return out
+
+
+def _compile(ast: ChartAst) -> _Plan:
+    """Merge equal subtrees, fold variable-free ones, and assign registers.
+
+    Parsed numbers are nonnegative literals, so subtrees that compare equal
+    compute equal values.  Until slots are assigned an operand is
+    ("c", value), ("p", column) or ("s", step index).
+    """
+    column = {p.name: k for k, p in enumerate(ast.params)}
+    steps: list = []  # (function, operands), each operand computed before its reader
+    step_of: dict = {}
+
+    def operand(node):
+        if isinstance(node, Var):
+            return ("p", column[node.name])
+        if node in step_of:
+            return ("s", step_of[node])
+        if isinstance(node, Neg):
+            fn, args = np.negative, [operand(node.arg)]
+        elif isinstance(node, BinOp):
+            fn, args = _BINARY[node.op], [operand(node.left), operand(node.right)]
+        elif isinstance(node, Pow):
+            fn, args = _power, [operand(node.base), ("c", node.exponent)]
+        elif isinstance(node, Call):
+            fn, args = FUNCTIONS[node.func], [operand(node.arg)]
+        else:  # Num, Pi
+            return ("c", evaluate_expr(node, {}))
+        if all(kind == "c" for kind, _ in args):
+            return ("c", evaluate_expr(node, {}))
+        steps.append((fn, args))
+        step_of[node] = len(steps) - 1
+        return ("s", len(steps) - 1)
+
+    roots = [(operand(entry), (i, j))
+             for i, row in enumerate(ast.matrix) for j, entry in enumerate(row)]
+
+    # A row is freed after the last step that reads it, before that step
+    # picks its own row, so a step may overwrite its argument in place.
+    # Entries are stored right after their step, so a row that no step
+    # reads is free again at once.
+    last_read = list(range(len(steps)))
+    for s, (_, args) in enumerate(steps):
+        for kind, value in args:
+            if kind == "s":
+                last_read[value] = s
+    register: list[int] = []
+    free: list[int] = []
+    count = 0
+    for s, (_, args) in enumerate(steps):
+        free.extend(register[t] for t in sorted({v for k, v in args if k == "s"})
+                    if last_read[t] == s)
+        if free:
+            register.append(free.pop())
+        else:
+            register.append(count)
+            count += 1
+        if last_read[s] == s:
+            free.append(register[s])
+
+    d = len(column)
+    constants: list = []
+
+    def slot(op) -> int:
+        kind, value = op
+        if kind == "p":
+            return value
+        if kind == "s":
+            return d + register[value]
+        constants.append(value)
+        return d + count + len(constants) - 1
+
+    preset = []
+    stored: dict[int, list] = {}
+    for op, ij in roots:
+        if op[0] == "s":
+            stored.setdefault(op[1], []).append(ij)
+        else:
+            preset.append((slot(op), ij))
+    compiled = tuple((fn, tuple(slot(a) for a in args), d + register[s], tuple(stored.get(s, ())))
+                     for s, (fn, args) in enumerate(steps))
+    return _Plan(shape=(len(ast.matrix), len(ast.matrix[0])), constants=tuple(constants),
+                 registers=count, preset=tuple(preset), steps=compiled)
+
+
 @dataclass(frozen=True, eq=False)
 class Chart:
     """An immutable parametrisation p: U subset R^d -> matrices."""
 
     ast: ChartAst
     domain: np.ndarray = field(init=False)  # (d, 2) closed box
+    _plan: _Plan = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = [evaluate_expr(p.lower, {}) for p in self.ast.params]
@@ -45,6 +181,7 @@ class Chart:
         dom = np.array([lo, hi], dtype=float).T
         dom.setflags(write=False)
         object.__setattr__(self, "domain", dom)
+        object.__setattr__(self, "_plan", _compile(self.ast))
 
     # -- construction ------------------------------------------------------
 
@@ -142,19 +279,15 @@ class Chart:
     def evaluate_many(self, points) -> np.ndarray:
         """p at an (N, d) batch of points, returning (N, rows, cols).
 
-        Points are not domain-checked; quadrature and sampling call this on
-        nodes already known to lie inside.
+        Runs the chart's straight-line plan (see the module docstring),
+        which gives the same bits as walking each entry with
+        ``evaluate_expr``.  Points are not domain-checked; quadrature and
+        sampling call this on nodes already known to lie inside.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise DomainError(f"expected an (N, {self.d}) batch, got shape {pts.shape}")
-        env = {name: pts[:, k] for k, name in enumerate(self.params)}
-        rows, cols = self.shape
-        out = np.empty((pts.shape[0], rows, cols))
-        for i, row in enumerate(self.ast.matrix):
-            for j, entry in enumerate(row):
-                out[:, i, j] = evaluate_expr(entry, env)
-        return out
+        return self._plan.run(pts)
 
     def quaternions_at(self, points) -> np.ndarray:
         """(N, 4) quaternion components of a 4 x 1 chart at an (N, d) batch."""

@@ -28,6 +28,7 @@ from .tensors import Tensor
 
 JSON_DIGITS = 17
 TABLE_DIGITS = 9
+_SLOT = f"%.{JSON_DIGITS}g"
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +62,26 @@ def to_json(obj, digits: int = JSON_DIGITS) -> str:
 
 def _nested(array: np.ndarray):
     return array.tolist() if isinstance(array, np.ndarray) else array
+
+
+def format_rows(template: str, rows: np.ndarray) -> str:
+    """One line per row of ``rows``, each value filling one ``%.17g`` slot.
+
+    The same bytes as format_float on every value: adding 0.0 turns -0.0
+    into 0, and a batch holding a NaN goes through format_float itself.
+    """
+    flat = rows.reshape(len(rows), -1)
+    if np.isnan(flat).any():
+        text = template.replace(_SLOT, "%s")
+        return "\n".join(text % tuple(format_float(x) for x in row) for row in flat)
+    return "\n".join(template % tuple(row) for row in (flat + 0.0).tolist())
+
+
+def _row_template(shape: tuple[int, ...], key: str | None) -> str:
+    """The %-template of one sample: csv values, or to_json of {key: value}."""
+    if key is None:
+        return ",".join([_SLOT] * int(np.prod(shape)))
+    return to_json({key: np.zeros(shape).tolist()}).replace("0", _SLOT)
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +161,13 @@ def _cmd_sample(args) -> str:
     config = SamplerConfig(group=args.group, chart=args.chart or "",
                            seed=args.seed, count=args.count)
     batch = sample(config)
-    lines = []
     if args.format == "csv":
-        for m in batch.matrices:
-            lines.append(",".join(format_float(x) for x in m.ravel()))
+        rows, key = batch.matrices, None
     elif batch.quaternions is not None:
-        for q in batch.quaternions:
-            lines.append(to_json({"q": list(q)}))
+        rows, key = batch.quaternions, "q"
     else:
-        for m in batch.matrices:
-            lines.append(to_json({"R": _nested(m)}))
-    return "\n".join(lines)
+        rows, key = batch.matrices, "R"
+    return format_rows(_row_template(rows.shape[1:], key), rows)
 
 
 def _cmd_check_chart(args) -> str:

@@ -45,15 +45,17 @@ def _rule_for(chart: Chart, rule) -> QuadratureRule:
 # Unnormalized density
 
 
-def density_numeric_many(chart: Chart, points, basis=None, step: float = 1e-5) -> np.ndarray:
-    """|det M| at an (N, d) batch of points (no domain checks)."""
-    pts = np.asarray(points, dtype=float)
+def _density_and_elements(chart: Chart, pts: np.ndarray, basis=None, step: float = 1e-5):
+    """|det M| at an (N, d) batch and the group elements there (no domain checks).
+
+    Quaternion charts push their quaternions to rotation matrices.
+    """
     if chart.is_quaternion:
         q = chart.quaternions_at(pts)
         dq = chart.jacobian_many(pts, step=step)[..., 0]  # (N, d, 4)
         tau = quat_mul(quat_conjugate(q)[:, None, :], dq)  # (N, d, 4)
         m = np.swapaxes(tau[..., 1:], 1, 2)  # components on (i, j, k); M_ij = <tau_j, xi_i>
-        return np.abs(np.linalg.det(m))
+        return np.abs(np.linalg.det(m)), quat_rotation_matrices(q)
     mats = chart.evaluate_many(pts)
     jac = chart.jacobian_many(pts, step=step)  # (N, d, D, D)
     if chart.group is not None:
@@ -64,7 +66,12 @@ def density_numeric_many(chart: Chart, points, basis=None, step: float = 1e-5) -
         basis = so_algebra_basis(chart.matrix_dim)
     xi = np.stack(basis)
     m = 0.5 * np.einsum("njkl,ikl->nij", tau, xi)
-    return np.abs(np.linalg.det(m))
+    return np.abs(np.linalg.det(m)), mats
+
+
+def density_numeric_many(chart: Chart, points, basis=None, step: float = 1e-5) -> np.ndarray:
+    """|det M| at an (N, d) batch of points (no domain checks)."""
+    return _density_and_elements(chart, np.asarray(points, dtype=float), basis, step)[0]
 
 
 def density_numeric(chart: Chart, u, basis=None, step: float = 1e-5) -> float:
@@ -117,9 +124,11 @@ class HaarDensity:
         Returns (rule, weighted, elements): ``weighted`` are quadrature
         weights times normalized density, and ``elements`` the rotation
         matrices at the nodes (quaternion charts are pushed to matrices).
+        The cache is keyed on the rule's node counts and domain, and the
+        rule returned is the one asked for; normalize seeds it at its rule.
         """
         rule = _rule_for(self.chart, rule)
-        key = (rule.nodes_per_axis, rule.domain.tobytes())
+        key = _grid_key(rule)
         if key not in self._grids:
             k = self.density_many(rule.points)
             if self.chart.is_quaternion:
@@ -127,20 +136,33 @@ class HaarDensity:
             else:
                 elements = self.chart.evaluate_many(rule.points)
             self._grids[key] = (rule, rule.weights * k, elements)
+        elif self._grids[key][0] is not rule:
+            # an equal rule built elsewhere, as normalize's: hand back the caller's
+            self._grids[key] = (rule, *self._grids[key][1:])
         return self._grids[key]
 
 
+def _grid_key(rule: QuadratureRule) -> tuple:
+    return (rule.nodes_per_axis, rule.domain.tobytes())
+
+
 def normalize(chart: Chart, basis=None, rule=None) -> HaarDensity:
-    """Normalize the numeric density of a chart by tensor-product quadrature."""
+    """Normalize the numeric density of a chart by tensor-product quadrature.
+
+    The density and elements computed on the rule's nodes also seed the
+    density's grid cache, so grid() at the same rule does no chart work.
+    """
     rule = _rule_for(chart, rule)
-    raw = density_numeric_many(chart, rule.points, basis=basis)
+    raw, elements = _density_and_elements(chart, rule.points, basis)
     if not np.all(np.isfinite(raw)):
         raise NumericalError(f"density of chart {chart.name!r} is not finite on the grid")
     c = float(rule.integrate(raw))
     if c < DEGENERATE_C:
         raise NumericalError(f"chart {chart.name!r} is degenerate: C = {c:.3g} below {DEGENERATE_C:g}")
-    return HaarDensity(chart=chart, C=c, mode="numeric",
-                       algebra_basis=tuple(basis) if basis is not None else ())
+    density = HaarDensity(chart=chart, C=c, mode="numeric",
+                          algebra_basis=tuple(basis) if basis is not None else ())
+    density._grids[_grid_key(rule)] = (rule, rule.weights * (raw / c), elements)
+    return density
 
 
 # Closed forms for the built-in charts: unnormalized integrand and its C.

@@ -71,23 +71,26 @@ def invert_cdf(cdf, target, bracket, derivative=None) -> np.ndarray | float:
         def derivative(x):
             return (cdf(np.minimum(x + h, b)) - cdf(np.maximum(x - h, a))) / (
                 np.minimum(x + h, b) - np.maximum(x - h, a))
-    lo = np.full_like(t, a)
-    hi = np.full_like(t, b)
     x = a + (b - a) * np.clip((t - fa) / (fb - fa), 0.0, 1.0)
+    # A converged target's x never moves again, so each iteration runs on
+    # the still-live targets only; idx holds their positions in x.
+    idx, xs, ts = np.arange(t.size), x, t
+    lo, hi = np.full_like(t, a), np.full_like(t, b)
     for _ in range(MAX_NEWTON):
-        r = np.asarray(cdf(x)) - t
+        r = np.asarray(cdf(xs)) - ts
         live = np.abs(r) >= CDF_TOL
         if not live.any():
             break
-        hi = np.where(live & (r > 0), x, hi)
-        lo = np.where(live & (r < 0), x, lo)
-        d = np.asarray(derivative(x))
+        idx, xs, ts, r, lo, hi = idx[live], xs[live], ts[live], r[live], lo[live], hi[live]
+        hi = np.where(r > 0, xs, hi)
+        lo = np.where(r < 0, xs, lo)
+        d = np.asarray(derivative(xs))
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(d > 0, r / np.where(d > 0, d, 1.0), np.inf)
-        candidate = x - step
+        candidate = xs - step
         bad = ~np.isfinite(candidate) | (candidate <= lo) | (candidate >= hi)
-        candidate = np.where(bad, 0.5 * (lo + hi), candidate)
-        x = np.where(live, candidate, x)
+        xs = np.where(bad, 0.5 * (lo + hi), candidate)
+        x[idx] = xs
     residual = np.abs(np.asarray(cdf(x)) - t)
     if np.any(residual >= CDF_TOL):
         raise NumericalError(
@@ -204,6 +207,6 @@ def sample(config: SamplerConfig) -> SampleBatch:
         mats = chart.evaluate_many(coords)
     if config.group.startswith("o"):
         flip = streams[chart.d].random(config.count) < 0.5
-        mats = np.where(flip[:, None, None], improper_coset(mats), mats)
+        mats[flip] = improper_coset(mats[flip])
         quats = None
     return SampleBatch(config=config, coordinates=coords, matrices=mats, quaternions=quats)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from haarkit.charts import Chart, DomainError, builtin_chart
-from haarkit.haar import (NumericalError, chart_change_check, closed_form,
+from haarkit.haar import (HaarDensity, NumericalError, chart_change_check, closed_form,
                           closed_form_density, density_numeric, integrate_scalar,
                           integrate_tensor, normalize)
 from haarkit.quadrature import QuadratureRule
@@ -232,3 +232,20 @@ def test_closed_form_constant_is_integral_of_its_integrand(tag):
     rule = QuadratureRule.for_domain(density.chart.domain, 32)
     raw = density.density_many(rule.points) * density.C
     assert abs(rule.integrate(raw) - density.C) < 1e-12 * density.C
+
+
+@pytest.mark.parametrize("tag", ["so2-angle", "so3-euler", "so3-polar", "so3-quat"])
+def test_normalize_seeds_the_grid_cache(tag, monkeypatch):
+    chart = builtin_chart(tag)
+    density = normalize(chart)
+    fresh = HaarDensity(chart=chart, C=density.C, mode="numeric").grid()
+
+    def no_chart_work(*args, **kwargs):
+        raise AssertionError("grid() after normalize evaluated the chart")
+
+    monkeypatch.setattr(Chart, "evaluate_many", no_chart_work)
+    monkeypatch.setattr(Chart, "jacobian_many", no_chart_work)
+    rule, weighted, elements = density.grid()
+    assert np.array_equal(rule.points, fresh[0].points)
+    assert np.array_equal(weighted, fresh[1])
+    assert np.array_equal(elements, fresh[2])
