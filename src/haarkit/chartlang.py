@@ -266,8 +266,10 @@ class _Parser:
         self.expect(",")
         upper = self.parse_expr()
         close = self.expect("]")
-        lo = evaluate_expr(lower, {})
-        hi = evaluate_expr(upper, {})
+        try:
+            lo, hi = evaluate_expr(lower, {}), evaluate_expr(upper, {})
+        except ArithmeticError as exc:  # 1/0, 0^-1, 10^400
+            self.error(f"bounds of {name!r} cannot be evaluated ({exc})", name_tok)
         if not (np.isfinite(lo) and np.isfinite(hi)):
             self.error(f"bounds of {name!r} are not finite", name_tok)
         if not lo < hi:

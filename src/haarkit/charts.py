@@ -28,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .chartlang import (FUNCTIONS, BinOp, Call, ChartAst, ChartError, Neg, Pow, Var,
-                        evaluate_expr, parse_chart, print_chart)
+                        evaluate_expr, parse_chart, print_chart, print_expr)
 
-DEFAULT_FD_STEP = 1e-5
+_FD_STEP = 1e-5  # central differences; haar differentiates phi with it too
 
 BUILTIN_NAMES = ("so2-angle", "so2-shifted", "so3-euler", "so3-polar", "so3-quat")
 
@@ -111,7 +111,11 @@ def _compile(ast: ChartAst) -> _Plan:
         else:  # Num, Pi
             return ("c", evaluate_expr(node, {}))
         if all(kind == "c" for kind, _ in args):
-            return ("c", evaluate_expr(node, {}))
+            try:
+                return ("c", evaluate_expr(node, {}))
+            except ArithmeticError as exc:  # 1/0, 0^-1, 10^400
+                raise ChartError(f"chart {ast.name!r}: constant {print_expr(node)} "
+                                 f"cannot be evaluated ({exc})", 1, 1) from None
         steps.append((fn, args))
         step_of[node] = len(steps) - 1
         return ("s", len(steps) - 1)
@@ -297,25 +301,25 @@ class Chart:
 
     # -- derivatives -------------------------------------------------------
 
-    def jacobian(self, u, step: float = DEFAULT_FD_STEP) -> list[np.ndarray]:
-        """Central-difference partials [dp/du_1, ..., dp/du_d] at u."""
-        u = self.check_interior(u, margin=step)
+    def jacobian(self, u) -> list[np.ndarray]:
+        """Central-difference partials [dp/du_1, ..., dp/du_d] at an interior u."""
+        u = self.check_interior(u, margin=_FD_STEP)
         out = []
         for j in range(self.d):
             shift = np.zeros(self.d)
-            shift[j] = step
-            out.append((self.evaluate(u + shift) - self.evaluate(u - shift)) / (2.0 * step))
+            shift[j] = _FD_STEP
+            out.append((self.evaluate(u + shift) - self.evaluate(u - shift)) / (2.0 * _FD_STEP))
         return out
 
-    def jacobian_many(self, points, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    def jacobian_many(self, points) -> np.ndarray:
         """Batched central differences, returning (N, d, rows, cols)."""
         pts = np.asarray(points, dtype=float)
         rows, cols = self.shape
         out = np.empty((pts.shape[0], self.d, rows, cols))
         for j in range(self.d):
             shift = np.zeros(self.d)
-            shift[j] = step
-            out[:, j] = (self.evaluate_many(pts + shift) - self.evaluate_many(pts - shift)) / (2.0 * step)
+            shift[j] = _FD_STEP
+            out[:, j] = (self.evaluate_many(pts + shift) - self.evaluate_many(pts - shift)) / (2.0 * _FD_STEP)
         return out
 
     # -- validation --------------------------------------------------------

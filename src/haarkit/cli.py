@@ -42,19 +42,19 @@ def format_float(value: float, digits: int = JSON_DIGITS) -> str:
     return "0" if text == "-0" else text
 
 
-def to_json(obj, digits: int = JSON_DIGITS) -> str:
-    """Serialize with fixed float formatting so output is byte-stable."""
+def to_json(obj) -> str:
+    """Serialize with JSON_DIGITS significant digits so output is byte-stable."""
     if isinstance(obj, dict):
-        items = ", ".join(f'"{k}": {to_json(v, digits)}' for k, v in obj.items())
+        items = ", ".join(f'"{k}": {to_json(v)}' for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(to_json(v, digits) for v in obj) + "]"
+        return "[" + ", ".join(to_json(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(obj, digits)
+        return format_float(obj)
     if obj is None:
         return "null"
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -103,10 +103,6 @@ def _parse_point(text: str) -> np.ndarray:
         raise ValueError(f"could not parse {text!r} as comma-separated reals") from None
 
 
-def _chart_arg(spec: str) -> Chart:
-    return load_chart(spec)
-
-
 def _nodes_arg(args, chart: Chart) -> QuadratureRule:
     return QuadratureRule.for_domain(chart.domain, args.nodes)
 
@@ -120,7 +116,7 @@ def _averaging_args(args):
     """(density, rule) of --chart at --nodes, or (None, None) for the exact rule."""
     if not args.chart:
         return None, None
-    chart = _chart_arg(args.chart)
+    chart = load_chart(args.chart)
     rule = _nodes_arg(args, chart)
     return normalize(chart, rule=rule), rule
 
@@ -130,7 +126,7 @@ def _averaging_args(args):
 
 
 def _cmd_density(args) -> str:
-    chart = _chart_arg(args.chart)
+    chart = load_chart(args.chart)
     point = _parse_point(args.point)
     use_numeric = args.numeric or not args.closed_form
     record = {"chart": chart.name, "point": list(point)}
@@ -150,7 +146,7 @@ def _cmd_density(args) -> str:
 
 
 def _cmd_normalize(args) -> str:
-    chart = _chart_arg(args.chart)
+    chart = load_chart(args.chart)
     rule = _nodes_arg(args, chart)
     density = normalize(chart, rule=rule)
     return to_json({"chart": chart.name, "C": density.C,
@@ -171,7 +167,7 @@ def _cmd_sample(args) -> str:
 
 
 def _cmd_check_chart(args) -> str:
-    chart = _chart_arg(args.chart)  # load already runs structural validation
+    chart = load_chart(args.chart)  # load already runs structural validation
     rule = _nodes_arg(args, chart)
     density = normalize(chart, rule=rule)
     record = {"chart": chart.name, "parse": "ok", "d": chart.d,
@@ -287,8 +283,8 @@ def _auto_map(c1: Chart, c2: Chart):
 
 
 def _cmd_chart_change(args) -> str:
-    c1 = _chart_arg(args.chart1)
-    c2 = _chart_arg(args.chart2)
+    c1 = load_chart(args.chart1)
+    c2 = load_chart(args.chart2)
     point = _parse_point(args.point)
     if args.map == "auto":
         phi = _auto_map(c1, c2)

@@ -4,11 +4,13 @@ The unnormalized density at u is |det M(u)| with
 
     M(u)_ij = <p(u)^-1 dp/du_j, xi_i>,
 
-the bracket being the half-trace Frobenius product and (xi_i) an
-orthonormal basis of the group's algebra.  For charts tagged as rotation
-groups p^-1 is the transpose; untagged square charts go through an LU
-solve.  A 4 x 1 chart is treated as a unit-quaternion parametrisation and
-the same formula is evaluated in the quaternion algebra with the pure
+the bracket being the half-trace Frobenius product and (xi_i) the basis
+groups.so_algebra_basis(D); another orthonormal basis would only scale
+|det M| by a constant, which normalization cancels.  The partials dp/du_j
+are central differences at the charts module's one step.  For charts tagged
+as rotation groups p^-1 is the transpose; untagged square charts go through
+an LU solve.  A 4 x 1 chart is treated as a unit-quaternion parametrisation
+and the same formula is evaluated in the quaternion algebra with the pure
 imaginaries (i, j, k) as basis.
 
 The sign of det M is an orientation artifact of basis and parameter
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import Chart, builtin_chart
+from .charts import _FD_STEP, Chart, builtin_chart
 from .groups import (improper_coset, quat_conjugate, quat_mul, quat_rotation_matrices,
                      so_algebra_basis)
 from .quadrature import DEFAULT_NODES, QuadratureRule, axis_rule
@@ -45,36 +47,34 @@ def _rule_for(chart: Chart, rule) -> QuadratureRule:
 # Unnormalized density
 
 
-def _density_and_elements(chart: Chart, pts: np.ndarray, basis=None, step: float = 1e-5):
+def _density_and_elements(chart: Chart, pts: np.ndarray):
     """|det M| at an (N, d) batch and the group elements there (no domain checks).
 
     Quaternion charts push their quaternions to rotation matrices.
     """
     if chart.is_quaternion:
         q = chart.quaternions_at(pts)
-        dq = chart.jacobian_many(pts, step=step)[..., 0]  # (N, d, 4)
+        dq = chart.jacobian_many(pts)[..., 0]  # (N, d, 4)
         tau = quat_mul(quat_conjugate(q)[:, None, :], dq)  # (N, d, 4)
         m = np.swapaxes(tau[..., 1:], 1, 2)  # components on (i, j, k); M_ij = <tau_j, xi_i>
         return np.abs(np.linalg.det(m)), quat_rotation_matrices(q)
     mats = chart.evaluate_many(pts)
-    jac = chart.jacobian_many(pts, step=step)  # (N, d, D, D)
+    jac = chart.jacobian_many(pts)  # (N, d, D, D)
     if chart.group is not None:
         tau = np.einsum("nki,njkl->njil", mats, jac)
     else:
         tau = np.linalg.solve(mats[:, None, :, :], jac)
-    if basis is None:
-        basis = so_algebra_basis(chart.matrix_dim)
-    xi = np.stack(basis)
+    xi = np.stack(so_algebra_basis(chart.matrix_dim))
     m = 0.5 * np.einsum("njkl,ikl->nij", tau, xi)
     return np.abs(np.linalg.det(m)), mats
 
 
-def density_numeric_many(chart: Chart, points, basis=None, step: float = 1e-5) -> np.ndarray:
+def density_numeric_many(chart: Chart, points) -> np.ndarray:
     """|det M| at an (N, d) batch of points (no domain checks)."""
-    return _density_and_elements(chart, np.asarray(points, dtype=float), basis, step)[0]
+    return _density_and_elements(chart, np.asarray(points, dtype=float))[0]
 
 
-def density_numeric(chart: Chart, u, basis=None, step: float = 1e-5) -> float:
+def density_numeric(chart: Chart, u) -> float:
     """Unnormalized |det M(u)| at a single point of the closed domain.
 
     Finite differences may sample the chart expressions just outside the
@@ -82,7 +82,7 @@ def density_numeric(chart: Chart, u, basis=None, step: float = 1e-5) -> float:
     singular result (a chart that does not extend) raises NumericalError.
     """
     u = chart.check_point(u)
-    value = float(density_numeric_many(chart, u[None, :], basis=basis, step=step)[0])
+    value = float(density_numeric_many(chart, u[None, :])[0])
     if not np.isfinite(value):
         raise NumericalError(
             f"density of chart {chart.name!r} is not finite at {u.tolist()}")
@@ -100,7 +100,6 @@ class HaarDensity:
     chart: Chart
     C: float
     mode: str  # "numeric" | "closed-form"
-    algebra_basis: tuple = ()
     _closed_unnormalized: object = None  # (N, d) -> (N,); C is its integral over the domain
     _grids: dict = field(default_factory=dict, repr=False)
 
@@ -109,7 +108,7 @@ class HaarDensity:
         if self.mode == "closed-form":
             raw = self._closed_unnormalized(pts)
         else:
-            raw = density_numeric_many(self.chart, pts, basis=self.algebra_basis or None)
+            raw = density_numeric_many(self.chart, pts)
         return raw / self.C
 
     def density(self, u) -> float:
@@ -130,12 +129,13 @@ class HaarDensity:
         rule = _rule_for(self.chart, rule)
         key = _grid_key(rule)
         if key not in self._grids:
-            k = self.density_many(rule.points)
-            if self.chart.is_quaternion:
-                elements = quat_rotation_matrices(self.chart.quaternions_at(rule.points))
+            if self.mode == "numeric":  # one chart pass gives density and elements
+                raw, elements = _density_and_elements(self.chart, rule.points)
             else:
-                elements = self.chart.evaluate_many(rule.points)
-            self._grids[key] = (rule, rule.weights * k, elements)
+                raw = self._closed_unnormalized(rule.points)
+                elements = (quat_rotation_matrices(self.chart.quaternions_at(rule.points))
+                            if self.chart.is_quaternion else self.chart.evaluate_many(rule.points))
+            self._grids[key] = (rule, rule.weights * (raw / self.C), elements)
         elif self._grids[key][0] is not rule:
             # an equal rule built elsewhere, as normalize's: hand back the caller's
             self._grids[key] = (rule, *self._grids[key][1:])
@@ -146,21 +146,20 @@ def _grid_key(rule: QuadratureRule) -> tuple:
     return (rule.nodes_per_axis, rule.domain.tobytes())
 
 
-def normalize(chart: Chart, basis=None, rule=None) -> HaarDensity:
+def normalize(chart: Chart, rule=None) -> HaarDensity:
     """Normalize the numeric density of a chart by tensor-product quadrature.
 
     The density and elements computed on the rule's nodes also seed the
     density's grid cache, so grid() at the same rule does no chart work.
     """
     rule = _rule_for(chart, rule)
-    raw, elements = _density_and_elements(chart, rule.points, basis)
+    raw, elements = _density_and_elements(chart, rule.points)
     if not np.all(np.isfinite(raw)):
         raise NumericalError(f"density of chart {chart.name!r} is not finite on the grid")
     c = float(rule.integrate(raw))
     if c < DEGENERATE_C:
         raise NumericalError(f"chart {chart.name!r} is degenerate: C = {c:.3g} below {DEGENERATE_C:g}")
-    density = HaarDensity(chart=chart, C=c, mode="numeric",
-                          algebra_basis=tuple(basis) if basis is not None else ())
+    density = HaarDensity(chart=chart, C=c, mode="numeric")
     density._grids[_grid_key(rule)] = (rule, rule.weights * (raw / c), elements)
     return density
 
@@ -224,11 +223,11 @@ def _as_density(chart_or_density, rule=None) -> HaarDensity:
     return normalize(chart_or_density, rule=rule)
 
 
-def chart_change_check(c1, c2, phi, u, rule=None, step: float = 1e-5) -> float:
+def chart_change_check(c1, c2, phi, u, rule=None) -> float:
     """Residual |k1(u) - |det Dphi(u)| * k2(phi(u))| of a change of chart.
 
     ``phi`` maps coordinates of c1 to coordinates of c2; its jacobian is
-    taken by central differences.  Accepts Chart or HaarDensity arguments;
+    taken by central differences at the charts' step.  Accepts Chart or HaarDensity arguments;
     charts are normalized on the fly.
     """
     d1 = _as_density(c1, rule=rule)
@@ -241,9 +240,9 @@ def chart_change_check(c1, c2, phi, u, rule=None, step: float = 1e-5) -> float:
     jac = np.empty((d, d))
     for j in range(d):
         shift = np.zeros(d)
-        shift[j] = step
+        shift[j] = _FD_STEP
         jac[:, j] = (np.asarray(phi(u + shift), dtype=float) -
-                     np.asarray(phi(u - shift), dtype=float)) / (2.0 * step)
+                     np.asarray(phi(u - shift), dtype=float)) / (2.0 * _FD_STEP)
     return float(abs(d1.density(u) - abs(np.linalg.det(jac)) * d2.density(w)))
 
 

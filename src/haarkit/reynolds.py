@@ -96,15 +96,15 @@ def reynolds_continuous(group_tag: str, density: HaarDensity | None, rule, t: Te
     return Tensor.from_array(np.asarray(out), dim=t.dim)
 
 
-def reynolds_matrix(group_tag: str, n: int, density: HaarDensity | None = None, rule=None,
-                    chunk: int = 512) -> np.ndarray:
+def reynolds_matrix(group_tag: str, n: int, density: HaarDensity | None = None,
+                    rule=None) -> np.ndarray:
     """The averaging operator on order-n tensors as a (D^n, D^n) matrix.
 
     Column (j1..jn) is the group average of the canonical basis tensor
     e_{j1} x ... x e_{jn}.  Without a density the exact rule of degree n
     makes the operator exact up to roundoff; with one it is integrated on
-    the chart grid.  Nodes are processed in chunks to bound the
-    (chunk, D^n, D^n) workspace.
+    the chart grid.  As g^(x)n = g^(x)a (x) g^(x)b, a = ceil(n/2), b = n - a,
+    the node sum is one contraction of the two half Kronecker powers.
     """
     weighted, elements = haar_nodes(group_tag, density, rule, degree=n)
     dim = elements.shape[-1]
@@ -115,25 +115,23 @@ def reynolds_matrix(group_tag: str, n: int, density: HaarDensity | None = None, 
     if n == 0:
         # scalars are fixed by every group element; both cosets integrate to 1
         return np.array([[float(weighted.sum())]])
+    stacks = coset_stacks(group_tag, elements)
     total = np.zeros((size, size))
-    for start in range(0, elements.shape[0], chunk):
-        w = weighted[start:start + chunk]
-        stacks = coset_stacks(group_tag, elements[start:start + chunk])
-        for stack in stacks:
-            power = stack
-            for _ in range(n - 1):
-                m = power.shape[1]
-                power = np.einsum("nab,ncd->nacbd", power, stack).reshape(-1, m * dim, m * dim)
-            total += np.tensordot(w, power, axes=1)
+    for stack in stacks:
+        powers = [np.ones((len(stack), 1, 1))]  # g^(x)k at each node, k = 0..a
+        for _ in range((n + 1) // 2):
+            m = powers[-1].shape[1] * dim
+            powers.append(np.einsum("nab,ncd->nacbd", powers[-1], stack).reshape(-1, m, m))
+        total += np.einsum("n,nab,ncd->acbd", weighted, powers[-1], powers[n // 2],
+                           optimize=True).reshape(size, size)
     return total / len(stacks)
 
 
-def invariant_rank(group_tag: str, n: int, density: HaarDensity | None = None, rule=None,
-                   threshold: float = RANK_THRESHOLD) -> int:
-    """Numerical rank of the order-n averaging operator (exact rule without a density)."""
+def invariant_rank(group_tag: str, n: int, density: HaarDensity | None = None, rule=None) -> int:
+    """Numerical rank of the order-n averaging operator (singular values > RANK_THRESHOLD)."""
     op = reynolds_matrix(group_tag, n, density, rule=rule)
     singular = np.linalg.svd(op, compute_uv=False)
-    return int(np.sum(singular > threshold))
+    return int(np.sum(singular > RANK_THRESHOLD))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from haarkit.chartlang import (BinOp, Call, ChartError, Neg, Num, Pi, Pow, Var,
                                evaluate_expr, parse_chart, print_chart, print_expr,
                                tokenize)
+from haarkit.charts import Chart
 
 MINIMAL = """
 chart tiny {
@@ -103,6 +104,21 @@ def test_empty_bounds_rejected():
     # lower bound must be strictly below upper
     with pytest.raises(ChartError):
         parse_chart("chart p { params: x in [1, 0]; matrix: [[x]]; }")
+
+
+@pytest.mark.parametrize("bound", ["1/0", "0^-1", "10^400"])
+def test_undefined_constant_bound_is_a_chart_error(bound):
+    with pytest.raises(ChartError) as info:
+        parse_chart(f"chart p {{ params: x in [-1, {bound}]; matrix: [[x]]; }}")
+    assert (info.value.line, info.value.column) == (1, 19)
+    assert "bounds of 'x' cannot be evaluated" in str(info.value)
+
+
+@pytest.mark.parametrize("entry", ["1/0", "x * (2 + 0^-1)"])
+def test_undefined_constant_entry_is_a_chart_error(entry):
+    # variable-free subtrees are folded when the chart compiles its plan
+    with pytest.raises(ChartError, match="cannot be evaluated"):
+        Chart.from_source(f"chart p {{ params: x in [0, 1]; matrix: [[{entry}]]; }}")
 
 
 def test_error_positions():

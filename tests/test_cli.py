@@ -212,6 +212,19 @@ def test_degenerate_chart_exits_2(tmp_path, capsys):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize("source", [
+    "chart z { params: a in [0, 1/0]; matrix: [[a]]; }",
+    "chart z { params: a in [0^-1, 1]; matrix: [[a]]; }",
+    "chart z { params: a in [0, 1]; matrix: [[1/0]]; }",
+])
+def test_constant_division_by_zero_exits_1(source, tmp_path, capsys):
+    path = tmp_path / "z.chart"
+    path.write_text(source)
+    code, out, err = run(capsys, "normalize", "--chart", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1, column ") and "cannot be evaluated" in err
+
+
 @pytest.mark.parametrize("label,source", MALFORMED, ids=[m[0] for m in MALFORMED])
 def test_malformed_chart_diagnostics(label, source, tmp_path, capsys):
     path = tmp_path / "bad.chart"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from haarkit.charts import Chart, DomainError, builtin_chart
+from haarkit.groups import quat_rotation_matrices
 from haarkit.haar import (HaarDensity, NumericalError, chart_change_check, closed_form,
                           closed_form_density, density_numeric, integrate_scalar,
                           integrate_tensor, normalize)
@@ -249,3 +250,29 @@ def test_normalize_seeds_the_grid_cache(tag, monkeypatch):
     assert np.array_equal(rule.points, fresh[0].points)
     assert np.array_equal(weighted, fresh[1])
     assert np.array_equal(elements, fresh[2])
+
+
+@pytest.mark.parametrize("tag", ["so2-angle", "so3-euler", "so3-quat"])
+def test_grid_miss_takes_one_chart_pass(tag, monkeypatch):
+    # 1 + 2d chart evaluations give the density and, from the same pass, the elements
+    chart = builtin_chart(tag)
+    density = HaarDensity(chart=chart, C=normalize(chart).C, mode="numeric")
+    rule = QuadratureRule.for_domain(chart.domain, 16)
+    calls = []
+    evaluate_many = Chart.evaluate_many
+
+    def counted(self, points):
+        calls.append(len(points))
+        return evaluate_many(self, points)
+
+    monkeypatch.setattr(Chart, "evaluate_many", counted)
+    _, weighted, elements = density.grid(rule)
+    assert len(calls) == 1 + 2 * chart.d
+    monkeypatch.undo()
+    k = density.density_many(rule.points)
+    if chart.is_quaternion:
+        ref = quat_rotation_matrices(chart.quaternions_at(rule.points))
+    else:
+        ref = chart.evaluate_many(rule.points)
+    assert np.array_equal(weighted, rule.weights * k)
+    assert np.array_equal(elements, ref)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from haarkit.groups import GroupElement, rodrigues
-from haarkit.haar import NumericalError, normalize
+from haarkit.haar import NumericalError, coset_stacks, haar_nodes, normalize
 from haarkit.charts import builtin_chart
 from haarkit.quadrature import QuadratureRule
 from haarkit.reynolds import (FiniteGroup, dim_invariants_closed,
@@ -135,6 +135,38 @@ def test_reynolds_matrix_order_zero():
     p = reynolds_matrix("so3", 0, density, rule=rule)
     assert p.shape == (1, 1)
     assert np.isclose(p[0, 0], 1.0)
+
+
+def chunked_reference(group_tag, n, density, chunk=512):
+    """The operator as a sum of per-node D^n x D^n Kronecker powers, chunk by chunk."""
+    weighted, elements = haar_nodes(group_tag, density, None, degree=n)
+    dim = elements.shape[-1]
+    if n == 0:
+        return np.array([[float(weighted.sum())]])
+    total = np.zeros((dim**n, dim**n))
+    for start in range(0, elements.shape[0], chunk):
+        w = weighted[start:start + chunk]
+        stacks = coset_stacks(group_tag, elements[start:start + chunk])
+        for stack in stacks:
+            power = stack
+            for _ in range(n - 1):
+                m = power.shape[1]
+                power = np.einsum("nab,ncd->nacbd", power, stack).reshape(-1, m * dim, m * dim)
+            total += np.tensordot(w, power, axes=1)
+    return total / len(stacks)
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("group,tag", [("so2", "so2-angle"), ("o2", "so2-angle"),
+                                       ("so3", "so3-euler"), ("o3", "so3-quat")])
+def test_reynolds_matrix_matches_chunked_reference(group, tag, n):
+    chart = builtin_chart(tag)
+    density = normalize(chart, rule=QuadratureRule.for_domain(chart.domain, 12))
+    for dens in (None, density):
+        got = reynolds_matrix(group, n, dens)
+        ref = chunked_reference(group, n, dens)
+        assert got.shape == ref.shape == (chart.matrix_dim**n,) * 2
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-14)
 
 
 def test_invariant_rank_matches_closed_dims():
