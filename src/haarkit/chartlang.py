@@ -19,12 +19,13 @@ optional group tag.  Grammar (EBNF):
 Functions: sin cos tan sqrt arccos arcsin.  Bounds must be constant
 expressions with lower < upper; matrix entries may use declared parameters
 and pi.  ``evaluate_expr`` walks the tree over numpy scalars or arrays;
-``charts.Chart`` compiles its matrix once into a straight-line plan of the
-same numpy calls for batches.  Nothing uses eval().
+``charts.Chart`` compiles its entries and their ``differentiate`` partials
+into straight-line plans of the same numpy calls.  Nothing uses eval().
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ FUNCTIONS = {
     "arccos": np.arccos,
     "arcsin": np.arcsin,
 }
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 GROUP_TAGS = ("so(2)", "so(3)", "o(2)", "o(3)", "none")
 
@@ -96,8 +98,7 @@ def tokenize(source: str) -> list[Token]:
                     j = k
                     while j < n and source[j].isdigit():
                         j += 1
-            text = source[i:j]
-            tokens.append(Token("number", text, start_line, start_col))
+            tokens.append(Token("number", source[i:j], start_line, start_col))
             col += j - i
             i = j
             continue
@@ -267,8 +268,9 @@ class _Parser:
         upper = self.parse_expr()
         close = self.expect("]")
         try:
-            lo, hi = evaluate_expr(lower, {}), evaluate_expr(upper, {})
-        except ArithmeticError as exc:  # 1/0, 0^-1, 10^400
+            with np.errstate(invalid="raise", divide="raise", over="raise"):
+                lo, hi = evaluate_expr(lower, {}), evaluate_expr(upper, {})
+        except ArithmeticError as exc:  # 1/0, 0^-1, 10^400, arccos(2)
             self.error(f"bounds of {name!r} cannot be evaluated ({exc})", name_tok)
         if not (np.isfinite(lo) and np.isfinite(hi)):
             self.error(f"bounds of {name!r} are not finite", name_tok)
@@ -403,20 +405,67 @@ def evaluate_expr(node: Expr, env: dict[str, float | np.ndarray]):
     if isinstance(node, Neg):
         return -evaluate_expr(node.arg, env)
     if isinstance(node, BinOp):
-        left = evaluate_expr(node.left, env)
-        right = evaluate_expr(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right
+        return OPERATORS[node.op](evaluate_expr(node.left, env), evaluate_expr(node.right, env))
     if isinstance(node, Pow):
         return evaluate_expr(node.base, env) ** node.exponent
     if isinstance(node, Call):
         return FUNCTIONS[node.func](evaluate_expr(node.arg, env))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# Differentiation.  The language is closed under d/du: None stands for an
+# identically zero derivative, and each slope is an expression of the argument.
+
+_ONE = Num(1.0)
+
+SLOPES = {
+    "sin": lambda a: Call("cos", a),
+    "cos": lambda a: Neg(Call("sin", a)),
+    "tan": lambda a: Pow(Call("cos", a), -2),
+    "sqrt": lambda a: BinOp("/", Num(0.5), Call("sqrt", a)),
+    "arccos": lambda a: Neg(Pow(Call("sqrt", BinOp("-", _ONE, Pow(a, 2))), -1)),
+    "arcsin": lambda a: Pow(Call("sqrt", BinOp("-", _ONE, Pow(a, 2))), -1),
+}
+
+
+def _sum(a, b, op: str):
+    if a is None or b is None:
+        return a if b is None else b if op == "+" else Neg(b)
+    return BinOp(op, a, b)
+
+
+def _mul(a, b):
+    if a is None or b is None:
+        return None
+    return b if a == _ONE else a if b == _ONE else BinOp("*", a, b)
+
+
+def differentiate(node: Expr, name: str) -> Expr | None:
+    """d node / d name: sum, product and quotient rules, then the chain rule
+    with n a^(n-1) for powers and SLOPES for calls.  Zero terms are dropped
+    and factors of 1 left out; the quotient rule reuses the quotient node.
+    """
+    if isinstance(node, Var):
+        return _ONE if node.name == name else None
+    if isinstance(node, BinOp):
+        da, db = differentiate(node.left, name), differentiate(node.right, name)
+        if node.op == "*":
+            return _sum(_mul(da, node.right), _mul(node.left, db), "+")
+        if node.op == "/":  # d(a/b) = (da - (a/b) db) / b
+            top = _sum(da, _mul(node, db), "-")
+            return None if top is None else BinOp("/", top, node.right)
+        return _sum(da, db, node.op)
+    if isinstance(node, Neg):
+        return _sum(None, differentiate(node.arg, name), "-")
+    if isinstance(node, Pow):
+        n, arg = node.exponent, node.base
+        slope = None if n == 0 else _ONE if n == 1 else BinOp("*", Num(float(n)), Pow(arg, n - 1))
+    elif isinstance(node, Call):
+        slope, arg = SLOPES[node.func](node.arg), node.arg
+    else:  # Num, Pi
+        return None
+    return _mul(slope, differentiate(arg, name))
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +505,7 @@ def print_expr(node: Expr, parent_prec: int = 0) -> str:
         text = f"{left} {node.op} {right}"
     else:
         raise TypeError(f"not an expression node: {node!r}")
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+    return f"({text})" if prec < parent_prec else text
 
 
 def print_chart(ast: ChartAst) -> str:

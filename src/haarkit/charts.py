@@ -1,17 +1,18 @@
 """Charts: named parametrisations of matrix groups over box domains.
 
-A Chart wraps a parsed AST with vectorized evaluation, domain checks, and
-finite-difference jacobians.  Built-in charts ship as chart-language files
-under ``haarkit/data`` and go through the same parser as user charts.
+A Chart wraps a parsed AST with compiled evaluation, domain checks, and
+exact jacobians.  Built-in charts ship as chart-language files under
+``haarkit/data`` and go through the same parser as user charts.
 
-Batch evaluation runs a straight-line plan (Griewank & Walther, *Evaluating
+Evaluation runs a straight-line plan (Griewank & Walther, *Evaluating
 Derivatives*, SIAM 2008) that each chart compiles once from its matrix:
 equal subtrees are computed once, variable-free subtrees are folded to
 constants, and every remaining node is one numpy ufunc step writing into a
 row of a (registers, N) scratch block, a row being reused once its last
 reader has run.  The steps are the ufuncs the tree walk of
 ``chartlang.evaluate_expr`` calls, on the same operands, so the plan gives
-the walk's values bit for bit.
+the walk's values bit for bit.  Jacobians run a second plan of the
+entries' symbolic partials, compiled on first use: exact, with no step.
 
 Square charts tagged ``group: so(D)`` or ``o(D)`` are validated at load
 time (orthogonality at 100 random domain points, det +1 for so).  A chart
@@ -21,16 +22,15 @@ whose matrix is 4 x 1 is interpreted as a unit-quaternion parametrisation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .chartlang import (FUNCTIONS, BinOp, Call, ChartAst, ChartError, Neg, Pow, Var,
-                        evaluate_expr, parse_chart, print_chart, print_expr)
-
-_FD_STEP = 1e-5  # central differences; haar differentiates phi with it too
+from .chartlang import (FUNCTIONS, BinOp, Call, ChartAst, ChartError, Neg, Num, Pow, Var,
+                        differentiate, evaluate_expr, parse_chart, print_chart, print_expr)
 
 BUILTIN_NAMES = ("so2-angle", "so2-shifted", "so3-euler", "so3-polar", "so3-quat")
 
@@ -87,9 +87,9 @@ class _Plan:
 def _compile(ast: ChartAst) -> _Plan:
     """Merge equal subtrees, fold variable-free ones, and assign registers.
 
-    Parsed numbers are nonnegative literals, so subtrees that compare equal
-    compute equal values.  Until slots are assigned an operand is
-    ("c", value), ("p", column) or ("s", step index).
+    No number is -0.0 (literals are nonnegative, derivative coefficients
+    nonzero), so equal subtrees compute equal values.  Until slots are
+    assigned an operand is ("c", value), ("p", column) or ("s", step index).
     """
     column = {p.name: k for k, p in enumerate(ast.params)}
     steps: list = []  # (function, operands), each operand computed before its reader
@@ -112,8 +112,9 @@ def _compile(ast: ChartAst) -> _Plan:
             return ("c", evaluate_expr(node, {}))
         if all(kind == "c" for kind, _ in args):
             try:
-                return ("c", evaluate_expr(node, {}))
-            except ArithmeticError as exc:  # 1/0, 0^-1, 10^400
+                with np.errstate(invalid="raise", divide="raise", over="raise"):
+                    return ("c", evaluate_expr(node, {}))
+            except ArithmeticError as exc:  # 1/0, 0^-1, 10^400, arccos(2), sin(0)/0
                 raise ChartError(f"chart {ast.name!r}: constant {print_expr(node)} "
                                  f"cannot be evaluated ({exc})", 1, 1) from None
         steps.append((fn, args))
@@ -129,20 +130,16 @@ def _compile(ast: ChartAst) -> _Plan:
     # reads is free again at once.
     last_read = list(range(len(steps)))
     for s, (_, args) in enumerate(steps):
-        for kind, value in args:
-            if kind == "s":
-                last_read[value] = s
+        for t in (v for k, v in args if k == "s"):
+            last_read[t] = s
     register: list[int] = []
     free: list[int] = []
     count = 0
     for s, (_, args) in enumerate(steps):
         free.extend(register[t] for t in sorted({v for k, v in args if k == "s"})
                     if last_read[t] == s)
-        if free:
-            register.append(free.pop())
-        else:
-            register.append(count)
-            count += 1
+        register.append(free.pop() if free else count)
+        count = max(count, register[-1] + 1)
         if last_read[s] == s:
             free.append(register[s])
 
@@ -180,9 +177,8 @@ class Chart:
     _plan: _Plan = field(init=False, repr=False)
 
     def __post_init__(self):
-        lo = [evaluate_expr(p.lower, {}) for p in self.ast.params]
-        hi = [evaluate_expr(p.upper, {}) for p in self.ast.params]
-        dom = np.array([lo, hi], dtype=float).T
+        dom = np.array([[evaluate_expr(p.lower, {}), evaluate_expr(p.upper, {})]
+                        for p in self.ast.params], dtype=float)
         dom.setflags(write=False)
         object.__setattr__(self, "domain", dom)
         object.__setattr__(self, "_plan", _compile(self.ast))
@@ -271,22 +267,14 @@ class Chart:
 
     def evaluate(self, u) -> np.ndarray:
         """p(u) as an ndarray of the chart's matrix shape."""
-        u = self.check_point(u)
-        env = dict(zip(self.params, u))
-        rows, cols = self.shape
-        out = np.empty((rows, cols))
-        for i, row in enumerate(self.ast.matrix):
-            for j, entry in enumerate(row):
-                out[i, j] = evaluate_expr(entry, env)
-        return out
+        return self._plan.run(self.check_point(u)[None, :])[0]
 
     def evaluate_many(self, points) -> np.ndarray:
         """p at an (N, d) batch of points, returning (N, rows, cols).
 
-        Runs the chart's straight-line plan (see the module docstring),
-        which gives the same bits as walking each entry with
-        ``evaluate_expr``.  Points are not domain-checked; quadrature and
-        sampling call this on nodes already known to lie inside.
+        Runs the chart's straight-line plan, which gives the bits of the
+        ``evaluate_expr`` walk.  Points are not domain-checked; quadrature
+        and sampling call this on nodes already known to lie inside.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
@@ -301,32 +289,30 @@ class Chart:
 
     # -- derivatives -------------------------------------------------------
 
+    @cached_property
+    def _jacobian_plan(self) -> _Plan:  # dp/du_1, ..., dp/du_d stacked into d * rows rows
+        rows = tuple(tuple(differentiate(e, p) or Num(0.0) for e in row)  # None: identically 0
+                     for p in self.params for row in self.ast.matrix)
+        return _compile(replace(self.ast, matrix=rows))
+
     def jacobian(self, u) -> list[np.ndarray]:
-        """Central-difference partials [dp/du_1, ..., dp/du_d] at an interior u."""
-        u = self.check_interior(u, margin=_FD_STEP)
-        out = []
-        for j in range(self.d):
-            shift = np.zeros(self.d)
-            shift[j] = _FD_STEP
-            out.append((self.evaluate(u + shift) - self.evaluate(u - shift)) / (2.0 * _FD_STEP))
-        return out
+        """Partials [dp/du_1, ..., dp/du_d] at a point of the closed domain."""
+        return list(self.jacobian_many(self.check_point(u)[None, :])[0])
 
     def jacobian_many(self, points) -> np.ndarray:
-        """Batched central differences, returning (N, d, rows, cols)."""
+        """Partials at an (N, d) batch as (N, d, rows, cols); an infinite slope
+        (sqrt at 0, arccos at 1, ...) gives inf or NaN quietly."""
         pts = np.asarray(points, dtype=float)
-        rows, cols = self.shape
-        out = np.empty((pts.shape[0], self.d, rows, cols))
-        for j in range(self.d):
-            shift = np.zeros(self.d)
-            shift[j] = _FD_STEP
-            out[:, j] = (self.evaluate_many(pts + shift) - self.evaluate_many(pts - shift)) / (2.0 * _FD_STEP)
-        return out
+        with np.errstate(all="ignore"):
+            return self._jacobian_plan.run(pts).reshape(len(pts), self.d, *self.shape)
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
         """Structural checks plus random-point group/unit-norm validation."""
         rows, cols = self.shape
+        rng = np.random.default_rng(_VALIDATION_SEED)
+        pts = rng.uniform(self.domain[:, 0], self.domain[:, 1], size=(_VALIDATION_POINTS, self.d))
         if self.group is not None:
             dim = int(self.group[-2])
             if (rows, cols) != (dim, dim):
@@ -337,8 +323,6 @@ class Chart:
                 raise ChartError(
                     f"chart {self.name!r} declares group {self.group} but has {self.d} parameters; "
                     f"the group needs {expected_d}", 1, 1)
-            rng = np.random.default_rng(_VALIDATION_SEED)
-            pts = rng.uniform(self.domain[:, 0], self.domain[:, 1], size=(_VALIDATION_POINTS, self.d))
             mats = self.evaluate_many(pts)
             gram = np.einsum("nij,nkj->nik", mats, mats)
             err = float(np.abs(gram - np.eye(dim)).max())
@@ -352,8 +336,6 @@ class Chart:
                     raise ChartError(
                         f"chart {self.name!r} declares {self.group} but det p deviates from +1", 1, 1)
         elif self.is_quaternion:
-            rng = np.random.default_rng(_VALIDATION_SEED)
-            pts = rng.uniform(self.domain[:, 0], self.domain[:, 1], size=(_VALIDATION_POINTS, self.d))
             q = self.quaternions_at(pts)
             err = float(np.abs(np.einsum("ni,ni->n", q, q) - 1.0).max())
             if err > 1e-9:

@@ -222,13 +222,6 @@ class Quaternion:
     z: float
 
     @classmethod
-    def from_array(cls, q) -> "Quaternion":
-        q = np.asarray(q, dtype=float)
-        if q.shape != (4,):
-            raise ValueError(f"quaternion needs 4 components, got shape {q.shape}")
-        return cls(float(q[0]), float(q[1]), float(q[2]), float(q[3]))
-
-    @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "Quaternion":
         n = np.asarray(axis, dtype=float)
         _check_unit(n, "rotation axis", INPUT_TOL)
@@ -238,24 +231,6 @@ class Quaternion:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-    def is_unit(self, tol: float = CONSTRUCTED_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero quaternion")
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion.from_array(quat_mul(self.as_array(), other.as_array()))
 
     def rotate(self, v) -> np.ndarray:
         """Apply v -> q v conj(q) to a 3-vector through the quaternion algebra."""

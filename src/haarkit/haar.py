@@ -7,7 +7,7 @@ The unnormalized density at u is |det M(u)| with
 the bracket being the half-trace Frobenius product and (xi_i) the basis
 groups.so_algebra_basis(D); another orthonormal basis would only scale
 |det M| by a constant, which normalization cancels.  The partials dp/du_j
-are central differences at the charts module's one step.  For charts tagged
+are exact, from the chart's compiled derivative plan.  For charts tagged
 as rotation groups p^-1 is the transpose; untagged square charts go through
 an LU solve.  A 4 x 1 chart is treated as a unit-quaternion parametrisation
 and the same formula is evaluated in the quaternion algebra with the pure
@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import _FD_STEP, Chart, builtin_chart
+from .charts import Chart, builtin_chart
 from .groups import (improper_coset, quat_conjugate, quat_mul, quat_rotation_matrices,
                      so_algebra_basis)
 from .quadrature import DEFAULT_NODES, QuadratureRule, axis_rule
 
 DEGENERATE_C = 1e-12
+_FD_STEP = 1e-5  # central differences for the Python callable of chart_change_check
 
 GROUP_TAGS = ("so2", "o2", "so3", "o3")
 
@@ -47,6 +48,7 @@ def _rule_for(chart: Chart, rule) -> QuadratureRule:
 # Unnormalized density
 
 
+@np.errstate(invalid="ignore")  # an infinite partial gives inf or NaN quietly; callers check
 def _density_and_elements(chart: Chart, pts: np.ndarray):
     """|det M| at an (N, d) batch and the group elements there (no domain checks).
 
@@ -75,11 +77,8 @@ def density_numeric_many(chart: Chart, points) -> np.ndarray:
 
 
 def density_numeric(chart: Chart, u) -> float:
-    """Unnormalized |det M(u)| at a single point of the closed domain.
-
-    Finite differences may sample the chart expressions just outside the
-    box near the boundary; the built-in charts extend smoothly.  A NaN or
-    singular result (a chart that does not extend) raises NumericalError.
+    """Unnormalized |det M(u)| at a single point of the closed domain, or
+    NumericalError where it is not finite (sqrt's infinite slope at 0, say).
     """
     u = chart.check_point(u)
     value = float(density_numeric_many(chart, u[None, :])[0])
@@ -112,8 +111,9 @@ class HaarDensity:
         return raw / self.C
 
     def density(self, u) -> float:
-        u = self.chart.check_point(u)
-        return float(self.density_many(u[None, :])[0])
+        if self.mode == "numeric":  # NumericalError where |det M| is not finite
+            return density_numeric(self.chart, u) / self.C
+        return float(self.density_many(self.chart.check_point(u)[None, :])[0])
 
     __call__ = density
 
@@ -226,9 +226,9 @@ def _as_density(chart_or_density, rule=None) -> HaarDensity:
 def chart_change_check(c1, c2, phi, u, rule=None) -> float:
     """Residual |k1(u) - |det Dphi(u)| * k2(phi(u))| of a change of chart.
 
-    ``phi`` maps coordinates of c1 to coordinates of c2; its jacobian is
-    taken by central differences at the charts' step.  Accepts Chart or HaarDensity arguments;
-    charts are normalized on the fly.
+    ``phi`` maps coordinates of c1 to coordinates of c2; being a Python
+    callable, it is differentiated by central differences.  Accepts Chart or
+    HaarDensity arguments; charts are normalized on the fly.
     """
     d1 = _as_density(c1, rule=rule)
     d2 = _as_density(c2, rule=rule)
@@ -236,13 +236,8 @@ def chart_change_check(c1, c2, phi, u, rule=None) -> float:
     w = np.asarray(phi(u), dtype=float)
     if not d2.chart.contains(w):
         raise ValueError(f"phi({u.tolist()}) = {w.tolist()} lands outside chart {d2.chart.name!r}")
-    d = u.shape[0]
-    jac = np.empty((d, d))
-    for j in range(d):
-        shift = np.zeros(d)
-        shift[j] = _FD_STEP
-        jac[:, j] = (np.asarray(phi(u + shift), dtype=float) -
-                     np.asarray(phi(u - shift), dtype=float)) / (2.0 * _FD_STEP)
+    jac = np.column_stack([np.asarray(phi(u + h), dtype=float) - np.asarray(phi(u - h), dtype=float)
+                           for h in _FD_STEP * np.eye(u.shape[0])]) / (2.0 * _FD_STEP)
     return float(abs(d1.density(u) - abs(np.linalg.det(jac)) * d2.density(w)))
 
 

@@ -2,7 +2,7 @@
 
 Integrands here are smooth trigonometric polynomials, for which
 Gauss-Legendre converges spectrally; 32 nodes per axis resolves every
-built-in density well past 1e-10.
+built-in density to roundoff.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Chart language: tokenizer, parser, evaluation, printing, diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,25 @@ def test_undefined_constant_entry_is_a_chart_error(entry):
     # variable-free subtrees are folded when the chart compiles its plan
     with pytest.raises(ChartError, match="cannot be evaluated"):
         Chart.from_source(f"chart p {{ params: x in [0, 1]; matrix: [[{entry}]]; }}")
+
+
+@pytest.mark.parametrize("bound", ["arccos(2)", "sqrt(0-1)", "sin(0)/0"])
+def test_not_a_number_bound_is_a_chart_error(bound):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartError, match="bounds of 'x' cannot be evaluated") as info:
+            parse_chart(f"chart p {{ params: x in [-1, {bound}]; matrix: [[x]]; }}")
+    assert (info.value.line, info.value.column) == (1, 19)
+
+
+@pytest.mark.parametrize("entry", ["arccos(2)*0", "sqrt(0-1)", "x + sin(0)/0", "x * tan(pi/2)^30"])
+def test_not_a_number_constant_entry_is_a_chart_error(entry):
+    # numpy gives NaN or inf where Python floats raise; folding raises for both
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartError, match="cannot be evaluated") as info:
+            Chart.from_source(f"chart p {{ params: x in [0, 1]; matrix: [[{entry}]]; }}")
+    assert (info.value.line, info.value.column) == (1, 1)
 
 
 def test_error_positions():

@@ -1,12 +1,14 @@
-"""Chart objects: domains, evaluation, finite-difference jacobians, validation.
+"""Chart objects: domains, evaluation, exact jacobians, validation.
 
-Jacobian oracles are analytic: product-rule derivatives for the angle charts
-and direct differentiation of the quaternion components.
+Jacobian oracles are analytic: product-rule derivatives for the angle charts,
+direct differentiation of the quaternion components, and complex steps
+through the tree walk for a chart using every operator and function.
 """
 
 import numpy as np
 import pytest
 
+from haarkit.chartlang import evaluate_expr
 from haarkit.charts import (BUILTIN_NAMES, Chart, DomainError, angle_from_matrix,
                             builtin_chart, euler_from_matrix, hyperpolar_from_matrix,
                             load_chart, polar_from_matrix)
@@ -159,6 +161,57 @@ def test_quaternion_jacobian_analytic():
     jac = chart.jacobian_many(u[None])[0]
     assert jac.shape == (3, 4, 1)
     assert np.allclose(jac[:, :, 0].T, expected, atol=1e-9)
+
+
+def test_jacobian_at_closed_box_point():
+    # beta = 0 is on the edge of the box; the partials need no margin there
+    chart = builtin_chart("so3-euler")
+    for u in ([0.4, 0.0, -0.8], [-np.pi, 0.0, np.pi]):
+        a, b, g = u
+        p = chart.evaluate(u)
+        expected = [hat(E3) @ p, rz(a) @ hat(E1) @ rx(b) @ rz(g), p @ hat(E3)]
+        for got, ref in zip(chart.jacobian(u), expected):
+            assert np.abs(got - ref).max() < 1e-15
+
+
+def test_derivative_plan_is_compiled_once_on_first_use():
+    chart = Chart.from_source(builtin_chart("so3-polar").source())
+    chart.evaluate_many(chart.random_interior(4, RNG))
+    assert "_jacobian_plan" not in vars(chart)  # evaluation and sampling never build it
+    chart.jacobian([1.0, 0.2, 0.5])
+    plan = vars(chart)["_jacobian_plan"]
+    chart.jacobian_many(chart.random_interior(4, RNG))
+    assert vars(chart)["_jacobian_plan"] is plan
+
+
+EVERY_OPERATION = """chart every_op {
+  params: a in [0.2, 1.2], b in [-0.5, 0.5], c in [0.5, 2];
+  matrix: [[sin(a)*cos(b) - tan(a/c), sqrt(c + a^2)/(1 + b^2), c^0 + c^1],
+           [arccos(a*b/2) + arcsin(b/c)^3, -(pi*a)^-2 + 2*c^-1, (a - b)/(c*sin(a))]];
+}"""
+
+
+def complex_step(chart: Chart, u, h: float = 1e-30) -> np.ndarray:
+    """Im p(u + i h e_k) / h through the tree walk: exact to roundoff, no cancellation."""
+    out = np.empty((chart.d, *chart.shape))
+    for k in range(chart.d):
+        env = {name: complex(x, h if j == k else 0.0)
+               for j, (name, x) in enumerate(zip(chart.params, u))}
+        for i, row in enumerate(chart.ast.matrix):
+            for j, entry in enumerate(row):
+                out[k, i, j] = complex(evaluate_expr(entry, env)).imag / h
+    return out
+
+
+def test_jacobian_matches_complex_step_on_every_operation():
+    chart = Chart.from_source(EVERY_OPERATION)
+    pts = chart.random_interior(20, RNG)
+    batch = chart.jacobian_many(pts)
+    for u, jac in zip(pts, batch):
+        ref = complex_step(chart, u)
+        for got, want in zip(chart.jacobian(u), ref):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(jac, np.stack(chart.jacobian(u)))
 
 
 def test_validate_rejects_non_orthogonal_tagged_chart():

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,29 @@ def test_constant_division_by_zero_exits_1(source, tmp_path, capsys):
     code, out, err = run(capsys, "normalize", "--chart", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: line 1, column ") and "cannot be evaluated" in err
+
+
+@pytest.mark.parametrize("entry", ["arccos(2)*0", "sqrt(0-1)", "sin(0)/0"])
+def test_not_a_number_constant_exits_1(entry, tmp_path, capsys):
+    path = tmp_path / "nan.chart"
+    path.write_text(f"chart nan {{ params: a in [0, 1]; matrix: [[a, {entry}]]; }}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "normalize", "--chart", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1, column 1: chart 'nan': constant ")
+    assert "cannot be evaluated" in err and "Warning" not in err
+
+
+def test_density_at_an_infinite_slope_exits_2(tmp_path, capsys):
+    path = tmp_path / "rooted.chart"
+    path.write_text("chart rooted { params: t in [0, 9]; group: so(2); matrix: "
+                    "[[cos(sqrt(t)), -sin(sqrt(t))], [sin(sqrt(t)), cos(sqrt(t))]]; }")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "density", "--chart", str(path), "--point", "0")
+    assert (code, out) == (2, "")
+    assert "not finite at [0.0]" in err
 
 
 @pytest.mark.parametrize("label,source", MALFORMED, ids=[m[0] for m in MALFORMED])

@@ -1,5 +1,7 @@
 """Invariant densities: numeric vs closed form, normalization, integration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,32 @@ def test_non_finite_density_raises():
     chart = Chart.from_source(src)
     with pytest.raises(NumericalError):
         density_numeric(chart, [0.0])
+
+
+def test_infinite_slope_raises_without_warnings():
+    # d/dt cos(sqrt(t)) = -sin(sqrt(t)) * 0.5 / sqrt(t) is 0 * inf at t = 0
+    src = """chart rooted {
+  params: t in [0, 9];
+  group: so(2);
+  matrix: [[cos(sqrt(t)), -sin(sqrt(t))], [sin(sqrt(t)), cos(sqrt(t))]];
+}
+"""
+    chart = Chart.from_source(src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite"):
+            density_numeric(chart, [0.0])
+        assert density_numeric(chart, [4.0]) == 0.25  # 1 / (2 sqrt(t))
+
+
+@pytest.mark.parametrize("tag,exact", [
+    ("so2-angle", 2 * np.pi), ("so2-shifted", 2 * np.pi), ("so3-euler", 8 * np.pi**2),
+    ("so3-polar", 8 * np.pi**2), ("so3-quat", 2 * np.pi**2)])
+def test_numeric_constant_is_exact_to_roundoff(tag, exact):
+    # the integrands are trigonometric polynomials that 32 Gauss-Legendre
+    # nodes per axis integrate exactly, so only the partials could err
+    c = normalize(builtin_chart(tag), rule=32).C
+    assert abs(c - exact) <= 1e-13 * exact
 
 
 def test_normalize_rejects_degenerate_chart():
@@ -254,7 +282,7 @@ def test_normalize_seeds_the_grid_cache(tag, monkeypatch):
 
 @pytest.mark.parametrize("tag", ["so2-angle", "so3-euler", "so3-quat"])
 def test_grid_miss_takes_one_chart_pass(tag, monkeypatch):
-    # 1 + 2d chart evaluations give the density and, from the same pass, the elements
+    # one chart evaluation gives the elements; the density's partials run the derivative plan
     chart = builtin_chart(tag)
     density = HaarDensity(chart=chart, C=normalize(chart).C, mode="numeric")
     rule = QuadratureRule.for_domain(chart.domain, 16)
@@ -267,7 +295,7 @@ def test_grid_miss_takes_one_chart_pass(tag, monkeypatch):
 
     monkeypatch.setattr(Chart, "evaluate_many", counted)
     _, weighted, elements = density.grid(rule)
-    assert len(calls) == 1 + 2 * chart.d
+    assert len(calls) == 1
     monkeypatch.undo()
     k = density.density_many(rule.points)
     if chart.is_quaternion:
