@@ -7,7 +7,7 @@ optional group tag.  Grammar (EBNF):
                  ["group" ":" grouptag ";"] "matrix" ":" matrix ";" "}"
     paramlist  = param { "," param }
     param      = ident "in" "[" expr "," expr "]"
-    grouptag   = "so(2)" | "so(3)" | "o(2)" | "o(3)" | "none"
+    grouptag   = "so(2)" | "o(2)" | "so(3)" | "o(3)" | "none"   (groups.GROUPS spellings)
     matrix     = "[" row { "," row } "]"
     row        = "[" expr { "," expr } "]"
     expr       = term { ("+" | "-") term }
@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import GROUPS
+
 FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -40,7 +42,7 @@ FUNCTIONS = {
 }
 OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
-GROUP_TAGS = ("so(2)", "so(3)", "o(2)", "o(3)", "none")
+GROUP_TAGS = (*(g.spelling for g in GROUPS.values()), "none")
 
 
 class ChartError(ValueError):
@@ -177,7 +179,7 @@ class Param:
 class ChartAst:
     name: str
     params: tuple[Param, ...]
-    group: str | None  # "so(2)" | "so(3)" | "o(2)" | "o(3)" | None
+    group: str | None  # a spelling of groups.GROUPS ("so(3)"), or None
     matrix: tuple[tuple[Expr, ...], ...]
 
 
@@ -280,16 +282,14 @@ class _Parser:
 
     def parse_group_tag(self) -> str | None:
         tok = self.expect("ident", "group tag")
-        if tok.text == "none":
-            return None
-        if tok.text in ("so", "o"):
-            self.expect("(")
-            dim_tok = self.expect("number", "group dimension")
-            if dim_tok.text not in ("2", "3"):
-                self.error(f"unknown group tag {tok.text}({dim_tok.text})", dim_tok)
+        spelling = tok.text
+        if self.peek().kind == "(":  # so(3): the dimension is part of the tag
+            self.advance()
+            spelling += f"({self.expect('number', 'group dimension').text})"
             self.expect(")")
-            return f"{tok.text}({dim_tok.text})"
-        self.error(f"unknown group tag {tok.text!r}; expected one of {', '.join(GROUP_TAGS)}", tok)
+        if spelling not in GROUP_TAGS:
+            self.error(f"unknown group tag {spelling!r}; expected one of {', '.join(GROUP_TAGS)}", tok)
+        return None if spelling == "none" else spelling
 
     def parse_matrix(self) -> tuple[tuple[Expr, ...], ...]:
         open_tok = self.expect("[")
@@ -476,7 +476,7 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
 def _format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return repr(value)
 

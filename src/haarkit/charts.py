@@ -31,6 +31,7 @@ import numpy as np
 
 from .chartlang import (FUNCTIONS, BinOp, Call, ChartAst, ChartError, Neg, Num, Pow, Var,
                         differentiate, evaluate_expr, parse_chart, print_chart, print_expr)
+from .groups import lookup_group
 
 BUILTIN_NAMES = ("so2-angle", "so2-shifted", "so3-euler", "so3-polar", "so3-quat")
 
@@ -95,6 +96,18 @@ def _compile(ast: ChartAst) -> _Plan:
     steps: list = []  # (function, operands), each operand computed before its reader
     step_of: dict = {}
 
+    def constant(node):
+        try:
+            with np.errstate(invalid="raise", divide="raise", over="raise"):
+                value = evaluate_expr(node, {})
+        except ArithmeticError as exc:  # 1/0, 0^-1, 10^400, arccos(2), sin(0)/0
+            raise ChartError(f"chart {ast.name!r}: constant {print_expr(node)} "
+                             f"cannot be evaluated ({exc})", 1, 1) from None
+        if not np.isfinite(value):  # 1e999, or Python-float overflow as in 1e308*10
+            raise ChartError(f"chart {ast.name!r}: constant {print_expr(node)} "
+                             f"is not finite ({value})", 1, 1)
+        return ("c", value)
+
     def operand(node):
         if isinstance(node, Var):
             return ("p", column[node.name])
@@ -109,14 +122,9 @@ def _compile(ast: ChartAst) -> _Plan:
         elif isinstance(node, Call):
             fn, args = FUNCTIONS[node.func], [operand(node.arg)]
         else:  # Num, Pi
-            return ("c", evaluate_expr(node, {}))
+            return constant(node)
         if all(kind == "c" for kind, _ in args):
-            try:
-                with np.errstate(invalid="raise", divide="raise", over="raise"):
-                    return ("c", evaluate_expr(node, {}))
-            except ArithmeticError as exc:  # 1/0, 0^-1, 10^400, arccos(2), sin(0)/0
-                raise ChartError(f"chart {ast.name!r}: constant {print_expr(node)} "
-                                 f"cannot be evaluated ({exc})", 1, 1) from None
+            return constant(node)
         steps.append((fn, args))
         step_of[node] = len(steps) - 1
         return ("s", len(steps) - 1)
@@ -308,17 +316,19 @@ class Chart:
 
     # -- validation --------------------------------------------------------
 
+    @np.errstate(all="ignore")  # a NaN entry fails each "not err <= tol" below, quietly
     def validate(self) -> None:
         """Structural checks plus random-point group/unit-norm validation."""
         rows, cols = self.shape
         rng = np.random.default_rng(_VALIDATION_SEED)
         pts = rng.uniform(self.domain[:, 0], self.domain[:, 1], size=(_VALIDATION_POINTS, self.d))
         if self.group is not None:
-            dim = int(self.group[-2])
+            group = lookup_group(self.group)
+            dim = group.dim
             if (rows, cols) != (dim, dim):
                 raise ChartError(
                     f"chart {self.name!r} declares group {self.group} but its matrix is {rows}x{cols}", 1, 1)
-            expected_d = 1 if dim == 2 else 3
+            expected_d = dim * (dim - 1) // 2
             if self.d != expected_d:
                 raise ChartError(
                     f"chart {self.name!r} declares group {self.group} but has {self.d} parameters; "
@@ -326,19 +336,19 @@ class Chart:
             mats = self.evaluate_many(pts)
             gram = np.einsum("nij,nkj->nik", mats, mats)
             err = float(np.abs(gram - np.eye(dim)).max())
-            if err > 1e-9:
+            if not err <= 1e-9:
                 raise ChartError(
                     f"chart {self.name!r} is not orthogonal on its domain "
                     f"(max |p p^T - I| = {err:.3g} over {_VALIDATION_POINTS} random points)", 1, 1)
-            if self.group.startswith("so"):
+            if group.proper:
                 dets = np.linalg.det(mats)
-                if float(np.abs(dets - 1.0).max()) > 1e-9:
+                if not float(np.abs(dets - 1.0).max()) <= 1e-9:
                     raise ChartError(
                         f"chart {self.name!r} declares {self.group} but det p deviates from +1", 1, 1)
         elif self.is_quaternion:
             q = self.quaternions_at(pts)
             err = float(np.abs(np.einsum("ni,ni->n", q, q) - 1.0).max())
-            if err > 1e-9:
+            if not err <= 1e-9:
                 raise ChartError(
                     f"chart {self.name!r} is 4x1 (quaternion) but |q| deviates from 1 by {err:.3g}", 1, 1)
 

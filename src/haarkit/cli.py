@@ -16,14 +16,14 @@ import sys
 import numpy as np
 
 from .chartlang import ChartError
-from .charts import (BUILTIN_NAMES, Chart, DomainError, angle_from_matrix,
-                     euler_from_matrix, load_chart, polar_from_matrix)
-from .haar import (GROUP_TAGS, NumericalError, chart_change_check, closed_form,
-                   integrate_scalar, normalize)
+from .charts import (Chart, DomainError, angle_from_matrix, euler_from_matrix, load_chart,
+                     polar_from_matrix)
+from .groups import GROUPS, lookup_group
+from .haar import NumericalError, chart_change_check, closed_form, integrate_scalar, normalize
 from .orbit import OrbitSpec, covariance, mc_moments, moment
 from .quadrature import QuadratureRule
 from .reynolds import dim_invariants_closed, dim_invariants_quadrature, reynolds_continuous
-from .sampling import SamplerConfig, canonical_chart_tag, sample
+from .sampling import SamplerConfig, sample
 from .tensors import Tensor
 
 JSON_DIGITS = 17
@@ -108,8 +108,8 @@ def _nodes_arg(args, chart: Chart) -> QuadratureRule:
 
 
 def _builtin_tag(spec: str) -> str | None:
-    tag = canonical_chart_tag(spec)
-    return tag if tag in BUILTIN_NAMES else None
+    """The tag of a ``builtin:<tag>`` spec, as load_chart reads it; None for a file."""
+    return spec.removeprefix("builtin:") if spec.startswith("builtin:") else None
 
 
 def _averaging_args(args):
@@ -174,17 +174,12 @@ def _cmd_check_chart(args) -> str:
               "shape": list(chart.shape), "group": chart.group or "none",
               "C": density.C}
     worst = 0.0
-    group_tag = None
-    if chart.group is not None:
-        group_tag = chart.group.replace("(", "").replace(")", "")
-    elif chart.is_quaternion:
-        group_tag = "so3"
+    group_tag = chart.group or ("so3" if chart.is_quaternion else None)  # so(3) names so3 too
     if group_tag is not None:
         rng = np.random.default_rng(20240817)
         battery = [lambda m: np.trace(m, axis1=-2, axis2=-1),
                    lambda m: np.trace(m, axis1=-2, axis2=-1) ** 2]
-        base = [integrate_scalar(f, group_tag, density, rule=rule, vectorized=True)
-                for f in battery]
+        base = [integrate_scalar(f, group_tag, density, rule=rule) for f in battery]
         dim = chart.matrix_dim
         for _ in range(3):
             h = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
@@ -192,9 +187,9 @@ def _cmd_check_chart(args) -> str:
                 h[:, 0] = -h[:, 0]
             for f, ref in zip(battery, base):
                 left = integrate_scalar(lambda m: f(np.einsum("ij,njk->nik", h, m)),
-                                        group_tag, density, rule=rule, vectorized=True)
+                                        group_tag, density, rule=rule)
                 right = integrate_scalar(lambda m: f(np.einsum("nij,jk->nik", m, h)),
-                                         group_tag, density, rule=rule, vectorized=True)
+                                         group_tag, density, rule=rule)
                 worst = max(worst, abs(left - ref), abs(right - ref))
         record["invariance_max_residual"] = worst
         record["invariance_tolerance"] = args.tolerance
@@ -208,7 +203,7 @@ def _cmd_check_chart(args) -> str:
 
 def _cmd_dim(args) -> str:
     # Exact sums exist only in 3D; planar groups fall back to quadrature.
-    method = args.method or ("closed" if args.group in ("so3", "o3") else "quadrature")
+    method = args.method or ("closed" if lookup_group(args.group).dim == 3 else "quadrature")
     values = {}
     if method in ("closed", "both"):
         values["closed"] = dim_invariants_closed(args.group, args.order)
@@ -258,21 +253,22 @@ def _cmd_orbit_moments(args) -> str:
     return to_json(record)
 
 
-_COORDS_FROM_MATRIX = {
-    "so2_angle": lambda m: np.array([angle_from_matrix(m, lower=0.0)]),
-    "so2_shifted": lambda m: np.array([angle_from_matrix(m, lower=-np.pi)]),
-    "so3_euler": euler_from_matrix,
-    "so3_polar": polar_from_matrix,
+_COORDS_FROM_MATRIX = {  # keyed on built-in tags, never on a chart's own name
+    "so2-angle": lambda m: np.array([angle_from_matrix(m, lower=0.0)]),
+    "so2-shifted": lambda m: np.array([angle_from_matrix(m, lower=-np.pi)]),
+    "so3-euler": euler_from_matrix,
+    "so3-polar": polar_from_matrix,
 }
 
 
-def _auto_map(c1: Chart, c2: Chart):
-    """Coordinate change c1 -> c2 through the group element itself."""
+def _auto_map(c1: Chart, c2: Chart, spec2: str):
+    """Coordinate change c1 -> c2 through the group element itself; c2 is
+    loaded from ``spec2``, whose built-in tag picks the inverse."""
     if c1.is_quaternion or c2.is_quaternion:
         # The quaternion chart covers the rotations twice, so no bijective
         # coordinate change exists and the residual identity cannot hold.
         raise ValueError("--map auto is undefined for the double-cover quaternion chart")
-    invert = _COORDS_FROM_MATRIX.get(c2.name)
+    invert = _COORDS_FROM_MATRIX.get(_builtin_tag(spec2))
     if invert is None:
         raise ValueError(f"--map auto needs a built-in target chart, not {c2.name!r}")
 
@@ -287,7 +283,7 @@ def _cmd_chart_change(args) -> str:
     c2 = load_chart(args.chart2)
     point = _parse_point(args.point)
     if args.map == "auto":
-        phi = _auto_map(c1, c2)
+        phi = _auto_map(c1, c2, args.chart2)
     elif args.map.startswith("shift:"):
         offset = _parse_point(args.map[len("shift:"):])
         def phi(u):
@@ -329,7 +325,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nodes", type=int, default=32, help="quadrature nodes per axis (default 32)")
 
     p = add("sample", _cmd_sample, "Draw uniform group elements.")
-    p.add_argument("--group", required=True, choices=GROUP_TAGS)
+    p.add_argument("--group", required=True, choices=GROUPS)
     p.add_argument("--chart", default="",
                    help="built-in chart tag or alias (euler, polar, quaternion, ...)")
     p.add_argument("-n", "--count", type=int, default=1, help="number of samples")
@@ -345,14 +341,14 @@ def build_parser() -> _Parser:
                    help="invariance residual tolerance (default 1e-6)")
 
     p = add("dim", _cmd_dim, "Dimension of the invariant subspace of order-n tensors.")
-    p.add_argument("--group", required=True, choices=GROUP_TAGS)
+    p.add_argument("--group", required=True, choices=GROUPS)
     p.add_argument("--order", required=True, type=int, help="tensor order n")
     p.add_argument("--method", choices=("closed", "quadrature", "both"), default=None,
                    help="closed-form sum, trace-formula quadrature, or both")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = add("reynolds", _cmd_reynolds, "Average a tensor over a group.")
-    p.add_argument("--group", required=True, choices=GROUP_TAGS)
+    p.add_argument("--group", required=True, choices=GROUPS)
     p.add_argument("--tensor", required=True, help="tensor JSON file")
     p.add_argument("--chart", default="",
                    help="chart to integrate in (default: the exact product rule)")
@@ -361,7 +357,7 @@ def build_parser() -> _Parser:
 
     p = add("orbit-moments", _cmd_orbit_moments,
             "Quadrature and Monte Carlo moments of an orbit random variable.")
-    p.add_argument("--group", required=True, choices=GROUP_TAGS)
+    p.add_argument("--group", required=True, choices=GROUPS)
     p.add_argument("--representation", choices=("sym2", "natural", "tensor"), default="sym2")
     p.add_argument("--seed-tensor", help="seed tensor JSON file")
     p.add_argument("--diag", help="diagonal seed matrix, e.g. 1,2,3 (sym2 shorthand)")

@@ -1,7 +1,10 @@
-"""Matrix-group elements and the elementary constructions built on them.
+"""The four groups, their elements, and the constructions built on them.
 
-Provides the hat/vee isomorphism between R^3 and skew-symmetric matrices,
-the Olinde-Rodrigues rotation formula, plane reflections, the half-trace
+GROUPS is the one table of SO(2), O(2), SO(3) and O(3): every module reads
+a group's dimension, properness, spelling and charts from its row, found by
+lookup_group under either spelling (``so3`` or ``so(3)``).  Also provides
+the hat/vee isomorphism between R^3 and skew-symmetric matrices, the
+Olinde-Rodrigues rotation formula, plane reflections, the half-trace
 Frobenius product, and quaternions with their action on R^3.
 
 Conventions: hat(x) @ v == cross(x, v) (right-hand rule), so that
@@ -23,6 +26,42 @@ INPUT_TOL = 1e-9
 
 # Generator of so(2), unit norm under the half-trace Frobenius product.
 SO2_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+@dataclass(frozen=True)
+class Group:
+    """A row of GROUPS; iterating it yields its charts."""
+
+    tag: str  # "so3"
+    spelling: str  # "so(3)", as a chart's group tag
+    dim: int  # elements are dim x dim
+    proper: bool  # SO(D); O(D) adds the improper coset
+    charts: tuple[str, ...]  # of the proper part; the first samples by default, exact rule
+
+    def __iter__(self):
+        return iter(self.charts)
+
+
+GROUPS = {g.tag: g for g in (
+    Group("so2", "so(2)", 2, True, ("so2-angle", "so2-shifted")),
+    Group("o2", "o(2)", 2, False, ("so2-angle", "so2-shifted")),
+    Group("so3", "so(3)", 3, True, ("so3-euler", "so3-polar", "so3-quat")),
+    Group("o3", "o(3)", 3, False, ("so3-euler", "so3-polar", "so3-quat")),
+)}
+
+
+class UnknownGroupError(KeyError, ValueError):
+    """A tag of no row of GROUPS: a KeyError and a ValueError, printed unquoted."""
+
+    __str__ = ValueError.__str__
+
+
+def lookup_group(tag: str) -> Group:
+    """The row of GROUPS whose tag or spelling is ``tag``."""
+    for group in GROUPS.values():
+        if tag in (group.tag, group.spelling):
+            return group
+    raise UnknownGroupError(f"unknown group tag {tag!r}; expected one of {', '.join(GROUPS)}")
 
 
 def hat(x) -> np.ndarray:

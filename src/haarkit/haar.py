@@ -14,7 +14,9 @@ and the same formula is evaluated in the quaternion algebra with the pure
 imaginaries (i, j, k) as basis.
 
 The sign of det M is an orientation artifact of basis and parameter
-order, so the absolute value is taken before normalizing.
+order, so the absolute value is taken before normalizing.  Group averages
+read the group's row of groups.GROUPS: its dimension, its properness (an
+O-group adds the improper coset) and its first chart (the exact rule).
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import Chart, builtin_chart
-from .groups import (improper_coset, quat_conjugate, quat_mul, quat_rotation_matrices,
-                     so_algebra_basis)
+from .groups import (improper_coset, lookup_group, quat_conjugate, quat_mul,
+                     quat_rotation_matrices, so_algebra_basis)
 from .quadrature import DEFAULT_NODES, QuadratureRule, axis_rule
 
 DEGENERATE_C = 1e-12
 _FD_STEP = 1e-5  # central differences for the Python callable of chart_change_check
-
-GROUP_TAGS = ("so2", "o2", "so3", "o3")
 
 
 class NumericalError(RuntimeError):
@@ -251,15 +251,10 @@ def coset_stacks(group_tag: str, elements: np.ndarray) -> list[np.ndarray]:
     SO(D) averages f over the proper elements; O(D) integrates
     (1/2)[f(g) + f(sigma g)], so its list adds the improper coset.
     """
-    if group_tag not in GROUP_TAGS:
-        raise KeyError(f"unknown group tag {group_tag!r}; expected one of {', '.join(GROUP_TAGS)}")
-    expected = 2 if group_tag.endswith("2") else 3
-    dim = elements.shape[-1]
-    if dim != expected:
-        raise ValueError(f"group {group_tag} needs {expected}x{expected} charts, got dimension {dim}")
-    if group_tag.startswith("so"):
-        return [elements]
-    return [elements, improper_coset(elements)]
+    group = lookup_group(group_tag)
+    if elements.shape[-1] != group.dim:
+        raise ValueError(f"group {group_tag} needs {group.dim}x{group.dim} elements, got {elements.shape}")
+    return [elements] if group.proper else [elements, improper_coset(elements)]
 
 
 def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,11 +270,11 @@ def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, np.ndarray]:
     exact alpha and gamma averages are invariant under a shift by pi; what
     remains is a polynomial of degree <= n in cos(beta), which Gauss-Legendre
     integrates exactly (Graf & Potts, Numer. Funct. Anal. Optim. 2009).
-    The group tag only picks SO(2) or SO(3); coset_stacks validates it.
+    The nodes lie in the group's first chart, so2-angle or so3-euler.
     """
     if degree < 0:
         raise ValueError("polynomial degree must be nonnegative")
-    chart = builtin_chart("so2-angle" if group_tag.endswith("2") else "so3-euler")
+    chart = builtin_chart(lookup_group(group_tag).charts[0])
     m = degree + 1
     turns = chart.domain[0, 0] + 2.0 * np.pi * np.arange(m) / m
     if chart.d == 1:
@@ -295,45 +290,27 @@ def haar_nodes(group_tag: str, density: HaarDensity | None, rule=None,
                degree: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(weights, proper elements): the chart grid of a density, else the exact rule."""
     if density is not None:
-        _, weighted, elements = density.grid(rule)
-        return weighted, elements
+        return density.grid(rule)[1:]
     if degree is None:
         raise ValueError("without a density the exact rule needs the integrand's polynomial degree")
     return exact_nodes(group_tag, degree)
 
 
-def _apply_f(f, mats: np.ndarray, vectorized: bool) -> np.ndarray:
-    if vectorized:
-        return np.asarray(f(mats), dtype=float)
-    return np.asarray([f(m) for m in mats], dtype=float)
-
-
-def integrate_scalar(f, group_tag: str, density: HaarDensity, rule=None,
-                     vectorized: bool = False) -> float:
-    """Normalized integral of a scalar function over the group.
-
-    With ``vectorized=True`` the integrand receives the whole (N, D, D)
-    stack of group elements and must return (N,) values; otherwise it is
-    called once per element with a (D, D) matrix.
-    """
-    value = integrate_tensor(f, group_tag, density, rule=rule, vectorized=vectorized)
-    return float(value)
+def integrate_scalar(f, group_tag: str, density: HaarDensity, rule=None) -> float:
+    """Normalized integral of f, which maps the (N, D, D) element stack to (N,) values."""
+    return float(integrate_tensor(f, group_tag, density, rule=rule))
 
 
 def integrate_tensor(f, group_tag: str, density: HaarDensity | None, rule=None,
-                     vectorized: bool = False, degree: int | None = None) -> np.ndarray:
+                     degree: int | None = None) -> np.ndarray:
     """Entry-wise normalized integral of a tensor-valued function.
 
-    Vectorized integrands map the (N, D, D) element stack to (N, *shape).
+    The integrand maps the (N, D, D) element stack to (N, *shape).
     With a density the integral runs on its chart grid at ``rule``; with
     ``density=None`` it runs on exact_nodes(group_tag, degree), which is
     exact when f is a polynomial of degree <= ``degree`` in the entries of g.
     """
     weights, elements = haar_nodes(group_tag, density, rule, degree)
-    stacks = coset_stacks(group_tag, elements)
-    total = None
-    for mats in stacks:
-        vals = _apply_f(f, mats, vectorized)
-        part = np.tensordot(weights, vals, axes=1)
-        total = part if total is None else total + part
-    return total / len(stacks)
+    parts = [np.tensordot(weights, np.asarray(f(mats), dtype=float), axes=1)
+             for mats in coset_stacks(group_tag, elements)]
+    return sum(parts[1:], parts[0]) / len(parts)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import lookup_group
 from .haar import HaarDensity, integrate_tensor
 from .sampling import SamplerConfig, sample
 from .tensors import MAX_ENTRIES, Tensor, act_batch, as_tensor, outer_power
@@ -51,8 +52,7 @@ class OrbitSpec:
             a = self.seed.array
             if np.abs(a - a.T).max() > SYMMETRY_TOL:
                 raise ValueError("conjugation orbits need a symmetric seed")
-        expected_dim = 2 if self.group.endswith("2") else 3
-        if self.seed.dim != expected_dim:
+        if self.seed.dim != lookup_group(self.group).dim:
             raise ValueError(f"seed dimension {self.seed.dim} does not match group {self.group}")
 
     def values(self, mats: np.ndarray) -> np.ndarray:
@@ -89,7 +89,7 @@ def moment(spec: OrbitSpec, r: int, density: HaarDensity | None = None, rule=Non
     shape = _power_shape(spec, r)
     flat = integrate_tensor(
         lambda mats: _tensor_power_batch(spec.values(mats), r),
-        spec.group, density, rule=rule, vectorized=True, degree=r * spec.seed.order)
+        spec.group, density, rule=rule, degree=r * spec.seed.order)
     return Tensor.from_array(np.asarray(flat).reshape(shape) if shape else float(np.asarray(flat)),
                              dim=spec.seed.dim)
 

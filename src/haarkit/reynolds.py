@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .groups import GroupElement, rodrigues
+from .groups import GroupElement, lookup_group, rodrigues
 from .haar import (HaarDensity, NumericalError, coset_stacks, haar_nodes, integrate_scalar,
                    integrate_tensor)
 from .quadrature import axis_rule
@@ -92,7 +92,7 @@ def reynolds_finite(group: FiniteGroup, t: Tensor) -> Tensor:
 def reynolds_continuous(group_tag: str, density: HaarDensity | None, rule, t: Tensor) -> Tensor:
     """Group average of a tensor, exact without a density, else by chart quadrature."""
     out = integrate_tensor(lambda mats: act_batch(mats, t), group_tag, density,
-                           rule=rule, vectorized=True, degree=t.order)
+                           rule=rule, degree=t.order)
     return Tensor.from_array(np.asarray(out), dim=t.dim)
 
 
@@ -112,10 +112,10 @@ def reynolds_matrix(group_tag: str, n: int, density: HaarDensity | None = None,
     if size * size > MAX_ENTRIES:
         raise ValueError(f"order-{n} operator over dimension {dim} exceeds the "
                          f"{MAX_ENTRIES}-entry budget")
+    stacks = coset_stacks(group_tag, elements)
     if n == 0:
         # scalars are fixed by every group element; both cosets integrate to 1
         return np.array([[float(weighted.sum())]])
-    stacks = coset_stacks(group_tag, elements)
     total = np.zeros((size, size))
     for stack in stacks:
         powers = [np.ones((len(stack), 1, 1))]  # g^(x)k at each node, k = 0..a
@@ -140,11 +140,12 @@ def invariant_rank(group_tag: str, n: int, density: HaarDensity | None = None, r
 
 def dim_invariants_closed(group_tag: str, n: int) -> int:
     """Exact dimension of order-n invariant tensors over SO(3) or O(3)."""
-    if group_tag not in ("so3", "o3"):
+    group = lookup_group(group_tag)
+    if group.dim != 3:
         raise ValueError(f"closed-form dimensions cover so3 and o3, not {group_tag!r}")
     if n < 0:
         raise ValueError("tensor order must be nonnegative")
-    if group_tag == "o3" and n % 2 == 1:
+    if not group.proper and n % 2 == 1:
         return 0
     m = n // 2
     if n % 2 == 0:
@@ -168,28 +169,26 @@ def dim_invariants_quadrature(group_tag: str, n: int, density: HaarDensity | Non
     a density the full chart quadrature of integrate_scalar is used.
     A result further than 1e-3 from an integer reports under-resolution.
     """
+    group = lookup_group(group_tag)
     if n < 0:
         raise ValueError("tensor order must be nonnegative")
     if density is not None:
-        value = integrate_scalar(
-            lambda mats: np.trace(mats, axis1=-2, axis2=-1) ** n,
-            group_tag, density, rule=rule, vectorized=True)
-    elif group_tag in ("so3", "o3"):
+        value = integrate_scalar(lambda mats: np.trace(mats, axis1=-2, axis2=-1) ** n,
+                                 group_tag, density, rule=rule)
+    elif group.dim == 3:
         x, w = axis_rule(nodes, 0.0, np.pi)
         weight = (2.0 / np.pi) * np.sin(x / 2.0) ** 2
         trace = 1.0 + 2.0 * np.cos(x)
         value = float(np.dot(w * weight, trace**n))
-        if group_tag == "o3":
+        if not group.proper:
             value = 0.5 * (value + float(np.dot(w * weight, (-trace) ** n)))
-    elif group_tag in ("so2", "o2"):
+    else:
         x, w = axis_rule(nodes, 0.0, 2.0 * np.pi)
         trace = 2.0 * np.cos(x)
         value = float(np.dot(w, trace**n)) / (2.0 * np.pi)
-        if group_tag == "o2":
+        if not group.proper:
             # the improper coset of O(2) is traceless
             value = 0.5 * (value + (1.0 if n == 0 else 0.0))
-    else:
-        raise KeyError(f"unknown group tag {group_tag!r}")
     if abs(value - round(value)) > INTEGER_SLACK:
         raise NumericalError(f"quadrature under-resolved: Tr^{n} integral {value!r} "
                              f"is {abs(value - round(value)):.3g} from an integer")

@@ -1,9 +1,10 @@
 """Uniform sampling of SO(2), O(2), SO(3), O(3) via per-coordinate inverse CDFs.
 
-Each built-in chart factorizes the uniform density into independent
-coordinate laws, so sampling reduces to inverting one scalar CDF per
-coordinate: Euler needs beta = arccos(1 - 2U); the axis-angle chart needs
-the angle CDF (alpha - sin alpha)/pi; the hyperpolar chart needs
+A group samples through the built-in charts of its row of groups.GROUPS,
+the first by default.  Each chart factorizes the uniform density into
+independent coordinate laws, so sampling reduces to inverting one scalar
+CDF per coordinate: Euler needs beta = arccos(1 - 2U); the axis-angle chart
+needs the angle CDF (alpha - sin alpha)/pi; the hyperpolar chart needs
 (2 theta - sin 2 theta)/(2 pi).  The two non-elementary inversions run
 Newton iterations inside a bisection bracket, since both CDFs have zero
 slope at an endpoint where pure Newton stalls.
@@ -21,18 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart, builtin_chart
-from .groups import GroupElement, improper_coset, quat_rotation_matrices
+from .groups import GroupElement, improper_coset, lookup_group, quat_rotation_matrices
 from .haar import NumericalError
 
 CDF_TOL = 1e-12
 MAX_NEWTON = 64
-
-GROUP_CHARTS = {
-    "so2": ("so2-angle", "so2-shifted"),
-    "o2": ("so2-angle", "so2-shifted"),
-    "so3": ("so3-euler", "so3-polar", "so3-quat"),
-    "o3": ("so3-euler", "so3-polar", "so3-quat"),
-}
 
 CHART_ALIASES = {
     "angle": "so2-angle",
@@ -41,11 +35,6 @@ CHART_ALIASES = {
     "polar": "so3-polar",
     "quaternion": "so3-quat",
 }
-
-
-def canonical_chart_tag(tag: str) -> str:
-    tag = tag.removeprefix("builtin:")
-    return CHART_ALIASES.get(tag, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +110,17 @@ def _half_angle_cdf_slope(theta):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    group: str  # so2 | o2 | so3 | o3
-    chart: str = ""  # built-in chart tag or alias; default per group
+    group: str  # a tag of groups.GROUPS
+    chart: str = ""  # built-in chart tag or alias; default: the group's first chart
     seed: int = 0
     count: int = 1
 
     def __post_init__(self):
-        if self.group not in GROUP_CHARTS:
-            raise ValueError(f"unknown group tag {self.group!r}; "
-                             f"expected one of {', '.join(GROUP_CHARTS)}")
-        tag = canonical_chart_tag(self.chart) if self.chart else GROUP_CHARTS[self.group][0]
-        if tag not in GROUP_CHARTS[self.group]:
+        charts = lookup_group(self.group).charts
+        tag = CHART_ALIASES.get(name := self.chart.removeprefix("builtin:"), name) or charts[0]
+        if tag not in charts:
             raise ValueError(f"chart {self.chart!r} does not sample group {self.group!r}; "
-                             f"valid: {', '.join(GROUP_CHARTS[self.group])}")
+                             f"valid: {', '.join(charts)}")
         object.__setattr__(self, "chart", tag)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
@@ -205,7 +192,7 @@ def sample(config: SamplerConfig) -> SampleBatch:
         mats = quat_rotation_matrices(quats)
     else:
         mats = chart.evaluate_many(coords)
-    if config.group.startswith("o"):
+    if not lookup_group(config.group).proper:
         flip = streams[chart.d].random(config.count) < 0.5
         mats[flip] = improper_coset(mats[flip])
         quats = None

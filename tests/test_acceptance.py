@@ -113,26 +113,24 @@ def test_05_invariance_battery():
     with Budget(60.0):
         density, rule = so3_setup()
         for group in ("so3", "o3"):
-            base1 = integrate_tensor(lambda m: m, group, density, rule=rule,
-                                     vectorized=True)
+            base1 = integrate_tensor(lambda m: m, group, density, rule=rule)
             base2 = integrate_tensor(
                 lambda m: np.einsum("nij,nkl->nijkl", m, m), group, density,
-                rule=rule, vectorized=True)
+                rule=rule)
             for h in transforms(improper=(group == "o3")):
                 for push in (lambda m: np.einsum("ab,nbc->nac", h, m),
                              lambda m: np.einsum("nab,bc->nac", m, h)):
-                    got1 = integrate_tensor(push, group, density, rule=rule,
-                                            vectorized=True)
+                    got1 = integrate_tensor(push, group, density, rule=rule)
                     got2 = integrate_tensor(
                         lambda m: np.einsum("nij,nkl->nijkl", push(m), push(m)),
-                        group, density, rule=rule, vectorized=True)
+                        group, density, rule=rule)
                     assert np.abs(got1 - base1).max() < 1e-7
                     assert np.abs(got2 - base2).max() < 1e-7
             inv = lambda m: np.swapaxes(m, -1, -2)
-            got1 = integrate_tensor(inv, group, density, rule=rule, vectorized=True)
+            got1 = integrate_tensor(inv, group, density, rule=rule)
             got2 = integrate_tensor(
                 lambda m: np.einsum("nij,nkl->nijkl", inv(m), inv(m)),
-                group, density, rule=rule, vectorized=True)
+                group, density, rule=rule)
             assert np.abs(got1 - base1).max() < 1e-7
             assert np.abs(got2 - base2).max() < 1e-7
 

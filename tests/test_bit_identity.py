@@ -12,9 +12,9 @@ import pytest
 from haarkit.chartlang import evaluate_expr
 from haarkit.charts import BUILTIN_NAMES, Chart, builtin_chart
 from haarkit.cli import _row_template, format_float, format_rows, to_json
-from haarkit.groups import improper_coset
+from haarkit.groups import GROUPS as GROUP_CHARTS, improper_coset
 from haarkit.haar import NumericalError
-from haarkit.sampling import (CDF_TOL, MAX_NEWTON, GROUP_CHARTS, SamplerConfig, _angle_cdf,
+from haarkit.sampling import (CDF_TOL, MAX_NEWTON, SamplerConfig, _angle_cdf,
                               _angle_cdf_slope, _axis_streams, _half_angle_cdf,
                               _half_angle_cdf_slope, invert_cdf, sample)
 

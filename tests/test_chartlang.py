@@ -190,3 +190,24 @@ def test_missing_sections_rejected():
 def test_trailing_garbage_rejected():
     with pytest.raises(ChartError):
         parse_chart(MINIMAL + "chart extra { params: t in [0, 1]; matrix: [[t]]; }")
+
+
+@pytest.mark.parametrize("entry,constant", [
+    ("-sin(x) * (1e308*10)", r"1e\+308 \* 10"),
+    ("x + 1e999", "inf"),
+    ("x * (1e308*10 - 1e308*10)", r"1e\+308 \* 10"),
+], ids=["overflow", "literal", "overflow-then-nan"])
+def test_non_finite_constant_entry_is_a_chart_error(entry, constant):
+    # Python floats overflow to inf without raising; folding checks every value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartError, match=f"constant {constant} is not finite") as info:
+            Chart.from_source(f"chart p {{ params: x in [0, 1]; matrix: [[{entry}]]; }}")
+    assert (info.value.line, info.value.column) == (1, 1)
+
+
+def test_non_finite_constant_in_a_partial_is_a_chart_error():
+    # t * 1e308 * 10 folds nothing, but its partial 1e308 * 10 does
+    chart = Chart.from_source("chart p { params: x in [0, 1e-309]; matrix: [[x * 1e308 * 10]]; }")
+    with pytest.raises(ChartError, match=r"constant 1e\+308 \* 10 is not finite"):
+        chart.jacobian_many(np.zeros((1, 1)))

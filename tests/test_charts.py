@@ -301,3 +301,20 @@ def test_source_round_trip():
     chart = builtin_chart("so3-polar")
     again = Chart.from_source(chart.source())
     assert again.ast == chart.ast
+
+
+@pytest.mark.parametrize("source", [
+    "chart nanv { params: t in [0, 1]; group: so(2); "
+    "matrix: [[sqrt(t-2), 0], [0, sqrt(t-2)]]; }",
+    "chart nanq { params: t in [0, 1]; matrix: [[sqrt(t-2)], [0], [0], [0]]; }",
+], ids=["so2", "quaternion"])
+def test_entries_not_a_number_on_the_domain_fail_validation(source):
+    import warnings
+
+    from haarkit.chartlang import ChartError
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartError, match="nan"):
+            Chart.from_source(source)
+    Chart.from_source(source, validate=False)  # the plan itself compiles

@@ -275,3 +275,67 @@ def test_reynolds_default_exact_rule_matches_chart(tmp_path, capsys):
     code, again, _ = run(capsys, "reynolds", "--group", "so3", "--tensor", str(path),
                          "--nodes", "8")
     assert code == 0 and again == exact
+
+
+def test_chart_not_a_number_on_its_domain_exits_1(tmp_path, capsys):
+    path = tmp_path / "nanv.chart"
+    path.write_text("chart nanv { params: t in [0, 1]; group: so(2); "
+                    "matrix: [[sqrt(t-2), 0], [0, sqrt(t-2)]]; }")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "normalize", "--chart", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1, column 1: chart 'nanv' is not orthogonal")
+    assert "nan" in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("entry", ["-sin(a) * (1e308*10)", "1e999", "a * (1e308*10 - 1e308*10)"])
+def test_non_finite_constant_exits_1(entry, tmp_path, capsys):
+    path = tmp_path / "big.chart"
+    path.write_text(f"chart big {{ params: a in [0, 1]; matrix: [[a, {entry}]]; }}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "normalize", "--chart", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1, column 1: chart 'big': constant ")
+    assert "is not finite" in err and "Warning" not in err
+
+
+EULER_REORDERED = """chart so3_euler {
+  params: beta in [0, pi], alpha in [-pi, pi], gamma in [-pi, pi];
+  group: so(3);
+  matrix: [
+    [cos(alpha)*cos(gamma) - cos(beta)*sin(alpha)*sin(gamma), -cos(alpha)*sin(gamma) - cos(beta)*cos(gamma)*sin(alpha), sin(alpha)*sin(beta)],
+    [cos(gamma)*sin(alpha) + cos(alpha)*cos(beta)*sin(gamma), cos(alpha)*cos(beta)*cos(gamma) - sin(alpha)*sin(gamma), -cos(alpha)*sin(beta)],
+    [sin(beta)*sin(gamma), cos(gamma)*sin(beta), cos(beta)]
+  ];
+}
+"""
+
+
+@pytest.mark.parametrize("name", ["euler.chart", "so3-euler"])
+def test_auto_map_picks_the_inverse_by_builtin_tag_not_chart_name(name, tmp_path, monkeypatch,
+                                                                  capsys):
+    # a user chart named so3_euler, even in a file named like the tag, is no built-in
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(EULER_REORDERED)
+    code, out, err = run(capsys, "chart-change", "--chart1", "builtin:so3-euler",
+                         "--chart2", name, "--point", "0.4,1.1,2.0", "--nodes", "8")
+    assert (code, out) == (1, "")
+    assert "needs a built-in target chart" in err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--chart1", "builtin:so3-euler", "--chart2", "builtin:so3-polar", "--point", "0.4,1.1,2.0"],
+     '{"chart1": "so3_euler", "chart2": "so3_polar", "point": [0.40000000000000002, '
+     '1.1000000000000001, 2], "residual": 2.0809395873122583e-13}\n'),
+    (["--chart1", "builtin:so3-polar", "--chart2", "builtin:so3-euler", "--point", "0.4,0.3,2.0"],
+     '{"chart1": "so3_polar", "chart2": "so3_euler", "point": [0.40000000000000002, '
+     '0.29999999999999999, 2], "residual": 9.8623886835014218e-13}\n'),
+    (["--chart1", "builtin:so2-angle", "--chart2", "builtin:so2-shifted", "--point", "2.5"],
+     '{"chart1": "so2_angle", "chart2": "so2_shifted", "point": [2.5], '
+     '"residual": 6.0252636213675714e-12}\n'),
+])
+def test_auto_map_to_builtin_targets_keeps_its_bytes(argv, expected, capsys):
+    code, out, _ = run(capsys, "chart-change", *argv, "--map", "auto")
+    assert (code, out) == (0, expected)

@@ -41,8 +41,7 @@ def average(group, t, degree=None):
     """Reynolds average on the exact rule, optionally of a lower degree."""
     if degree is None:
         return reynolds_continuous(group, None, None, t)
-    return as_tensor(integrate_tensor(lambda mats: act_batch(mats, t), group, None,
-                                      vectorized=True, degree=degree), dim=t.dim)
+    return as_tensor(integrate_tensor(lambda mats: act_batch(mats, t), group, None, degree=degree), dim=t.dim)
 
 
 def test_node_counts_and_weights():
@@ -60,9 +59,9 @@ def test_node_counts_and_weights():
 
 def test_integrate_tensor_needs_degree_without_density():
     with pytest.raises(ValueError, match="degree"):
-        integrate_tensor(lambda mats: mats, "so3", None, vectorized=True)
+        integrate_tensor(lambda mats: mats, "so3", None)
     with pytest.raises(KeyError):
-        integrate_tensor(lambda mats: mats, "so4", None, vectorized=True, degree=1)
+        integrate_tensor(lambda mats: mats, "so4", None, degree=1)
 
 
 @pytest.mark.parametrize("group", ["so3", "o3", "so2", "o2"])

@@ -1,0 +1,94 @@
+"""The group table: its rows agree with the built-in charts and the chart
+language, and every public function that takes a group tag rejects a tag
+that is no row.
+"""
+
+import numpy as np
+import pytest
+
+from haarkit.chartlang import GROUP_TAGS, parse_chart
+from haarkit.charts import BUILTIN_NAMES, builtin_chart
+from haarkit.groups import GROUPS, UnknownGroupError, lookup_group
+from haarkit.haar import (coset_stacks, exact_nodes, haar_nodes, integrate_scalar,
+                          integrate_tensor, normalize)
+from haarkit.orbit import OrbitSpec
+from haarkit.reynolds import (dim_invariants_closed, dim_invariants_quadrature,
+                              invariant_rank, reynolds_continuous, reynolds_matrix)
+from haarkit.sampling import SamplerConfig
+from haarkit.tensors import Tensor
+
+
+def test_rows_in_order_with_builtin_charts_of_their_dimension():
+    assert list(GROUPS) == ["so2", "o2", "so3", "o3"]
+    for tag, group in GROUPS.items():
+        assert group.tag == tag
+        assert group.charts and list(group) == list(group.charts)
+        for name in group.charts:
+            assert name in BUILTIN_NAMES
+            assert builtin_chart(name).matrix_dim == group.dim
+        assert group.proper == tag.startswith("so")
+    assert GROUP_TAGS == (*(g.spelling for g in GROUPS.values()), "none")
+
+
+@pytest.mark.parametrize("tag", list(GROUPS))
+def test_each_spelling_parses_back_to_its_row(tag):
+    group = GROUPS[tag]
+    ast = parse_chart(f"chart g {{ params: a in [0, 1]; group: {group.spelling}; "
+                      "matrix: [[a]]; }")
+    assert ast.group == group.spelling
+    assert lookup_group(ast.group) is group
+    assert lookup_group(tag) is group
+
+
+def test_the_first_charts_carry_the_exact_rule():
+    for tag in GROUPS:
+        _, elements = exact_nodes(tag, 2)
+        assert elements.shape[-1] == GROUPS[tag].dim
+
+
+def test_unknown_group_error_is_a_key_and_a_value_error():
+    with pytest.raises(UnknownGroupError) as info:
+        lookup_group("su2")
+    assert isinstance(info.value, KeyError) and isinstance(info.value, ValueError)
+    assert str(info.value) == "unknown group tag 'su2'; expected one of so2, o2, so3, o3"
+
+
+def _density():
+    return normalize(builtin_chart("so3-euler"), rule=4)
+
+
+TAKES_A_TAG = {
+    "lookup_group": lambda tag: lookup_group(tag),
+    "coset_stacks": lambda tag: coset_stacks(tag, np.eye(3)[None]),
+    "exact_nodes": lambda tag: exact_nodes(tag, 2),
+    "haar_nodes": lambda tag: haar_nodes(tag, None, degree=2),
+    "integrate_tensor": lambda tag: integrate_tensor(lambda m: m, tag, None, degree=1),
+    "integrate_tensor/density": lambda tag: integrate_tensor(lambda m: m, tag, _density()),
+    "integrate_scalar": lambda tag: integrate_scalar(
+        lambda m: np.ones(len(m)), tag, _density()),
+    "reynolds_continuous": lambda tag: reynolds_continuous(tag, None, None, Tensor.zeros(3, 2)),
+    "reynolds_matrix": lambda tag: reynolds_matrix(tag, 0),
+    "reynolds_matrix/density": lambda tag: reynolds_matrix(tag, 0, _density()),
+    "invariant_rank": lambda tag: invariant_rank(tag, 0),
+    "dim_invariants_closed": lambda tag: dim_invariants_closed(tag, 2),
+    "dim_invariants_quadrature": lambda tag: dim_invariants_quadrature(tag, 2),
+    "dim_invariants_quadrature/density": lambda tag: dim_invariants_quadrature(
+        tag, 2, _density()),
+    "OrbitSpec": lambda tag: OrbitSpec(group=tag, representation="natural",
+                                       seed=Tensor.from_array(np.ones(3))),
+    "SamplerConfig": lambda tag: SamplerConfig(group=tag),
+}
+
+
+@pytest.mark.parametrize("tag", ["su2", "so4"])
+@pytest.mark.parametrize("name", list(TAKES_A_TAG))
+def test_every_function_taking_a_tag_rejects_an_unknown_tag(name, tag):
+    with pytest.raises(UnknownGroupError, match=f"unknown group tag '{tag}'"):
+        TAKES_A_TAG[name](tag)
+
+
+@pytest.mark.parametrize("tag", list(GROUPS))
+def test_either_spelling_names_the_same_group(tag):
+    spelling = GROUPS[tag].spelling
+    assert np.array_equal(reynolds_matrix(tag, 2), reynolds_matrix(spelling, 2))
+    assert SamplerConfig(group=spelling, seed=3).chart == SamplerConfig(group=tag, seed=3).chart

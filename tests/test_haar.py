@@ -193,16 +193,15 @@ def test_integrate_scalar_normalization():
     for group, tag in (("so2", "so2-angle"), ("o2", "so2-angle"),
                        ("so3", "so3-quat"), ("o3", "so3-quat")):
         density = normalize(builtin_chart(tag))
-        total = integrate_scalar(lambda m: np.ones(m.shape[0]), group, density,
-                                 vectorized=True)
+        total = integrate_scalar(lambda m: np.ones(m.shape[0]), group, density)
         assert abs(total - 1.0) < 1e-9
 
 
 def test_integrate_scalar_determinant_vanishes_on_o3():
     density = normalize(builtin_chart("so3-quat"))
-    value = integrate_scalar(np.linalg.det, "o3", density, vectorized=True)
+    value = integrate_scalar(np.linalg.det, "o3", density)
     assert abs(value) < 1e-12
-    proper = integrate_scalar(np.linalg.det, "so3", density, vectorized=True)
+    proper = integrate_scalar(np.linalg.det, "so3", density)
     assert abs(proper - 1.0) < 1e-12
 
 
@@ -210,31 +209,28 @@ def test_integrate_scalar_trace_moments():
     # mean trace powers count invariant dimensions
     density = normalize(builtin_chart("so3-euler"))
     tr = lambda m: np.trace(m, axis1=-2, axis2=-1)
-    assert abs(integrate_scalar(tr, "so3", density, vectorized=True)) < 1e-9
-    assert abs(integrate_scalar(lambda m: tr(m)**2, "so3", density,
-                                vectorized=True) - 1.0) < 1e-9
+    assert abs(integrate_scalar(tr, "so3", density)) < 1e-9
+    assert abs(integrate_scalar(lambda m: tr(m)**2, "so3", density) - 1.0) < 1e-9
 
 
 def test_integrate_scalar_o2_improper_traceless():
     density = normalize(builtin_chart("so2-angle"))
     tr = lambda m: np.trace(m, axis1=-2, axis2=-1)
-    assert abs(integrate_scalar(lambda m: tr(m)**2, "o2", density,
-                                vectorized=True) - 1.0) < 1e-9
+    assert abs(integrate_scalar(lambda m: tr(m)**2, "o2", density) - 1.0) < 1e-9
 
 
 def test_integrate_tensor_second_moment():
     # E[g_ij g_kl] = delta_ik delta_jl / 3 over SO(3)
     density = normalize(builtin_chart("so3-quat"))
     value = integrate_tensor(
-        lambda m: np.einsum("nij,nkl->nijkl", m, m), "so3", density,
-        vectorized=True)
+        lambda m: np.einsum("nij,nkl->nijkl", m, m), "so3", density)
     expected = np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3)) / 3.0
     assert np.abs(value - expected).max() < 1e-9
 
 
 def test_integrate_tensor_first_moment_vanishes():
     density = normalize(builtin_chart("so3-euler"))
-    value = integrate_tensor(lambda m: m, "so3", density, vectorized=True)
+    value = integrate_tensor(lambda m: m, "so3", density)
     assert np.abs(value).max() < 1e-9
 
 

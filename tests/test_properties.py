@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from haarkit.chartlang import (FUNCTIONS, GROUP_TAGS, BinOp, Call, ChartAst, Neg, Num, Param,
                                Pi, Pow, Var, parse_chart, print_chart)
-from haarkit.groups import improper_coset, rodrigues
+from haarkit.groups import GROUPS as GROUP_CHARTS, improper_coset, rodrigues
 from haarkit.reynolds import reynolds_matrix
-from haarkit.sampling import GROUP_CHARTS, SamplerConfig, sample
+from haarkit.sampling import SamplerConfig, sample
 from haarkit.tensors import Tensor, act
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
