@@ -14,10 +14,10 @@ reader has run.  The steps are the ufuncs the tree walk of
 the walk's values bit for bit.  Jacobians run a second plan of the
 entries' symbolic partials, compiled on first use: exact, with no step.
 
-Square charts tagged ``group: so(D)`` or ``o(D)`` are validated at load
-time (orthogonality at 100 random domain points, det +1 for so).  A chart
-whose matrix is 4 x 1 is interpreted as a unit-quaternion parametrisation
-(w, x, y, z) of SO(3) and validated for unit norm instead.
+Charts are validated at 100 random domain points at load time: square
+charts tagged ``group: so(D)`` or ``o(D)`` for orthogonality (det +1 for
+so), 4 x 1 charts, read as unit quaternions (w, x, y, z) of SO(3), for
+unit norm, and every other chart for finite entries.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .chartlang import (FUNCTIONS, BinOp, Call, ChartAst, ChartError, Neg, Num, Pow, Var,
                         differentiate, evaluate_expr, parse_chart, print_chart, print_expr)
-from .groups import lookup_group
+from .groups import INPUT_TOL, lookup_group, orthogonality_error
 
 BUILTIN_NAMES = ("so2-angle", "so2-shifted", "so3-euler", "so3-polar", "so3-quat")
 
@@ -322,6 +322,7 @@ class Chart:
         rows, cols = self.shape
         rng = np.random.default_rng(_VALIDATION_SEED)
         pts = rng.uniform(self.domain[:, 0], self.domain[:, 1], size=(_VALIDATION_POINTS, self.d))
+        mats = self.evaluate_many(pts)
         if self.group is not None:
             group = lookup_group(self.group)
             dim = group.dim
@@ -333,24 +334,26 @@ class Chart:
                 raise ChartError(
                     f"chart {self.name!r} declares group {self.group} but has {self.d} parameters; "
                     f"the group needs {expected_d}", 1, 1)
-            mats = self.evaluate_many(pts)
-            gram = np.einsum("nij,nkj->nik", mats, mats)
-            err = float(np.abs(gram - np.eye(dim)).max())
-            if not err <= 1e-9:
+            err = orthogonality_error(mats)
+            if not err <= INPUT_TOL:
                 raise ChartError(
                     f"chart {self.name!r} is not orthogonal on its domain "
                     f"(max |p p^T - I| = {err:.3g} over {_VALIDATION_POINTS} random points)", 1, 1)
             if group.proper:
                 dets = np.linalg.det(mats)
-                if not float(np.abs(dets - 1.0).max()) <= 1e-9:
+                if not float(np.abs(dets - 1.0).max()) <= INPUT_TOL:
                     raise ChartError(
                         f"chart {self.name!r} declares {self.group} but det p deviates from +1", 1, 1)
         elif self.is_quaternion:
-            q = self.quaternions_at(pts)
+            q = mats[:, :, 0]
             err = float(np.abs(np.einsum("ni,ni->n", q, q) - 1.0).max())
-            if not err <= 1e-9:
+            if not err <= INPUT_TOL:
                 raise ChartError(
                     f"chart {self.name!r} is 4x1 (quaternion) but |q| deviates from 1 by {err:.3g}", 1, 1)
+        elif not np.isfinite(mats).all():
+            k, i, j = np.argwhere(~np.isfinite(mats))[0]
+            raise ChartError(f"chart {self.name!r} is not finite on its domain: entry ({i}, {j}) "
+                             f"is {mats[k, i, j]} at {pts[k].tolist()}", 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 GROUPS is the one table of SO(2), O(2), SO(3) and O(3): every module reads
 a group's dimension, properness, spelling and charts from its row, found by
 lookup_group under either spelling (``so3`` or ``so(3)``).  Also provides
-the hat/vee isomorphism between R^3 and skew-symmetric matrices, the
+orthogonality_error, hat/vee between R^3 and skew-symmetric matrices, the
 Olinde-Rodrigues rotation formula, plane reflections, the half-trace
 Frobenius product, and quaternions with their action on R^3.
 
@@ -76,12 +76,12 @@ def hat(x) -> np.ndarray:
     ])
 
 
-def vee(m, tol: float = INPUT_TOL) -> np.ndarray:
-    """Inverse of :func:`hat`.  Rejects matrices that are not skew within tol."""
+def vee(m) -> np.ndarray:
+    """Inverse of :func:`hat`.  Rejects matrices that are not skew within INPUT_TOL."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"vee expects a 3x3 matrix, got shape {m.shape}")
-    if np.abs(m + m.T).max() > tol:
+    if not np.abs(m + m.T).max() <= INPUT_TOL:
         raise ValueError("vee: matrix is not skew-symmetric")
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
@@ -125,9 +125,16 @@ def improper_coset(mats) -> np.ndarray:
     return np.einsum("ij,njk->nik", sigma, mats)
 
 
-def _check_unit(n: np.ndarray, what: str, tol: float) -> None:
+def orthogonality_error(mats) -> float:
+    """max |g g^T - I| over a matrix or an (N, D, D) stack; NaN if an entry is NaN."""
+    mats = np.asarray(mats, dtype=float)
+    with np.errstate(all="ignore"):  # inf gives NaN quietly; callers test "not err <= tol"
+        return float(np.abs(mats @ np.swapaxes(mats, -1, -2) - np.eye(mats.shape[-1])).max())
+
+
+def _check_unit(n: np.ndarray, what: str) -> None:
     norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= INPUT_TOL:
         raise ValueError(f"{what} must be a unit vector (norm {norm:.6g}); not normalizing silently")
 
 
@@ -143,11 +150,10 @@ class GroupElement:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"group element must be square, got shape {m.shape}")
-        d = m.shape[0]
-        if np.abs(m @ m.T - np.eye(d)).max() > tol:
+        if not orthogonality_error(m) <= tol:
             raise ValueError("matrix is not orthogonal within tolerance")
         det = float(np.linalg.det(m))
-        if abs(abs(det) - 1.0) > tol:
+        if not abs(abs(det) - 1.0) <= tol:
             raise ValueError(f"matrix determinant {det:.6g} is not +-1 within tolerance")
         elem = cls(m.copy())
         elem.matrix.setflags(write=False)
@@ -194,7 +200,7 @@ def rodrigues(axis, angle: float) -> GroupElement:
     n = np.asarray(axis, dtype=float)
     if n.shape != (3,):
         raise ValueError(f"rodrigues expects a 3-vector axis, got shape {n.shape}")
-    _check_unit(n, "rotation axis", INPUT_TOL)
+    _check_unit(n, "rotation axis")
     k = hat(n)
     m = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
     return GroupElement.from_matrix(m, tol=CONSTRUCTED_TOL)
@@ -205,7 +211,7 @@ def reflection(normal) -> GroupElement:
     n = np.asarray(normal, dtype=float)
     if n.ndim != 1 or n.size < 2:
         raise ValueError(f"reflection expects a vector of length >= 2, got shape {n.shape}")
-    _check_unit(n, "reflection normal", INPUT_TOL)
+    _check_unit(n, "reflection normal")
     m = np.eye(n.size) - 2.0 * np.outer(n, n)
     return GroupElement.from_matrix(m, tol=CONSTRUCTED_TOL)
 
@@ -263,7 +269,7 @@ class Quaternion:
     @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "Quaternion":
         n = np.asarray(axis, dtype=float)
-        _check_unit(n, "rotation axis", INPUT_TOL)
+        _check_unit(n, "rotation axis")
         h = 0.5 * angle
         s = np.sin(h)
         return cls(float(np.cos(h)), float(s * n[0]), float(s * n[1]), float(s * n[2]))
@@ -279,17 +285,17 @@ class Quaternion:
         return out[1:]
 
 
-def quat_to_rotation(q: Quaternion | np.ndarray, tol: float = INPUT_TOL) -> GroupElement:
+def quat_to_rotation(q: Quaternion | np.ndarray) -> GroupElement:
     """The rotation acting as v -> q v conj(q); q and -q give the same matrix."""
     arr = q.as_array() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
     if arr.shape != (4,):
         raise ValueError(f"quaternion needs 4 components, got shape {arr.shape}")
-    if abs(float(np.linalg.norm(arr)) - 1.0) > tol:
+    if not abs(float(np.linalg.norm(arr)) - 1.0) <= INPUT_TOL:
         raise ValueError("quaternion must be unit norm; not normalizing silently")
     return GroupElement.from_matrix(quat_rotation_matrices(arr), tol=CONSTRUCTED_TOL)
 
 
-def rotation_to_quat(m, tol: float = INPUT_TOL) -> np.ndarray:
+def rotation_to_quat(m) -> np.ndarray:
     """The unit quaternion (w >= 0) of a rotation matrix.
 
     Inverse of quat_rotation_matrices up to the q / -q double cover; the
@@ -298,7 +304,7 @@ def rotation_to_quat(m, tol: float = INPUT_TOL) -> np.ndarray:
     m = np.asarray(as_matrix(m), dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 rotation, got shape {m.shape}")
-    if np.abs(m @ m.T - np.eye(3)).max() > tol or np.linalg.det(m) < 0:
+    if not orthogonality_error(m) <= INPUT_TOL or not np.linalg.det(m) > 0:
         raise ValueError("expected a proper rotation (orthogonal, det +1)")
     d0, d1, d2 = m[0, 0], m[1, 1], m[2, 2]
     t = d0 + d1 + d2

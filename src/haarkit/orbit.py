@@ -24,7 +24,7 @@ import numpy as np
 from .groups import lookup_group
 from .haar import HaarDensity, integrate_tensor
 from .sampling import SamplerConfig, sample
-from .tensors import MAX_ENTRIES, Tensor, act_batch, as_tensor, outer_power
+from .tensors import MAX_ENTRIES, Tensor, act_batch, as_tensor, outer_power, outer_power_batch
 
 REPRESENTATIONS = ("natural", "tensor", "sym2")
 
@@ -50,7 +50,7 @@ class OrbitSpec:
             if self.seed.order != 2:
                 raise ValueError("conjugation acts on matrices (order-2 tensors)")
             a = self.seed.array
-            if np.abs(a - a.T).max() > SYMMETRY_TOL:
+            if not np.abs(a - a.T).max() <= SYMMETRY_TOL:
                 raise ValueError("conjugation orbits need a symmetric seed")
         if self.seed.dim != lookup_group(self.group).dim:
             raise ValueError(f"seed dimension {self.seed.dim} does not match group {self.group}")
@@ -58,15 +58,6 @@ class OrbitSpec:
     def values(self, mats: np.ndarray) -> np.ndarray:
         """Orbit points rho(g) v for a stack of group elements, (N, ...)."""
         return act_batch(mats, self.seed)
-
-
-def _tensor_power_batch(values: np.ndarray, r: int) -> np.ndarray:
-    """Per-sample r-fold outer product, flattened to (N, S^r)."""
-    flat = values.reshape(values.shape[0], -1)
-    out = flat
-    for _ in range(r - 1):
-        out = np.einsum("na,nb->nab", out, flat).reshape(values.shape[0], -1)
-    return out
 
 
 def _power_shape(spec: OrbitSpec, r: int) -> tuple[int, ...]:
@@ -88,7 +79,7 @@ def moment(spec: OrbitSpec, r: int, density: HaarDensity | None = None, rule=Non
         raise ValueError("moment order must be positive")
     shape = _power_shape(spec, r)
     flat = integrate_tensor(
-        lambda mats: _tensor_power_batch(spec.values(mats), r),
+        lambda mats: outer_power_batch(spec.values(mats), r),
         spec.group, density, rule=rule, degree=r * spec.seed.order)
     return Tensor.from_array(np.asarray(flat).reshape(shape) if shape else float(np.asarray(flat)),
                              dim=spec.seed.dim)
@@ -107,7 +98,7 @@ def mc_moments(spec: OrbitSpec, r: int, config: SamplerConfig) -> tuple[Tensor, 
         raise ValueError("moment order must be positive")
     shape = _power_shape(spec, r)
     batch = sample(config)
-    values = _tensor_power_batch(spec.values(batch.matrices), r)
+    values = outer_power_batch(spec.values(batch.matrices), r)
     n = values.shape[0]
     mean = values.mean(axis=0)
     if n > 1:

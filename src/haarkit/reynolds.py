@@ -15,18 +15,17 @@ HaarDensity integrates in its chart instead, which cross-checks user charts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
-from .groups import GroupElement, lookup_group, rodrigues
+from .groups import INPUT_TOL, GroupElement, lookup_group, rodrigues
 from .haar import (HaarDensity, NumericalError, coset_stacks, haar_nodes, integrate_scalar,
                    integrate_tensor)
 from .quadrature import axis_rule
-from .tensors import MAX_ENTRIES, Tensor, act, act_batch
+from .tensors import MAX_ENTRIES, Tensor, act_batch
 
-FINITE_GROUP_TOL = 1e-9
 RANK_THRESHOLD = 1e-6
 REDUCED_NODES = 256
 INTEGER_SLACK = 1e-3
@@ -41,22 +40,25 @@ class FiniteGroup:
     """A finite set of orthogonal matrices verified to form a group."""
 
     elements: tuple[GroupElement, ...]
+    matrices: np.ndarray = field(init=False, repr=False)  # (n, D, D) stack of the elements
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("a finite group needs at least one element")
         arr = np.stack([g.matrix for g in self.elements])
+        arr.setflags(write=False)
+        object.__setattr__(self, "matrices", arr)
         n, dim = arr.shape[0], arr.shape[1]
-        if np.abs(arr - np.eye(dim)).max(axis=(1, 2)).min() > FINITE_GROUP_TOL:
+        if not np.abs(arr - np.eye(dim)).max(axis=(1, 2)).min() <= INPUT_TOL:
             raise ValueError("the identity is not among the elements")
         products = np.einsum("aij,bjk->abik", arr, arr).reshape(n * n, dim, dim)
         gaps = np.abs(products[:, None] - arr[None]).max(axis=(2, 3)).min(axis=1)
-        if gaps.max() > FINITE_GROUP_TOL:
+        if not gaps.max() <= INPUT_TOL:
             i, j = divmod(int(gaps.argmax()), n)
             raise ValueError(f"not closed under products: element {i} * element {j} "
                              f"is {gaps.max():.3g} away from every member")
         inv_gaps = np.abs(arr.transpose(0, 2, 1)[:, None] - arr[None]).max(axis=(2, 3)).min(axis=1)
-        if inv_gaps.max() > FINITE_GROUP_TOL:
+        if not inv_gaps.max() <= INPUT_TOL:
             raise ValueError("not closed under inverses")
 
     @classmethod
@@ -78,11 +80,8 @@ class FiniteGroup:
 
 
 def reynolds_finite(group: FiniteGroup, t: Tensor) -> Tensor:
-    """Average of a tensor over a finite group."""
-    total = Tensor.zeros(t.dim, t.order)
-    for g in group:
-        total = total + act(g, t)
-    return total * (1.0 / len(group))
+    """Average of a tensor over a finite group: one act_batch over its elements."""
+    return Tensor.from_array(act_batch(group.matrices, t).mean(axis=0), dim=t.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +103,8 @@ def reynolds_matrix(group_tag: str, n: int, density: HaarDensity | None = None,
     e_{j1} x ... x e_{jn}.  Without a density the exact rule of degree n
     makes the operator exact up to roundoff; with one it is integrated on
     the chart grid.  As g^(x)n = g^(x)a (x) g^(x)b, a = ceil(n/2), b = n - a,
-    the node sum is one contraction of the two half Kronecker powers.
+    the node sum is one contraction of the two half Kronecker powers (at
+    n = 0 both are 1, and it is the weight sum).
     """
     weighted, elements = haar_nodes(group_tag, density, rule, degree=n)
     dim = elements.shape[-1]
@@ -113,9 +113,6 @@ def reynolds_matrix(group_tag: str, n: int, density: HaarDensity | None = None,
         raise ValueError(f"order-{n} operator over dimension {dim} exceeds the "
                          f"{MAX_ENTRIES}-entry budget")
     stacks = coset_stacks(group_tag, elements)
-    if n == 0:
-        # scalars are fixed by every group element; both cosets integrate to 1
-        return np.array([[float(weighted.sum())]])
     total = np.zeros((size, size))
     for stack in stacks:
         powers = [np.ones((len(stack), 1, 1))]  # g^(x)k at each node, k = 0..a

@@ -53,7 +53,7 @@ def invert_cdf(cdf, target, bracket, derivative=None) -> np.ndarray | float:
     scalar = t.ndim == 0
     t = np.atleast_1d(t).copy()
     fa, fb = float(cdf(a)), float(cdf(b))
-    if np.any(t < fa - CDF_TOL) or np.any(t > fb + CDF_TOL):
+    if not np.all((t >= fa - CDF_TOL) & (t <= fb + CDF_TOL)):  # NaN fails too
         raise ValueError(f"targets outside [cdf({a:g}), cdf({b:g})] = [{fa:g}, {fb:g}]")
     if derivative is None:
         h = 1e-7 * (b - a)

@@ -3,7 +3,8 @@
 A Tensor is a dim-D, order-n dense array of D^n reals.  The action of a
 group element is (g * T)_{i1..in} = g_{i1 j1} ... g_{in jn} T_{j1..jn},
 computed as n successive mode contractions (cost n * D^(n+1)) rather than
-one D^n x D^n operator product.
+one D^n x D^n operator product.  act_batch and outer_power_batch are the
+only kernels; act and outer_power run them on a batch of one.
 """
 
 from __future__ import annotations
@@ -103,31 +104,31 @@ def as_tensor(value, dim: int | None = None) -> Tensor:
 
 
 def act(g, t: Tensor) -> Tensor:
-    """Transform a tensor by one group element, mode by mode."""
-    m = np.asarray(g, dtype=float)
-    if m.shape != (t.dim, t.dim):
-        raise ValueError(f"element is {m.shape}, tensor has dimension {t.dim}")
-    out = t.entries
-    # consume the leading axis and append the rotated index; after n steps
-    # the axis order is restored
-    for _ in range(t.order):
-        out = np.tensordot(out, m, axes=([0], [1]))
-    return Tensor.from_array(out, dim=t.dim)
+    """Transform a tensor by one group element: a batch of one for act_batch."""
+    return Tensor.from_array(act_batch(np.asarray(g, dtype=float)[None], t)[0], dim=t.dim)
 
 
 def act_batch(mats: np.ndarray, t: Tensor) -> np.ndarray:
     """Transform one tensor by a whole (N, D, D) stack, returning (N, ...)."""
+    if mats.shape[1:] != (t.dim, t.dim):
+        raise ValueError(f"elements are {mats.shape[1:]}, tensor has dimension {t.dim}")
     out = np.broadcast_to(t.entries, mats.shape[:1] + t.entries.shape)
     for _ in range(t.order):
         out = np.einsum("nij,nj...->n...i", mats, out)
     return np.ascontiguousarray(out) if t.order == 0 else out
 
 
+def outer_power_batch(values: np.ndarray, r: int) -> np.ndarray:
+    """Per-sample r-fold outer product of an (N, ...) stack, flattened to (N, S^r)."""
+    flat = out = values.reshape(values.shape[0], -1)
+    for _ in range(r - 1):
+        out = np.einsum("na,nb->nab", out, flat).reshape(values.shape[0], -1)
+    return out
+
+
 def outer_power(t: Tensor, r: int) -> Tensor:
-    """The r-fold outer product of a tensor with itself."""
+    """The r-fold outer product of a tensor with itself: a batch of one."""
     if r < 1:
         raise ValueError("outer power needs r >= 1")
-    out = t.entries
-    for _ in range(r - 1):
-        out = np.multiply.outer(out, t.entries)
-    return Tensor.from_array(out, dim=t.dim)
+    out = outer_power_batch(t.entries[None], r)[0]
+    return Tensor.from_array(out.reshape(t.entries.shape * r), dim=t.dim)

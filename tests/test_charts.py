@@ -318,3 +318,19 @@ def test_entries_not_a_number_on_the_domain_fail_validation(source):
         with pytest.raises(ChartError, match="nan"):
             Chart.from_source(source)
     Chart.from_source(source, validate=False)  # the plan itself compiles
+
+
+def test_untagged_chart_with_non_finite_entries_fails_validation():
+    import warnings
+
+    from haarkit.chartlang import ChartError
+
+    source = "chart u { params: t in [0, 1]; matrix: [[sqrt(t-2), 0], [0, 1]]; }"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartError, match=r"chart 'u' is not finite on its domain: "
+                                             r"entry \(0, 0\) is nan"):
+            Chart.from_source(source)
+    Chart.from_source(source, validate=False)  # the plan itself compiles
+    # finite untagged charts of any shape still load
+    Chart.from_source("chart w { params: t in [0, 1]; matrix: [[t, 1, sqrt(t)]]; }")

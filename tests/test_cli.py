@@ -339,3 +339,14 @@ def test_auto_map_picks_the_inverse_by_builtin_tag_not_chart_name(name, tmp_path
 def test_auto_map_to_builtin_targets_keeps_its_bytes(argv, expected, capsys):
     code, out, _ = run(capsys, "chart-change", *argv, "--map", "auto")
     assert (code, out) == (0, expected)
+
+
+def test_untagged_chart_not_finite_on_its_domain_exits_1(tmp_path, capsys):
+    path = tmp_path / "u.chart"
+    path.write_text("chart u { params: t in [0, 1]; matrix: [[sqrt(t-2), 0], [0, 1]]; }")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "normalize", "--chart", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1, column 1: chart 'u' is not finite on its domain")
+    assert "nan" in err and "Warning" not in err

@@ -238,3 +238,40 @@ def test_quadrature_dims_o2():
 def test_quadrature_dims_under_resolution_raises():
     with pytest.raises(NumericalError):
         dim_invariants_quadrature("so3", 20, nodes=8)
+
+
+def square_dihedral_group():
+    """D4, the 8 symmetries of the square: 4 rotations and 4 reflections of R^2."""
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    flip = np.diag([1.0, -1.0])
+    rotations = [np.linalg.matrix_power(quarter, k) for k in range(4)]
+    return FiniteGroup.from_matrices(rotations + [r @ flip for r in rotations])
+
+
+def test_reynolds_finite_square_dihedral_group():
+    group = square_dihedral_group()
+    assert len(group) == 8 and group.matrices.shape == (8, 2, 2)
+    assert sorted(round(np.linalg.det(m)) for m in group.matrices) == [-1] * 4 + [1] * 4
+    # reflections kill every vector; the plane is irreducible, so order 2 gives (tr t / 2) I
+    assert np.abs(reynolds_finite(group, as_tensor([0.3, -1.7])).array).max() <= 1e-15
+    t = as_tensor(RNG.normal(size=(2, 2)))
+    avg = reynolds_finite(group, t).array
+    assert np.allclose(avg, np.trace(t.array) / 2 * np.eye(2), atol=1e-15)
+    # the element-by-element loop, as the reference
+    loop = sum(g.matrix @ t.array @ g.matrix.T for g in group) / len(group)
+    assert np.abs(avg - loop).max() <= 1e-15
+    # e1^(x)4 averages to (e1^(x)4 + e2^(x)4) / 2, invariant under D4 but not under O(2)
+    avg = reynolds_finite(group, Tensor.basis_element(2, (0, 0, 0, 0))).array
+    expected = np.zeros((2,) * 4)
+    expected[0, 0, 0, 0] = expected[1, 1, 1, 1] = 0.5
+    assert np.abs(avg - expected).max() <= 1e-15
+    for g in group:
+        assert np.abs(act(g, as_tensor(avg)).array - avg).max() <= 1e-15
+
+
+def test_reynolds_finite_order_zero():
+    avg = reynolds_finite(FiniteGroup.cyclic(E3, 6), as_tensor(2.5, dim=3))
+    assert (avg.dim, avg.order) == (3, 0)
+    assert float(avg.array) == 2.5
+    with pytest.raises(ValueError, match="tensor has dimension 2"):
+        reynolds_finite(FiniteGroup.cyclic(E3, 6), as_tensor(2.5, dim=2))

@@ -131,3 +131,33 @@ def test_outer_power_budget():
     v = as_tensor(np.ones(3))
     with pytest.raises(ValueError):
         outer_power(v, 12)
+
+
+def test_act_is_a_batch_of_one_bit_for_bit():
+    mats = np.stack([random_rotation() for _ in range(4)])
+    for order in range(4):
+        t = as_tensor(RNG.normal(size=(3,) * order), dim=3)
+        batched = act_batch(mats, t)
+        for i in range(4):
+            assert act(mats[i], t).array.tobytes() == np.ascontiguousarray(batched[i]).tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_outer_power_is_the_multiply_outer_chain_bit_for_bit(r):
+    # the bytes of `haarkit orbit-moments` covariance depend on m1 (x) m1
+    t = as_tensor(RNG.normal(size=(3, 3)) / 7.0)
+    ref = t.array
+    for _ in range(r - 1):
+        ref = np.multiply.outer(ref, t.array)
+    got = outer_power(t, r).array
+    assert got.shape == (3,) * (2 * r)
+    assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_act_checks_the_element_shape():
+    t = as_tensor(np.ones((3, 3)))
+    for bad in (np.eye(2), np.ones(3), np.ones((1, 3, 3))):
+        with pytest.raises(ValueError, match="tensor has dimension 3"):
+            act(bad, t)
+    with pytest.raises(ValueError, match="tensor has dimension 3"):
+        act_batch(np.ones((5, 2, 2)), t)
