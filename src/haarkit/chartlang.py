@@ -59,6 +59,7 @@ class ChartError(ValueError):
 
 
 PUNCT = set("{}[](),;:+-*/^")
+DIGITS = set("0123456789")  # str.isdigit() also accepts superscripts such as "²"
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,10 @@ def tokenize(source: str) -> list[Token]:
             col += 1
             continue
         start_line, start_col = line, col
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch in DIGITS or (ch == "." and i + 1 < n and source[i + 1] in DIGITS):
             j = i
             seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+            while j < n and (source[j] in DIGITS or (source[j] == "." and not seen_dot)):
                 if source[j] == ".":
                     seen_dot = True
                 j += 1
@@ -96,9 +97,9 @@ def tokenize(source: str) -> list[Token]:
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in DIGITS:
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in DIGITS:
                         j += 1
             tokens.append(Token("number", source[i:j], start_line, start_col))
             col += j - i
@@ -357,7 +358,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not np.isfinite(value):  # 1e999 overflows to inf without raising
+                self.error(f"constant {value!r} is not finite (literal {tok.text})", tok)
+            return Num(value)
         if tok.kind == "(":
             self.advance()
             node = self.parse_expr()

@@ -194,15 +194,14 @@ class Chart:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_source(cls, source: str, validate: bool = True) -> "Chart":
+    def from_source(cls, source: str) -> "Chart":
         chart = cls(parse_chart(source))
-        if validate:
-            chart.validate()
+        chart.validate()
         return chart
 
     @classmethod
-    def from_file(cls, path, validate: bool = True) -> "Chart":
-        return cls.from_source(Path(path).read_text(encoding="utf-8"), validate=validate)
+    def from_file(cls, path) -> "Chart":
+        return cls.from_source(Path(path).read_text(encoding="utf-8"))
 
     # -- basic facts -------------------------------------------------------
 
@@ -256,13 +255,6 @@ class Chart:
             raise DomainError(f"chart {self.name!r} takes {self.d} coordinates, got shape {u.shape}")
         if not self.contains(u):
             raise DomainError(f"point {u.tolist()} outside the domain of chart {self.name!r}")
-        return u
-
-    def check_interior(self, u, margin: float) -> np.ndarray:
-        u = self.check_point(u)
-        if np.any(u - self.domain[:, 0] < margin) or np.any(self.domain[:, 1] - u < margin):
-            raise DomainError(
-                f"point {u.tolist()} within {margin:g} of the boundary of chart {self.name!r}")
         return u
 
     def random_interior(self, count: int, rng, margin: float = 1e-3) -> np.ndarray:

@@ -202,7 +202,7 @@ def _cmd_check_chart(args) -> str:
 
 
 def _cmd_dim(args) -> str:
-    # Exact sums exist only in 3D; planar groups fall back to quadrature.
+    # Closed-form sums exist only in 3D; planar groups use the trace formula.
     method = args.method or ("closed" if lookup_group(args.group).dim == 3 else "quadrature")
     values = {}
     if method in ("closed", "both"):
@@ -344,7 +344,7 @@ def build_parser() -> _Parser:
     p.add_argument("--group", required=True, choices=GROUPS)
     p.add_argument("--order", required=True, type=int, help="tensor order n")
     p.add_argument("--method", choices=("closed", "quadrature", "both"), default=None,
-                   help="closed-form sum, trace-formula quadrature, or both")
+                   help="closed-form sum, the trace formula on n + 2 angles, or both")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = add("reynolds", _cmd_reynolds, "Average a tensor over a group.")

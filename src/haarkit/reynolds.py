@@ -4,8 +4,8 @@ The Reynolds projector sends a tensor to its group average: a finite
 group averages over its elements, a compact group integrates against the
 uniform measure.  The trace formula turns the same integral into the
 dimension of the invariant subspace of order-n tensors; for the rotation
-groups that reduces to a 1D integral in the rotation angle, and binomial
-sums give the SO(3)/O(3) dimensions exactly.
+groups that reduces to a 1D integral in the rotation angle, exact on n + 2
+equispaced angles, and binomial sums give the SO(3)/O(3) dimensions.
 
 The action on order-n tensors is a polynomial of degree n in the entries
 of g, so without a density the continuous averages run on the exact rule
@@ -20,14 +20,13 @@ from math import comb
 
 import numpy as np
 
+from .charts import builtin_chart
 from .groups import INPUT_TOL, GroupElement, lookup_group, rodrigues
 from .haar import (HaarDensity, NumericalError, coset_stacks, haar_nodes, integrate_scalar,
                    integrate_tensor)
-from .quadrature import axis_rule
 from .tensors import MAX_ENTRIES, Tensor, act_batch
 
 RANK_THRESHOLD = 1e-6
-REDUCED_NODES = 256
 INTEGER_SLACK = 1e-3
 
 
@@ -52,7 +51,9 @@ class FiniteGroup:
         if not np.abs(arr - np.eye(dim)).max(axis=(1, 2)).min() <= INPUT_TOL:
             raise ValueError("the identity is not among the elements")
         products = np.einsum("aij,bjk->abik", arr, arr).reshape(n * n, dim, dim)
-        gaps = np.abs(products[:, None] - arr[None]).max(axis=(2, 3)).min(axis=1)
+        gaps = np.full(n * n, np.inf)
+        for g in arr:  # one member at a time keeps memory O(n^2 D^2); NaN propagates
+            gaps = np.minimum(gaps, np.abs(products - g).max(axis=(1, 2)))
         if not gaps.max() <= INPUT_TOL:
             i, j = divmod(int(gaps.argmax()), n)
             raise ValueError(f"not closed under products: element {i} * element {j} "
@@ -157,35 +158,37 @@ def dim_invariants_closed(group_tag: str, n: int) -> int:
 
 
 def dim_invariants_quadrature(group_tag: str, n: int, density: HaarDensity | None = None,
-                              rule=None, nodes: int = REDUCED_NODES) -> float:
+                              rule=None) -> float:
     """Dimension of order-n invariant tensors as the integral of Tr(g)^n.
 
-    Without a density the integral reduces to one dimension: the trace
-    depends only on the rotation angle, whose marginal is (2/pi)sin^2(a/2)
-    on SO(3) and uniform on SO(2); O-groups average the two cosets.  With
-    a density the full chart quadrature of integrate_scalar is used.
-    A result further than 1e-3 from an integer reports under-resolution.
+    With a density it runs on the chart grid (integrate_scalar).  Without,
+    it is exact up to roundoff: by Weyl's formula the class function Tr(g)^n
+    averages over rotations by a about one axis, weighted by 1 - cos a on
+    SO(3); the m = n + 2 angles a = 2 pi j / m, in the group's first chart at
+    (a) or (a, 0, 0), integrate that degree-(n + 1) trigonometric polynomial
+    exactly.  Starting at the identity, where Tr^n peaks, spares its largest
+    terms cancellation in a.  O-groups add the improper coset.  A result that
+    is not finite, or further than 1e-3 from an integer, is a NumericalError.
     """
     group = lookup_group(group_tag)
     if n < 0:
         raise ValueError("tensor order must be nonnegative")
-    if density is not None:
-        value = integrate_scalar(lambda mats: np.trace(mats, axis1=-2, axis2=-1) ** n,
-                                 group_tag, density, rule=rule)
-    elif group.dim == 3:
-        x, w = axis_rule(nodes, 0.0, np.pi)
-        weight = (2.0 / np.pi) * np.sin(x / 2.0) ** 2
-        trace = 1.0 + 2.0 * np.cos(x)
-        value = float(np.dot(w * weight, trace**n))
-        if not group.proper:
-            value = 0.5 * (value + float(np.dot(w * weight, (-trace) ** n)))
-    else:
-        x, w = axis_rule(nodes, 0.0, 2.0 * np.pi)
-        trace = 2.0 * np.cos(x)
-        value = float(np.dot(w, trace**n)) / (2.0 * np.pi)
-        if not group.proper:
-            # the improper coset of O(2) is traceless
-            value = 0.5 * (value + (1.0 if n == 0 else 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # 3^n overflows past n = 646
+        if density is not None:
+            value = integrate_scalar(lambda mats: np.trace(mats, axis1=-2, axis2=-1) ** n,
+                                     group_tag, density, rule=rule)
+        else:
+            chart = builtin_chart(group.charts[0])
+            m = n + 2
+            angles = 2.0 * np.pi * np.arange(m) / m
+            points = np.zeros((m, chart.d))
+            points[:, 0] = np.where(angles > chart.domain[0, 1], angles - 2.0 * np.pi, angles)
+            weights = (1.0 - np.cos(points[:, 0])) / m if group.dim == 3 else np.full(m, 1.0 / m)
+            stacks = coset_stacks(group_tag, chart.evaluate_many(points))
+            value = sum(float(np.dot(weights, np.trace(s, axis1=-2, axis2=-1) ** n))
+                        for s in stacks) / len(stacks)
+    if not np.isfinite(value):
+        raise NumericalError(f"Tr^{n} integral is not finite ({value!r})")
     if abs(value - round(value)) > INTEGER_SLACK:
         raise NumericalError(f"quadrature under-resolved: Tr^{n} integral {value!r} "
                              f"is {abs(value - round(value)):.3g} from an integer")

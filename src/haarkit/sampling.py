@@ -41,12 +41,12 @@ CHART_ALIASES = {
 # Inverse CDF
 
 
-def invert_cdf(cdf, target, bracket, derivative=None) -> np.ndarray | float:
+def invert_cdf(cdf, target, bracket, derivative) -> np.ndarray | float:
     """Solve cdf(x) = target on the bracket to |cdf(x) - target| < 1e-12.
 
-    Newton steps (finite-difference slope unless a derivative is given)
-    constrained to a shrinking bisection bracket.  ``target`` may be an
-    array; the result matches its shape.
+    Newton steps on the slope ``derivative`` (the density), constrained to
+    a shrinking bisection bracket.  ``target`` may be an array; the result
+    matches its shape.
     """
     a, b = float(bracket[0]), float(bracket[1])
     t = np.asarray(target, dtype=float)
@@ -55,11 +55,6 @@ def invert_cdf(cdf, target, bracket, derivative=None) -> np.ndarray | float:
     fa, fb = float(cdf(a)), float(cdf(b))
     if not np.all((t >= fa - CDF_TOL) & (t <= fb + CDF_TOL)):  # NaN fails too
         raise ValueError(f"targets outside [cdf({a:g}), cdf({b:g})] = [{fa:g}, {fb:g}]")
-    if derivative is None:
-        h = 1e-7 * (b - a)
-        def derivative(x):
-            return (cdf(np.minimum(x + h, b)) - cdf(np.maximum(x - h, a))) / (
-                np.minimum(x + h, b) - np.maximum(x - h, a))
     x = a + (b - a) * np.clip((t - fa) / (fb - fa), 0.0, 1.0)
     # A converged target's x never moves again, so each iteration runs on
     # the still-live targets only; idx holds their positions in x.

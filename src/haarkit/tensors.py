@@ -31,9 +31,7 @@ class Tensor:
         d = dim if dim is not None else (arr.shape[0] if arr.ndim else 1)
         if arr.shape != (d,) * arr.ndim:
             raise ValueError(f"tensor axes must all have length {d}, got shape {arr.shape}")
-        if d ** arr.ndim > MAX_ENTRIES:
-            raise ValueError(f"order-{arr.ndim} tensor over dimension {d} exceeds the "
-                             f"{MAX_ENTRIES}-entry budget")
+        _check_budget(d, arr.ndim)
         arr.setflags(write=False)
         return cls(dim=d, order=arr.ndim, entries=arr)
 
@@ -97,6 +95,12 @@ class Tensor:
         return cls.from_array(entries.reshape((dim,) * order), dim=dim)
 
 
+def _check_budget(dim: int, order: int) -> None:
+    if dim**order > MAX_ENTRIES:
+        raise ValueError(f"order-{order} tensor over dimension {dim} exceeds the "
+                         f"{MAX_ENTRIES}-entry budget")
+
+
 def as_tensor(value, dim: int | None = None) -> Tensor:
     if isinstance(value, Tensor):
         return value
@@ -130,5 +134,6 @@ def outer_power(t: Tensor, r: int) -> Tensor:
     """The r-fold outer product of a tensor with itself: a batch of one."""
     if r < 1:
         raise ValueError("outer power needs r >= 1")
+    _check_budget(t.dim, t.order * r)  # before the D^(n r) entries are computed
     out = outer_power_batch(t.entries[None], r)[0]
     return Tensor.from_array(out.reshape(t.entries.shape * r), dim=t.dim)

@@ -62,11 +62,11 @@ def test_01_exact_dimension_table():
 
 
 def test_02_quadrature_matches_closed_dimensions():
-    # 256-node reduced rule reproduces every closed dimension through order 12
+    # the exact n + 2 angle rule reproduces every closed dimension through order 12
     with Budget(5.0):
         for group in ("so3", "o3"):
             for n in range(13):
-                got = dim_invariants_quadrature(group, n, nodes=256)
+                got = dim_invariants_quadrature(group, n)
                 assert abs(got - dim_invariants_closed(group, n)) < 1e-6, (group, n)
 
 

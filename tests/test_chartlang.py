@@ -160,6 +160,13 @@ def test_tokenizer_rejects_stray_character():
     assert info.value.column == 9
 
 
+def test_numbers_lex_ascii_digits_only():
+    # str.isdigit() accepts "²", which float() then rejects without a position
+    with pytest.raises(ChartError, match="unexpected character '²'") as info:
+        parse_chart("chart p { params: t in [0, 1]; matrix: [[cos(t)*1²]]; }")
+    assert (info.value.line, info.value.column) == (1, 50)
+
+
 def test_print_expr_minimal_parens():
     ast = parse_chart("chart p { params: x in [0, 1]; matrix: [[(x + 1)*x, x - (x - 1)]]; }")
     assert print_expr(ast.matrix[0][0]) == "(x + 1) * x"
@@ -192,18 +199,18 @@ def test_trailing_garbage_rejected():
         parse_chart(MINIMAL + "chart extra { params: t in [0, 1]; matrix: [[t]]; }")
 
 
-@pytest.mark.parametrize("entry,constant", [
-    ("-sin(x) * (1e308*10)", r"1e\+308 \* 10"),
-    ("x + 1e999", "inf"),
-    ("x * (1e308*10 - 1e308*10)", r"1e\+308 \* 10"),
+@pytest.mark.parametrize("entry,constant,position", [
+    ("-sin(x) * (1e308*10)", r"1e\+308 \* 10", (1, 1)),
+    ("x + 1e999", "inf", (1, 46)),  # the parser points at the literal
+    ("x * (1e308*10 - 1e308*10)", r"1e\+308 \* 10", (1, 1)),
 ], ids=["overflow", "literal", "overflow-then-nan"])
-def test_non_finite_constant_entry_is_a_chart_error(entry, constant):
+def test_non_finite_constant_entry_is_a_chart_error(entry, constant, position):
     # Python floats overflow to inf without raising; folding checks every value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ChartError, match=f"constant {constant} is not finite") as info:
             Chart.from_source(f"chart p {{ params: x in [0, 1]; matrix: [[{entry}]]; }}")
-    assert (info.value.line, info.value.column) == (1, 1)
+    assert (info.value.line, info.value.column) == position
 
 
 def test_non_finite_constant_in_a_partial_is_a_chart_error():

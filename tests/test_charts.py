@@ -8,7 +8,7 @@ through the tree walk for a chart using every operator and function.
 import numpy as np
 import pytest
 
-from haarkit.chartlang import evaluate_expr
+from haarkit.chartlang import evaluate_expr, parse_chart
 from haarkit.charts import (BUILTIN_NAMES, Chart, DomainError, angle_from_matrix,
                             builtin_chart, euler_from_matrix, hyperpolar_from_matrix,
                             load_chart, polar_from_matrix)
@@ -57,8 +57,6 @@ def test_domain_membership():
     assert not chart.contains([0.0, -0.1, 0.0])
     with pytest.raises(DomainError):
         chart.check_point([0.0, 4.0, 0.0])
-    with pytest.raises(DomainError):
-        chart.check_interior([0.0, 0.0, 0.0], margin=1e-6)
     with pytest.raises(DomainError):
         chart.check_point([0.0, 1.0])  # wrong arity
 
@@ -223,7 +221,7 @@ def test_validate_rejects_non_orthogonal_tagged_chart():
 """
     with pytest.raises(ValueError, match="orthogonal"):
         Chart.from_source(src)
-    Chart.from_source(src, validate=False)  # opt-out leaves the chart usable
+    Chart(parse_chart(src))  # an unvalidated chart stays usable
 
 
 def test_validate_rejects_improper_so_chart():
@@ -317,7 +315,7 @@ def test_entries_not_a_number_on_the_domain_fail_validation(source):
         warnings.simplefilter("error")
         with pytest.raises(ChartError, match="nan"):
             Chart.from_source(source)
-    Chart.from_source(source, validate=False)  # the plan itself compiles
+    Chart(parse_chart(source))  # the plan itself compiles
 
 
 def test_untagged_chart_with_non_finite_entries_fails_validation():
@@ -331,6 +329,6 @@ def test_untagged_chart_with_non_finite_entries_fails_validation():
         with pytest.raises(ChartError, match=r"chart 'u' is not finite on its domain: "
                                              r"entry \(0, 0\) is nan"):
             Chart.from_source(source)
-    Chart.from_source(source, validate=False)  # the plan itself compiles
+    Chart(parse_chart(source))  # the plan itself compiles
     # finite untagged charts of any shape still load
     Chart.from_source("chart w { params: t in [0, 1]; matrix: [[t, 1, sqrt(t)]]; }")

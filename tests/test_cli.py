@@ -136,6 +136,17 @@ def test_dim_both_json(capsys):
     assert abs(record["quadrature"] - 15) < 1e-6
 
 
+def test_dim_overflow_exits_2(capsys):
+    # 3^700 overflows: a numerical failure, with no traceback and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "dim", "--group", "so3", "--order", "700",
+                             "--method", "quadrature")
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: Tr^700 integral is not finite")
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_reynolds_round_trip(tmp_path, capsys):
     tensor = {"dim": 3, "order": 2,
               "entries": [float(x) for x in range(1, 10)]}
@@ -289,15 +300,19 @@ def test_chart_not_a_number_on_its_domain_exits_1(tmp_path, capsys):
     assert "nan" in err and "Warning" not in err
 
 
-@pytest.mark.parametrize("entry", ["-sin(a) * (1e308*10)", "1e999", "a * (1e308*10 - 1e308*10)"])
-def test_non_finite_constant_exits_1(entry, tmp_path, capsys):
+@pytest.mark.parametrize("entry, prefix", [
+    ("-sin(a) * (1e308*10)", "line 1, column 1: chart 'big': constant "),
+    ("1e999", "line 1, column 47: constant "),  # the parser points at the literal
+    ("a * (1e308*10 - 1e308*10)", "line 1, column 1: chart 'big': constant "),
+], ids=["-sin(a) * (1e308*10)", "1e999", "a * (1e308*10 - 1e308*10)"])
+def test_non_finite_constant_exits_1(entry, prefix, tmp_path, capsys):
     path = tmp_path / "big.chart"
     path.write_text(f"chart big {{ params: a in [0, 1]; matrix: [[a, {entry}]]; }}")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "normalize", "--chart", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith("error: line 1, column 1: chart 'big': constant ")
+    assert err.startswith("error: " + prefix)
     assert "is not finite" in err and "Warning" not in err
 
 

@@ -29,7 +29,8 @@ CASES = {
     "finite_group_from_matrices": lambda: FiniteGroup.from_matrices([np.eye(3), NAN3]),
     # elements built without from_matrix reach the identity, closure and inverse gaps
     "finite_group_gaps": lambda: FiniteGroup((GroupElement(np.eye(3)), GroupElement(NAN3))),
-    "invert_cdf_target": lambda: invert_cdf(lambda x: x, np.nan, (0.0, 1.0)),
+    "invert_cdf_target": lambda: invert_cdf(lambda x: x, np.nan, (0.0, 1.0),
+                                             lambda x: np.ones_like(x)),
 }
 
 

@@ -6,6 +6,8 @@ central binomial coefficients in the planar case.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +46,18 @@ def test_finite_group_requires_closure():
     half_turn = rodrigues(E3, np.pi / 2).matrix
     with pytest.raises(ValueError):
         FiniteGroup.from_matrices([np.eye(3), half_turn])  # missing powers
+
+
+def test_finite_group_closure_check_memory():
+    # closure compares the n^2 products with one element at a time
+    tracemalloc.start()
+    try:
+        group = FiniteGroup.cyclic(E3, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 60
+    assert peak < 4 * 2**20, peak
 
 
 def test_finite_group_requires_identity():
@@ -236,8 +250,30 @@ def test_quadrature_dims_o2():
 
 
 def test_quadrature_dims_under_resolution_raises():
-    with pytest.raises(NumericalError):
-        dim_invariants_quadrature("so3", 20, nodes=8)
+    # the chart grid of a density is not exact: 8 nodes per axis miss Tr^20
+    density, rule = so3_density(nodes=8)
+    with pytest.raises(NumericalError, match="under-resolved"):
+        dim_invariants_quadrature("so3", 20, density, rule=rule)
+
+
+def test_quadrature_dims_are_exact_up_to_roundoff():
+    # n + 2 equispaced angles integrate Tr(g)^n times the Weyl weight exactly
+    for group in ("so3", "o3"):
+        for n in range(21):
+            expected = dim_invariants_closed(group, n)
+            got = dim_invariants_quadrature(group, n)
+            assert abs(got - expected) <= 1e-9 * max(expected, 1), (group, n)
+    assert abs(dim_invariants_quadrature("so3", 26) - dim_invariants_closed("so3", 26)) < 1e-5
+    assert abs(dim_invariants_quadrature("so3", 30) - dim_invariants_closed("so3", 30)) < 1e-3
+
+
+def test_quadrature_dims_overflow_is_a_numerical_error():
+    # 3^700 overflows; the integral must raise, not warn or fail in round()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (700, 701):
+            with pytest.raises(NumericalError, match=f"Tr\\^{n} integral is not finite"):
+                dim_invariants_quadrature("so3", n)
 
 
 def square_dihedral_group():

@@ -14,7 +14,7 @@ from haarkit.sampling import SamplerConfig, invert_cdf, sample
 def test_invert_cdf_square_law():
     cdf = lambda x: x**2
     targets = np.linspace(0.01, 0.99, 23)
-    got = invert_cdf(cdf, targets, (0.0, 1.0))
+    got = invert_cdf(cdf, targets, (0.0, 1.0), derivative=lambda x: 2 * x)
     # convergence contract is in CDF space
     assert np.abs(cdf(got) - targets).max() < 1e-12
     assert np.abs(got - np.sqrt(targets)).max() < 1e-10
@@ -30,20 +30,21 @@ def test_invert_cdf_with_derivative():
 
 def test_invert_cdf_scalar_and_endpoints():
     cdf = lambda x: x
-    assert np.isclose(invert_cdf(cdf, 0.0, (0.0, 1.0)), 0.0, atol=1e-12)
-    assert np.isclose(invert_cdf(cdf, 1.0, (0.0, 1.0)), 1.0, atol=1e-12)
+    pdf = lambda x: np.ones_like(x)
+    assert np.isclose(invert_cdf(cdf, 0.0, (0.0, 1.0), pdf), 0.0, atol=1e-12)
+    assert np.isclose(invert_cdf(cdf, 1.0, (0.0, 1.0), pdf), 1.0, atol=1e-12)
 
 
 def test_invert_cdf_out_of_range_target():
     with pytest.raises(ValueError):
-        invert_cdf(lambda x: 0.0 * x, 0.5, (0.0, 1.0))
+        invert_cdf(lambda x: 0.0 * x, 0.5, (0.0, 1.0), lambda x: 0.0 * x)
 
 
 def test_invert_cdf_non_convergence():
     # a jump at 0.5 brackets the target but the residual never closes
     step_cdf = lambda x: np.where(np.asarray(x) < 0.5, 0.0, 1.0)
     with pytest.raises(NumericalError):
-        invert_cdf(step_cdf, 0.5, (0.0, 1.0))
+        invert_cdf(step_cdf, 0.5, (0.0, 1.0), lambda x: np.zeros_like(x))
 
 
 def test_config_defaults_and_aliases():

@@ -1,5 +1,7 @@
 """Dense small tensors and the orthogonal change-of-basis action."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,18 @@ def test_outer_power_budget():
     v = as_tensor(np.ones(3))
     with pytest.raises(ValueError):
         outer_power(v, 12)
+
+
+def test_outer_power_checks_the_budget_before_computing():
+    v = as_tensor(np.ones(3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="order-14 tensor over dimension 3 exceeds"):
+            outer_power(v, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_act_is_a_batch_of_one_bit_for_bit():
