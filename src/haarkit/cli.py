@@ -215,7 +215,9 @@ def _cmd_dim(args) -> str:
     if "closed" in values:
         parts.append(str(values["closed"]))
     if "quadrature" in values:
-        parts.append(format_float(values["quadrature"], TABLE_DIGITS))
+        # The quadrature value is within INTEGER_SLACK of an integer (or it
+        # raised), so the table prints that integer, not its roundoff.
+        parts.append(format_float(round(values["quadrature"]), TABLE_DIGITS))
     return "\n".join(parts)
 
 

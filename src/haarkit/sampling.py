@@ -62,24 +62,28 @@ def invert_cdf(cdf, target, bracket, derivative) -> np.ndarray | float:
     lo, hi = np.full_like(t, a), np.full_like(t, b)
     for _ in range(MAX_NEWTON):
         r = np.asarray(cdf(xs)) - ts
-        live = np.abs(r) >= CDF_TOL
-        if not live.any():
+        live = np.flatnonzero(np.abs(r) >= CDF_TOL)
+        if not live.size:
             break
-        idx, xs, ts, r, lo, hi = idx[live], xs[live], ts[live], r[live], lo[live], hi[live]
+        if live.size < r.size:
+            idx, xs, ts, r, lo, hi = idx[live], xs[live], ts[live], r[live], lo[live], hi[live]
         hi = np.where(r > 0, xs, hi)
         lo = np.where(r < 0, xs, lo)
         d = np.asarray(derivative(xs))
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(d > 0, r / np.where(d > 0, d, 1.0), np.inf)
-        candidate = xs - step
-        bad = ~np.isfinite(candidate) | (candidate <= lo) | (candidate >= hi)
-        xs = np.where(bad, 0.5 * (lo + hi), candidate)
+            xs = xs - r / d
+        # A flat or negative slope takes a bisection step, as does a Newton
+        # step that leaves the bracket.
+        bad = np.flatnonzero(~(d > 0) | ~np.isfinite(xs) | (xs <= lo) | (xs >= hi))
+        xs[bad] = 0.5 * (lo[bad] + hi[bad])
         x[idx] = xs
-    residual = np.abs(np.asarray(cdf(x)) - t)
-    if np.any(residual >= CDF_TOL):
-        raise NumericalError(
-            f"cdf inversion did not reach {CDF_TOL:g} in {MAX_NEWTON} iterations "
-            f"(worst residual {float(residual.max()):.3g})")
+    else:
+        # Targets that left the loop earlier passed this check at the same x.
+        residual = np.abs(np.asarray(cdf(xs)) - ts)
+        if np.any(residual >= CDF_TOL):
+            raise NumericalError(
+                f"cdf inversion did not reach {CDF_TOL:g} in {MAX_NEWTON} iterations "
+                f"(worst residual {float(residual.max()):.3g})")
     return float(x[0]) if scalar else x
 
 
@@ -92,7 +96,8 @@ def _angle_cdf_slope(alpha):
 
 
 def _half_angle_cdf(theta):
-    return (2.0 * theta - np.sin(2.0 * theta)) / (2.0 * np.pi)
+    two_theta = 2.0 * theta
+    return (two_theta - np.sin(two_theta)) / (2.0 * np.pi)
 
 
 def _half_angle_cdf_slope(theta):
@@ -188,7 +193,6 @@ def sample(config: SamplerConfig) -> SampleBatch:
     else:
         mats = chart.evaluate_many(coords)
     if not lookup_group(config.group).proper:
-        flip = streams[chart.d].random(config.count) < 0.5
-        mats[flip] = improper_coset(mats[flip])
+        improper_coset(mats, where=streams[chart.d].random(config.count) < 0.5)
         quats = None
     return SampleBatch(config=config, coordinates=coords, matrices=mats, quaternions=quats)

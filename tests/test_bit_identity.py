@@ -1,13 +1,15 @@
 """Differential tests: the fast paths give the reference paths' exact bits.
 
 Each fast path (the compiled chart plan, the compacting inverse CDF, the
-in-place improper flip, the templated sample formatter) is compared with a
-straightforward reference kept here, on bytes rather than on values, so a
-flipped sign of zero counts as a difference.
+improper coset as a sign, whole or masked in place, the templated sample
+formatter) is compared with a straightforward reference kept here, on bytes
+rather than on values, so a flipped sign of zero counts as a difference.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haarkit.chartlang import evaluate_expr, parse_chart
 from haarkit.charts import BUILTIN_NAMES, Chart, builtin_chart
@@ -177,6 +179,39 @@ def test_compacted_invert_cdf_reports_the_dense_residual():
 
 
 # ---------------------------------------------------------------------------
+# Half-angle CDF against the expression that doubled theta twice
+
+
+def test_half_angle_cdf_matches_doubling_twice():
+    theta = np.concatenate([[0.0, -0.0, np.pi, np.pi / 2, 5e-324, np.nextafter(np.pi, 0)],
+                            np.random.default_rng(2).uniform(0.0, np.pi, 20000)])
+    ref = (2.0 * theta - np.sin(2.0 * theta)) / (2.0 * np.pi)
+    assert same_bits(_half_angle_cdf(theta), ref)
+
+
+SPECIAL_TARGETS = [0.0, 1.0, 1e-300, 1.0 - 2**-53, 0.5, 5e-324]
+CDFS = {
+    "angle": (_angle_cdf, _angle_cdf_slope),
+    "half-angle": (_half_angle_cdf, _half_angle_cdf_slope),
+    "cosine": (lambda x: (1 - np.cos(x)) / 2, lambda x: np.sin(x) / 2),
+    "negative slope": (lambda x: (1 - np.cos(x)) / 2, lambda x: -np.sin(x) / 2),  # bisects
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(name=st.sampled_from(sorted(CDFS)), data=st.data())
+def test_invert_cdf_matches_dense_loop_on_drawn_targets(name, data):
+    element = st.one_of(st.floats(0.0, 1.0), st.sampled_from(SPECIAL_TARGETS))
+    targets = data.draw(st.lists(element, min_size=1, max_size=40))
+    repeats = data.draw(st.integers(0, len(targets)))
+    t = np.array(targets + targets[:repeats])  # duplicates, in and out of order
+    cdf, slope = CDFS[name]
+    ref, residual = dense_invert_cdf(cdf, t, (0.0, np.pi), derivative=slope)
+    assert residual.max() < CDF_TOL
+    assert same_bits(invert_cdf(cdf, t, (0.0, np.pi), derivative=slope), ref)
+
+
+# ---------------------------------------------------------------------------
 # In-place improper flip against the np.where form
 
 
@@ -190,6 +225,47 @@ def test_in_place_flip_matches_where(group):
         flip = _axis_streams(4242, d + 1)[d].random(5000) < 0.5
         ref = np.where(flip[:, None, None], improper_coset(mats), mats)
         assert same_bits(sample(config).matrices, ref)
+
+
+# ---------------------------------------------------------------------------
+# sigma as a sign against sigma as a matrix
+
+
+SIGMA = {2: np.diag([-1.0, 1.0]), 3: -np.eye(3)}
+
+
+def matrix_coset(mats: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,njk->nik", SIGMA[mats.shape[-1]], mats)
+
+
+def signed_zero_stack(rng, dim: int, n: int = 400) -> np.ndarray:
+    mats = rng.normal(size=(n, dim, dim))
+    zeros = rng.random(mats.shape) < 0.3
+    mats[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    mats[0], mats[1] = 0.0, -0.0  # whole matrices of one signed zero
+    mats[2, :, 0] = -0.0  # a column of -0.0 under both signs of sigma
+    return mats
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_improper_coset_matches_sigma_matrix(dim):
+    mats = signed_zero_stack(np.random.default_rng(dim), dim)
+    before = mats.copy()
+    out = improper_coset(mats)
+    assert np.array_equal(out.view(np.int64), matrix_coset(before).view(np.int64))
+    assert np.array_equal(mats.view(np.int64), before.view(np.int64))  # input untouched
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_masked_improper_coset_matches_sigma_matrix(dim):
+    rng = np.random.default_rng(dim)
+    mats = signed_zero_stack(rng, dim)
+    mask = rng.random(mats.shape[0]) < 0.5
+    mask[:3] = True
+    ref = np.where(mask[:, None, None], matrix_coset(mats), mats)
+    out = improper_coset(mats, where=mask)
+    assert out is mats
+    assert np.array_equal(mats.view(np.int64), ref.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

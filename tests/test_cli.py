@@ -127,6 +127,17 @@ def test_dim_default_methods(capsys):
     assert code == 0 and out.strip() == "20"
 
 
+@pytest.mark.parametrize("group", ["so2", "o2"])
+@pytest.mark.parametrize("order", [1, 3, 11])
+def test_dim_table_prints_the_integer(capsys, group, order):
+    # odd planar orders have no invariants; the quadrature gives roundoff of 0
+    code, out, _ = run(capsys, "dim", "--group", group, "--order", str(order))
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run(capsys, "dim", "--group", group, "--order", str(order), "--format", "json")
+    record = json.loads(out)
+    assert code == 0 and abs(record["quadrature"]) < 1e-12
+
+
 def test_dim_both_json(capsys):
     code, out, _ = run(capsys, "dim", "--group", "o3", "--order", "6",
                        "--method", "both", "--format", "json")
