@@ -21,7 +21,6 @@ from .charts import (Chart, DomainError, angle_from_matrix, euler_from_matrix, l
 from .groups import GROUPS, lookup_group
 from .haar import NumericalError, chart_change_check, closed_form, integrate_scalar, normalize
 from .orbit import OrbitSpec, covariance, mc_moments, moment
-from .quadrature import QuadratureRule
 from .reynolds import dim_invariants_closed, dim_invariants_quadrature, reynolds_continuous
 from .sampling import SamplerConfig, sample
 from .tensors import Tensor
@@ -103,22 +102,14 @@ def _parse_point(text: str) -> np.ndarray:
         raise ValueError(f"could not parse {text!r} as comma-separated reals") from None
 
 
-def _nodes_arg(args, chart: Chart) -> QuadratureRule:
-    return QuadratureRule.for_domain(chart.domain, args.nodes)
-
-
 def _builtin_tag(spec: str) -> str | None:
     """The tag of a ``builtin:<tag>`` spec, as load_chart reads it; None for a file."""
     return spec.removeprefix("builtin:") if spec.startswith("builtin:") else None
 
 
-def _averaging_args(args):
-    """(density, rule) of --chart at --nodes, or (None, None) for the exact rule."""
-    if not args.chart:
-        return None, None
-    chart = load_chart(args.chart)
-    rule = _nodes_arg(args, chart)
-    return normalize(chart, rule=rule), rule
+def _averaging_density(args):
+    """The density of --chart at --nodes, or None for the exact rule."""
+    return normalize(load_chart(args.chart), rule=args.nodes) if args.chart else None
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +122,7 @@ def _cmd_density(args) -> str:
     use_numeric = args.numeric or not args.closed_form
     record = {"chart": chart.name, "point": list(point)}
     if use_numeric:
-        density = normalize(chart, rule=_nodes_arg(args, chart))
+        density = normalize(chart, rule=args.nodes)
         record["density"] = density.density(point)
     if args.closed_form:
         tag = _builtin_tag(args.chart)
@@ -147,10 +138,9 @@ def _cmd_density(args) -> str:
 
 def _cmd_normalize(args) -> str:
     chart = load_chart(args.chart)
-    rule = _nodes_arg(args, chart)
-    density = normalize(chart, rule=rule)
+    density = normalize(chart, rule=args.nodes)
     return to_json({"chart": chart.name, "C": density.C,
-                    "nodes_per_axis": list(rule.nodes_per_axis)})
+                    "nodes_per_axis": list(density.grid()[0].nodes_per_axis)})
 
 
 def _cmd_sample(args) -> str:
@@ -168,8 +158,7 @@ def _cmd_sample(args) -> str:
 
 def _cmd_check_chart(args) -> str:
     chart = load_chart(args.chart)  # load already runs structural validation
-    rule = _nodes_arg(args, chart)
-    density = normalize(chart, rule=rule)
+    density = normalize(chart, rule=args.nodes)
     record = {"chart": chart.name, "parse": "ok", "d": chart.d,
               "shape": list(chart.shape), "group": chart.group or "none",
               "C": density.C}
@@ -179,7 +168,7 @@ def _cmd_check_chart(args) -> str:
         rng = np.random.default_rng(20240817)
         battery = [lambda m: np.trace(m, axis1=-2, axis2=-1),
                    lambda m: np.trace(m, axis1=-2, axis2=-1) ** 2]
-        base = [integrate_scalar(f, group_tag, density, rule=rule) for f in battery]
+        base = [integrate_scalar(f, group_tag, density) for f in battery]
         dim = chart.matrix_dim
         for _ in range(3):
             h = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
@@ -187,9 +176,9 @@ def _cmd_check_chart(args) -> str:
                 h[:, 0] = -h[:, 0]
             for f, ref in zip(battery, base):
                 left = integrate_scalar(lambda m: f(np.einsum("ij,njk->nik", h, m)),
-                                        group_tag, density, rule=rule)
+                                        group_tag, density)
                 right = integrate_scalar(lambda m: f(np.einsum("nij,jk->nik", m, h)),
-                                         group_tag, density, rule=rule)
+                                         group_tag, density)
                 worst = max(worst, abs(left - ref), abs(right - ref))
         record["invariance_max_residual"] = worst
         record["invariance_tolerance"] = args.tolerance
@@ -215,8 +204,8 @@ def _cmd_dim(args) -> str:
     if "closed" in values:
         parts.append(str(values["closed"]))
     if "quadrature" in values:
-        # The quadrature value is within INTEGER_SLACK of an integer (or it
-        # raised), so the table prints that integer, not its roundoff.
+        # The quadrature value is within its roundoff slack, below 1/2, of an
+        # integer (or it raised), so the table prints that integer.
         parts.append(format_float(round(values["quadrature"]), TABLE_DIGITS))
     return "\n".join(parts)
 
@@ -224,8 +213,7 @@ def _cmd_dim(args) -> str:
 def _cmd_reynolds(args) -> str:
     with open(args.tensor, "r", encoding="utf-8") as fh:
         tensor = Tensor.from_json(fh.read())
-    density, rule = _averaging_args(args)
-    averaged = reynolds_continuous(args.group, density, rule, tensor)
+    averaged = reynolds_continuous(args.group, tensor, _averaging_density(args))
     return averaged.to_json()
 
 
@@ -238,10 +226,10 @@ def _cmd_orbit_moments(args) -> str:
         with open(args.seed_tensor, "r", encoding="utf-8") as fh:
             seed = Tensor.from_json(fh.read())
     spec = OrbitSpec(group=args.group, representation=args.representation, seed=seed)
-    density, rule = _averaging_args(args)
-    m1 = moment(spec, 1, density, rule=rule)
-    m2 = moment(spec, 2, density, rule=rule)
-    cov = covariance(spec, density, rule=rule)
+    density = _averaging_density(args)
+    m1 = moment(spec, 1, density)
+    m2 = moment(spec, 2, density)
+    cov = covariance(spec, density)
     record = {"group": args.group, "representation": args.representation,
               "m1": _nested(m1.array), "m2": _nested(m2.array), "cov": _nested(cov.array)}
     if args.mc:
@@ -292,9 +280,7 @@ def _cmd_chart_change(args) -> str:
             return u + offset
     else:
         raise ValueError(f"unknown --map {args.map!r}; use 'auto' or 'shift:dx1,dx2,...'")
-    rule1 = QuadratureRule.for_domain(c1.domain, args.nodes)
-    rule2 = QuadratureRule.for_domain(c2.domain, args.nodes)
-    residual = chart_change_check(normalize(c1, rule=rule1), normalize(c2, rule=rule2),
+    residual = chart_change_check(normalize(c1, rule=args.nodes), normalize(c2, rule=args.nodes),
                                   phi, point)
     return to_json({"chart1": c1.name, "chart2": c2.name, "point": list(point),
                     "residual": residual})

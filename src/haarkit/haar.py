@@ -14,9 +14,9 @@ and the same formula is evaluated in the quaternion algebra with the pure
 imaginaries (i, j, k) as basis.
 
 The sign of det M is an orientation artifact of basis and parameter
-order, so the absolute value is taken before normalizing.  Group averages
-read the group's row of groups.GROUPS: its dimension, its properness (an
-O-group adds the improper coset) and its first chart (the exact rule).
+order, so the absolute value is taken before normalizing, on the grid that
+averages reuse.  Group averages read groups.GROUPS: dimension, properness
+(an O-group adds the improper coset) and first chart (the exact rule).
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ _FD_STEP = 1e-5  # central differences for the Python callable of chart_change_c
 
 class NumericalError(RuntimeError):
     """A computation failed numerically (degenerate chart, NaN, no convergence)."""
-
-
-def _rule_for(chart: Chart, rule) -> QuadratureRule:
-    if isinstance(rule, QuadratureRule):
-        return rule
-    return QuadratureRule.for_domain(chart.domain, DEFAULT_NODES if rule is None else rule)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +94,7 @@ class HaarDensity:
     C: float
     mode: str  # "numeric" | "closed-form"
     _closed_unnormalized: object = None  # (N, d) -> (N,); C is its integral over the domain
-    _grids: dict = field(default_factory=dict, repr=False)
+    _grid: tuple | None = field(default=None, repr=False)  # (rule, weighted, elements)
 
     def density_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -117,51 +111,36 @@ class HaarDensity:
 
     __call__ = density
 
-    def grid(self, rule=None):
-        """Quadrature nodes with cached density and group elements.
+    def grid(self):
+        """The quadrature grid this density was normalized on.
 
         Returns (rule, weighted, elements): ``weighted`` are quadrature
         weights times normalized density, and ``elements`` the rotation
         matrices at the nodes (quaternion charts are pushed to matrices).
-        The cache is keyed on the rule's node counts and domain, and the
-        rule returned is the one asked for; normalize seeds it at its rule.
         """
-        rule = _rule_for(self.chart, rule)
-        key = _grid_key(rule)
-        if key not in self._grids:
-            if self.mode == "numeric":  # one chart pass gives density and elements
-                raw, elements = _density_and_elements(self.chart, rule.points)
-            else:
-                raw = self._closed_unnormalized(rule.points)
-                elements = (quat_rotation_matrices(self.chart.quaternions_at(rule.points))
-                            if self.chart.is_quaternion else self.chart.evaluate_many(rule.points))
-            self._grids[key] = (rule, rule.weights * (raw / self.C), elements)
-        elif self._grids[key][0] is not rule:
-            # an equal rule built elsewhere, as normalize's: hand back the caller's
-            self._grids[key] = (rule, *self._grids[key][1:])
-        return self._grids[key]
-
-
-def _grid_key(rule: QuadratureRule) -> tuple:
-    return (rule.nodes_per_axis, rule.domain.tobytes())
+        if self._grid is None:
+            raise ValueError(f"density of chart {self.chart.name!r} has no quadrature grid; "
+                             "build one with normalize(chart, rule)")
+        return self._grid
 
 
 def normalize(chart: Chart, rule=None) -> HaarDensity:
     """Normalize the numeric density of a chart by tensor-product quadrature.
 
-    The density and elements computed on the rule's nodes also seed the
-    density's grid cache, so grid() at the same rule does no chart work.
+    ``rule`` is a QuadratureRule or a node count per axis (None: DEFAULT_NODES).
+    The density and elements computed on its nodes are kept as the density's
+    grid(), so every average against it does no chart work.
     """
-    rule = _rule_for(chart, rule)
+    if not isinstance(rule, QuadratureRule):
+        rule = QuadratureRule.for_domain(chart.domain, DEFAULT_NODES if rule is None else rule)
     raw, elements = _density_and_elements(chart, rule.points)
     if not np.all(np.isfinite(raw)):
         raise NumericalError(f"density of chart {chart.name!r} is not finite on the grid")
     c = float(rule.integrate(raw))
     if c < DEGENERATE_C:
         raise NumericalError(f"chart {chart.name!r} is degenerate: C = {c:.3g} below {DEGENERATE_C:g}")
-    density = HaarDensity(chart=chart, C=c, mode="numeric")
-    density._grids[_grid_key(rule)] = (rule, rule.weights * (raw / c), elements)
-    return density
+    return HaarDensity(chart=chart, C=c, mode="numeric",
+                       _grid=(rule, rule.weights * (raw / c), elements))
 
 
 # Closed forms for the built-in charts: unnormalized integrand and its C.
@@ -217,21 +196,21 @@ def closed_form_density(tag: str, u) -> float:
 # Chart cross-validation
 
 
-def _as_density(chart_or_density, rule=None) -> HaarDensity:
+def _as_density(chart_or_density) -> HaarDensity:
     if isinstance(chart_or_density, HaarDensity):
         return chart_or_density
-    return normalize(chart_or_density, rule=rule)
+    return normalize(chart_or_density)
 
 
-def chart_change_check(c1, c2, phi, u, rule=None) -> float:
+def chart_change_check(c1, c2, phi, u) -> float:
     """Residual |k1(u) - |det Dphi(u)| * k2(phi(u))| of a change of chart.
 
     ``phi`` maps coordinates of c1 to coordinates of c2; being a Python
     callable, it is differentiated by central differences.  Accepts Chart or
     HaarDensity arguments; charts are normalized on the fly.
     """
-    d1 = _as_density(c1, rule=rule)
-    d2 = _as_density(c2, rule=rule)
+    d1 = _as_density(c1)
+    d2 = _as_density(c2)
     u = d1.chart.check_point(u)
     w = np.asarray(phi(u), dtype=float)
     if not d2.chart.contains(w):
@@ -286,31 +265,31 @@ def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, chart.evaluate_many(points)
 
 
-def haar_nodes(group_tag: str, density: HaarDensity | None, rule=None,
+def haar_nodes(group_tag: str, density: HaarDensity | None,
                degree: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, proper elements): the chart grid of a density, else the exact rule."""
+    """(weights, proper elements): the grid of a density, else the exact rule."""
     if density is not None:
-        return density.grid(rule)[1:]
+        return density.grid()[1:]
     if degree is None:
         raise ValueError("without a density the exact rule needs the integrand's polynomial degree")
     return exact_nodes(group_tag, degree)
 
 
-def integrate_scalar(f, group_tag: str, density: HaarDensity, rule=None) -> float:
+def integrate_scalar(f, group_tag: str, density: HaarDensity) -> float:
     """Normalized integral of f, which maps the (N, D, D) element stack to (N,) values."""
-    return float(integrate_tensor(f, group_tag, density, rule=rule))
+    return float(integrate_tensor(f, group_tag, density))
 
 
-def integrate_tensor(f, group_tag: str, density: HaarDensity | None, rule=None,
+def integrate_tensor(f, group_tag: str, density: HaarDensity | None,
                      degree: int | None = None) -> np.ndarray:
     """Entry-wise normalized integral of a tensor-valued function.
 
     The integrand maps the (N, D, D) element stack to (N, *shape).
-    With a density the integral runs on its chart grid at ``rule``; with
+    With a density the integral runs on the grid it was normalized on; with
     ``density=None`` it runs on exact_nodes(group_tag, degree), which is
     exact when f is a polynomial of degree <= ``degree`` in the entries of g.
     """
-    weights, elements = haar_nodes(group_tag, density, rule, degree)
+    weights, elements = haar_nodes(group_tag, density, degree)
     parts = [np.tensordot(weights, np.asarray(f(mats), dtype=float), axes=1)
              for mats in coset_stacks(group_tag, elements)]
     return sum(parts[1:], parts[0]) / len(parts)

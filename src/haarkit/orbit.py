@@ -2,8 +2,9 @@
 
 Supported representations: the natural action on vectors, the order-n
 tensor action, and conjugation g v g^T on symmetric matrices.  Moments
-come from quadrature (the Reynolds average of tensor powers of X) or from
-Monte Carlo sampling with entry-wise standard errors.
+come from quadrature (the Reynolds average of tensor powers of X, on the
+exact rule or on the grid a density was normalized on) or from Monte
+Carlo sampling with entry-wise standard errors.
 
 For conjugation orbits of symmetric 3x3 seeds the first two moments have
 closed forms in the isotropic tensors; see the *_closed functions.  They
@@ -73,22 +74,25 @@ def moment(spec: OrbitSpec, r: int, density: HaarDensity | None = None, rule=Non
 
     X^{(x) r} is a polynomial of degree r * n in the entries of g (n the
     seed order), so without a density the exact rule of that degree gives
-    the moment up to roundoff; with one it is integrated on the chart grid.
+    the moment up to roundoff; with one it is integrated on the density's grid.
+    ``rule`` may only restate the QuadratureRule the density was normalized on.
     """
     if r < 1:
         raise ValueError("moment order must be positive")
+    if rule is not None and (density is None or rule is not density.grid()[0]):
+        raise ValueError("moment runs on the grid of normalize(chart, rule); leave rule out")
     shape = _power_shape(spec, r)
     flat = integrate_tensor(
         lambda mats: outer_power_batch(spec.values(mats), r),
-        spec.group, density, rule=rule, degree=r * spec.seed.order)
+        spec.group, density, degree=r * spec.seed.order)
     return Tensor.from_array(np.asarray(flat).reshape(shape) if shape else float(np.asarray(flat)),
                              dim=spec.seed.dim)
 
 
 def covariance(spec: OrbitSpec, density: HaarDensity | None = None, rule=None) -> Tensor:
     """Cov(X) = m2 - m1 (x) m1, the standard (positive-semidefinite) convention."""
-    m1 = moment(spec, 1, density, rule=rule)
-    m2 = moment(spec, 2, density, rule=rule)
+    m1 = moment(spec, 1, density, rule)
+    m2 = moment(spec, 2, density, rule)
     return m2 - outer_power(m1, 2)
 
 

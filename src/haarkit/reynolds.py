@@ -9,8 +9,8 @@ equispaced angles, and binomial sums give the SO(3)/O(3) dimensions.
 
 The action on order-n tensors is a polynomial of degree n in the entries
 of g, so without a density the continuous averages run on the exact rule
-of haar.exact_nodes at degree n and are exact up to roundoff.  Passing a
-HaarDensity integrates in its chart instead, which cross-checks user charts.
+of haar.exact_nodes at degree n and are exact up to roundoff.  A density
+averages on the grid it was normalized on, which cross-checks user charts.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import numpy as np
 
 from .charts import builtin_chart
 from .groups import INPUT_TOL, GroupElement, lookup_group, rodrigues
-from .haar import (HaarDensity, NumericalError, coset_stacks, haar_nodes, integrate_scalar,
-                   integrate_tensor)
+from .haar import HaarDensity, NumericalError, coset_stacks, haar_nodes, integrate_tensor
 from .tensors import MAX_ENTRIES, Tensor, act_batch
 
 RANK_THRESHOLD = 1e-6
@@ -89,25 +88,23 @@ def reynolds_finite(group: FiniteGroup, t: Tensor) -> Tensor:
 # Continuous Reynolds projector
 
 
-def reynolds_continuous(group_tag: str, density: HaarDensity | None, rule, t: Tensor) -> Tensor:
+def reynolds_continuous(group_tag: str, t: Tensor, density: HaarDensity | None = None) -> Tensor:
     """Group average of a tensor, exact without a density, else by chart quadrature."""
-    out = integrate_tensor(lambda mats: act_batch(mats, t), group_tag, density,
-                           rule=rule, degree=t.order)
+    out = integrate_tensor(lambda mats: act_batch(mats, t), group_tag, density, degree=t.order)
     return Tensor.from_array(np.asarray(out), dim=t.dim)
 
 
-def reynolds_matrix(group_tag: str, n: int, density: HaarDensity | None = None,
-                    rule=None) -> np.ndarray:
+def reynolds_matrix(group_tag: str, n: int, density: HaarDensity | None = None) -> np.ndarray:
     """The averaging operator on order-n tensors as a (D^n, D^n) matrix.
 
     Column (j1..jn) is the group average of the canonical basis tensor
     e_{j1} x ... x e_{jn}.  Without a density the exact rule of degree n
     makes the operator exact up to roundoff; with one it is integrated on
-    the chart grid.  As g^(x)n = g^(x)a (x) g^(x)b, a = ceil(n/2), b = n - a,
+    the density's grid.  As g^(x)n = g^(x)a (x) g^(x)b, a = ceil(n/2), b = n - a,
     the node sum is one contraction of the two half Kronecker powers (at
     n = 0 both are 1, and it is the weight sum).
     """
-    weighted, elements = haar_nodes(group_tag, density, rule, degree=n)
+    weighted, elements = haar_nodes(group_tag, density, degree=n)
     dim = elements.shape[-1]
     size = dim**n
     if size * size > MAX_ENTRIES:
@@ -125,9 +122,9 @@ def reynolds_matrix(group_tag: str, n: int, density: HaarDensity | None = None,
     return total / len(stacks)
 
 
-def invariant_rank(group_tag: str, n: int, density: HaarDensity | None = None, rule=None) -> int:
+def invariant_rank(group_tag: str, n: int, density: HaarDensity | None = None) -> int:
     """Numerical rank of the order-n averaging operator (singular values > RANK_THRESHOLD)."""
-    op = reynolds_matrix(group_tag, n, density, rule=rule)
+    op = reynolds_matrix(group_tag, n, density)
     singular = np.linalg.svd(op, compute_uv=False)
     return int(np.sum(singular > RANK_THRESHOLD))
 
@@ -157,39 +154,45 @@ def dim_invariants_closed(group_tag: str, n: int) -> int:
     return twice // 2
 
 
-def dim_invariants_quadrature(group_tag: str, n: int, density: HaarDensity | None = None,
-                              rule=None) -> float:
+def dim_invariants_quadrature(group_tag: str, n: int, density: HaarDensity | None = None) -> float:
     """Dimension of order-n invariant tensors as the integral of Tr(g)^n.
 
-    With a density it runs on the chart grid (integrate_scalar).  Without,
-    it is exact up to roundoff: by Weyl's formula the class function Tr(g)^n
-    averages over rotations by a about one axis, weighted by 1 - cos a on
-    SO(3); the m = n + 2 angles a = 2 pi j / m, in the group's first chart at
-    (a) or (a, 0, 0), integrate that degree-(n + 1) trigonometric polynomial
-    exactly.  Starting at the identity, where Tr^n peaks, spares its largest
-    terms cancellation in a.  O-groups add the improper coset.  A result that
-    is not finite, or further than 1e-3 from an integer, is a NumericalError.
+    With a density it runs on the grid the density was normalized on.
+    Without, it is exact up to roundoff: by Weyl's formula the class
+    function Tr(g)^n averages over rotations by a about one axis, weighted
+    by 1 - cos a on SO(3); the m = n + 2 angles a = 2 pi j / m, in the
+    group's first chart at (a) or (a, 0, 0), integrate that degree-(n + 1)
+    trigonometric polynomial exactly.  Starting at the identity, where Tr^n
+    peaks, spares its largest terms cancellation in a.  O-groups add the
+    improper coset.  With r = 4 (n + 2) eps sum|w Tr(g)^n| bounding roundoff,
+    a result that is not finite or further than max(INTEGER_SLACK, r) from an
+    integer is a NumericalError, as is r >= 1/2 on the exact rule or, on a
+    density's grid, whose one resolution check is this test, r >= INTEGER_SLACK.
     """
     group = lookup_group(group_tag)
     if n < 0:
         raise ValueError("tensor order must be nonnegative")
+    if density is not None:
+        weights, elements = haar_nodes(group_tag, density)
+    else:
+        chart = builtin_chart(group.charts[0])
+        m = n + 2
+        angles = 2.0 * np.pi * np.arange(m) / m
+        points = np.zeros((m, chart.d))
+        points[:, 0] = np.where(angles > chart.domain[0, 1], angles - 2.0 * np.pi, angles)
+        weights = (1.0 - np.cos(points[:, 0])) / m if group.dim == 3 else np.full(m, 1.0 / m)
+        elements = chart.evaluate_many(points)
     with np.errstate(over="ignore", invalid="ignore"):  # 3^n overflows past n = 646
-        if density is not None:
-            value = integrate_scalar(lambda mats: np.trace(mats, axis1=-2, axis2=-1) ** n,
-                                     group_tag, density, rule=rule)
-        else:
-            chart = builtin_chart(group.charts[0])
-            m = n + 2
-            angles = 2.0 * np.pi * np.arange(m) / m
-            points = np.zeros((m, chart.d))
-            points[:, 0] = np.where(angles > chart.domain[0, 1], angles - 2.0 * np.pi, angles)
-            weights = (1.0 - np.cos(points[:, 0])) / m if group.dim == 3 else np.full(m, 1.0 / m)
-            stacks = coset_stacks(group_tag, chart.evaluate_many(points))
-            value = sum(float(np.dot(weights, np.trace(s, axis1=-2, axis2=-1) ** n))
-                        for s in stacks) / len(stacks)
+        powers = [np.trace(s, axis1=-2, axis2=-1) ** n for s in coset_stacks(group_tag, elements)]
+        value = sum(float(np.dot(weights, p)) for p in powers) / len(powers)
+        scale = sum(float(np.dot(weights, np.abs(p))) for p in powers) / len(powers)  # w >= 0
     if not np.isfinite(value):
         raise NumericalError(f"Tr^{n} integral is not finite ({value!r})")
-    if abs(value - round(value)) > INTEGER_SLACK:
+    roundoff = 4.0 * (n + 2) * np.finfo(float).eps * scale
+    if roundoff >= (0.5 if density is None else INTEGER_SLACK):
+        raise NumericalError(f"Tr^{n} integral {value!r} carries roundoff up to {roundoff:.3g}, "
+                             "too much to tell an integer; use the closed form")
+    if abs(value - round(value)) > max(INTEGER_SLACK, roundoff):
         raise NumericalError(f"quadrature under-resolved: Tr^{n} integral {value!r} "
                              f"is {abs(value - round(value)):.3g} from an integer")
     return value

@@ -72,9 +72,10 @@ def invert_cdf(cdf, target, bracket, derivative) -> np.ndarray | float:
         d = np.asarray(derivative(xs))
         with np.errstate(divide="ignore", invalid="ignore"):
             xs = xs - r / d
-        # A flat or negative slope takes a bisection step, as does a Newton
-        # step that leaves the bracket.
-        bad = np.flatnonzero(~(d > 0) | ~np.isfinite(xs) | (xs <= lo) | (xs >= hi))
+        # A Newton step that is not finite or lands on or outside the bracket
+        # bisects: so does a zero or NaN slope (a step that is not finite) and a
+        # negative one (it steps away from the root, past the end set to old x).
+        bad = np.flatnonzero(~np.isfinite(xs) | (xs <= lo) | (xs >= hi))
         xs[bad] = 0.5 * (lo[bad] + hi[bad])
         x[idx] = xs
     else:

@@ -111,26 +111,25 @@ def test_05_invariance_battery():
         return out
 
     with Budget(60.0):
-        density, rule = so3_setup()
+        density, _ = so3_setup()
         for group in ("so3", "o3"):
-            base1 = integrate_tensor(lambda m: m, group, density, rule=rule)
+            base1 = integrate_tensor(lambda m: m, group, density)
             base2 = integrate_tensor(
-                lambda m: np.einsum("nij,nkl->nijkl", m, m), group, density,
-                rule=rule)
+                lambda m: np.einsum("nij,nkl->nijkl", m, m), group, density)
             for h in transforms(improper=(group == "o3")):
                 for push in (lambda m: np.einsum("ab,nbc->nac", h, m),
                              lambda m: np.einsum("nab,bc->nac", m, h)):
-                    got1 = integrate_tensor(push, group, density, rule=rule)
+                    got1 = integrate_tensor(push, group, density)
                     got2 = integrate_tensor(
                         lambda m: np.einsum("nij,nkl->nijkl", push(m), push(m)),
-                        group, density, rule=rule)
+                        group, density)
                     assert np.abs(got1 - base1).max() < 1e-7
                     assert np.abs(got2 - base2).max() < 1e-7
             inv = lambda m: np.swapaxes(m, -1, -2)
-            got1 = integrate_tensor(inv, group, density, rule=rule)
+            got1 = integrate_tensor(inv, group, density)
             got2 = integrate_tensor(
                 lambda m: np.einsum("nij,nkl->nijkl", inv(m), inv(m)),
-                group, density, rule=rule)
+                group, density)
             assert np.abs(got1 - base1).max() < 1e-7
             assert np.abs(got2 - base2).max() < 1e-7
 
@@ -168,20 +167,20 @@ def test_06_sampler_angle_law_and_trace_moments():
 def test_07_reynolds_projector_properties():
     rng = np.random.default_rng(1007)
     with Budget(60.0):
-        density, rule = so3_setup()
+        density, _ = so3_setup()
         for order in (1, 2, 3, 4):
             t = as_tensor(rng.normal(size=(3,) * order))
-            avg = reynolds_continuous("so3", density, rule, t)
-            again = reynolds_continuous("so3", density, rule, avg)
+            avg = reynolds_continuous("so3", t, density)
+            again = reynolds_continuous("so3", avg, density)
             assert np.abs(again.array - avg.array).max() < 1e-7, order
             h = np.linalg.qr(rng.normal(size=(3, 3)))[0]
             if np.linalg.det(h) < 0:
                 h[:, 0] = -h[:, 0]
-            left = reynolds_continuous("so3", density, rule, act(h, t))
+            left = reynolds_continuous("so3", act(h, t), density)
             assert np.abs(left.array - avg.array).max() < 1e-7, order
         for group in ("so3", "o3"):
             for order in (2, 3, 4):
-                rank = invariant_rank(group, order, density, rule=rule)
+                rank = invariant_rank(group, order, density)
                 assert rank == dim_invariants_closed(group, order), (group, order)
 
 

@@ -138,6 +138,12 @@ def test_dim_table_prints_the_integer(capsys, group, order):
     assert code == 0 and abs(record["quadrature"]) < 1e-12
 
 
+def test_dim_so2_order_45_is_roundoff_of_zero(capsys):
+    # 2^45 terms carry roundoff above the 1e-3 floor; the scaled slack accepts it
+    code, out, _ = run(capsys, "dim", "--group", "so2", "--order", "45")
+    assert (code, out) == (0, "0\n")
+
+
 def test_dim_both_json(capsys):
     code, out, _ = run(capsys, "dim", "--group", "o3", "--order", "6",
                        "--method", "both", "--format", "json")

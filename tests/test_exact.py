@@ -40,7 +40,7 @@ def random_rotation() -> np.ndarray:
 def average(group, t, degree=None):
     """Reynolds average on the exact rule, optionally of a lower degree."""
     if degree is None:
-        return reynolds_continuous(group, None, None, t)
+        return reynolds_continuous(group, t)
     return as_tensor(integrate_tensor(lambda mats: act_batch(mats, t), group, None, degree=degree), dim=t.dim)
 
 
@@ -70,8 +70,8 @@ def test_agrees_with_chart_grid(group):
     dim = 3 if group.endswith("3") else 2
     for order in range(1, 7):
         t = as_tensor(RNG.normal(size=(dim,) * order))
-        exact = reynolds_continuous(group, None, None, t).array
-        grid = reynolds_continuous(group, density, None, t).array
+        exact = reynolds_continuous(group, t).array
+        grid = reynolds_continuous(group, t, density).array
         assert np.abs(exact - grid).max() <= 1e-10, order
 
 

@@ -66,7 +66,7 @@ TAKES_A_TAG = {
     "integrate_tensor/density": lambda tag: integrate_tensor(lambda m: m, tag, _density()),
     "integrate_scalar": lambda tag: integrate_scalar(
         lambda m: np.ones(len(m)), tag, _density()),
-    "reynolds_continuous": lambda tag: reynolds_continuous(tag, None, None, Tensor.zeros(3, 2)),
+    "reynolds_continuous": lambda tag: reynolds_continuous(tag, Tensor.zeros(3, 2)),
     "reynolds_matrix": lambda tag: reynolds_matrix(tag, 0),
     "reynolds_matrix/density": lambda tag: reynolds_matrix(tag, 0, _density()),
     "invariant_rank": lambda tag: invariant_rank(tag, 0),

@@ -7,10 +7,13 @@ import pytest
 
 from haarkit.charts import Chart, DomainError, builtin_chart
 from haarkit.groups import quat_rotation_matrices
-from haarkit.haar import (HaarDensity, NumericalError, chart_change_check, closed_form,
+from haarkit.haar import (NumericalError, chart_change_check, closed_form,
                           closed_form_density, density_numeric, integrate_scalar,
                           integrate_tensor, normalize)
-from haarkit.quadrature import QuadratureRule
+from haarkit.orbit import OrbitSpec, moment
+from haarkit.quadrature import DEFAULT_NODES, QuadratureRule
+from haarkit.reynolds import reynolds_matrix
+from haarkit.tensors import as_tensor
 
 RNG = np.random.default_rng(20240501)
 
@@ -141,10 +144,10 @@ def test_normalized_density_integrates_to_one():
         assert abs(total - 1.0) < 1e-9
 
 
-def test_grid_is_cached_per_rule():
-    density = normalize(builtin_chart("so2-angle"))
-    rule = QuadratureRule.for_domain(density.chart.domain, 16)
-    assert density.grid(rule) is density.grid(rule)
+def test_normalize_defaults_to_default_nodes():
+    chart = builtin_chart("so3-euler")
+    for density in (normalize(chart), normalize(chart, rule=None)):
+        assert density.grid()[0].nodes_per_axis == (DEFAULT_NODES,) * 3
 
 
 def test_chart_change_so2_shift():
@@ -234,20 +237,6 @@ def test_integrate_tensor_first_moment_vanishes():
     assert np.abs(value).max() < 1e-9
 
 
-def test_grid_cache_is_keyed_on_the_rule_domain():
-    # same node counts over half the beta range: a different rule, not a cache hit
-    density = normalize(builtin_chart("so3-euler"), rule=16)
-    full = QuadratureRule.for_domain(density.chart.domain, 16)
-    half_domain = density.chart.domain.copy()
-    half_domain[1, 1] = np.pi / 2
-    half = QuadratureRule.for_domain(half_domain, 16)
-    assert abs(density.grid(full)[1].sum() - 1.0) < 1e-12
-    _, weighted, _ = density.grid(half)
-    assert abs(weighted.sum() - 0.5) < 1e-12
-    assert density.grid(half)[0] is half
-    assert density.grid(full)[0] is full
-
-
 @pytest.mark.parametrize("tag", ["so2-angle", "so2-shifted", "so3-euler",
                                  "so3-polar", "so3-quat"])
 def test_closed_form_constant_is_integral_of_its_integrand(tag):
@@ -261,9 +250,15 @@ def test_closed_form_constant_is_integral_of_its_integrand(tag):
 
 @pytest.mark.parametrize("tag", ["so2-angle", "so3-euler", "so3-polar", "so3-quat"])
 def test_normalize_seeds_the_grid_cache(tag, monkeypatch):
+    # normalize keeps the grid of its default rule; grid() hands it back with no chart work
     chart = builtin_chart(tag)
     density = normalize(chart)
-    fresh = HaarDensity(chart=chart, C=density.C, mode="numeric").grid()
+    ref_rule = QuadratureRule.for_domain(chart.domain, DEFAULT_NODES)
+    k = density.density_many(ref_rule.points)
+    if chart.is_quaternion:
+        ref = quat_rotation_matrices(chart.quaternions_at(ref_rule.points))
+    else:
+        ref = chart.evaluate_many(ref_rule.points)
 
     def no_chart_work(*args, **kwargs):
         raise AssertionError("grid() after normalize evaluated the chart")
@@ -271,16 +266,15 @@ def test_normalize_seeds_the_grid_cache(tag, monkeypatch):
     monkeypatch.setattr(Chart, "evaluate_many", no_chart_work)
     monkeypatch.setattr(Chart, "jacobian_many", no_chart_work)
     rule, weighted, elements = density.grid()
-    assert np.array_equal(rule.points, fresh[0].points)
-    assert np.array_equal(weighted, fresh[1])
-    assert np.array_equal(elements, fresh[2])
+    assert np.array_equal(rule.points, ref_rule.points)
+    assert np.array_equal(weighted, ref_rule.weights * k)
+    assert np.array_equal(elements, ref)
 
 
 @pytest.mark.parametrize("tag", ["so2-angle", "so3-euler", "so3-quat"])
 def test_grid_miss_takes_one_chart_pass(tag, monkeypatch):
     # one chart evaluation gives the elements; the density's partials run the derivative plan
     chart = builtin_chart(tag)
-    density = HaarDensity(chart=chart, C=normalize(chart).C, mode="numeric")
     rule = QuadratureRule.for_domain(chart.domain, 16)
     calls = []
     evaluate_many = Chart.evaluate_many
@@ -290,7 +284,8 @@ def test_grid_miss_takes_one_chart_pass(tag, monkeypatch):
         return evaluate_many(self, points)
 
     monkeypatch.setattr(Chart, "evaluate_many", counted)
-    _, weighted, elements = density.grid(rule)
+    density = normalize(chart, rule=rule)
+    _, weighted, elements = density.grid()
     assert len(calls) == 1
     monkeypatch.undo()
     k = density.density_many(rule.points)
@@ -300,3 +295,26 @@ def test_grid_miss_takes_one_chart_pass(tag, monkeypatch):
         ref = chart.evaluate_many(rule.points)
     assert np.array_equal(weighted, rule.weights * k)
     assert np.array_equal(elements, ref)
+
+
+def test_averages_run_on_the_grid_of_normalize(monkeypatch):
+    # a density normalized at 8 nodes per axis averages on those 8^3 nodes,
+    # not on a second grid at the default node count
+    density = normalize(builtin_chart("so3-euler"), rule=8)
+
+    def no_chart_work(*args, **kwargs):
+        raise AssertionError("an average against a normalized density evaluated the chart")
+
+    monkeypatch.setattr(Chart, "evaluate_many", no_chart_work)
+    monkeypatch.setattr(Chart, "jacobian_many", no_chart_work)
+    op = reynolds_matrix("so3", 2, density)
+    assert abs(np.trace(op) - 1.0) < 1e-6  # one invariant at order 2: the multiples of I
+    spec = OrbitSpec(group="o3", representation="natural", seed=as_tensor(np.array([3.0, 0.0, 0.0])))
+    assert np.abs(moment(spec, 1, density).array).max() < 1e-12
+    assert abs(float(integrate_tensor(np.linalg.det, "o3", density))) < 1e-12
+
+
+@pytest.mark.parametrize("tag", ["so2-angle", "so3-euler", "so3-quat"])
+def test_closed_form_density_has_no_grid(tag):
+    with pytest.raises(ValueError, match=r"normalize\(chart, rule\)"):
+        closed_form(tag).grid()

@@ -15,7 +15,6 @@ from haarkit.haar import normalize
 from haarkit.orbit import (OrbitSpec, covariance, decompose, isotropic_basis,
                            mc_moments, moment, sym2_covariance_closed,
                            sym2_mean_closed, sym2_second_moment_closed)
-from haarkit.quadrature import QuadratureRule
 from haarkit.reynolds import reynolds_continuous
 from haarkit.sampling import SamplerConfig
 from haarkit.tensors import Tensor, as_tensor, outer_power
@@ -24,9 +23,7 @@ V0 = np.diag([1.0, 2.0, 3.0])
 
 
 def so3_density(nodes=24):
-    chart = builtin_chart("so3-quat")
-    rule = QuadratureRule.for_domain(chart.domain, nodes)
-    return normalize(chart, rule=rule), rule
+    return normalize(builtin_chart("so3-quat"), rule=nodes)
 
 
 def test_spec_validation():
@@ -45,17 +42,17 @@ def test_spec_validation():
 
 
 def test_sym2_first_moment_is_isotropic():
-    density, rule = so3_density()
+    density = so3_density()
     spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
-    m1 = moment(spec, 1, density, rule=rule)
+    m1 = moment(spec, 1, density)
     assert np.abs(m1.array - 2.0 * np.eye(3)).max() < 1e-10
     assert np.abs(m1.array - sym2_mean_closed(V0).array).max() < 1e-10
 
 
 def test_sym2_second_moment_closed_form():
-    density, rule = so3_density()
+    density = so3_density()
     spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
-    m2 = moment(spec, 2, density, rule=rule)
+    m2 = moment(spec, 2, density)
     assert np.abs(m2.array - sym2_second_moment_closed(V0).array).max() < 1e-10
     coeffs, residual = decompose(m2, isotropic_basis())
     # T1 = 6, T2 = 14: (2 T1^2 - T2)/15 = 58/15, (3 T2 - T1^2)/30 = 1/5
@@ -64,9 +61,9 @@ def test_sym2_second_moment_closed_form():
 
 
 def test_sym2_covariance_closed_form():
-    density, rule = so3_density()
+    density = so3_density()
     spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
-    cov = covariance(spec, density, rule=rule)
+    cov = covariance(spec, density)
     assert np.abs(cov.array - sym2_covariance_closed(V0).array).max() < 1e-10
     # as a 9x9 quadratic form the covariance is positive semidefinite
     eigvals = np.linalg.eigvalsh(cov.array.reshape(9, 9))
@@ -75,26 +72,25 @@ def test_sym2_covariance_closed_form():
 
 def test_moment_equals_reynolds_of_tensor_power():
     # m_r is the group average of the r-fold outer power of the seed
-    density, rule = so3_density()
+    density = so3_density()
     spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
-    m2 = moment(spec, 2, density, rule=rule)
-    averaged = reynolds_continuous("so3", density, rule,
-                                   outer_power(as_tensor(V0), 2))
+    m2 = moment(spec, 2, density)
+    averaged = reynolds_continuous("so3", outer_power(as_tensor(V0), 2), density)
     assert np.abs(m2.array - averaged.array).max() < 1e-10
 
 
 def test_natural_representation_moments():
-    density, rule = so3_density()
+    density = so3_density()
     v = np.array([1.0, 2.0, 2.0])
     spec = OrbitSpec(group="so3", representation="natural", seed=as_tensor(v))
-    m1 = moment(spec, 1, density, rule=rule)
+    m1 = moment(spec, 1, density)
     assert np.abs(m1.array).max() < 1e-10
-    m2 = moment(spec, 2, density, rule=rule)
+    m2 = moment(spec, 2, density)
     assert np.abs(m2.array - (v @ v) / 3.0 * np.eye(3)).max() < 1e-10
 
 
 def test_tensor_representation_order3():
-    density, rule = so3_density()
+    density = so3_density()
     seed = as_tensor(np.zeros((3, 3, 3)))
     eps = np.zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -102,24 +98,24 @@ def test_tensor_representation_order3():
         eps[j, i, k] = -1.0
     spec = OrbitSpec(group="so3", representation="tensor", seed=as_tensor(eps))
     # epsilon is a fixed point of the proper action
-    m1 = moment(spec, 1, density, rule=rule)
+    m1 = moment(spec, 1, density)
     assert np.abs(m1.array - eps).max() < 1e-9
 
 
 def test_o3_odd_moments_vanish():
-    density, rule = so3_density()
+    density = so3_density()
     spec = OrbitSpec(group="o3", representation="natural",
                      seed=as_tensor(np.array([3.0, 0.0, 0.0])))
-    m1 = moment(spec, 1, density, rule=rule)
+    m1 = moment(spec, 1, density)
     assert np.abs(m1.array).max() < 1e-12
 
 
 def test_mc_agrees_with_quadrature():
-    density, rule = so3_density()
+    density = so3_density()
     spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
     config = SamplerConfig(group="so3", chart="quaternion", seed=3, count=20000)
     for r in (1, 2):
-        exact = moment(spec, r, density, rule=rule)
+        exact = moment(spec, r, density)
         est, err = mc_moments(spec, r, config)
         scale = np.maximum(err.array, 1e-12)
         z = np.abs(est.array - exact.array) / scale
@@ -139,3 +135,18 @@ def test_decompose_reports_residual_off_span():
     t = Tensor.basis_element(3, (0, 0, 0, 1))
     _, residual = decompose(t, basis)
     assert residual > 0.1
+
+
+def test_moment_rule_may_only_restate_the_density_grid():
+    # rule= names the grid normalize built; any other rule, or none to pair it with, is refused
+    density = so3_density(nodes=8)
+    rule = density.grid()[0]
+    spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
+    assert np.array_equal(moment(spec, 1, density, rule=rule).array, moment(spec, 1, density).array)
+    assert np.array_equal(covariance(spec, density, rule=rule).array, covariance(spec, density).array)
+    other = normalize(builtin_chart("so3-quat"), rule=8).grid()[0]
+    for dens, bad in ((density, other), (density, 8), (None, rule)):
+        with pytest.raises(ValueError, match="leave rule out"):
+            moment(spec, 1, dens, rule=bad)
+        with pytest.raises(ValueError, match="leave rule out"):
+            covariance(spec, dens, rule=bad)

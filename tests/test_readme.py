@@ -13,8 +13,8 @@ EXPECTED = {
     "density.C": 8 * np.pi**2,
     "density([0.3, 1.2, -0.5])": np.sin(1.2) / (8 * np.pi**2),
     "batch.matrices.shape": (1000, 3, 3),
-    'reynolds_continuous("so3", None, None, t)': 4.0 * np.eye(3),
-    'reynolds_continuous("so3", density, rule, t)': 4.0 * np.eye(3),
+    'reynolds_continuous("so3", t)': 4.0 * np.eye(3),
+    'reynolds_continuous("so3", t, density)': 4.0 * np.eye(3),
     'dim_invariants_closed("so3", 8)': 91,
     "moment(spec, 1).array": 2.0 * np.eye(3),
 }

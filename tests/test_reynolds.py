@@ -26,9 +26,7 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 
 def so3_density(nodes=24):
-    chart = builtin_chart("so3-quat")
-    rule = QuadratureRule.for_domain(chart.domain, nodes)
-    return normalize(chart, rule=rule), rule
+    return normalize(builtin_chart("so3-quat"), rule=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +89,10 @@ def test_reynolds_finite_z_axis_average():
 
 
 def test_reynolds_continuous_idempotent_and_invariant():
-    density, rule = so3_density()
+    density = so3_density()
     t = as_tensor(RNG.normal(size=(3, 3, 3)))
-    avg = reynolds_continuous("so3", density, rule, t)
-    again = reynolds_continuous("so3", density, rule, avg)
+    avg = reynolds_continuous("so3", t, density)
+    again = reynolds_continuous("so3", avg, density)
     assert np.abs(again.array - avg.array).max() < 1e-9
     g = GroupElement.from_matrix(rodrigues(np.array([0.6, 0.0, 0.8]), 1.0).matrix)
     assert np.abs(act(g, avg).array - avg.array).max() < 1e-9
@@ -102,58 +100,58 @@ def test_reynolds_continuous_idempotent_and_invariant():
 
 def test_reynolds_continuous_equivariance():
     # averaging after a rotation equals averaging before it
-    density, rule = so3_density()
+    density = so3_density()
     t = as_tensor(RNG.normal(size=(3, 3)))
     g = rodrigues(np.array([1.0, 0.0, 0.0]), 0.7)
-    left = reynolds_continuous("so3", density, rule, act(g, t))
-    right = reynolds_continuous("so3", density, rule, t)
+    left = reynolds_continuous("so3", act(g, t), density)
+    right = reynolds_continuous("so3", t, density)
     assert np.abs(left.array - right.array).max() < 1e-9
 
 
 def test_reynolds_continuous_order2_closed_form():
     # over SO(3): average of t is (tr t / 3) I
-    density, rule = so3_density()
+    density = so3_density()
     t = as_tensor(RNG.normal(size=(3, 3)))
-    avg = reynolds_continuous("so3", density, rule, t)
+    avg = reynolds_continuous("so3", t, density)
     expected = np.trace(t.array) / 3.0 * np.eye(3)
     assert np.abs(avg.array - expected).max() < 1e-9
 
 
 def test_reynolds_continuous_o3_kills_odd_orders():
-    density, rule = so3_density()
+    density = so3_density()
     t = as_tensor(RNG.normal(size=(3, 3, 3)))
-    avg = reynolds_continuous("o3", density, rule, t)
+    avg = reynolds_continuous("o3", t, density)
     assert np.abs(avg.array).max() < 1e-10
     # epsilon is SO(3)-invariant but flips sign under -I
     eps = np.zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[i, j, k] = 1.0
         eps[j, i, k] = -1.0
-    proper = reynolds_continuous("so3", density, rule, as_tensor(eps))
+    proper = reynolds_continuous("so3", as_tensor(eps), density)
     assert np.abs(proper.array - eps).max() < 1e-9
 
 
 def test_reynolds_matrix_is_projector():
-    density, rule = so3_density()
-    p = reynolds_matrix("so3", 2, density, rule=rule)
+    density = so3_density()
+    p = reynolds_matrix("so3", 2, density)
     assert p.shape == (9, 9)
     assert np.abs(p @ p - p).max() < 1e-9
     t = RNG.normal(size=(3, 3))
     via_matrix = (p @ t.ravel()).reshape(3, 3)
-    direct = reynolds_continuous("so3", density, rule, as_tensor(t)).array
+    direct = reynolds_continuous("so3", as_tensor(t), density).array
     assert np.abs(via_matrix - direct).max() < 1e-10
 
 
 def test_reynolds_matrix_order_zero():
-    density, rule = so3_density()
-    p = reynolds_matrix("so3", 0, density, rule=rule)
+    density = so3_density()
+    p = reynolds_matrix("so3", 0, density)
     assert p.shape == (1, 1)
     assert np.isclose(p[0, 0], 1.0)
 
 
 def chunked_reference(group_tag, n, density, chunk=512):
     """The operator as a sum of per-node D^n x D^n Kronecker powers, chunk by chunk."""
-    weighted, elements = haar_nodes(group_tag, density, None, degree=n)
+    weighted, elements = haar_nodes(group_tag, density, degree=n)
     dim = elements.shape[-1]
     if n == 0:
         return np.array([[float(weighted.sum())]])
@@ -184,10 +182,10 @@ def test_reynolds_matrix_matches_chunked_reference(group, tag, n):
 
 
 def test_invariant_rank_matches_closed_dims():
-    density, rule = so3_density()
+    density = so3_density()
     for group in ("so3", "o3"):
         for n in (2, 3):
-            rank = invariant_rank(group, n, density, rule=rule)
+            rank = invariant_rank(group, n, density)
             assert rank == dim_invariants_closed(group, n)
 
 
@@ -251,9 +249,18 @@ def test_quadrature_dims_o2():
 
 def test_quadrature_dims_under_resolution_raises():
     # the chart grid of a density is not exact: 8 nodes per axis miss Tr^20
-    density, rule = so3_density(nodes=8)
+    density = so3_density(nodes=8)
     with pytest.raises(NumericalError, match="under-resolved"):
-        dim_invariants_quadrature("so3", 20, density, rule=rule)
+        dim_invariants_quadrature("so3", 20, density)
+    # nor are 32 Euler nodes for Tr^20 to Tr^27; from Tr^28 on the roundoff
+    # alone outgrows INTEGER_SLACK, so the grid refuses the order outright
+    euler = normalize(builtin_chart("so3-euler"))
+    for n in (20, 27):
+        with pytest.raises(NumericalError, match="under-resolved"):
+            dim_invariants_quadrature("so3", n, euler)
+    for n in (28, 30, 31, 32, 33):
+        with pytest.raises(NumericalError, match="use the closed form"):
+            dim_invariants_quadrature("so3", n, euler)
 
 
 def test_quadrature_dims_are_exact_up_to_roundoff():
@@ -274,6 +281,34 @@ def test_quadrature_dims_overflow_is_a_numerical_error():
         for n in (700, 701):
             with pytest.raises(NumericalError, match=f"Tr\\^{n} integral is not finite"):
                 dim_invariants_quadrature("so3", n)
+
+
+def planar_dim(group, n):
+    """Invariant count over SO(2) or O(2): C(n, n/2) for even n, halved on O(2) past n = 0."""
+    proper = math.comb(n, n // 2) if n % 2 == 0 else 0
+    return proper if group == "so2" or n == 0 else proper // 2
+
+
+@pytest.mark.parametrize("group,last", [("so3", 33), ("o3", 33), ("so2", 46), ("o2", 47)])
+def test_integer_check_scales_with_roundoff(group, last):
+    # the slack grows as 4 (n + 2) eps sum|w Tr^n|: every order up to the last
+    # passes and rounds to the exact count, and the next one raises
+    for n in range(last + 1):
+        got = dim_invariants_quadrature(group, n)
+        expected = dim_invariants_closed(group, n) if group in ("so3", "o3") else planar_dim(group, n)
+        assert round(got) == expected, (group, n, got)
+    with pytest.raises(NumericalError, match="use the closed form"):
+        dim_invariants_quadrature(group, last + 1)
+
+
+@pytest.mark.parametrize("n", [34, 39, 40, 300])
+def test_integer_check_refuses_orders_past_float64(n):
+    # so3 n = 39 used to return a value 2 off the closed form, and from n = 40
+    # on an absolute slack could not fail at all; both paths now raise
+    density = normalize(builtin_chart("so3-euler"))
+    for dens in (None, density):
+        with pytest.raises(NumericalError, match="use the closed form"):
+            dim_invariants_quadrature("so3", n, dens)
 
 
 def square_dihedral_group():
