@@ -12,7 +12,7 @@ row of a (registers, N) scratch block, a row being reused once its last
 reader has run.  The steps are the ufuncs the tree walk of
 ``chartlang.evaluate_expr`` calls, on the same operands, so the plan gives
 the walk's values bit for bit.  Jacobians run a second plan of the
-entries' symbolic partials, compiled on first use: exact, with no step.
+entries' symbolic partials, compiled with the first: exact, with no step.
 
 Charts are validated at 100 random domain points at load time: square
 charts tagged ``group: so(D)`` or ``o(D)`` for orthogonality (det +1 for
@@ -23,7 +23,6 @@ unit norm, and every other chart for finite entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -183,6 +182,7 @@ class Chart:
     ast: ChartAst
     domain: np.ndarray = field(init=False)  # (d, 2) closed box
     _plan: _Plan = field(init=False, repr=False)
+    _jacobian_plan: _Plan = field(init=False, repr=False)  # dp/du_1, ..., dp/du_d in d * rows rows
 
     def __post_init__(self):
         dom = np.array([[evaluate_expr(p.lower, {}), evaluate_expr(p.upper, {})]
@@ -190,6 +190,9 @@ class Chart:
         dom.setflags(write=False)
         object.__setattr__(self, "domain", dom)
         object.__setattr__(self, "_plan", _compile(self.ast))
+        rows = tuple(tuple(differentiate(e, p) or Num(0.0) for e in row)  # None: identically 0
+                     for p in self.params for row in self.ast.matrix)
+        object.__setattr__(self, "_jacobian_plan", _compile(replace(self.ast, matrix=rows)))
 
     # -- construction ------------------------------------------------------
 
@@ -289,12 +292,6 @@ class Chart:
 
     # -- derivatives -------------------------------------------------------
 
-    @cached_property
-    def _jacobian_plan(self) -> _Plan:  # dp/du_1, ..., dp/du_d stacked into d * rows rows
-        rows = tuple(tuple(differentiate(e, p) or Num(0.0) for e in row)  # None: identically 0
-                     for p in self.params for row in self.ast.matrix)
-        return _compile(replace(self.ast, matrix=rows))
-
     def jacobian(self, u) -> list[np.ndarray]:
         """Partials [dp/du_1, ..., dp/du_d] at a point of the closed domain."""
         return list(self.jacobian_many(self.check_point(u)[None, :])[0])
@@ -370,64 +367,3 @@ def load_chart(spec: str) -> Chart:
     if spec.startswith("builtin:"):
         return builtin_chart(spec[len("builtin:"):])
     return Chart.from_file(spec)
-
-
-# ---------------------------------------------------------------------------
-# Coordinate extraction for the built-in SO(3) charts.  These invert the
-# parametrisations on their interiors and are used for chart cross-checks.
-
-
-def euler_from_matrix(m) -> np.ndarray:
-    """(alpha, beta, gamma) of the z-x-z Euler chart; requires 0 < beta < pi."""
-    m = np.asarray(m, dtype=float)
-    beta = float(np.arccos(np.clip(m[2, 2], -1.0, 1.0)))
-    if min(beta, np.pi - beta) < 1e-12:
-        raise ValueError("Euler angles degenerate at beta in {0, pi}")
-    alpha = float(np.arctan2(m[0, 2], -m[1, 2]))
-    gamma = float(np.arctan2(m[2, 0], m[2, 1]))
-    return np.array([alpha, beta, gamma])
-
-
-def polar_from_matrix(m) -> np.ndarray:
-    """(phi, psi, alpha) of the axis-angle chart; requires 0 < alpha < pi.
-
-    phi is taken in [0, 2*pi[, psi = arcsin(n_3) in [-pi/2, pi/2].
-    """
-    m = np.asarray(m, dtype=float)
-    tr = float(np.trace(m))
-    alpha = float(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
-    if min(alpha, np.pi - alpha) < 1e-12:
-        raise ValueError("axis-angle coordinates degenerate at alpha in {0, pi}")
-    w = 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    n = w / np.sin(alpha)
-    phi = float(np.arctan2(n[1], n[0])) % (2.0 * np.pi)
-    psi = float(np.arcsin(np.clip(n[2], -1.0, 1.0)))
-    return np.array([phi, psi, alpha])
-
-
-def angle_from_matrix(m, lower: float = 0.0) -> float:
-    """Rotation angle of a 2x2 rotation matrix, reduced to [lower, lower + 2*pi[."""
-    m = np.asarray(m, dtype=float)
-    angle = float(np.arctan2(m[1, 0], m[0, 0]))
-    return (angle - lower) % (2.0 * np.pi) + lower
-
-
-def hyperpolar_from_matrix(m) -> np.ndarray:
-    """(theta, psi, phi) of the hyperpolar quaternion chart for a rotation.
-
-    Takes the w >= 0 representative of the double cover; degenerate when
-    the quaternion's i-axis component determines no azimuth (sin psi = 0)
-    or the rotation is the identity (sin theta = 0).
-    """
-    from .groups import rotation_to_quat
-
-    w, x, y, z = rotation_to_quat(m)
-    theta = float(np.arccos(np.clip(w, -1.0, 1.0)))
-    s = np.sin(theta)
-    if s < 1e-12:
-        raise ValueError("hyperpolar coordinates degenerate at the identity rotation")
-    psi = float(np.arccos(np.clip(x / s, -1.0, 1.0)))
-    if np.sin(psi) < 1e-12:
-        raise ValueError("hyperpolar coordinates degenerate when the axis is +-e1")
-    phi = float(np.arctan2(z, y)) % (2.0 * np.pi)
-    return np.array([theta, psi, phi])

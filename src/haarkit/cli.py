@@ -16,8 +16,7 @@ import sys
 import numpy as np
 
 from .chartlang import ChartError
-from .charts import (Chart, DomainError, angle_from_matrix, euler_from_matrix, load_chart,
-                     polar_from_matrix)
+from .charts import DomainError, load_chart
 from .groups import GROUPS, lookup_group
 from .haar import NumericalError, chart_change_check, closed_form, integrate_scalar, normalize
 from .orbit import OrbitSpec, covariance, mc_moments, moment
@@ -243,45 +242,18 @@ def _cmd_orbit_moments(args) -> str:
     return to_json(record)
 
 
-_COORDS_FROM_MATRIX = {  # keyed on built-in tags, never on a chart's own name
-    "so2-angle": lambda m: np.array([angle_from_matrix(m, lower=0.0)]),
-    "so2-shifted": lambda m: np.array([angle_from_matrix(m, lower=-np.pi)]),
-    "so3-euler": euler_from_matrix,
-    "so3-polar": polar_from_matrix,
-}
-
-
-def _auto_map(c1: Chart, c2: Chart, spec2: str):
-    """Coordinate change c1 -> c2 through the group element itself; c2 is
-    loaded from ``spec2``, whose built-in tag picks the inverse."""
-    if c1.is_quaternion or c2.is_quaternion:
-        # The quaternion chart covers the rotations twice, so no bijective
-        # coordinate change exists and the residual identity cannot hold.
-        raise ValueError("--map auto is undefined for the double-cover quaternion chart")
-    invert = _COORDS_FROM_MATRIX.get(_builtin_tag(spec2))
-    if invert is None:
-        raise ValueError(f"--map auto needs a built-in target chart, not {c2.name!r}")
-
-    def phi(u):
-        return invert(c1.evaluate(u))
-
-    return phi
-
-
 def _cmd_chart_change(args) -> str:
     c1 = load_chart(args.chart1)
     c2 = load_chart(args.chart2)
     point = _parse_point(args.point)
     if args.map == "auto":
-        phi = _auto_map(c1, c2, args.chart2)
+        shift = None
     elif args.map.startswith("shift:"):
-        offset = _parse_point(args.map[len("shift:"):])
-        def phi(u):
-            return u + offset
+        shift = _parse_point(args.map[len("shift:"):])
     else:
         raise ValueError(f"unknown --map {args.map!r}; use 'auto' or 'shift:dx1,dx2,...'")
     residual = chart_change_check(normalize(c1, rule=args.nodes), normalize(c2, rule=args.nodes),
-                                  phi, point)
+                                  point, shift)
     return to_json({"chart1": c1.name, "chart2": c2.name, "point": list(point),
                     "residual": residual})
 

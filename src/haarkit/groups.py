@@ -199,13 +199,6 @@ class GroupElement:
         return f"GroupElement(dim={self.dim}, {kind})"
 
 
-def as_matrix(g) -> np.ndarray:
-    """Coerce a GroupElement or array-like to a float ndarray."""
-    if isinstance(g, GroupElement):
-        return g.matrix
-    return np.asarray(g, dtype=float)
-
-
 def rodrigues(axis, angle: float) -> GroupElement:
     """Rotation about a unit axis: I + sin(a) hat(n) + (1 - cos(a)) hat(n)^2."""
     n = np.asarray(axis, dtype=float)
@@ -304,36 +297,3 @@ def quat_to_rotation(q: Quaternion | np.ndarray) -> GroupElement:
     if not abs(float(np.linalg.norm(arr)) - 1.0) <= INPUT_TOL:
         raise ValueError("quaternion must be unit norm; not normalizing silently")
     return GroupElement.from_matrix(quat_rotation_matrices(arr), tol=CONSTRUCTED_TOL)
-
-
-def rotation_to_quat(m) -> np.ndarray:
-    """The unit quaternion (w >= 0) of a rotation matrix.
-
-    Inverse of quat_rotation_matrices up to the q / -q double cover; the
-    branch on the largest of trace and diagonal keeps the division stable.
-    """
-    m = np.asarray(as_matrix(m), dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 rotation, got shape {m.shape}")
-    if not orthogonality_error(m) <= INPUT_TOL or not np.linalg.det(m) > 0:
-        raise ValueError("expected a proper rotation (orthogonal, det +1)")
-    d0, d1, d2 = m[0, 0], m[1, 1], m[2, 2]
-    t = d0 + d1 + d2
-    if t >= max(d0, d1, d2):
-        r = np.sqrt(1.0 + t)
-        q = np.array([0.5 * r, (m[2, 1] - m[1, 2]) / (2.0 * r),
-                      (m[0, 2] - m[2, 0]) / (2.0 * r), (m[1, 0] - m[0, 1]) / (2.0 * r)])
-    elif d0 >= max(d1, d2):
-        r = np.sqrt(1.0 + d0 - d1 - d2)
-        q = np.array([(m[2, 1] - m[1, 2]) / (2.0 * r), 0.5 * r,
-                      (m[0, 1] + m[1, 0]) / (2.0 * r), (m[0, 2] + m[2, 0]) / (2.0 * r)])
-    elif d1 >= d2:
-        r = np.sqrt(1.0 - d0 + d1 - d2)
-        q = np.array([(m[0, 2] - m[2, 0]) / (2.0 * r), (m[0, 1] + m[1, 0]) / (2.0 * r),
-                      0.5 * r, (m[1, 2] + m[2, 1]) / (2.0 * r)])
-    else:
-        r = np.sqrt(1.0 - d0 - d1 + d2)
-        q = np.array([(m[1, 0] - m[0, 1]) / (2.0 * r), (m[0, 2] + m[2, 0]) / (2.0 * r),
-                      (m[1, 2] + m[2, 1]) / (2.0 * r), 0.5 * r])
-    q /= np.linalg.norm(q)
-    return -q if q[0] < 0 else q

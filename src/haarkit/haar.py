@@ -17,6 +17,11 @@ The sign of det M is an orientation artifact of basis and parameter
 order, so the absolute value is taken before normalizing, on the grid that
 averages reuse.  Group averages read groups.GROUPS: dimension, properness
 (an O-group adds the improper coset) and first chart (the exact rule).
+
+A density also inverts its chart: ``coordinates(g)`` runs batch
+Gauss-Newton (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 10) on
+the exact derivative plan from the grid nodes nearest g.  Changes of chart
+differentiate through the two jacobians, so no step size appears anywhere.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ from .groups import (improper_coset, lookup_group, quat_conjugate, quat_mul,
 from .quadrature import DEFAULT_NODES, QuadratureRule, axis_rule
 
 DEGENERATE_C = 1e-12
-_FD_STEP = 1e-5  # central differences for the Python callable of chart_change_check
+_SEEDS = 64  # grid nodes nearest g that coordinates() starts from
+_ROUNDS = 8  # Gauss-Newton rounds per seed
+_GAP = 1e-13  # largest entry gap |p(u) - g| of an accepted root
 
 
 class NumericalError(RuntimeError):
@@ -86,6 +93,13 @@ def density_numeric(chart: Chart, u) -> float:
 # Normalized densities
 
 
+def _single_cover(chart: Chart) -> Chart:
+    if chart.is_quaternion:
+        raise ValueError(f"chart {chart.name!r} covers the rotations twice (double-cover "
+                         "quaternions), so a rotation has no unique coordinates in it")
+    return chart
+
+
 @dataclass(frozen=True, eq=False)
 class HaarDensity:
     """A chart with its normalized Haar density k(u) = |det M(u)| / C."""
@@ -122,6 +136,40 @@ class HaarDensity:
             raise ValueError(f"density of chart {self.chart.name!r} has no quadrature grid; "
                              "build one with normalize(chart, rule)")
         return self._grid
+
+    def coordinates(self, g) -> np.ndarray:
+        """The point u of the chart's box with p(u) = g.
+
+        Starts from the _SEEDS grid nodes with the largest tr(p^T g), runs
+        _ROUNDS batch Gauss-Newton steps on the exact jacobians, and returns
+        the root of the nearest seed that lies in the box within entry gap
+        _GAP; a seed whose value or jacobian turns non-finite is dropped.
+        NumericalError when no seed gets there, ValueError for quaternions.
+        """
+        chart = _single_cover(self.chart)
+        g = np.asarray(g, dtype=float)
+        if g.shape != chart.shape:
+            raise ValueError(f"chart {chart.name!r} has {chart.shape} matrices, got {g.shape}")
+        rule, _, elements = self.grid()
+        score = elements.reshape(len(elements), -1) @ g.ravel()
+        u = rule.points[np.argsort(-score, kind="stable")[:_SEEDS]]
+        live = np.ones(len(u), dtype=bool)
+        with np.errstate(all="ignore"):  # a seed leaving sqrt's or arccos's domain turns NaN
+            for _ in range(_ROUNDS):
+                gap = (chart.evaluate_many(u) - g).reshape(len(u), -1)
+                jac = chart.jacobian_many(u).reshape(len(u), chart.d, -1)
+                live &= np.isfinite(gap).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
+                step = np.linalg.pinv(np.swapaxes(jac[live], 1, 2)) @ gap[live, :, None]
+                u[live] -= step[:, :, 0]
+            gap = np.abs(chart.evaluate_many(u) - g).reshape(len(u), -1).max(axis=1)
+        lo, hi = chart.domain.T
+        inside = live & np.all((u >= lo) & (u <= hi), axis=1)
+        hits = np.flatnonzero(inside & (gap <= _GAP))
+        if len(hits) == 0:
+            best = f"best entry gap {gap[inside].min():.3g}" if inside.any() else "no root"
+            raise NumericalError(f"no coordinates of chart {chart.name!r} reach the element: "
+                                 f"{best} in the box, above {_GAP:g}")
+        return u[hits[0]]
 
 
 def normalize(chart: Chart, rule=None) -> HaarDensity:
@@ -202,22 +250,32 @@ def _as_density(chart_or_density) -> HaarDensity:
     return normalize(chart_or_density)
 
 
-def chart_change_check(c1, c2, phi, u) -> float:
+def chart_change_check(c1, c2, u, shift=None) -> float:
     """Residual |k1(u) - |det Dphi(u)| * k2(phi(u))| of a change of chart.
 
-    ``phi`` maps coordinates of c1 to coordinates of c2; being a Python
-    callable, it is differentiated by central differences.  Accepts Chart or
+    Without ``shift``, phi goes through the group element: w = phi(u) is
+    c2's coordinates of p1(u), and Dphi solves J2(w) Dphi = J1(u) from the
+    charts' exact jacobians, which needs J2(w) of full column rank.  With
+    ``shift``, phi(u) = u + shift and Dphi = I.  Accepts Chart or
     HaarDensity arguments; charts are normalized on the fly.
     """
     d1 = _as_density(c1)
     d2 = _as_density(c2)
     u = d1.chart.check_point(u)
-    w = np.asarray(phi(u), dtype=float)
-    if not d2.chart.contains(w):
-        raise ValueError(f"phi({u.tolist()}) = {w.tolist()} lands outside chart {d2.chart.name!r}")
-    jac = np.column_stack([np.asarray(phi(u + h), dtype=float) - np.asarray(phi(u - h), dtype=float)
-                           for h in _FD_STEP * np.eye(u.shape[0])]) / (2.0 * _FD_STEP)
-    return float(abs(d1.density(u) - abs(np.linalg.det(jac)) * d2.density(w)))
+    if shift is not None:
+        w = u + np.asarray(shift, dtype=float)
+        if not d2.chart.contains(w):
+            raise ValueError(f"phi({u.tolist()}) = {w.tolist()} lands outside chart {d2.chart.name!r}")
+        return float(abs(d1.density(u) - d2.density(w)))
+    k1 = d1.density(u)  # NumericalError where a slope is infinite, before any solve
+    w = d2.coordinates(_single_cover(d1.chart).evaluate(u))
+    k2 = d2.density(w)
+    j1 = np.reshape(d1.chart.jacobian(u), (len(u), -1)).T  # column k: dp/du_k, flattened
+    j2 = np.reshape(d2.chart.jacobian(w), (len(w), -1)).T
+    if np.linalg.matrix_rank(j2) < len(w):
+        raise ValueError(f"chart {d2.chart.name!r} is singular at {w.tolist()}: "
+                         "its jacobian lacks full column rank")
+    return float(abs(k1 - abs(np.linalg.det(np.linalg.lstsq(j2, j1, rcond=None)[0])) * k2))
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def test_05_invariance_battery():
 
         residual = chart_change_check(builtin_chart("so2-angle"),
                                       builtin_chart("so2-shifted"),
-                                      lambda u: u - np.pi, [2.5])
+                                      [2.5], shift=[-np.pi])
         assert residual < 1e-9
 
 

@@ -214,7 +214,6 @@ def test_non_finite_constant_entry_is_a_chart_error(entry, constant, position):
 
 
 def test_non_finite_constant_in_a_partial_is_a_chart_error():
-    # t * 1e308 * 10 folds nothing, but its partial 1e308 * 10 does
-    chart = Chart.from_source("chart p { params: x in [0, 1e-309]; matrix: [[x * 1e308 * 10]]; }")
+    # x * 1e308 * 10 folds nothing, but its partial 1e308 * 10 does; loading compiles both
     with pytest.raises(ChartError, match=r"constant 1e\+308 \* 10 is not finite"):
-        chart.jacobian_many(np.zeros((1, 1)))
+        Chart.from_source("chart p { params: x in [0, 1e-309]; matrix: [[x * 1e308 * 10]]; }")

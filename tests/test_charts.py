@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from haarkit.chartlang import evaluate_expr, parse_chart
-from haarkit.charts import (BUILTIN_NAMES, Chart, DomainError, angle_from_matrix,
-                            builtin_chart, euler_from_matrix, hyperpolar_from_matrix,
-                            load_chart, polar_from_matrix)
+from haarkit.charts import BUILTIN_NAMES, Chart, DomainError, _Plan, builtin_chart, load_chart
 from haarkit.groups import hat, rodrigues
+from haarkit.haar import normalize
 
 RNG = np.random.default_rng(77)
 
@@ -172,14 +171,10 @@ def test_jacobian_at_closed_box_point():
             assert np.abs(got - ref).max() < 1e-15
 
 
-def test_derivative_plan_is_compiled_once_on_first_use():
-    chart = Chart.from_source(builtin_chart("so3-polar").source())
-    chart.evaluate_many(chart.random_interior(4, RNG))
-    assert "_jacobian_plan" not in vars(chart)  # evaluation and sampling never build it
-    chart.jacobian([1.0, 0.2, 0.5])
-    plan = vars(chart)["_jacobian_plan"]
-    chart.jacobian_many(chart.random_interior(4, RNG))
-    assert vars(chart)["_jacobian_plan"] is plan
+def test_both_plans_are_compiled_at_construction():
+    chart = Chart(parse_chart(builtin_chart("so3-polar").source()))  # not validated, never run
+    assert isinstance(vars(chart)["_plan"], _Plan)
+    assert isinstance(vars(chart)["_jacobian_plan"], _Plan)
 
 
 EVERY_OPERATION = """chart every_op {
@@ -256,43 +251,37 @@ def test_validate_rejects_group_dimension_mismatch():
         Chart.from_source(src)
 
 
-def test_angle_from_matrix_round_trip():
-    chart = builtin_chart("so2-angle")
-    for a in (0.3, 2.0, 5.9):
-        m = chart.evaluate([a])
-        assert np.isclose(angle_from_matrix(m), a)
-    assert np.isclose(angle_from_matrix(chart.evaluate([5.0]), lower=-np.pi),
-                      5.0 - 2 * np.pi)
+EULER_REORDERED = """chart so3_euler {
+  params: beta in [0, pi], alpha in [-pi, pi], gamma in [-pi, pi];
+  group: so(3);
+  matrix: [
+    [cos(alpha)*cos(gamma) - cos(beta)*sin(alpha)*sin(gamma), -cos(alpha)*sin(gamma) - cos(beta)*cos(gamma)*sin(alpha), sin(alpha)*sin(beta)],
+    [cos(gamma)*sin(alpha) + cos(alpha)*cos(beta)*sin(gamma), cos(alpha)*cos(beta)*cos(gamma) - sin(alpha)*sin(gamma), -cos(alpha)*sin(beta)],
+    [sin(beta)*sin(gamma), cos(gamma)*sin(beta), cos(beta)]
+  ];
+}
+"""
 
 
-def test_euler_from_matrix_round_trip():
-    chart = builtin_chart("so3-euler")
-    for u in chart.random_interior(30, RNG, margin=0.05):
-        m = chart.evaluate(u)
-        assert np.allclose(euler_from_matrix(m), u, atol=1e-10)
+HALF_TURN = """chart half_turn {
+  params: t in [0, pi];
+  group: so(2);
+  matrix: [[cos(2*t), -sin(2*t)], [sin(2*t), cos(2*t)]];
+}"""
+
+USER_CHARTS = {"euler-reordered": EULER_REORDERED, "half-turn": HALF_TURN}
+NAMED_POINTS = {"so3-polar": [[2.0, 0.4, np.pi - 1e-3], [5.5, -1.2, np.pi - 1e-6]],
+                "so3-euler": [[0.7, 0.01, -2.5], [-3.0, 0.01, 3.0]]}
 
 
-def test_polar_from_matrix_round_trip():
-    chart = builtin_chart("so3-polar")
-    for u in chart.random_interior(30, RNG, margin=0.05):
-        m = chart.evaluate(u)
-        assert np.allclose(polar_from_matrix(m), u, atol=1e-8)
-
-
-def test_hyperpolar_from_matrix_round_trip():
-    chart = builtin_chart("so3-quat")
-    for u in chart.random_interior(30, RNG, margin=0.05):
-        q = chart.quaternions_at(u[None])[0]
-        if q[0] < 0:
-            continue  # inversion returns the w >= 0 sheet only
-        from haarkit.groups import quat_rotation_matrices
-        m = quat_rotation_matrices(q[None])[0]
-        assert np.allclose(hyperpolar_from_matrix(m), u, atol=1e-8)
-
-
-def test_hyperpolar_from_matrix_degenerate():
-    with pytest.raises(ValueError):
-        hyperpolar_from_matrix(np.eye(3))
+@pytest.mark.parametrize("name", [*(t for t in BUILTIN_NAMES if t != "so3-quat"), *USER_CHARTS])
+def test_coordinates_round_trip(name):
+    # every single-cover chart, near polar's alpha = pi seam and Euler's beta = 0 too
+    chart = Chart.from_source(USER_CHARTS[name]) if name in USER_CHARTS else builtin_chart(name)
+    density = normalize(chart)
+    points = [*chart.random_interior(30, RNG, margin=0.02), *NAMED_POINTS.get(name, [])]
+    for u in points:
+        assert np.abs(density.coordinates(chart.evaluate(u)) - u).max() <= 1e-12
 
 
 def test_source_round_trip():

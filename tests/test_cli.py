@@ -6,8 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from haarkit.charts import builtin_chart, load_chart
 from haarkit.cli import format_float, main, to_json
+from haarkit.haar import normalize
 from malformed_charts import MALFORMED
+from test_charts import EULER_REORDERED
 
 
 def run(capsys, *argv):
@@ -333,44 +336,69 @@ def test_non_finite_constant_exits_1(entry, prefix, tmp_path, capsys):
     assert "is not finite" in err and "Warning" not in err
 
 
-EULER_REORDERED = """chart so3_euler {
-  params: beta in [0, pi], alpha in [-pi, pi], gamma in [-pi, pi];
-  group: so(3);
-  matrix: [
-    [cos(alpha)*cos(gamma) - cos(beta)*sin(alpha)*sin(gamma), -cos(alpha)*sin(gamma) - cos(beta)*cos(gamma)*sin(alpha), sin(alpha)*sin(beta)],
-    [cos(gamma)*sin(alpha) + cos(alpha)*cos(beta)*sin(gamma), cos(alpha)*cos(beta)*cos(gamma) - sin(alpha)*sin(gamma), -cos(alpha)*sin(beta)],
-    [sin(beta)*sin(gamma), cos(gamma)*sin(beta), cos(beta)]
-  ];
-}
-"""
-
-
 @pytest.mark.parametrize("name", ["euler.chart", "so3-euler"])
 def test_auto_map_picks_the_inverse_by_builtin_tag_not_chart_name(name, tmp_path, monkeypatch,
                                                                   capsys):
-    # a user chart named so3_euler, even in a file named like the tag, is no built-in
+    # a user chart named so3_euler, even in a file named like the tag, is no built-in: it is
+    # inverted as itself, (beta, alpha, gamma), where the built-in order would miss the density
     monkeypatch.chdir(tmp_path)
     (tmp_path / name).write_text(EULER_REORDERED)
-    code, out, err = run(capsys, "chart-change", "--chart1", "builtin:so3-euler",
-                         "--chart2", name, "--point", "0.4,1.1,2.0", "--nodes", "8")
-    assert (code, out) == (1, "")
-    assert "needs a built-in target chart" in err
+    code, out, _ = run(capsys, "chart-change", "--chart1", "builtin:so3-euler",
+                       "--chart2", name, "--point", "0.4,1.1,2.0", "--nodes", "8")
+    assert code == 0
+    assert json.loads(out)["residual"] <= 1e-15
 
 
 @pytest.mark.parametrize("argv,expected", [
     (["--chart1", "builtin:so3-euler", "--chart2", "builtin:so3-polar", "--point", "0.4,1.1,2.0"],
      '{"chart1": "so3_euler", "chart2": "so3_polar", "point": [0.40000000000000002, '
-     '1.1000000000000001, 2], "residual": 2.0809395873122583e-13}\n'),
+     '1.1000000000000001, 2], "residual": 0}\n'),
     (["--chart1", "builtin:so3-polar", "--chart2", "builtin:so3-euler", "--point", "0.4,0.3,2.0"],
      '{"chart1": "so3_polar", "chart2": "so3_euler", "point": [0.40000000000000002, '
-     '0.29999999999999999, 2], "residual": 9.8623886835014218e-13}\n'),
+     '0.29999999999999999, 2], "residual": 3.4694469519536142e-17}\n'),
     (["--chart1", "builtin:so2-angle", "--chart2", "builtin:so2-shifted", "--point", "2.5"],
      '{"chart1": "so2_angle", "chart2": "so2_shifted", "point": [2.5], '
-     '"residual": 6.0252636213675714e-12}\n'),
+     '"residual": 2.7755575615628914e-17}\n'),
 ])
 def test_auto_map_to_builtin_targets_keeps_its_bytes(argv, expected, capsys):
     code, out, _ = run(capsys, "chart-change", *argv, "--map", "auto")
     assert (code, out) == (0, expected)
+    assert json.loads(out)["residual"] <= 1e-15
+
+
+def test_auto_map_to_a_target_singular_at_the_image_exits_1(capsys):
+    # psi = pi/2 is a rotation about e3, where Euler's beta = 0 leaves alpha + gamma only
+    code, out, err = run(capsys, "chart-change", "--chart1", "builtin:so3-polar",
+                         "--chart2", "builtin:so3-euler", "--point", "0,1.5707963267948966,1")
+    assert (code, out) == (1, "")
+    assert "chart 'so3_euler' is singular at" in err and "full column rank" in err
+
+
+def test_auto_map_to_a_sqrt_chart(tmp_path, capsys):
+    # t = alpha^2, so Dphi = 2 alpha and k2(t) = 1 / (2 sqrt(t) C2): the residual is |1/C1 - 1/C2|,
+    # with C2 from quadrature of the integrable 1 / (2 sqrt(t))
+    path = tmp_path / "root.chart"
+    path.write_text("chart root { params: t in [0, 4*pi^2]; group: so(2); "
+                    "matrix: [[cos(sqrt(t)), -sin(sqrt(t))], [sin(sqrt(t)), cos(sqrt(t))]]; }")
+    c1, c2 = (normalize(load_chart(spec)).C for spec in ("builtin:so2-angle", str(path)))
+    for point in ("2.5", "0"):  # the image of 0 is t = 4 pi^2; t = 0 has an infinite slope
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "chart-change", "--chart1", "builtin:so2-angle",
+                               "--chart2", str(path), "--point", point)
+        assert code == 0
+        assert json.loads(out)["residual"] == pytest.approx(abs(1 / c1 - 1 / c2), rel=1e-12)
+
+
+@pytest.mark.parametrize("chart2", ["builtin:so3-quat", "quat.chart"])
+def test_auto_map_refuses_a_double_cover_target(chart2, tmp_path, monkeypatch, capsys):
+    # test_chart_change_rejects_double_cover has the quaternion chart as the source
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "quat.chart").write_text(builtin_chart("so3-quat").source())
+    code, out, err = run(capsys, "chart-change", "--chart1", "builtin:so3-polar", "--chart2", chart2,
+                         "--point", "1,1,1", "--nodes", "8")
+    assert (code, out) == (1, "")
+    assert "double-cover" in err
 
 
 def test_untagged_chart_not_finite_on_its_domain_exits_1(tmp_path, capsys):

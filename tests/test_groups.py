@@ -5,7 +5,7 @@ import pytest
 
 from haarkit.groups import (GroupElement, Quaternion, frobenius, hat, quat_conjugate,
                             quat_mul, quat_rotation_matrices, quat_to_rotation,
-                            reflection, rodrigues, rotation_to_quat, so_algebra_basis,
+                            reflection, rodrigues, so_algebra_basis,
                             vee)
 from haarkit.groups import improper_coset
 
@@ -141,30 +141,6 @@ def test_quaternion_rotate_agrees_with_matrix():
 def test_quat_to_rotation_requires_unit():
     with pytest.raises(ValueError):
         quat_to_rotation(np.array([1.0, 1.0, 0.0, 0.0]))
-
-
-def test_rotation_to_quat_round_trip():
-    for _ in range(50):
-        m = random_rotation()
-        q = rotation_to_quat(m)
-        assert q[0] >= 0.0
-        assert np.isclose(np.linalg.norm(q), 1.0, atol=1e-12)
-        assert np.allclose(quat_rotation_matrices(q[None])[0], m, atol=1e-12)
-
-
-def test_rotation_to_quat_all_branches():
-    # near-pi rotations about each axis exercise the non-trace branches
-    for axis in np.eye(3):
-        m = rodrigues(axis, np.pi - 1e-3).matrix
-        q = rotation_to_quat(m)
-        assert np.allclose(quat_rotation_matrices(q[None])[0], m, atol=1e-10)
-    q = rotation_to_quat(np.eye(3))
-    assert np.allclose(q, [1, 0, 0, 0])
-
-
-def test_rotation_to_quat_rejects_improper():
-    with pytest.raises(ValueError):
-        rotation_to_quat(np.diag([-1.0, 1.0, 1.0]))
 
 
 def test_improper_coset_representatives():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from haarkit.groups import (GroupElement, Quaternion, quat_to_rotation, reflection, rodrigues,
-                            rotation_to_quat, vee)
+                            vee)
 from haarkit.orbit import OrbitSpec
 from haarkit.reynolds import FiniteGroup
 from haarkit.sampling import invert_cdf
@@ -19,7 +19,6 @@ NAN_AXIS = np.array([np.nan, 0.0, 0.0])
 CASES = {
     "from_matrix": lambda: GroupElement.from_matrix(NAN3),
     "from_matrix_one_entry": lambda: GroupElement.from_matrix(np.diag([1.0, np.nan, 1.0])),
-    "rotation_to_quat": lambda: rotation_to_quat(NAN3),
     "vee": lambda: vee(NAN3),
     "rodrigues_axis": lambda: rodrigues(NAN_AXIS, 0.3),
     "reflection_normal": lambda: reflection(NAN_AXIS),
