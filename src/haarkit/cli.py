@@ -6,6 +6,12 @@ normalization, non-convergence, under-resolved quadrature).  JSON output
 carries 17 significant digits so values round-trip through text; human
 tables use 9.  All angles are radians.  Identical argv (and seed) produce
 byte-identical stdout.
+
+Every float prints as format_float prints it: ``'%.17g'``, with "0" for
+-0.0 and "NaN" for NaN.  ``sample`` output goes through format_rows, which
+keeps those bytes but builds the digits of 1e-4 <= |x| < 1 as integers in
+numpy and leaves only other values, rounding carries and near-ties to
+format_float.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import numpy as np
 from .chartlang import ChartError
 from .charts import DomainError, load_chart
 from .groups import GROUPS, lookup_group
-from .haar import NumericalError, chart_change_check, closed_form, integrate_scalar, normalize
+from .haar import (NumericalError, chart_change_check, check_element_map, closed_form,
+                   integrate_scalar, normalize)
 from .orbit import OrbitSpec, covariance, mc_moments, moment
 from .reynolds import dim_invariants_closed, dim_invariants_quadrature, reynolds_continuous
 from .sampling import SamplerConfig, sample
@@ -62,17 +69,79 @@ def _nested(array: np.ndarray):
     return array.tolist() if isinstance(array, np.ndarray) else array
 
 
+# The decimal exponents k the numpy path of format_rows prints, and 10^(16-k)
+# for each: 17 significant digits of 1e-4 <= |x| < 1 are |x| 10^(16-k)
+# rounded.  Every 10^(16-k) is an exact double (5^20 < 2^53), so Dekker's
+# two-product below gives |x| 10^(16-k) exactly as a sum of two doubles.
+_EXPONENTS = range(-4, 0)
+_SCALES = np.array([float(10 ** (16 - k)) for k in _EXPONENTS])
+# "%s%s" slot prefixes of the numpy path, indexed by 4 * (x < 0) + k + 4.
+_PREFIXES = np.array([sign + "0." + "0" * (-k - 1) for sign in ("", "-") for k in _EXPONENTS],
+                     dtype=object)
+# Fractions this close to 1/2 go to format_float: the product is exact, but
+# its fraction 1 + lo is rounded where lo is a small negative part.
+_TIE_MARGIN = 1e-6
+
+
+def _split(a):
+    """Veltkamp's split of a into hi + lo, each with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_SCALES_HI, _SCALES_LO = _split(_SCALES)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """Floor (int64) and fraction of a * 10^(16-k) by Dekker's exact two-product.
+
+    Exact where the product is at least 2^53, so p is an integer; a smaller
+    one has the wrong k, and format_rows reads only that it is below 10^16.
+    """
+    i = k + 4
+    p = a * _SCALES[i]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _SCALES_HI[i], _SCALES_LO[i]
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    whole = np.floor(e)
+    return p.astype(np.int64) + whole.astype(np.int64), e - whole
+
+
 def format_rows(template: str, rows: np.ndarray) -> str:
     """One line per row of ``rows``, each value filling one ``%.17g`` slot.
 
-    The same bytes as format_float on every value: adding 0.0 turns -0.0
-    into 0, and a batch holding a NaN goes through format_float itself.
+    The bytes are those of format_float on every value.  Values with
+    1e-4 <= |x| < 1, nearly every entry of a rotation or a unit quaternion,
+    get their 17 digits as an integer from numpy and print as a sign, "0.",
+    zeros and that integer with its trailing zeros dropped.  format_float
+    itself prints every other value (0, +-1, tiny roundoff, +-inf, NaN), a
+    value whose rounding carries to the next power of ten, and one within
+    _TIE_MARGIN of a rounding tie.
     """
     flat = rows.reshape(len(rows), -1)
-    if np.isnan(flat).any():
-        text = template.replace(_SLOT, "%s")
-        return "\n".join(text % tuple(format_float(x) for x in row) for row in flat)
-    return "\n".join(template % tuple(row) for row in (flat + 0.0).tolist())
+    x = flat.ravel()
+    a = np.abs(x)
+    fast = np.flatnonzero((a >= 1e-4) & (a < 1.0))  # false for NaN
+    a = a[fast]
+    k = np.clip(np.floor(np.log10(a)), -4, -1).astype(np.intp)
+    digits, frac = _scaled(a, k)
+    digits += frac > 0.5
+    # Outside [10^16, 10^17): a carry to the next power of ten, or a k that
+    # log10 picked one off within a few ulp of a power of ten.
+    ok = (digits >= 10**16) & (digits < 10**17) & (np.abs(frac - 0.5) >= _TIE_MARGIN)
+    for power in (10**16, 10**8, 10**4, 10**2, 10):  # drop trailing zeros
+        np.floor_divide(digits, power, out=digits, where=digits % power == 0)
+    pairs = np.empty((len(x), 2), dtype=object)
+    done = fast[ok]
+    pairs[done, 0] = _PREFIXES[4 * (x[done] < 0) + k[ok] + 4]
+    pairs[done, 1] = digits[ok]
+    rest = np.ones(len(x), dtype=bool)
+    rest[done] = False
+    pairs[rest, 0] = [format_float(value) for value in x[rest].tolist()]
+    pairs[rest, 1] = ""
+    text = "\n".join([template.replace(_SLOT, "%s%s")] * len(flat))
+    return text % tuple(pairs.ravel().tolist())
 
 
 def _row_template(shape: tuple[int, ...], key: str | None) -> str:
@@ -245,13 +314,15 @@ def _cmd_orbit_moments(args) -> str:
 def _cmd_chart_change(args) -> str:
     c1 = load_chart(args.chart1)
     c2 = load_chart(args.chart2)
-    point = _parse_point(args.point)
+    point = c1.check_point(_parse_point(args.point))
     if args.map == "auto":
         shift = None
     elif args.map.startswith("shift:"):
         shift = _parse_point(args.map[len("shift:"):])
     else:
         raise ValueError(f"unknown --map {args.map!r}; use 'auto' or 'shift:dx1,dx2,...'")
+    if shift is None:
+        check_element_map(c1, c2)  # refuse before either quadrature
     residual = chart_change_check(normalize(c1, rule=args.nodes), normalize(c2, rule=args.nodes),
                                   point, shift)
     return to_json({"chart1": c1.name, "chart2": c2.name, "point": list(point),

@@ -100,6 +100,22 @@ def _single_cover(chart: Chart) -> Chart:
     return chart
 
 
+def _check_shape(chart: Chart, shape: tuple) -> None:
+    if shape != chart.shape:
+        raise ValueError(f"chart {chart.name!r} has {chart.shape} matrices, got {shape}")
+
+
+def check_element_map(chart1: Chart, chart2: Chart) -> None:
+    """ValueError where no change of chart goes through the group element.
+
+    That is a double-cover (quaternion) chart on either side, or charts
+    with matrices of different shapes.  Reads the charts only, so a caller
+    can refuse before any quadrature.
+    """
+    _single_cover(chart1)
+    _check_shape(_single_cover(chart2), chart1.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class HaarDensity:
     """A chart with its normalized Haar density k(u) = |det M(u)| / C."""
@@ -148,8 +164,7 @@ class HaarDensity:
         """
         chart = _single_cover(self.chart)
         g = np.asarray(g, dtype=float)
-        if g.shape != chart.shape:
-            raise ValueError(f"chart {chart.name!r} has {chart.shape} matrices, got {g.shape}")
+        _check_shape(chart, g.shape)
         rule, _, elements = self.grid()
         score = elements.reshape(len(elements), -1) @ g.ravel()
         u = rule.points[np.argsort(-score, kind="stable")[:_SEEDS]]
@@ -257,8 +272,11 @@ def chart_change_check(c1, c2, u, shift=None) -> float:
     c2's coordinates of p1(u), and Dphi solves J2(w) Dphi = J1(u) from the
     charts' exact jacobians, which needs J2(w) of full column rank.  With
     ``shift``, phi(u) = u + shift and Dphi = I.  Accepts Chart or
-    HaarDensity arguments; charts are normalized on the fly.
+    HaarDensity arguments; charts are normalized on the fly, after the
+    refusals of check_element_map.
     """
+    if shift is None:
+        check_element_map(*(c.chart if isinstance(c, HaarDensity) else c for c in (c1, c2)))
     d1 = _as_density(c1)
     d2 = _as_density(c2)
     u = d1.chart.check_point(u)
@@ -268,7 +286,7 @@ def chart_change_check(c1, c2, u, shift=None) -> float:
             raise ValueError(f"phi({u.tolist()}) = {w.tolist()} lands outside chart {d2.chart.name!r}")
         return float(abs(d1.density(u) - d2.density(w)))
     k1 = d1.density(u)  # NumericalError where a slope is infinite, before any solve
-    w = d2.coordinates(_single_cover(d1.chart).evaluate(u))
+    w = d2.coordinates(d1.chart.evaluate(u))
     k2 = d2.density(w)
     j1 = np.reshape(d1.chart.jacobian(u), (len(u), -1)).T  # column k: dp/du_k, flattened
     j2 = np.reshape(d2.chart.jacobian(w), (len(w), -1)).T

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from haarkit.chartlang import evaluate_expr, parse_chart
 from haarkit.charts import BUILTIN_NAMES, Chart, builtin_chart
-from haarkit.cli import _row_template, format_float, format_rows, to_json
+from haarkit.cli import _row_template, format_float, format_rows, main, to_json
 from haarkit.groups import GROUPS as GROUP_CHARTS, improper_coset
 from haarkit.haar import NumericalError
 from haarkit.sampling import (CDF_TOL, MAX_NEWTON, SamplerConfig, _angle_cdf,
@@ -276,6 +276,21 @@ SPECIAL = [-0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
            1e-310, 1.0 / 3.0, -2.0 / 3.0, 1e22, 123456789012345678.0, 1.0, -1.0]
 
 
+def ulp_neighbours(x: float) -> list[float]:
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# Where the numpy path of format_rows starts and stops: 1e-4 and the powers
+# of ten around it, the doubles just below 1, and dyadic values whose 17-digit
+# scaling odd / 2^(17-k) * 10^(16-k) is an exact half (rounding ties), each
+# with its neighbours one ulp away.
+BOUNDARY = [v for x in [1e-4] + [10.0**k for k in range(-5, 2)] for v in ulp_neighbours(x)]
+BOUNDARY += [0.99999999999999994, 1.0 - 2**-53, 5e-324, 1.0, -1.0, 0.0, -0.0, np.inf, -np.inf]
+BOUNDARY += [v for k, odd in [(-1, 26215), (-1, 262143), (-2, 5243), (-3, 1049), (-4, 211)]
+             for v in ulp_neighbours(odd / 2.0 ** (17 - k))]
+BOUNDARY += [-v for v in BOUNDARY]
+
+
 def reference_lines(rows: np.ndarray, key) -> str:
     lines = []
     for value in rows:
@@ -288,13 +303,43 @@ def reference_lines(rows: np.ndarray, key) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("shape, key", [((3, 3), "R"), ((2, 2), "R"), ((4,), "q"),
-                                        ((3, 3), None), ((2, 2), None)])
+TEMPLATES = [((3, 3), "R"), ((2, 2), "R"), ((4,), "q"), ((3, 3), None), ((2, 2), None)]
+
+
+@pytest.mark.parametrize("shape, key", TEMPLATES)
 @pytest.mark.parametrize("with_nan", [False, True])
 def test_format_rows_matches_format_float(shape, key, with_nan):
     size = int(np.prod(shape))
-    values = np.concatenate([SPECIAL, RNG.normal(size=60 * size - len(SPECIAL))])
+    fixed = SPECIAL + BOUNDARY
+    values = np.concatenate([fixed, RNG.normal(size=60 * size - len(fixed))])
     rows = RNG.permutation(values).reshape(60, *shape)
     if with_nan:
         rows.reshape(-1)[7] = np.nan
     assert format_rows(_row_template(shape, key), rows) == reference_lines(rows, key)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(template=st.sampled_from(TEMPLATES), data=st.data())
+def test_format_rows_matches_format_float_on_drawn_floats(template, data):
+    shape, key = template
+    size = int(np.prod(shape))
+    count = data.draw(st.integers(1, 6))
+    values = data.draw(st.lists(st.floats(), min_size=size * count, max_size=size * count))
+    rows = np.array(values, dtype=float).reshape(count, *shape)
+    assert format_rows(_row_template(shape, key), rows) == reference_lines(rows, key)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("group, chart", [(g, c) for g in GROUP_CHARTS for c in GROUP_CHARTS[g]])
+def test_sample_output_matches_format_float(group, chart, fmt, capsys):
+    config = SamplerConfig(group=group, chart=chart, seed=9, count=3000)
+    batch = sample(config)
+    if fmt == "csv":
+        rows, key = batch.matrices, None
+    elif batch.quaternions is not None:
+        rows, key = batch.quaternions, "q"
+    else:
+        rows, key = batch.matrices, "R"
+    assert main(["sample", "--group", group, "--chart", chart, "-n", "3000", "--seed", "9",
+                 "--format", fmt]) == 0
+    assert capsys.readouterr().out == reference_lines(rows, key) + "\n"
