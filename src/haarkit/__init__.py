@@ -10,15 +10,15 @@ from .chartlang import ChartError, parse_chart, print_chart
 from .charts import (BUILTIN_NAMES, Chart, DomainError, builtin_chart, load_chart)
 from .groups import (GroupElement, Quaternion, frobenius, hat, rodrigues,
                      so_algebra_basis, vee)
-from .haar import (HaarDensity, NumericalError, chart_change_check, closed_form,
-                   closed_form_density, density_numeric, integrate_scalar,
-                   integrate_tensor, normalize)
+from .haar import (HaarDensity, NumericalError, chart_change_check, density_numeric,
+                   integrate_scalar, integrate_tensor, normalize)
 from .orbit import OrbitSpec, covariance, mc_moments, moment
 from .quadrature import QuadratureRule
 from .reynolds import (FiniteGroup, dim_invariants_closed, dim_invariants_quadrature,
                        invariant_rank, reynolds_continuous, reynolds_finite,
                        reynolds_matrix)
-from .sampling import SampleBatch, SamplerConfig, invert_cdf, sample
+from .sampling import (SampleBatch, SamplerConfig, closed_form, closed_form_density,
+                       invert_cdf, sample)
 from .tensors import Tensor, act, act_batch, as_tensor, outer_power
 
 __version__ = "0.1.0"

@@ -30,9 +30,9 @@ import numpy as np
 
 from .chartlang import (FUNCTIONS, BinOp, Call, ChartAst, ChartError, Neg, Num, Pow, Var,
                         differentiate, evaluate_expr, parse_chart, print_chart, print_expr)
-from .groups import INPUT_TOL, lookup_group, orthogonality_error
+from .groups import GROUPS, INPUT_TOL, lookup_group, orthogonality_error
 
-BUILTIN_NAMES = ("so2-angle", "so2-shifted", "so3-euler", "so3-polar", "so3-quat")
+BUILTIN_NAMES = tuple(dict.fromkeys(tag for group in GROUPS.values() for tag in group.charts))
 
 _VALIDATION_POINTS = 100
 _VALIDATION_SEED = 0x5EED

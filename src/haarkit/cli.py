@@ -8,7 +8,9 @@ tables use 9.  All angles are radians.  Identical argv (and seed) produce
 byte-identical stdout.
 
 Every float prints as format_float prints it: ``'%.17g'``, with "0" for
--0.0 and "NaN" for NaN.  ``sample`` output goes through format_rows, which
+-0.0 and "NaN" for NaN.  The exception is ``reynolds``, which prints
+Tensor.to_json: json.dumps, so shortest-repr floats ("0.0", "1.5") with
+-0.0 kept.  ``sample`` output goes through format_rows, which
 keeps those bytes but builds the digits of 1e-4 <= |x| < 1 as integers in
 numpy and leaves only other values, rounding carries and near-ties to
 format_float.
@@ -24,11 +26,11 @@ import numpy as np
 from .chartlang import ChartError
 from .charts import DomainError, load_chart
 from .groups import GROUPS, lookup_group
-from .haar import (NumericalError, chart_change_check, check_element_map, closed_form,
-                   integrate_scalar, normalize)
+from .haar import (NumericalError, chart_change_check, check_chart_map, integrate_scalar,
+                   normalize)
 from .orbit import OrbitSpec, covariance, mc_moments, moment
 from .reynolds import dim_invariants_closed, dim_invariants_quadrature, reynolds_continuous
-from .sampling import SamplerConfig, sample
+from .sampling import SamplerConfig, closed_form, sample
 from .tensors import Tensor
 
 JSON_DIGITS = 17
@@ -314,15 +316,14 @@ def _cmd_orbit_moments(args) -> str:
 def _cmd_chart_change(args) -> str:
     c1 = load_chart(args.chart1)
     c2 = load_chart(args.chart2)
-    point = c1.check_point(_parse_point(args.point))
+    point = _parse_point(args.point)
     if args.map == "auto":
         shift = None
     elif args.map.startswith("shift:"):
         shift = _parse_point(args.map[len("shift:"):])
     else:
         raise ValueError(f"unknown --map {args.map!r}; use 'auto' or 'shift:dx1,dx2,...'")
-    if shift is None:
-        check_element_map(c1, c2)  # refuse before either quadrature
+    point = check_chart_map(c1, c2, point, shift)  # refuse before either quadrature
     residual = chart_change_check(normalize(c1, rule=args.nodes), normalize(c2, rule=args.nodes),
                                   point, shift)
     return to_json({"chart1": c1.name, "chart2": c2.name, "point": list(point),

@@ -81,12 +81,7 @@ def density_numeric(chart: Chart, u) -> float:
     """Unnormalized |det M(u)| at a single point of the closed domain, or
     NumericalError where it is not finite (sqrt's infinite slope at 0, say).
     """
-    u = chart.check_point(u)
-    value = float(density_numeric_many(chart, u[None, :])[0])
-    if not np.isfinite(value):
-        raise NumericalError(
-            f"density of chart {chart.name!r} is not finite at {u.tolist()}")
-    return value
+    return HaarDensity(chart, 1.0, lambda pts: density_numeric_many(chart, pts)).density(u)
 
 
 # ---------------------------------------------------------------------------
@@ -105,39 +100,48 @@ def _check_shape(chart: Chart, shape: tuple) -> None:
         raise ValueError(f"chart {chart.name!r} has {chart.shape} matrices, got {shape}")
 
 
-def check_element_map(chart1: Chart, chart2: Chart) -> None:
-    """ValueError where no change of chart goes through the group element.
+def check_chart_map(chart1: Chart, chart2: Chart, u, shift=None) -> np.ndarray:
+    """u as a point of chart1, or ValueError where no change of chart maps it.
 
-    That is a double-cover (quaternion) chart on either side, or charts
-    with matrices of different shapes.  Reads the charts only, so a caller
-    can refuse before any quadrature.
+    Through the group element (no ``shift``) that is a double-cover
+    (quaternion) chart on either side, or charts with matrices of different
+    shapes; with ``shift``, a u + shift outside chart2.  Reads the charts
+    only, so a caller can refuse before any quadrature.
     """
-    _single_cover(chart1)
-    _check_shape(_single_cover(chart2), chart1.shape)
+    u = chart1.check_point(u)
+    if shift is None:
+        _single_cover(chart1)
+        _check_shape(_single_cover(chart2), chart1.shape)
+    elif not chart2.contains(w := u + np.asarray(shift, dtype=float)):
+        raise ValueError(f"phi({u.tolist()}) = {w.tolist()} lands outside chart {chart2.name!r}")
+    return u
 
 
 @dataclass(frozen=True, eq=False)
 class HaarDensity:
-    """A chart with its normalized Haar density k(u) = |det M(u)| / C."""
+    """A chart with its normalized Haar density k(u) = unnormalized(u) / C.
+
+    ``unnormalized`` maps an (N, d) batch to (N,) values and C is its
+    integral over the domain: |det M| for normalize, the product of the
+    coordinate laws for sampling.closed_form.
+    """
 
     chart: Chart
     C: float
-    mode: str  # "numeric" | "closed-form"
-    _closed_unnormalized: object = None  # (N, d) -> (N,); C is its integral over the domain
+    unnormalized: object
     _grid: tuple | None = field(default=None, repr=False)  # (rule, weighted, elements)
 
     def density_many(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if self.mode == "closed-form":
-            raw = self._closed_unnormalized(pts)
-        else:
-            raw = density_numeric_many(self.chart, pts)
-        return raw / self.C
+        return self.unnormalized(np.asarray(points, dtype=float)) / self.C
 
     def density(self, u) -> float:
-        if self.mode == "numeric":  # NumericalError where |det M| is not finite
-            return density_numeric(self.chart, u) / self.C
-        return float(self.density_many(self.chart.check_point(u)[None, :])[0])
+        """k(u) at a point of the closed domain, or NumericalError where it is not finite."""
+        u = self.chart.check_point(u)
+        value = float(self.density_many(u[None, :])[0])
+        if not np.isfinite(value):
+            raise NumericalError(
+                f"density of chart {self.chart.name!r} is not finite at {u.tolist()}")
+        return value
 
     __call__ = density
 
@@ -202,57 +206,8 @@ def normalize(chart: Chart, rule=None) -> HaarDensity:
     c = float(rule.integrate(raw))
     if c < DEGENERATE_C:
         raise NumericalError(f"chart {chart.name!r} is degenerate: C = {c:.3g} below {DEGENERATE_C:g}")
-    return HaarDensity(chart=chart, C=c, mode="numeric",
+    return HaarDensity(chart=chart, C=c, unnormalized=lambda pts: density_numeric_many(chart, pts),
                        _grid=(rule, rule.weights * (raw / c), elements))
-
-
-# Closed forms for the built-in charts: unnormalized integrand and its C.
-# Each C is the exact integral of its own integrand over the chart domain,
-# so the normalized closed and numeric densities agree even where the two
-# constants differ: the axis-angle integrand cos(psi) sin^2(alpha/2)
-# integrates to 2 pi^2, while the numeric |det M| = 4 cos(psi) sin^2(alpha/2)
-# gives 8 pi^2.  The numeric engine above is the arbiter and the acceptance
-# suite checks agreement at 1e-6.
-
-
-def _closed_so2(pts):
-    return np.ones(pts.shape[0])
-
-
-def _closed_euler(pts):
-    return np.sin(pts[:, 1])
-
-
-def _closed_polar(pts):
-    return np.cos(pts[:, 1]) * np.sin(pts[:, 2] / 2.0) ** 2
-
-
-def _closed_quat(pts):
-    return np.sin(pts[:, 0]) ** 2 * np.sin(pts[:, 1])
-
-
-_CLOSED_FORMS = {
-    "so2-angle": (_closed_so2, 2.0 * np.pi),
-    "so2-shifted": (_closed_so2, 2.0 * np.pi),
-    "so3-euler": (_closed_euler, 8.0 * np.pi**2),
-    "so3-polar": (_closed_polar, 2.0 * np.pi**2),
-    "so3-quat": (_closed_quat, 2.0 * np.pi**2),
-}
-
-
-def closed_form(tag: str) -> HaarDensity:
-    """The reference density of a built-in chart with its exact constant."""
-    if tag not in _CLOSED_FORMS:
-        raise KeyError(f"no closed-form density for tag {tag!r}; "
-                       f"available: {', '.join(sorted(_CLOSED_FORMS))}")
-    fn, c = _CLOSED_FORMS[tag]
-    return HaarDensity(chart=builtin_chart(tag), C=c, mode="closed-form",
-                       _closed_unnormalized=fn)
-
-
-def closed_form_density(tag: str, u) -> float:
-    """Normalized closed-form density of a built-in chart at a point."""
-    return closed_form(tag).density(u)
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +228,13 @@ def chart_change_check(c1, c2, u, shift=None) -> float:
     charts' exact jacobians, which needs J2(w) of full column rank.  With
     ``shift``, phi(u) = u + shift and Dphi = I.  Accepts Chart or
     HaarDensity arguments; charts are normalized on the fly, after the
-    refusals of check_element_map.
+    refusals of check_chart_map.
     """
-    if shift is None:
-        check_element_map(*(c.chart if isinstance(c, HaarDensity) else c for c in (c1, c2)))
+    u = check_chart_map(*(c.chart if isinstance(c, HaarDensity) else c for c in (c1, c2)), u, shift)
     d1 = _as_density(c1)
     d2 = _as_density(c2)
-    u = d1.chart.check_point(u)
     if shift is not None:
-        w = u + np.asarray(shift, dtype=float)
-        if not d2.chart.contains(w):
-            raise ValueError(f"phi({u.tolist()}) = {w.tolist()} lands outside chart {d2.chart.name!r}")
-        return float(abs(d1.density(u) - d2.density(w)))
+        return float(abs(d1.density(u) - d2.density(u + np.asarray(shift, dtype=float))))
     k1 = d1.density(u)  # NumericalError where a slope is infinite, before any solve
     w = d2.coordinates(d1.chart.evaluate(u))
     k2 = d2.density(w)

@@ -1,10 +1,11 @@
 """Uniform sampling of SO(2), O(2), SO(3), O(3) via per-coordinate inverse CDFs.
 
 A group samples through the built-in charts of its row of groups.GROUPS,
-the first by default.  Each chart factorizes the uniform density into
-independent coordinate laws, so sampling reduces to inverting one scalar
-CDF per coordinate: Euler needs beta = arccos(1 - 2U); the axis-angle chart
-needs the angle CDF (alpha - sin alpha)/pi; the hyperpolar chart needs
+the first by default.  Each built-in chart factorizes the uniform density
+into independent coordinate laws, its row of CHART_LAWS, which gives both
+the sampler (one scalar inverse CDF per coordinate) and the closed-form
+density.  Euler needs beta = arccos(1 - 2U); the axis-angle chart needs
+the angle CDF (alpha - sin alpha)/pi; the hyperpolar chart needs
 (2 theta - sin 2 theta)/(2 pi).  The two non-elementary inversions run
 Newton iterations inside a bisection bracket, since both CDFs have zero
 slope at an endpoint where pure Newton stalls.
@@ -17,24 +18,18 @@ substream, so coordinate laws stay independent of batch layout.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import Chart, builtin_chart
+from .charts import builtin_chart
 from .groups import GroupElement, improper_coset, lookup_group, quat_rotation_matrices
-from .haar import NumericalError
+from .haar import HaarDensity, NumericalError
 
 CDF_TOL = 1e-12
 MAX_NEWTON = 64
-
-CHART_ALIASES = {
-    "angle": "so2-angle",
-    "shifted": "so2-shifted",
-    "euler": "so3-euler",
-    "polar": "so3-polar",
-    "quaternion": "so3-quat",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +101,69 @@ def _half_angle_cdf_slope(theta):
 
 
 # ---------------------------------------------------------------------------
+# Coordinate laws of the built-in charts
+
+
+@dataclass(frozen=True)
+class Law:
+    """One coordinate's factor of a built-in chart's Haar density.  All but
+    the uniform draw assume the half-turn axis the built-in charts give them."""
+
+    pdf: Callable  # x -> unnormalized density factor
+    mass: Callable  # (lo, hi) -> integral of pdf over [lo, hi]
+    draw: Callable  # (u, lo, hi) -> x whose CDF, integral of pdf / mass from lo, is u
+
+
+UNIFORM = Law(np.ones_like, lambda lo, hi: hi - lo, lambda u, lo, hi: lo + (hi - lo) * u)
+SINE = Law(np.sin, lambda lo, hi: np.cos(lo) - np.cos(hi), lambda u, lo, hi: np.arccos(1.0 - 2.0 * u))
+COSINE = Law(np.cos, lambda lo, hi: np.sin(hi) - np.sin(lo), lambda u, lo, hi: np.arcsin(2.0 * u - 1.0))
+# pdf = pi/2 times the CDF's slope.  Draws look invert_cdf up when they run, so a
+# wrapper set on the module attribute sees every call.
+ANGLE = Law(lambda x: np.sin(x / 2.0) ** 2,
+            lambda lo, hi: np.pi / 2.0 * (_angle_cdf(hi) - _angle_cdf(lo)),
+            lambda u, lo, hi: invert_cdf(_angle_cdf, u, (lo, hi), derivative=_angle_cdf_slope))
+HALF_ANGLE = Law(lambda x: np.sin(x) ** 2,
+                 lambda lo, hi: np.pi / 2.0 * (_half_angle_cdf(hi) - _half_angle_cdf(lo)),
+                 lambda u, lo, hi: invert_cdf(_half_angle_cdf, u, (lo, hi),
+                                              derivative=_half_angle_cdf_slope))
+
+# Built-in chart tag -> (sampler alias, one law per coordinate).
+CHART_LAWS = {
+    "so2-angle": ("angle", (UNIFORM,)),
+    "so2-shifted": ("shifted", (UNIFORM,)),
+    "so3-euler": ("euler", (UNIFORM, SINE, UNIFORM)),
+    "so3-polar": ("polar", (UNIFORM, COSINE, ANGLE)),
+    "so3-quat": ("quaternion", (HALF_ANGLE, SINE, UNIFORM)),
+}
+
+
+def closed_form(tag: str) -> HaarDensity:
+    """The reference density of a built-in chart with its exact constant.
+
+    The density is the product of the chart's coordinate laws and C the
+    product of their masses, the exact integral of that product over the
+    domain.  The normalized closed and numeric densities agree even where
+    the two constants differ: the axis-angle product cos(psi) sin^2(alpha/2)
+    integrates to 2 pi^2, while the numeric |det M| = 4 cos(psi) sin^2(alpha/2)
+    gives 8 pi^2.  The numeric engine is the arbiter and the acceptance
+    suite checks agreement at 1e-6.
+    """
+    if tag not in CHART_LAWS:
+        raise KeyError(f"no closed-form density for tag {tag!r}; "
+                       f"available: {', '.join(sorted(CHART_LAWS))}")
+    laws = CHART_LAWS[tag][1]
+    chart = builtin_chart(tag)
+    c = float(math.prod(law.mass(lo, hi) for law, (lo, hi) in zip(laws, chart.domain)))
+    return HaarDensity(chart=chart, C=c, unnormalized=lambda pts: math.prod(
+        law.pdf(x) for law, x in zip(laws, pts.T)))
+
+
+def closed_form_density(tag: str, u) -> float:
+    """Normalized closed-form density of a built-in chart at a point."""
+    return closed_form(tag).density(u)
+
+
+# ---------------------------------------------------------------------------
 # Samplers
 
 
@@ -118,7 +176,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         charts = lookup_group(self.group).charts
-        tag = CHART_ALIASES.get(name := self.chart.removeprefix("builtin:"), name) or charts[0]
+        name = self.chart.removeprefix("builtin:")
+        tag = next((t for t, (alias, _) in CHART_LAWS.items() if alias == name), name) or charts[0]
         if tag not in charts:
             raise ValueError(f"chart {self.chart!r} does not sample group {self.group!r}; "
                              f"valid: {', '.join(charts)}")
@@ -158,35 +217,13 @@ def _axis_streams(seed: int, axes: int) -> list[np.random.Generator]:
     return [np.random.Generator(base.jumped(j)) for j in range(axes)]
 
 
-def _draw_coordinates(tag: str, chart: Chart, streams, n: int) -> np.ndarray:
-    u = np.column_stack([s.random(n) for s in streams])
-    lo, hi = chart.domain[:, 0], chart.domain[:, 1]
-    if tag in ("so2-angle", "so2-shifted"):
-        return lo + (hi - lo) * u
-    if tag == "so3-euler":
-        alpha = -np.pi + 2.0 * np.pi * u[:, 0]
-        beta = np.arccos(1.0 - 2.0 * u[:, 1])
-        gamma = -np.pi + 2.0 * np.pi * u[:, 2]
-        return np.column_stack([alpha, beta, gamma])
-    if tag == "so3-polar":
-        phi = 2.0 * np.pi * u[:, 0]
-        psi = np.arcsin(2.0 * u[:, 1] - 1.0)
-        alpha = invert_cdf(_angle_cdf, u[:, 2], (0.0, np.pi), derivative=_angle_cdf_slope)
-        return np.column_stack([phi, psi, alpha])
-    if tag == "so3-quat":
-        theta = invert_cdf(_half_angle_cdf, u[:, 0], (0.0, np.pi), derivative=_half_angle_cdf_slope)
-        psi = np.arccos(1.0 - 2.0 * u[:, 1])
-        phi = 2.0 * np.pi * u[:, 2]
-        return np.column_stack([theta, psi, phi])
-    raise KeyError(f"no sampler for chart tag {tag!r}")
-
-
 def sample(config: SamplerConfig) -> SampleBatch:
     """Draw config.count uniform elements of config.group through its chart."""
     tag = config.chart
     chart = builtin_chart(tag)
     streams = _axis_streams(config.seed, chart.d + 1)
-    coords = _draw_coordinates(tag, chart, streams[: chart.d], config.count)
+    coords = np.column_stack([law.draw(stream.random(config.count), lo, hi) for law, stream, (lo, hi)
+                              in zip(CHART_LAWS[tag][1], streams, chart.domain)])
     quats = None
     if chart.is_quaternion:
         quats = chart.quaternions_at(coords)

@@ -15,14 +15,13 @@ from scipy import stats
 from haarkit.chartlang import parse_chart, print_chart
 from haarkit.charts import BUILTIN_NAMES, builtin_chart
 from haarkit.cli import main as cli_main
-from haarkit.haar import (chart_change_check, closed_form_density,
-                          integrate_tensor, normalize)
+from haarkit.haar import chart_change_check, integrate_tensor, normalize
 from haarkit.orbit import (OrbitSpec, covariance, diagonal_delta,
                            identity_pair, mc_moments, moment)
 from haarkit.quadrature import QuadratureRule
 from haarkit.reynolds import (dim_invariants_closed, dim_invariants_quadrature,
                               invariant_rank, reynolds_continuous)
-from haarkit.sampling import SamplerConfig, sample
+from haarkit.sampling import SamplerConfig, closed_form_density, sample
 from haarkit.tensors import act, as_tensor
 
 from malformed_charts import MALFORMED

@@ -219,21 +219,22 @@ def test_chart_change_rejects_double_cover(capsys):
     assert "double-cover" in err
 
 
-@pytest.mark.parametrize("chart1, chart2, point, message", [
-    ("builtin:so3-quat", "builtin:so3-euler", "1,1,1", "double-cover"),
-    ("builtin:so3-polar", "builtin:so3-quat", "1,1,1", "double-cover"),
-    ("builtin:so2-angle", "builtin:so3-euler", "1", "has (3, 3) matrices, got (2, 2)"),
-    ("builtin:so3-euler", "builtin:so3-polar", "9,9,9", "outside the domain"),
-    ("builtin:so3-euler", "builtin:so3-polar", "1,1", "takes 3 coordinates"),
+@pytest.mark.parametrize("chart1, chart2, point, message, map_", [
+    ("builtin:so3-quat", "builtin:so3-euler", "1,1,1", "double-cover", "auto"),
+    ("builtin:so3-polar", "builtin:so3-quat", "1,1,1", "double-cover", "auto"),
+    ("builtin:so2-angle", "builtin:so3-euler", "1", "has (3, 3) matrices, got (2, 2)", "auto"),
+    ("builtin:so3-euler", "builtin:so3-polar", "9,9,9", "outside the domain", "auto"),
+    ("builtin:so3-euler", "builtin:so3-polar", "1,1", "takes 3 coordinates", "auto"),
+    ("builtin:so3-euler", "builtin:so3-polar", "1,1,1", "lands outside chart", "shift:10,0,0"),
 ])
-def test_chart_change_refuses_before_quadrature(chart1, chart2, point, message, monkeypatch,
-                                                capsys):
+def test_chart_change_refuses_before_quadrature(chart1, chart2, point, message, map_,
+                                                monkeypatch, capsys):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("normalize ran before the refusal")
 
     monkeypatch.setattr("haarkit.cli.normalize", no_quadrature)
     code, out, err = run(capsys, "chart-change", "--chart1", chart1, "--chart2", chart2,
-                         "--point", point)
+                         "--point", point, "--map", map_)
     assert (code, out) == (1, "")
     assert message in err
 

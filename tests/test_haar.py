@@ -7,12 +7,12 @@ import pytest
 
 from haarkit.charts import Chart, DomainError, builtin_chart
 from haarkit.groups import quat_rotation_matrices
-from haarkit.haar import (NumericalError, chart_change_check, closed_form,
-                          closed_form_density, density_numeric, integrate_scalar,
-                          integrate_tensor, normalize)
+from haarkit.haar import (NumericalError, chart_change_check, density_numeric,
+                          integrate_scalar, integrate_tensor, normalize)
 from haarkit.orbit import OrbitSpec, moment
 from haarkit.quadrature import DEFAULT_NODES, QuadratureRule
 from haarkit.reynolds import reynolds_matrix
+from haarkit.sampling import closed_form, closed_form_density
 from haarkit.tensors import as_tensor
 
 RNG = np.random.default_rng(20240501)
@@ -155,6 +155,19 @@ def test_chart_change_so2_shift():
     c2 = builtin_chart("so2-shifted")    # [-pi, pi]
     residual = chart_change_check(c1, c2, [2.0], shift=[-np.pi])
     assert residual < 1e-9
+
+
+@pytest.mark.parametrize("tag1, tag2, shift, message", [
+    ("so3-quat", "so3-euler", None, "double-cover"),
+    ("so3-euler", "so3-polar", [10.0, 0.0, 0.0], "lands outside chart"),
+])
+def test_chart_change_refuses_charts_before_quadrature(tag1, tag2, shift, message, monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("normalize ran before the refusal")
+
+    monkeypatch.setattr("haarkit.haar.normalize", no_quadrature)
+    with pytest.raises(ValueError, match=message):
+        chart_change_check(builtin_chart(tag1), builtin_chart(tag2), [1.0, 1.0, 1.0], shift)
 
 
 def test_chart_change_identity():

@@ -7,8 +7,11 @@ of uniform points on the 3-sphere by normalizing 4D Gaussian draws.
 import numpy as np
 import pytest
 
+from haarkit.charts import BUILTIN_NAMES, builtin_chart
+from haarkit.groups import GROUPS
 from haarkit.haar import NumericalError
-from haarkit.sampling import SamplerConfig, invert_cdf, sample
+from haarkit.quadrature import axis_rule
+from haarkit.sampling import CHART_LAWS, SamplerConfig, invert_cdf, sample
 
 
 def test_invert_cdf_square_law():
@@ -52,6 +55,28 @@ def test_config_defaults_and_aliases():
     assert SamplerConfig(group="so3", chart="quaternion").chart == "so3-quat"
     assert SamplerConfig(group="so2", chart="shifted").chart == "so2-shifted"
     assert SamplerConfig(group="o3", chart="builtin:so3-polar").chart == "so3-polar"
+
+
+def test_law_table_rows_are_the_builtin_charts():
+    assert tuple(CHART_LAWS) == BUILTIN_NAMES
+    for tag, (alias, laws) in CHART_LAWS.items():
+        assert len(laws) == builtin_chart(tag).d
+        for group in (g for g in GROUPS.values() if tag in g.charts):
+            assert SamplerConfig(group=group.tag, chart=alias).chart == tag
+
+
+@pytest.mark.parametrize("tag, axis", [(tag, axis) for tag, (_, laws) in CHART_LAWS.items()
+                                       for axis in range(len(laws))])
+def test_law_mass_pdf_and_draw_agree(tag, axis):
+    law = CHART_LAWS[tag][1][axis]
+    lo, hi = builtin_chart(tag).domain[axis]
+    x, w = axis_rule(64, lo, hi)
+    mass = law.mass(lo, hi)
+    assert abs(mass - w @ law.pdf(x)) < 1e-12
+    u = np.array([0.0, 0.05, 0.3, 0.5, 0.77, 0.999, 1.0])
+    for target, drawn in zip(u, law.draw(u, lo, hi)):
+        x, w = axis_rule(64, lo, drawn)  # the CDF at the draw
+        assert abs(w @ law.pdf(x) / mass - target) < 1e-10
 
 
 def test_config_validation():
