@@ -62,6 +62,9 @@ class _Plan:
     rows of the scratch block, then the constants.  ``preset`` pairs a slot
     with an entry that is a constant or a bare parameter; each step is
     (function, argument slots, destination slot, entries it stores).
+    Entry (i, j) goes to row i * cols + j of the caller's (entries, N)
+    ``out``, which may be a strided view (evaluate_many passes the transpose
+    of its (N, rows, cols) result) or a contiguous block (jacobian_many).
     """
 
     shape: tuple[int, int]
@@ -70,18 +73,16 @@ class _Plan:
     preset: tuple  # (slot, (i, j))
     steps: tuple  # (function, (slot, ...), slot, ((i, j), ...))
 
-    def run(self, pts: np.ndarray) -> np.ndarray:
-        n = pts.shape[0]
-        out = np.empty((n, *self.shape))
-        scratch = np.empty((self.registers, n))
+    def run(self, pts: np.ndarray, out: np.ndarray) -> None:
+        cols = self.shape[1]
+        scratch = np.empty((self.registers, pts.shape[0]))
         slots = [*pts.T, *scratch, *self.constants]
         for slot, (i, j) in self.preset:
-            out[:, i, j] = slots[slot]
+            out[i * cols + j] = slots[slot]
         for fn, args, dest, entries in self.steps:
             fn(*[slots[a] for a in args], out=slots[dest])
             for i, j in entries:
-                out[:, i, j] = slots[dest]
-        return out
+                out[i * cols + j] = slots[dest]
 
 
 def _compile(ast: ChartAst) -> _Plan:
@@ -270,7 +271,7 @@ class Chart:
 
     def evaluate(self, u) -> np.ndarray:
         """p(u) as an ndarray of the chart's matrix shape."""
-        return self._plan.run(self.check_point(u)[None, :])[0]
+        return self.evaluate_many(self.check_point(u)[None, :])[0]
 
     def evaluate_many(self, points) -> np.ndarray:
         """p at an (N, d) batch of points, returning (N, rows, cols).
@@ -282,7 +283,10 @@ class Chart:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise DomainError(f"expected an (N, {self.d}) batch, got shape {pts.shape}")
-        return self._plan.run(pts)
+        rows, cols = self.shape
+        out = np.empty((len(pts), rows, cols))
+        self._plan.run(pts, out.reshape(len(pts), rows * cols).T)
+        return out
 
     def quaternions_at(self, points) -> np.ndarray:
         """(N, 4) quaternion components of a 4 x 1 chart at an (N, d) batch."""
@@ -297,11 +301,18 @@ class Chart:
         return list(self.jacobian_many(self.check_point(u)[None, :])[0])
 
     def jacobian_many(self, points) -> np.ndarray:
-        """Partials at an (N, d) batch as (N, d, rows, cols); an infinite slope
-        (sqrt at 0, arccos at 1, ...) gives inf or NaN quietly."""
+        """Partials at an (N, d) batch as an (N, d, rows, cols) view; an
+        infinite slope (sqrt at 0, arccos at 1, ...) gives inf or NaN quietly.
+
+        The view's base is one C-contiguous (d * rows * cols, N) block whose
+        row k * rows * cols + i * cols + j holds dp_ij/du_k at every point,
+        so ``jac.reshape(N, -1).T`` gives those entry rows without a copy.
+        """
         pts = np.asarray(points, dtype=float)
+        rows = np.empty((self.d * self.shape[0] * self.shape[1], len(pts)))
         with np.errstate(all="ignore"):
-            return self._jacobian_plan.run(pts).reshape(len(pts), self.d, *self.shape)
+            self._jacobian_plan.run(pts, rows)
+        return rows.T.reshape(len(pts), self.d, *self.shape)
 
     # -- validation --------------------------------------------------------
 

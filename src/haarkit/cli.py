@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage or input error (bad flags, malformed chart
-or tensor files, points outside domains), 2 numerical failure (degenerate
-normalization, non-convergence, under-resolved quadrature).  JSON output
+or tensor files, points outside domains) or a stdout closed before the
+output was written, 2 numerical failure (degenerate normalization,
+non-convergence, under-resolved quadrature).  JSON output
 carries 17 significant digits so values round-trip through text; human
 tables use 9.  All angles are radians.  Identical argv (and seed) produce
 byte-identical stdout.
@@ -19,6 +20,7 @@ format_float.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -430,8 +432,17 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
+        return 0
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        # what is still buffered goes to devnull, so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -6,11 +6,19 @@ The unnormalized density at u is |det M(u)| with
 
 the bracket being the half-trace Frobenius product and (xi_i) the basis
 groups.so_algebra_basis(D); another orthonormal basis would only scale
-|det M| by a constant, which normalization cancels.  The partials dp/du_j
-are exact, from the chart's compiled derivative plan.  For charts tagged
-as rotation groups p^-1 is the transpose; untagged square charts go through
-an LU solve.  A 4 x 1 chart is treated as a unit-quaternion parametrisation
-and the same formula is evaluated in the quaternion algebra with the pure
+|det M| by a constant, which normalization cancels.  Each xi_i is -1 at
+one entry (a, b), +1 at (b, a) and 0 elsewhere, so with tau = p^-1 dp/du_j
+
+    M_ij = (tau[b, a] - tau[a, b]) / 2,
+
+and only those two entries of tau are formed.  The partials dp/du_j are
+exact, from the chart's compiled derivative plan, read as its contiguous
+entry rows (one (N,) row per partial of an entry; see
+Chart.jacobian_many).  For charts tagged as rotation groups p^-1 is the
+transpose and tau[x, y] = sum_k p[k, x] dp[k, y]/du_j, summed over k in
+order and read from p's strided columns (a contiguous copy of p would
+raise peak memory); untagged square charts go through an LU solve.  A 4 x 1 chart is treated as a unit-quaternion parametrisation and
+M_ij is the i-th imaginary part of conj(q) dq/du_j, with the pure
 imaginaries (i, j, k) as basis.
 
 The sign of det M is an orientation artifact of basis and parameter
@@ -31,8 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import Chart, builtin_chart
-from .groups import (improper_coset, lookup_group, quat_conjugate, quat_mul,
-                     quat_rotation_matrices, so_algebra_basis)
+from .groups import improper_coset, lookup_group, quat_rotation_matrices, so_algebra_basis
 from .quadrature import DEFAULT_NODES, QuadratureRule, axis_rule
 
 DEGENERATE_C = 1e-12
@@ -49,27 +56,49 @@ class NumericalError(RuntimeError):
 # Unnormalized density
 
 
-@np.errstate(invalid="ignore")  # an infinite partial gives inf or NaN quietly; callers check
+@np.errstate(invalid="ignore", over="ignore")  # an infinite or huge partial gives inf or NaN
 def _density_and_elements(chart: Chart, pts: np.ndarray):
     """|det M| at an (N, d) batch and the group elements there (no domain checks).
 
-    Quaternion charts push their quaternions to rotation matrices.
+    Quaternion charts push their quaternions to rotation matrices.  Sums run
+    in np.einsum's order (k = 0, 1, ... for p^T dp) and in quat_mul's (for
+    conj(q) dq), so |det M| has the bits of the einsum and quat_mul forms.
+    M is built transposed, mt[j, i] = M_ij at every point, so each entry is
+    one contiguous row.
     """
+    n, d = len(pts), chart.d
+    jac = chart.jacobian_many(pts)  # (N, d, rows, cols) view of contiguous entry rows
+    rows = jac.reshape(n, -1).T  # row (j * rows + k) * cols + l: dp_kl/du_j
     if chart.is_quaternion:
         q = chart.quaternions_at(pts)
-        dq = chart.jacobian_many(pts)[..., 0]  # (N, d, 4)
-        tau = quat_mul(quat_conjugate(q)[:, None, :], dq)  # (N, d, 4)
-        m = np.swapaxes(tau[..., 1:], 1, 2)  # components on (i, j, k); M_ij = <tau_j, xi_i>
-        return np.abs(np.linalg.det(m)), quat_rotation_matrices(q)
+        w, x, y, z = q.T
+        mt = np.empty((d, 3, n))
+        for j in range(d):
+            bw, bx, by, bz = rows[4 * j:4 * j + 4]
+            mt[j, 0] = w * bx - x * bw - y * bz + z * by
+            mt[j, 1] = w * by + x * bz - y * bw - z * bx
+            mt[j, 2] = w * bz - x * by + y * bx - z * bw
+        return np.abs(np.linalg.det(mt.T)), quat_rotation_matrices(q)
     mats = chart.evaluate_many(pts)
-    jac = chart.jacobian_many(pts)  # (N, d, D, D)
-    if chart.group is not None:
-        tau = np.einsum("nki,njkl->njil", mats, jac)
-    else:
-        tau = np.linalg.solve(mats[:, None, :, :], jac)
-    xi = np.stack(so_algebra_basis(chart.matrix_dim))
-    m = 0.5 * np.einsum("njkl,ikl->nij", tau, xi)
-    return np.abs(np.linalg.det(m)), mats
+    dim = chart.matrix_dim
+    pairs = [tuple(np.argwhere(xi == -1.0)[0]) for xi in so_algebra_basis(dim)]
+    mt = np.empty((d, len(pairs), n))
+    if chart.group is None:
+        tau = np.linalg.solve(mats[:, None, :, :], jac)  # (N, d, D, D)
+        for i, (a, b) in enumerate(pairs):
+            mt[:, i] = (0.5 * (tau[:, :, b, a] - tau[:, :, a, b])).T
+        return np.abs(np.linalg.det(mt.T)), mats
+
+    def tau(j, x, y):  # (p^T dp/du_j)[x, y]
+        total = mats[:, 0, x] * rows[j * dim * dim + y]
+        for k in range(1, dim):
+            total += mats[:, k, x] * rows[(j * dim + k) * dim + y]
+        return total
+
+    for j in range(d):
+        for i, (a, b) in enumerate(pairs):
+            mt[j, i] = 0.5 * (tau(j, b, a) - tau(j, a, b))
+    return np.abs(np.linalg.det(mt.T)), mats
 
 
 def density_numeric_many(chart: Chart, points) -> np.ndarray:

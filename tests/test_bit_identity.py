@@ -1,9 +1,10 @@
 """Differential tests: the fast paths give the reference paths' exact bits.
 
-Each fast path (the compiled chart plan, the compacting inverse CDF, the
-improper coset as a sign, whole or masked in place, the templated sample
-formatter) is compared with a straightforward reference kept here, on bytes
-rather than on values, so a flipped sign of zero counts as a difference.
+Each fast path (the compiled chart plan, the Haar density kernel on entry
+rows, the compacting inverse CDF, the improper coset as a sign, whole or
+masked in place, the templated sample formatter) is compared with a
+straightforward reference kept here, on bytes rather than on values, so a
+flipped sign of zero counts as a difference.
 """
 
 import numpy as np
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 from haarkit.chartlang import evaluate_expr, parse_chart
 from haarkit.charts import BUILTIN_NAMES, Chart, builtin_chart
 from haarkit.cli import _row_template, format_float, format_rows, main, to_json
-from haarkit.groups import GROUPS as GROUP_CHARTS, improper_coset
-from haarkit.haar import NumericalError
+from haarkit.groups import (GROUPS as GROUP_CHARTS, improper_coset, quat_conjugate, quat_mul,
+                            quat_rotation_matrices, so_algebra_basis)
+from haarkit.haar import NumericalError, _density_and_elements
+from haarkit.quadrature import QuadratureRule
 from haarkit.sampling import (CDF_TOL, MAX_NEWTON, SamplerConfig, _angle_cdf,
                               _angle_cdf_slope, _axis_streams, _half_angle_cdf,
                               _half_angle_cdf_slope, invert_cdf, sample)
@@ -118,6 +121,97 @@ def test_plan_scalar_evaluate_agrees():
     batch = chart.evaluate_many(pts)
     for k in range(5):
         assert same_bits(batch[k], chart.evaluate(pts[k]))
+
+
+# ---------------------------------------------------------------------------
+# Haar density kernel on entry rows against the einsum kernel
+
+
+@np.errstate(invalid="ignore")
+def einsum_kernel(chart: Chart, pts: np.ndarray):
+    """|det M| and elements from the full tau = p^-1 dp array and two einsums."""
+    jac = np.ascontiguousarray(chart.jacobian_many(pts))  # (N, d, rows, cols)
+    if chart.is_quaternion:
+        q = chart.quaternions_at(pts)
+        tau = quat_mul(quat_conjugate(q)[:, None, :], jac[..., 0])  # (N, d, 4)
+        return np.abs(np.linalg.det(np.swapaxes(tau[..., 1:], 1, 2))), quat_rotation_matrices(q)
+    mats = chart.evaluate_many(pts)
+    if chart.group is not None:
+        tau = np.einsum("nki,njkl->njil", mats, jac)
+    else:
+        tau = np.linalg.solve(mats[:, None, :, :], jac)
+    xi = np.stack(so_algebra_basis(chart.matrix_dim))
+    return np.abs(np.linalg.det(0.5 * np.einsum("njkl,ikl->nij", tau, xi))), mats
+
+
+EULER_SOURCE = builtin_chart("so3-euler").source()
+KERNEL_CHARTS = {
+    "z-y-z": """chart zyz {
+  params: a in [-pi, pi], b in [0, pi], c in [0, 2*pi];
+  group: so(3);
+  matrix: [
+    [cos(a)*cos(b)*cos(c) - sin(a)*sin(c), -cos(a)*cos(b)*sin(c) - sin(a)*cos(c), cos(a)*sin(b)],
+    [sin(a)*cos(b)*cos(c) + cos(a)*sin(c), -sin(a)*cos(b)*sin(c) + cos(a)*cos(c), sin(a)*sin(b)],
+    [-sin(b)*cos(c), sin(b)*sin(c), cos(b)]
+  ];
+}""",
+    "untagged euler": EULER_SOURCE.replace("group: so(3);", ""),
+    "untagged stretch": """chart stretch {
+  params: t in [0.5, 2];
+  matrix: [[t*cos(t), -sin(t)], [sin(t), t^2*cos(t)]];
+}""",
+    "hopf quaternion": """chart hopf {
+  params: eta in [0, pi/2], xi1 in [0, 2*pi], xi2 in [0, 2*pi];
+  matrix: [[cos(xi1)*sin(eta)], [sin(xi1)*sin(eta)], [cos(xi2)*cos(eta)], [sin(xi2)*cos(eta)]];
+}""",
+    "sqrt so2": """chart root2 {
+  params: t in [0, 4*pi^2];
+  group: so(2);
+  matrix: [[cos(sqrt(t)), -sin(sqrt(t))], [sin(sqrt(t)), cos(sqrt(t))]];
+}""",
+    "sqrt z-x-z": """chart root3 {
+  params: a in [-pi, pi], t in [0, pi^2], c in [-pi, pi];
+  group: so(3);
+  matrix: [
+    [cos(a)*cos(c) - cos(sqrt(t))*sin(a)*sin(c), -cos(a)*sin(c) - cos(sqrt(t))*cos(c)*sin(a), sin(a)*sin(sqrt(t))],
+    [cos(c)*sin(a) + cos(a)*cos(sqrt(t))*sin(c), cos(a)*cos(sqrt(t))*cos(c) - sin(a)*sin(c), -cos(a)*sin(sqrt(t))],
+    [sin(sqrt(t))*sin(c), cos(c)*sin(sqrt(t)), cos(sqrt(t))]
+  ];
+}""",
+}
+assert "group" not in KERNEL_CHARTS["untagged euler"]
+
+
+def kernel_points(chart: Chart) -> np.ndarray:
+    """A quadrature grid, then random points with the box's corners."""
+    grid = QuadratureRule.for_domain(chart.domain, 12 if chart.d == 3 else 64).points
+    return np.concatenate([grid, plan_points(chart, 500)])
+
+
+def assert_kernels_agree(chart: Chart, pts: np.ndarray):
+    raw, elements = _density_and_elements(chart, pts)
+    ref_raw, ref_elements = einsum_kernel(chart, pts)
+    assert same_bits(raw, ref_raw)
+    assert same_bits(elements, ref_elements)
+    return raw
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, *KERNEL_CHARTS])
+def test_density_kernel_matches_einsum_kernel(name):
+    chart = Chart.from_source(KERNEL_CHARTS[name]) if name in KERNEL_CHARTS else builtin_chart(name)
+    raw = assert_kernels_agree(chart, kernel_points(chart))
+    assert np.isfinite(raw).sum() > len(raw) // 2
+
+
+@pytest.mark.parametrize("name", ["sqrt so2", "sqrt z-x-z"])
+def test_density_kernel_matches_einsum_kernel_at_infinite_slopes(name):
+    chart = Chart.from_source(KERNEL_CHARTS[name])
+    pts = plan_points(chart, 64)
+    t = chart.params.index("t")
+    pts[::2, t] = 0.0  # sqrt's slope is infinite at t = 0
+    raw = assert_kernels_agree(chart, pts)
+    assert not np.isfinite(raw[::2]).any()
+    assert np.isfinite(raw[1::2]).all()
 
 
 # ---------------------------------------------------------------------------

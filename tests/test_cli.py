@@ -1,11 +1,16 @@
 """End-to-end command-line checks through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import haarkit
 from haarkit.charts import builtin_chart, load_chart
 from haarkit.cli import format_float, main, to_json
 from haarkit.haar import normalize
@@ -430,3 +435,18 @@ def test_untagged_chart_not_finite_on_its_domain_exits_1(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: line 1, column 1: chart 'u' is not finite on its domain")
     assert "nan" in err and "Warning" not in err
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # `haarkit sample ... | head -c 10`: the reader closes the pipe long before the output ends
+    env = dict(os.environ, PYTHONPATH=str(Path(haarkit.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "haarkit.cli", "sample", "--group", "so3",
+                           "-n", "20000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read().decode()
+    assert head.startswith(b'{"R": [[')
+    assert code == 1
+    assert err.splitlines() == ["error: stdout was closed before the output was written"]

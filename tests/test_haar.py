@@ -1,5 +1,6 @@
 """Invariant densities: numeric vs closed form, normalization, integration."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,6 +113,21 @@ def test_infinite_slope_raises_without_warnings():
         with pytest.raises(NumericalError, match="not finite"):
             density_numeric(chart, [0.0])
         assert density_numeric(chart, [4.0]) == 0.25  # 1 / (2 sqrt(t))
+
+
+def test_overflowing_slope_raises_without_warnings():
+    # the partials are about 1e308, so p^T dp and M overflow to inf
+    src = """chart huge {
+  params: t in [0, 1];
+  group: so(2);
+  matrix: [[cos(1e308*t), -sin(1e308*t)], [sin(1e308*t), cos(1e308*t)]];
+}
+"""
+    chart = Chart.from_source(src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite on the grid"):
+            normalize(chart, rule=64)
 
 
 @pytest.mark.parametrize("tag,exact", [
@@ -321,6 +337,31 @@ def test_averages_run_on_the_grid_of_normalize(monkeypatch):
     spec = OrbitSpec(group="o3", representation="natural", seed=as_tensor(np.array([3.0, 0.0, 0.0])))
     assert np.abs(moment(spec, 1, density).array).max() < 1e-12
     assert abs(float(integrate_tensor(np.linalg.det, "o3", density))) < 1e-12
+
+
+def test_untagged_square_chart_matches_tagged():
+    # without a group tag p^-1 comes from an LU solve instead of the transpose
+    tagged = builtin_chart("so3-euler")
+    untagged = Chart.from_source(tagged.source().replace("group: so(3);", ""))
+    assert untagged.group is None
+    k, k_lu = normalize(tagged, rule=16), normalize(untagged, rule=16)
+    assert abs(k_lu.C / k.C - 1.0) <= 1e-12
+    pts = tagged.random_interior(200, RNG)
+    assert np.abs(k_lu.density_many(pts) / k.density_many(pts) - 1.0).max() <= 1e-12
+    assert np.array_equal(k_lu.grid()[2], k.grid()[2])
+
+
+def test_normalize_memory_per_node():
+    # M comes from entry rows of the jacobian plan, with no (N, d, D, D) tau array
+    chart = builtin_chart("so3-euler")
+    normalize(chart, rule=4)
+    tracemalloc.start()
+    try:
+        normalize(chart, rule=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 24**3) < 60, peak
 
 
 @pytest.mark.parametrize("tag", ["so2-angle", "so3-euler", "so3-quat"])
