@@ -30,10 +30,10 @@ from .charts import DomainError, load_chart
 from .groups import GROUPS, lookup_group
 from .haar import (NumericalError, chart_change_check, check_chart_map, integrate_scalar,
                    normalize)
-from .orbit import OrbitSpec, covariance, mc_moments, moment
+from .orbit import OrbitSpec, mc_moments, moment
 from .reynolds import dim_invariants_closed, dim_invariants_quadrature, reynolds_continuous
 from .sampling import SamplerConfig, closed_form, sample
-from .tensors import Tensor
+from .tensors import Tensor, outer_power
 
 JSON_DIGITS = 17
 TABLE_DIGITS = 9
@@ -301,14 +301,14 @@ def _cmd_orbit_moments(args) -> str:
     density = _averaging_density(args)
     m1 = moment(spec, 1, density)
     m2 = moment(spec, 2, density)
-    cov = covariance(spec, density)
+    cov = m2 - outer_power(m1, 2)  # orbit.covariance, on the moments already in hand
     record = {"group": args.group, "representation": args.representation,
               "m1": _nested(m1.array), "m2": _nested(m2.array), "cov": _nested(cov.array)}
     if args.mc:
-        config = SamplerConfig(group=args.group, chart=args.mc_chart or "",
-                               seed=args.mc_seed, count=args.mc)
-        mc1, se1 = mc_moments(spec, 1, config)
-        mc2, se2 = mc_moments(spec, 2, config)
+        batch = sample(SamplerConfig(group=args.group, chart=args.mc_chart or "",
+                                     seed=args.mc_seed, count=args.mc))
+        mc1, se1 = mc_moments(spec, 1, batch)
+        mc2, se2 = mc_moments(spec, 2, batch)
         record["mc_m1"] = _nested(mc1.array)
         record["mc_m2"] = _nested(mc2.array)
         record["mc_stderr"] = {"m1": _nested(se1.array), "m2": _nested(se2.array)}

@@ -4,7 +4,11 @@ Supported representations: the natural action on vectors, the order-n
 tensor action, and conjugation g v g^T on symmetric matrices.  Moments
 come from quadrature (the Reynolds average of tensor powers of X, on the
 exact rule or on the grid a density was normalized on) or from Monte
-Carlo sampling with entry-wise standard errors.
+Carlo sampling with entry-wise standard errors.  A Monte Carlo moment keeps
+one S^r-entry outer power per draw (S the seed's entry count) in a single
+(N, S^r) stack and reads its standard errors off that stack in place;
+``orbit-moments --mc`` draws once per command and passes the SampleBatch to
+both orders.
 
 For conjugation orbits of symmetric 3x3 seeds the first two moments have
 closed forms in the isotropic tensors; see the *_closed functions.  They
@@ -24,7 +28,7 @@ import numpy as np
 
 from .groups import lookup_group
 from .haar import HaarDensity, integrate_tensor
-from .sampling import SamplerConfig, sample
+from .sampling import SampleBatch, SamplerConfig, sample
 from .tensors import MAX_ENTRIES, Tensor, act_batch, as_tensor, outer_power, outer_power_batch
 
 REPRESENTATIONS = ("natural", "tensor", "sym2")
@@ -96,19 +100,33 @@ def covariance(spec: OrbitSpec, density: HaarDensity | None = None, rule=None) -
     return m2 - outer_power(m1, 2)
 
 
-def mc_moments(spec: OrbitSpec, r: int, config: SamplerConfig) -> tuple[Tensor, Tensor]:
-    """Monte Carlo m_r(X) with entry-wise standard errors of the mean."""
+def mc_moments(spec: OrbitSpec, r: int,
+               config: SamplerConfig | SampleBatch) -> tuple[Tensor, Tensor]:
+    """Monte Carlo m_r(X) with entry-wise standard errors of the mean.
+
+    ``config`` is a SamplerConfig to draw from or a SampleBatch already drawn,
+    which gives the same bytes as its own config.  The results are numpy's
+    ``mean`` and ``std(ddof=1) / sqrt(n)`` over the (N, S^r) stack of outer
+    powers, step for step, but the deviations overwrite that stack instead of
+    filling a second one.
+    """
     if r < 1:
         raise ValueError("moment order must be positive")
     shape = _power_shape(spec, r)
-    batch = sample(config)
-    values = outer_power_batch(spec.values(batch.matrices), r)
+    # no name holds a batch drawn here, so it is freed before the S^r stack is built
+    points = spec.values((config if isinstance(config, SampleBatch) else sample(config)).matrices)
+    values = outer_power_batch(points, r)
     n = values.shape[0]
-    mean = values.mean(axis=0)
+    mean = values.sum(axis=0)
+    mean /= n
+    stderr = np.zeros_like(mean)
     if n > 1:
-        stderr = values.std(axis=0, ddof=1) / np.sqrt(n)
-    else:
-        stderr = np.zeros_like(mean)
+        np.subtract(values, mean, out=values)
+        np.square(values, out=values)
+        values.sum(axis=0, out=stderr)
+        stderr /= n - 1
+        np.sqrt(stderr, out=stderr)
+        stderr /= np.sqrt(n)
     dim = spec.seed.dim
     return (Tensor.from_array(mean.reshape(shape), dim=dim),
             Tensor.from_array(stderr.reshape(shape), dim=dim))

@@ -2,7 +2,8 @@
 
 Each fast path (the compiled chart plan, the Haar density kernel on entry
 rows, the compacting inverse CDF, the improper coset as a sign, whole or
-masked in place, the templated sample formatter) is compared with a
+masked in place, the templated sample formatter, the Monte Carlo moments
+with their standard errors taken in place) is compared with a
 straightforward reference kept here, on bytes rather than on values, so a
 flipped sign of zero counts as a difference.
 """
@@ -18,10 +19,12 @@ from haarkit.cli import _row_template, format_float, format_rows, main, to_json
 from haarkit.groups import (GROUPS as GROUP_CHARTS, improper_coset, quat_conjugate, quat_mul,
                             quat_rotation_matrices, so_algebra_basis)
 from haarkit.haar import NumericalError, _density_and_elements
+from haarkit.orbit import OrbitSpec, mc_moments
 from haarkit.quadrature import QuadratureRule
 from haarkit.sampling import (CDF_TOL, MAX_NEWTON, SamplerConfig, _angle_cdf,
                               _angle_cdf_slope, _axis_streams, _half_angle_cdf,
                               _half_angle_cdf_slope, invert_cdf, sample)
+from haarkit.tensors import as_tensor, outer_power_batch
 
 RNG = np.random.default_rng(20261018)
 
@@ -437,3 +440,40 @@ def test_sample_output_matches_format_float(group, chart, fmt, capsys):
     assert main(["sample", "--group", group, "--chart", chart, "-n", "3000", "--seed", "9",
                  "--format", fmt]) == 0
     assert capsys.readouterr().out == reference_lines(rows, key) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo orbit moments against numpy's mean and std on a second stack
+
+ORBIT_SPECS = {
+    "sym2": ("so3", "sym2", [[1.0, -0.4, 0.0], [-0.4, 2.0, 0.7], [0.0, 0.7, -3.0]]),
+    "natural": ("o3", "natural", [0.3, -1.2, 2.0]),
+    "tensor": ("so2", "tensor", [[0.3, -1.2], [2.0, 0.7]]),
+}
+
+
+def reference_mc_moments(spec: OrbitSpec, r: int, batch) -> tuple[np.ndarray, np.ndarray]:
+    values = outer_power_batch(spec.values(batch.matrices), r)
+    n = values.shape[0]
+    mean = np.mean(values, axis=0)
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    return mean, np.std(values, axis=0, ddof=1) / np.sqrt(n)
+
+
+@pytest.mark.parametrize("count", [1, 2, 700])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("name", ORBIT_SPECS)
+def test_mc_moments_match_numpy_mean_and_std(name, r, count):
+    group, representation, seed = ORBIT_SPECS[name]
+    spec = OrbitSpec(group, representation, as_tensor(seed))
+    config = SamplerConfig(group=group, seed=11, count=count)
+    batch = sample(config)
+    mean, stderr = reference_mc_moments(spec, r, batch)
+    if count == 1:
+        assert not stderr.any()
+    for draws in (config, batch):  # a drawn batch gives its config's bytes
+        got_mean, got_stderr = mc_moments(spec, r, draws)
+        assert same_bits(got_mean.array.reshape(-1), mean), (name, r, count)
+        assert same_bits(got_stderr.array.reshape(-1), stderr), (name, r, count)
+    assert same_bits(batch.matrices, sample(config).matrices)  # the batch is only read

@@ -11,9 +11,13 @@ import numpy as np
 import pytest
 
 import haarkit
+import haarkit.cli as cli_module
+import haarkit.orbit as orbit_module
 from haarkit.charts import builtin_chart, load_chart
 from haarkit.cli import format_float, main, to_json
 from haarkit.haar import normalize
+from haarkit.orbit import OrbitSpec, covariance, mc_moments
+from haarkit.sampling import SamplerConfig, sample
 from malformed_charts import MALFORMED
 from test_charts import EULER_REORDERED
 
@@ -194,6 +198,30 @@ def test_orbit_moments_diag(capsys):
     m1 = np.array(record["m1"])
     assert np.abs(m1 - 2.0 * np.eye(3)).max() < 1e-8
     assert np.array(record["m2"]).shape == (3, 3, 3, 3)
+
+
+def test_orbit_moments_mc_draws_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return sample(config)
+
+    monkeypatch.setattr(cli_module, "sample", counted)
+    monkeypatch.setattr(orbit_module, "sample", counted)
+    code, out, _ = run(capsys, "orbit-moments", "--group", "so3", "--diag", "1,2,3",
+                       "--mc", "5000", "--mc-seed", "4", "--mc-chart", "polar")
+    assert code == 0
+    assert len(calls) == 1
+    record = json.loads(out)
+    spec = OrbitSpec("so3", "sym2", np.diag([1.0, 2.0, 3.0]))
+    config = SamplerConfig(group="so3", chart="polar", seed=4, count=5000)
+    for r, key in ((1, "m1"), (2, "m2")):
+        mean, stderr = mc_moments(spec, r, config)
+        assert np.array_equal(record[f"mc_{key}"], mean.array)
+        assert np.array_equal(record["mc_stderr"][key], stderr.array)
+    # cov comes from the handler's own m1 and m2, with covariance's values
+    assert np.array_equal(record["cov"], covariance(spec).array)
 
 
 def test_orbit_moments_needs_one_seed(capsys):

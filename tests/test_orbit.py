@@ -7,6 +7,8 @@ for distinct columns u, v of a uniform rotation; Monte Carlo cross-checks
 them through an entirely different code path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,20 @@ def test_mc_stderr_scales_like_sqrt_n():
     _, err_large = mc_moments(spec, 1, SamplerConfig(group="so3", seed=5, count=32000))
     ratio = err_small.array[0, 0] / err_large.array[0, 0]
     assert 2.5 < ratio < 6.5  # ideal 4
+
+
+def test_mc_moments_memory_per_draw():
+    # one (N, 81) stack of outer powers: the deviations overwrite it, and a
+    # batch drawn inside mc_moments is freed before the stack is built
+    spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
+    mc_moments(spec, 2, SamplerConfig(group="so3", chart="polar", seed=2, count=10))
+    tracemalloc.start()
+    try:
+        mc_moments(spec, 2, SamplerConfig(group="so3", chart="polar", seed=2, count=20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 20000) < 110, peak
 
 
 def test_decompose_reports_residual_off_span():
