@@ -3,20 +3,19 @@
 Chart definitions in a small text language, numeric and closed-form
 uniform densities, seeded sampling, Reynolds averaging of tensors,
 invariant-subspace dimensions, and orbit moment statistics for
-SO(2), O(2), SO(3), and O(3).
+SO(2), O(2), SO(3), and O(3); averages also run over finite subgroups.
 """
 
 from .chartlang import ChartError, parse_chart, print_chart
 from .charts import (BUILTIN_NAMES, Chart, DomainError, builtin_chart, load_chart)
-from .groups import (GroupElement, Quaternion, frobenius, hat, rodrigues,
-                     so_algebra_basis, vee)
+from .groups import (FiniteGroup, GroupElement, frobenius, hat, rodrigues, so_algebra_basis,
+                     vee)
 from .haar import (HaarDensity, NumericalError, chart_change_check, density_numeric,
                    integrate_scalar, integrate_tensor, normalize)
 from .orbit import OrbitSpec, covariance, mc_moments, moment
 from .quadrature import QuadratureRule
-from .reynolds import (FiniteGroup, dim_invariants_closed, dim_invariants_quadrature,
-                       invariant_rank, reynolds_continuous, reynolds_finite,
-                       reynolds_matrix)
+from .reynolds import (dim_invariants_closed, dim_invariants_quadrature, invariant_rank,
+                       reynolds_continuous, reynolds_matrix)
 from .sampling import (SampleBatch, SamplerConfig, closed_form, closed_form_density,
                        invert_cdf, sample)
 from .tensors import Tensor, act, act_batch, as_tensor, outer_power
@@ -34,7 +33,6 @@ __all__ = [
     "NumericalError",
     "OrbitSpec",
     "QuadratureRule",
-    "Quaternion",
     "SampleBatch",
     "SamplerConfig",
     "Tensor",
@@ -63,7 +61,6 @@ __all__ = [
     "parse_chart",
     "print_chart",
     "reynolds_continuous",
-    "reynolds_finite",
     "reynolds_matrix",
     "rodrigues",
     "sample",

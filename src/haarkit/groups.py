@@ -1,11 +1,13 @@
-"""The four groups, their elements, and the constructions built on them.
+"""The four groups, finite subgroups, their elements, and the constructions built on them.
 
 GROUPS is the one table of SO(2), O(2), SO(3) and O(3): every module reads
 a group's dimension, properness, spelling and charts from its row, found by
-lookup_group under either spelling (``so3`` or ``so(3)``).  Also provides
-orthogonality_error, hat/vee between R^3 and skew-symmetric matrices, the
-Olinde-Rodrigues rotation formula, plane reflections, the half-trace
-Frobenius product, and quaternions with their action on R^3.
+lookup_group under either spelling (``so3`` or ``so(3)``).  A FiniteGroup
+stands in for a tag in every group average (haar.haar_nodes gives its
+elements weight 1/|G| each).  Also provides orthogonality_error, hat/vee
+between R^3 and skew-symmetric matrices, the Olinde-Rodrigues rotation
+formula, plane reflections, the half-trace Frobenius product, and the
+rotation matrices of unit quaternions.
 
 Conventions: hat(x) @ v == cross(x, v) (right-hand rule), so that
 exp(alpha * hat(n)) is the counterclockwise rotation by alpha about n,
@@ -16,7 +18,7 @@ rodrigues(n, alpha).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +64,63 @@ def lookup_group(tag: str) -> Group:
         if tag in (group.tag, group.spelling):
             return group
     raise UnknownGroupError(f"unknown group tag {tag!r}; expected one of {', '.join(GROUPS)}")
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteGroup:
+    """A finite set of orthogonal matrices verified to form a group.
+
+    Every average that takes a group tag takes a FiniteGroup in its place
+    and sums over the elements, improper ones included, at weight 1/|G|.
+    """
+
+    elements: tuple[GroupElement, ...]
+    matrices: np.ndarray = field(init=False)  # (n, D, D) stack of the elements
+
+    def __post_init__(self):
+        if not self.elements:
+            raise ValueError("a finite group needs at least one element")
+        arr = np.stack([g.matrix for g in self.elements])
+        arr.setflags(write=False)
+        object.__setattr__(self, "matrices", arr)
+        n, dim = arr.shape[0], arr.shape[1]
+        if not np.abs(arr - np.eye(dim)).max(axis=(1, 2)).min() <= INPUT_TOL:
+            raise ValueError("the identity is not among the elements")
+        products = np.einsum("aij,bjk->abik", arr, arr).reshape(n * n, dim, dim)
+        gaps = np.full(n * n, np.inf)
+        for g in arr:  # one member at a time keeps memory O(n^2 D^2); NaN propagates
+            gaps = np.minimum(gaps, np.abs(products - g).max(axis=(1, 2)))
+        if not gaps.max() <= INPUT_TOL:
+            i, j = divmod(int(gaps.argmax()), n)
+            raise ValueError(f"not closed under products: element {i} * element {j} "
+                             f"is {gaps.max():.3g} away from every member")
+        inv_gaps = np.abs(arr.transpose(0, 2, 1)[:, None] - arr[None]).max(axis=(2, 3)).min(axis=1)
+        if not inv_gaps.max() <= INPUT_TOL:
+            raise ValueError("not closed under inverses")
+
+    @classmethod
+    def from_matrices(cls, matrices) -> "FiniteGroup":
+        return cls(tuple(GroupElement.from_matrix(m) for m in matrices))
+
+    @classmethod
+    def cyclic(cls, axis, k: int) -> "FiniteGroup":
+        """The k rotations by multiples of 2*pi/k about an axis of R^3."""
+        if k < 1:
+            raise ValueError("cyclic group order must be positive")
+        return cls(tuple(rodrigues(axis, 2.0 * np.pi * j / k) for j in range(k)))
+
+    @property
+    def dim(self) -> int:
+        return self.matrices.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __repr__(self) -> str:  # short, as error messages print it
+        return f"FiniteGroup(order={len(self)}, dim={self.dim})"
 
 
 def hat(x) -> np.ndarray:
@@ -220,32 +279,8 @@ def reflection(normal) -> GroupElement:
     return GroupElement.from_matrix(m, tol=CONSTRUCTED_TOL)
 
 
-# ---------------------------------------------------------------------------
-# Quaternions.  Components ordered (w, x, y, z); Hamilton product, so that
-# ij = k and unit quaternions act on R^3 by v -> q v conj(q).
-
-
-def quat_mul(a, b) -> np.ndarray:
-    """Hamilton product of quaternions stored as (..., 4) arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=-1)
-
-
-def quat_conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
 def quat_rotation_matrices(q) -> np.ndarray:
-    """Rotation matrices of unit quaternions stored as (..., 4) arrays."""
+    """Rotations v -> q v conj(q) of unit quaternions, (..., 4) arrays ordered (w, x, y, z)."""
     q = np.asarray(q, dtype=float)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     m = np.empty(q.shape[:-1] + (3, 3))
@@ -259,41 +294,3 @@ def quat_rotation_matrices(q) -> np.ndarray:
     m[..., 2, 1] = 2.0 * (y * z + w * x)
     m[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
     return m
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion w + xi + yj + zk."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def from_axis_angle(cls, axis, angle: float) -> "Quaternion":
-        n = np.asarray(axis, dtype=float)
-        _check_unit(n, "rotation axis")
-        h = 0.5 * angle
-        s = np.sin(h)
-        return cls(float(np.cos(h)), float(s * n[0]), float(s * n[1]), float(s * n[2]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def rotate(self, v) -> np.ndarray:
-        """Apply v -> q v conj(q) to a 3-vector through the quaternion algebra."""
-        v = np.asarray(v, dtype=float)
-        pure = np.concatenate([[0.0], v])
-        out = quat_mul(quat_mul(self.as_array(), pure), quat_conjugate(self.as_array()))
-        return out[1:]
-
-
-def quat_to_rotation(q: Quaternion | np.ndarray) -> GroupElement:
-    """The rotation acting as v -> q v conj(q); q and -q give the same matrix."""
-    arr = q.as_array() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
-    if arr.shape != (4,):
-        raise ValueError(f"quaternion needs 4 components, got shape {arr.shape}")
-    if not abs(float(np.linalg.norm(arr)) - 1.0) <= INPUT_TOL:
-        raise ValueError("quaternion must be unit norm; not normalizing silently")
-    return GroupElement.from_matrix(quat_rotation_matrices(arr), tol=CONSTRUCTED_TOL)

@@ -24,7 +24,10 @@ imaginaries (i, j, k) as basis.
 The sign of det M is an orientation artifact of basis and parameter
 order, so the absolute value is taken before normalizing, on the grid that
 averages reuse.  Group averages read groups.GROUPS: dimension, properness
-(an O-group adds the improper coset) and first chart (the exact rule).
+(an O-group adds the improper coset) and first chart (the exact rule).  A
+groups.FiniteGroup in place of a tag averages over its elements at weight
+1/|G| each; haar_nodes and coset_stacks are the one place either is turned
+into weights and element stacks.
 
 A density also inverts its chart: ``coordinates(g)`` runs batch
 Gauss-Newton (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 10) on
@@ -39,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import Chart, builtin_chart
-from .groups import improper_coset, lookup_group, quat_rotation_matrices, so_algebra_basis
+from .groups import (FiniteGroup, improper_coset, lookup_group, quat_rotation_matrices,
+                     so_algebra_basis)
 from .quadrature import DEFAULT_NODES, QuadratureRule, axis_rule
 
 DEGENERATE_C = 1e-12
@@ -61,8 +65,9 @@ def _density_and_elements(chart: Chart, pts: np.ndarray):
     """|det M| at an (N, d) batch and the group elements there (no domain checks).
 
     Quaternion charts push their quaternions to rotation matrices.  Sums run
-    in np.einsum's order (k = 0, 1, ... for p^T dp) and in quat_mul's (for
-    conj(q) dq), so |det M| has the bits of the einsum and quat_mul forms.
+    in np.einsum's order (k = 0, 1, ... for p^T dp) and in the Hamilton
+    product's term order (for conj(q) dq), so |det M| has the bits of the
+    einsum and Hamilton-product forms.
     M is built transposed, mt[j, i] = M_ij at every point, so each entry is
     one contiguous row.
     """
@@ -276,19 +281,22 @@ def chart_change_check(c1, c2, u, shift=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Normalized integration over SO / O groups
+# Normalized integration over SO / O groups and finite groups
 
 
-def coset_stacks(group_tag: str, elements: np.ndarray) -> list[np.ndarray]:
+def coset_stacks(group, elements: np.ndarray) -> list[np.ndarray]:
     """The element stacks a group average runs over.
 
     SO(D) averages f over the proper elements; O(D) integrates
-    (1/2)[f(g) + f(sigma g)], so its list adds the improper coset.
+    (1/2)[f(g) + f(sigma g)], so its list adds the improper coset.  A
+    FiniteGroup's elements already hold its improper ones, if any.
     """
-    group = lookup_group(group_tag)
-    if elements.shape[-1] != group.dim:
-        raise ValueError(f"group {group_tag} needs {group.dim}x{group.dim} elements, got {elements.shape}")
-    return [elements] if group.proper else [elements, improper_coset(elements)]
+    if isinstance(group, FiniteGroup):
+        return [elements]
+    row = lookup_group(group)
+    if elements.shape[-1] != row.dim:
+        raise ValueError(f"group {group} needs {row.dim}x{row.dim} elements, got {elements.shape}")
+    return [elements] if row.proper else [elements, improper_coset(elements)]
 
 
 def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,31 +328,40 @@ def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, chart.evaluate_many(points)
 
 
-def haar_nodes(group_tag: str, density: HaarDensity | None,
+def haar_nodes(group, density: HaarDensity | None,
                degree: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, proper elements): the grid of a density, else the exact rule."""
+    """(weights, elements before coset_stacks) of a group average.
+
+    A FiniteGroup gives each of its elements weight 1/|G| and takes no
+    density; a tag gives the grid of a density, else the exact rule.
+    """
+    if isinstance(group, FiniteGroup):
+        if density is not None:
+            raise ValueError("a finite group averages over its elements and takes no density")
+        return np.full(len(group), 1.0 / len(group)), group.matrices
     if density is not None:
         return density.grid()[1:]
     if degree is None:
         raise ValueError("without a density the exact rule needs the integrand's polynomial degree")
-    return exact_nodes(group_tag, degree)
+    return exact_nodes(group, degree)
 
 
-def integrate_scalar(f, group_tag: str, density: HaarDensity) -> float:
+def integrate_scalar(f, group, density: HaarDensity) -> float:
     """Normalized integral of f, which maps the (N, D, D) element stack to (N,) values."""
-    return float(integrate_tensor(f, group_tag, density))
+    return float(integrate_tensor(f, group, density))
 
 
-def integrate_tensor(f, group_tag: str, density: HaarDensity | None,
+def integrate_tensor(f, group, density: HaarDensity | None,
                      degree: int | None = None) -> np.ndarray:
     """Entry-wise normalized integral of a tensor-valued function.
 
-    The integrand maps the (N, D, D) element stack to (N, *shape).
-    With a density the integral runs on the grid it was normalized on; with
-    ``density=None`` it runs on exact_nodes(group_tag, degree), which is
-    exact when f is a polynomial of degree <= ``degree`` in the entries of g.
+    The integrand maps the (N, D, D) element stack to (N, *shape).  On a
+    FiniteGroup it is the exact mean over the elements.  For a group tag,
+    with a density the integral runs on the grid it was normalized on; with
+    ``density=None`` it runs on exact_nodes(group, degree), which is exact
+    when f is a polynomial of degree <= ``degree`` in the entries of g.
     """
-    weights, elements = haar_nodes(group_tag, density, degree)
+    weights, elements = haar_nodes(group, density, degree)
     parts = [np.tensordot(weights, np.asarray(f(mats), dtype=float), axes=1)
-             for mats in coset_stacks(group_tag, elements)]
+             for mats in coset_stacks(group, elements)]
     return sum(parts[1:], parts[0]) / len(parts)

@@ -1,14 +1,15 @@
 """Moments of group-orbit random variables X: g -> rho(g) v.
 
 Supported representations: the natural action on vectors, the order-n
-tensor action, and conjugation g v g^T on symmetric matrices.  Moments
-come from quadrature (the Reynolds average of tensor powers of X, on the
-exact rule or on the grid a density was normalized on) or from Monte
-Carlo sampling with entry-wise standard errors.  A Monte Carlo moment keeps
-one S^r-entry outer power per draw (S the seed's entry count) in a single
-(N, S^r) stack and reads its standard errors off that stack in place;
-``orbit-moments --mc`` draws once per command and passes the SampleBatch to
-both orders.
+tensor action, and conjugation g v g^T on symmetric matrices, under a
+group tag or a groups.FiniteGroup.  Moments come from quadrature (the
+Reynolds average of tensor powers of X, on the exact rule, on the grid a
+density was normalized on, or over a finite group's elements) or, for a
+tag, from Monte Carlo sampling with entry-wise standard errors.  A Monte
+Carlo moment keeps one S^r-entry outer power per draw (S the seed's entry
+count) in a single (N, S^r) stack and reads its standard errors off that
+stack in place; ``orbit-moments --mc`` draws once per command and passes
+the SampleBatch to both orders.
 
 For conjugation orbits of symmetric 3x3 seeds the first two moments have
 closed forms in the isotropic tensors; see the *_closed functions.  They
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import lookup_group
+from .groups import FiniteGroup, lookup_group
 from .haar import HaarDensity, integrate_tensor
 from .sampling import SampleBatch, SamplerConfig, sample
 from .tensors import MAX_ENTRIES, Tensor, act_batch, as_tensor, outer_power, outer_power_batch
@@ -38,9 +39,9 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class OrbitSpec:
-    """A group, a representation, and the seed the orbit passes through."""
+    """A group (tag or FiniteGroup), a representation, and the seed the orbit passes through."""
 
-    group: str
+    group: str | FiniteGroup
     representation: str
     seed: Tensor
 
@@ -57,7 +58,8 @@ class OrbitSpec:
             a = self.seed.array
             if not np.abs(a - a.T).max() <= SYMMETRY_TOL:
                 raise ValueError("conjugation orbits need a symmetric seed")
-        if self.seed.dim != lookup_group(self.group).dim:
+        group = self.group if isinstance(self.group, FiniteGroup) else lookup_group(self.group)
+        if self.seed.dim != group.dim:
             raise ValueError(f"seed dimension {self.seed.dim} does not match group {self.group}")
 
     def values(self, mats: np.ndarray) -> np.ndarray:
@@ -105,13 +107,21 @@ def mc_moments(spec: OrbitSpec, r: int,
     """Monte Carlo m_r(X) with entry-wise standard errors of the mean.
 
     ``config`` is a SamplerConfig to draw from or a SampleBatch already drawn,
-    which gives the same bytes as its own config.  The results are numpy's
-    ``mean`` and ``std(ddof=1) / sqrt(n)`` over the (N, S^r) stack of outer
-    powers, step for step, but the deviations overwrite that stack instead of
-    filling a second one.
+    which gives the same bytes as its own config.  Either must draw the
+    spec's group; a FiniteGroup has no sampler, and moment() gives its
+    moments exactly.  The results are numpy's ``mean`` and
+    ``std(ddof=1) / sqrt(n)`` over the (N, S^r) stack of outer powers, step
+    for step, but the deviations overwrite that stack instead of filling a
+    second one.
     """
     if r < 1:
         raise ValueError("moment order must be positive")
+    if isinstance(spec.group, FiniteGroup):
+        raise ValueError("a finite group has no sampler; moment(spec, r) averages over "
+                         "its elements exactly")
+    drawn = (config.config if isinstance(config, SampleBatch) else config).group
+    if lookup_group(drawn) is not lookup_group(spec.group):
+        raise ValueError(f"draws of group {drawn!r} cannot average an orbit of {spec.group!r}")
     shape = _power_shape(spec, r)
     # no name holds a batch drawn here, so it is freed before the S^r stack is built
     points = spec.values((config if isinstance(config, SampleBatch) else sample(config)).matrices)

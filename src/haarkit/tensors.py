@@ -49,9 +49,6 @@ class Tensor:
     def array(self) -> np.ndarray:
         return self.entries
 
-    def norm_inf(self) -> float:
-        return float(np.abs(self.entries).max()) if self.entries.size else 0.0
-
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_like(other)
         return Tensor.from_array(self.entries + other.entries, dim=self.dim)

@@ -5,7 +5,8 @@ rows, the compacting inverse CDF, the improper coset as a sign, whole or
 masked in place, the templated sample formatter, the Monte Carlo moments
 with their standard errors taken in place) is compared with a
 straightforward reference kept here, on bytes rather than on values, so a
-flipped sign of zero counts as a difference.
+flipped sign of zero counts as a difference.  The Hamilton product that the
+einsum reference kernel uses lives here too, with tests of its own.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from haarkit.chartlang import evaluate_expr, parse_chart
 from haarkit.charts import BUILTIN_NAMES, Chart, builtin_chart
 from haarkit.cli import _row_template, format_float, format_rows, main, to_json
-from haarkit.groups import (GROUPS as GROUP_CHARTS, improper_coset, quat_conjugate, quat_mul,
-                            quat_rotation_matrices, so_algebra_basis)
+from haarkit.groups import (GROUPS as GROUP_CHARTS, improper_coset, quat_rotation_matrices,
+                            so_algebra_basis)
 from haarkit.haar import NumericalError, _density_and_elements
 from haarkit.orbit import OrbitSpec, mc_moments
 from haarkit.quadrature import QuadratureRule
@@ -128,6 +129,50 @@ def test_plan_scalar_evaluate_agrees():
 
 # ---------------------------------------------------------------------------
 # Haar density kernel on entry rows against the einsum kernel
+
+
+def quat_mul(a, b) -> np.ndarray:
+    """Hamilton product of quaternions stored as (..., 4) arrays (w, x, y, z)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ], axis=-1)
+
+
+def quat_conjugate(q) -> np.ndarray:
+    return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def test_quat_mul_hamilton_table():
+    # i*j = k, j*k = i, k*i = j, i*i = -1
+    w, i, j, k = np.eye(4)
+    assert np.allclose(quat_mul(i, j), k)
+    assert np.allclose(quat_mul(j, k), i)
+    assert np.allclose(quat_mul(k, i), j)
+    assert np.allclose(quat_mul(i, i), -w)
+    assert np.allclose(quat_mul(w, j), j)
+
+
+def test_quat_mul_broadcasts():
+    rng = np.random.default_rng(1234)  # its own stream, so later draws of RNG stay put
+    a = rng.normal(size=(5, 4))
+    b = rng.normal(size=(5, 4))
+    out = quat_mul(a, b)
+    assert out.shape == (5, 4)
+    for row, (x, y) in enumerate(zip(a, b)):
+        assert np.allclose(out[row], quat_mul(x, y))
+
+
+def test_quat_conjugate_gives_inverse():
+    q = np.random.default_rng(1235).normal(size=4)
+    q /= np.linalg.norm(q)
+    assert np.allclose(quat_mul(q, quat_conjugate(q)), [1, 0, 0, 0], atol=1e-14)
 
 
 @np.errstate(invalid="ignore")

@@ -1,6 +1,6 @@
 """The group table: its rows agree with the built-in charts and the chart
-language, and every public function that takes a group tag rejects a tag
-that is no row.
+language, every public function that takes a group tag rejects a tag that
+is no row, and every average takes a FiniteGroup in the tag's place.
 """
 
 import numpy as np
@@ -8,10 +8,10 @@ import pytest
 
 from haarkit.chartlang import GROUP_TAGS, parse_chart
 from haarkit.charts import BUILTIN_NAMES, builtin_chart
-from haarkit.groups import GROUPS, UnknownGroupError, lookup_group
+from haarkit.groups import GROUPS, FiniteGroup, UnknownGroupError, lookup_group
 from haarkit.haar import (coset_stacks, exact_nodes, haar_nodes, integrate_scalar,
                           integrate_tensor, normalize)
-from haarkit.orbit import OrbitSpec
+from haarkit.orbit import OrbitSpec, covariance, moment
 from haarkit.reynolds import (dim_invariants_closed, dim_invariants_quadrature,
                               invariant_rank, reynolds_continuous, reynolds_matrix)
 from haarkit.sampling import SamplerConfig
@@ -92,3 +92,40 @@ def test_either_spelling_names_the_same_group(tag):
     spelling = GROUPS[tag].spelling
     assert np.array_equal(reynolds_matrix(tag, 2), reynolds_matrix(spelling, 2))
     assert SamplerConfig(group=spelling, seed=3).chart == SamplerConfig(group=tag, seed=3).chart
+
+
+def _orbit(group):
+    return OrbitSpec(group, "sym2", Tensor.from_array(np.diag([1.0, 2.0, 3.0])))
+
+
+# every average that takes a group tag, called with a group and a density
+AVERAGES = {
+    "haar_nodes": lambda g, d: haar_nodes(g, d, degree=2),
+    "integrate_tensor": lambda g, d: integrate_tensor(lambda m: m, g, d, degree=1),
+    "integrate_scalar": lambda g, d: integrate_scalar(lambda m: np.ones(len(m)), g, d),
+    "reynolds_continuous": lambda g, d: reynolds_continuous(g, Tensor.zeros(3, 2), d),
+    "reynolds_matrix": lambda g, d: reynolds_matrix(g, 2, d),
+    "invariant_rank": lambda g, d: invariant_rank(g, 2, d),
+    "dim_invariants_quadrature": lambda g, d: dim_invariants_quadrature(g, 2, d),
+    "moment": lambda g, d: moment(_orbit(g), 1, d),
+    "covariance": lambda g, d: covariance(_orbit(g), d),
+}
+
+
+@pytest.mark.parametrize("name", list(AVERAGES))
+def test_every_average_takes_a_finite_group_in_place_of_a_tag(name):
+    c4 = FiniteGroup.cyclic([0.0, 0.0, 1.0], 4)
+    AVERAGES[name](c4, None)
+    with pytest.raises(ValueError, match="finite group averages over its elements"):
+        AVERAGES[name](c4, _density())
+    with pytest.raises(UnknownGroupError, match="unknown group tag 'su2'"):
+        AVERAGES[name]("su2", None if name != "integrate_scalar" else _density())
+
+
+def test_a_finite_group_adds_no_coset_and_weighs_each_element_once():
+    # the Klein four-group of sign flips, two of them improper
+    klein = FiniteGroup.from_matrices([np.diag(s) for s in ((1.0, 1.0), (-1.0, 1.0),
+                                                            (1.0, -1.0), (-1.0, -1.0))])
+    weights, elements = haar_nodes(klein, None)
+    assert np.array_equal(weights, np.full(4, 0.25)) and elements is klein.matrices
+    assert len(coset_stacks(klein, elements)) == 1

@@ -1,12 +1,10 @@
-"""Matrix group primitives: hat/vee, Rodrigues, group elements, quaternions."""
+"""Matrix group primitives: hat/vee, Rodrigues, group elements, quaternion rotations."""
 
 import numpy as np
 import pytest
 
-from haarkit.groups import (GroupElement, Quaternion, frobenius, hat, quat_conjugate,
-                            quat_mul, quat_rotation_matrices, quat_to_rotation,
-                            reflection, rodrigues, so_algebra_basis,
-                            vee)
+from haarkit.groups import (GroupElement, frobenius, hat, quat_rotation_matrices, reflection,
+                            rodrigues, so_algebra_basis, vee)
 from haarkit.groups import improper_coset
 
 RNG = np.random.default_rng(1234)
@@ -92,32 +90,6 @@ def test_group_element_inverse_and_compose():
     assert np.allclose((g @ h).matrix, g.matrix @ h.matrix)
 
 
-def test_quat_mul_hamilton_table():
-    # i*j = k, j*k = i, k*i = j, i*i = -1
-    e = np.eye(4)
-    w, i, j, k = e
-    assert np.allclose(quat_mul(i, j), k)
-    assert np.allclose(quat_mul(j, k), i)
-    assert np.allclose(quat_mul(k, i), j)
-    assert np.allclose(quat_mul(i, i), -w)
-    assert np.allclose(quat_mul(w, j), j)
-
-
-def test_quat_mul_broadcasts():
-    a = RNG.normal(size=(5, 4))
-    b = RNG.normal(size=(5, 4))
-    out = quat_mul(a, b)
-    assert out.shape == (5, 4)
-    for row, (x, y) in enumerate(zip(a, b)):
-        assert np.allclose(out[row], quat_mul(x, y))
-
-
-def test_quat_conjugate_gives_inverse():
-    q = RNG.normal(size=4)
-    q /= np.linalg.norm(q)
-    assert np.allclose(quat_mul(q, quat_conjugate(q)), [1, 0, 0, 0], atol=1e-14)
-
-
 def test_quat_rotation_matches_rodrigues():
     axis = np.array([0.0, 0.6, 0.8])
     angle = 1.1
@@ -130,17 +102,6 @@ def test_quat_double_cover():
     q = RNG.normal(size=4)
     q /= np.linalg.norm(q)
     assert np.allclose(quat_rotation_matrices(q[None]), quat_rotation_matrices(-q[None]))
-
-
-def test_quaternion_rotate_agrees_with_matrix():
-    q = Quaternion.from_axis_angle([0.0, 0.0, 1.0], 0.7)
-    v = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(q.rotate(v), quat_to_rotation(q).matrix @ v, atol=1e-13)
-
-
-def test_quat_to_rotation_requires_unit():
-    with pytest.raises(ValueError):
-        quat_to_rotation(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_improper_coset_representatives():

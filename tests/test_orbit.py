@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from haarkit.charts import builtin_chart
+from haarkit.groups import FiniteGroup
 from haarkit.haar import normalize
 from haarkit.orbit import (OrbitSpec, covariance, decompose, isotropic_basis,
                            mc_moments, moment, sym2_covariance_closed,
                            sym2_mean_closed, sym2_second_moment_closed)
 from haarkit.reynolds import reynolds_continuous
-from haarkit.sampling import SamplerConfig
+from haarkit.sampling import SamplerConfig, sample
 from haarkit.tensors import Tensor, as_tensor, outer_power
 
 V0 = np.diag([1.0, 2.0, 3.0])
@@ -144,6 +145,46 @@ def test_mc_moments_memory_per_draw():
     finally:
         tracemalloc.stop()
     assert peak / (8 * 20000) < 110, peak
+
+
+def levi_civita_spec(group="so3"):
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[j, i, k] = 1.0, -1.0
+    return OrbitSpec(group=group, representation="tensor", seed=as_tensor(eps))
+
+
+def test_mc_moments_refuses_a_config_of_another_group():
+    # epsilon is SO(3)-invariant, so its exact first moment is epsilon itself;
+    # O(3) draws average it towards 0
+    spec = levi_civita_spec()
+    assert moment(spec, 1).array[0, 1, 2] == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError, match="draws of group 'o3' cannot average an orbit of 'so3'"):
+        mc_moments(spec, 1, SamplerConfig(group="o3", seed=1, count=4000))
+    est, _ = mc_moments(spec, 1, SamplerConfig(group="so(3)", seed=1, count=400))
+    assert est.array[0, 1, 2] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mc_moments_refuses_a_batch_of_another_group():
+    spec = levi_civita_spec("o3")
+    with pytest.raises(ValueError, match="draws of group 'so3' cannot average an orbit of 'o3'"):
+        mc_moments(spec, 2, sample(SamplerConfig(group="so3", seed=1, count=10)))
+    spec = OrbitSpec(group="so2", representation="natural", seed=as_tensor([1.0, 0.0]))
+    with pytest.raises(ValueError, match="draws of group 'o2'"):
+        mc_moments(spec, 1, sample(SamplerConfig(group="o2", seed=1, count=10)))
+    assert len(mc_moments(spec, 1, sample(SamplerConfig(group="so(2)", seed=1, count=10)))) == 2
+
+
+def test_finite_group_spec_checks_the_seed_dimension():
+    with pytest.raises(ValueError, match=r"^seed dimension 2 does not match group "
+                                         r"FiniteGroup\(order=12, dim=3\)$"):
+        OrbitSpec(FiniteGroup.cyclic([0.0, 0.0, 1.0], 12), "natural", as_tensor([1.0, 0.0]))
+
+
+def test_mc_moments_refuses_a_finite_group():
+    spec = OrbitSpec(FiniteGroup.cyclic([0.0, 0.0, 1.0], 4), "sym2", as_tensor(V0))
+    with pytest.raises(ValueError, match="finite group has no sampler; moment"):
+        mc_moments(spec, 1, SamplerConfig(group="so3", seed=1, count=10))
 
 
 def test_decompose_reports_residual_off_span():

@@ -1,4 +1,7 @@
-"""Group averaging: finite and continuous projectors, invariant dimensions.
+"""Group averaging: projectors over finite and continuous groups, invariant dimensions.
+
+A FiniteGroup goes through the same functions as a group tag; its averages
+are checked against element-by-element Python loops.
 
 The closed-form dimension sums are checked against an independent recurrence
 for the same sequence, a(n) = (n-1)(2a(n-1) + 3a(n-2))/(n+1), and against
@@ -12,13 +15,13 @@ import warnings
 import numpy as np
 import pytest
 
-from haarkit.groups import GroupElement, rodrigues
+from haarkit.groups import FiniteGroup, GroupElement, rodrigues
 from haarkit.haar import NumericalError, coset_stacks, haar_nodes, normalize
 from haarkit.charts import builtin_chart
+from haarkit.orbit import OrbitSpec, moment
 from haarkit.quadrature import QuadratureRule
-from haarkit.reynolds import (FiniteGroup, dim_invariants_closed,
-                              dim_invariants_quadrature, invariant_rank,
-                              reynolds_continuous, reynolds_finite, reynolds_matrix)
+from haarkit.reynolds import (dim_invariants_closed, dim_invariants_quadrature, invariant_rank,
+                              reynolds_continuous, reynolds_matrix)
 from haarkit.tensors import Tensor, act, as_tensor
 
 RNG = np.random.default_rng(404)
@@ -68,11 +71,11 @@ def test_finite_group_requires_identity():
 def test_reynolds_finite_projects_onto_invariants():
     group = FiniteGroup.cyclic(E3, 6)
     t = as_tensor(RNG.normal(size=(3, 3)))
-    avg = reynolds_finite(group, t)
+    avg = reynolds_continuous(group, t)
     for g in group:
         assert np.allclose(act(g, avg).array, avg.array, atol=1e-12)
     # averaging again changes nothing
-    assert np.allclose(reynolds_finite(group, avg).array, avg.array, atol=1e-13)
+    assert np.allclose(reynolds_continuous(group, avg).array, avg.array, atol=1e-13)
 
 
 def test_reynolds_finite_z_axis_average():
@@ -80,7 +83,7 @@ def test_reynolds_finite_z_axis_average():
     # diag(a, a, c) with a = (t11+t22)/2 survives from a diagonal seed
     group = FiniteGroup.cyclic(E3, 8)
     t = as_tensor(np.diag([1.0, 5.0, 9.0]))
-    avg = reynolds_finite(group, t).array
+    avg = reynolds_continuous(group, t).array
     assert np.allclose(avg, np.diag([3.0, 3.0, 9.0]), atol=1e-12)
 
 
@@ -324,15 +327,15 @@ def test_reynolds_finite_square_dihedral_group():
     assert len(group) == 8 and group.matrices.shape == (8, 2, 2)
     assert sorted(round(np.linalg.det(m)) for m in group.matrices) == [-1] * 4 + [1] * 4
     # reflections kill every vector; the plane is irreducible, so order 2 gives (tr t / 2) I
-    assert np.abs(reynolds_finite(group, as_tensor([0.3, -1.7])).array).max() <= 1e-15
+    assert np.abs(reynolds_continuous(group, as_tensor([0.3, -1.7])).array).max() <= 1e-15
     t = as_tensor(RNG.normal(size=(2, 2)))
-    avg = reynolds_finite(group, t).array
+    avg = reynolds_continuous(group, t).array
     assert np.allclose(avg, np.trace(t.array) / 2 * np.eye(2), atol=1e-15)
     # the element-by-element loop, as the reference
     loop = sum(g.matrix @ t.array @ g.matrix.T for g in group) / len(group)
     assert np.abs(avg - loop).max() <= 1e-15
     # e1^(x)4 averages to (e1^(x)4 + e2^(x)4) / 2, invariant under D4 but not under O(2)
-    avg = reynolds_finite(group, Tensor.basis_element(2, (0, 0, 0, 0))).array
+    avg = reynolds_continuous(group, Tensor.basis_element(2, (0, 0, 0, 0))).array
     expected = np.zeros((2,) * 4)
     expected[0, 0, 0, 0] = expected[1, 1, 1, 1] = 0.5
     assert np.abs(avg - expected).max() <= 1e-15
@@ -341,8 +344,86 @@ def test_reynolds_finite_square_dihedral_group():
 
 
 def test_reynolds_finite_order_zero():
-    avg = reynolds_finite(FiniteGroup.cyclic(E3, 6), as_tensor(2.5, dim=3))
+    avg = reynolds_continuous(FiniteGroup.cyclic(E3, 6), as_tensor(2.5, dim=3))
     assert (avg.dim, avg.order) == (3, 0)
     assert float(avg.array) == 2.5
     with pytest.raises(ValueError, match="tensor has dimension 2"):
-        reynolds_finite(FiniteGroup.cyclic(E3, 6), as_tensor(2.5, dim=2))
+        reynolds_continuous(FiniteGroup.cyclic(E3, 6), as_tensor(2.5, dim=2))
+
+
+# ---------------------------------------------------------------------------
+# Finite groups through the one averaging engine
+
+
+FINITE_GROUPS = {
+    "C4": lambda: FiniteGroup.cyclic(E3, 4),
+    "C6": lambda: FiniteGroup.cyclic(E3, 6),
+    "D4 square": square_dihedral_group,
+}
+
+
+def loop_kronecker_mean(group, n):
+    """The mean of g^(x)n over the elements, one np.kron chain per element."""
+    total = 0.0
+    for g in group:
+        power = np.ones((1, 1))
+        for _ in range(n):
+            power = np.kron(power, g.matrix)
+        total = total + power
+    return total / len(group)
+
+
+def cyclic_count(k, n):
+    """Order-n invariants of C_k about e3, in integers.
+
+    g has eigenvalues 1, w, 1/w with w = exp(2 pi i j / k), so Tr(g)^n is the
+    multinomial sum of w^(b - c) over a + b + c = n, and its mean over the
+    group keeps the terms with b = c mod k.
+    """
+    return sum(math.comb(n, a) * math.comb(n - a, b)
+               for a in range(n + 1) for b in range(n - a + 1) if (2 * b + a - n) % k == 0)
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("name", list(FINITE_GROUPS))
+def test_finite_reynolds_matrix_is_the_loop_mean_and_a_projector(name, n):
+    group = FINITE_GROUPS[name]()
+    op = reynolds_matrix(group, n)
+    assert op.shape == (group.dim**n,) * 2
+    assert np.abs(op - loop_kronecker_mean(group, n)).max() <= 1e-14
+    assert np.abs(op @ op - op).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", list(FINITE_GROUPS))
+def test_finite_invariant_rank_matches_the_trace_formula(name):
+    group = FINITE_GROUPS[name]()
+    for n in range(5):
+        assert invariant_rank(group, n) == round(dim_invariants_quadrature(group, n)), n
+
+
+def test_cyclic_invariant_counts():
+    group = FiniteGroup.cyclic(E3, 4)
+    assert [invariant_rank(group, n) for n in range(5)] == [1, 1, 3, 7, 21]
+    assert [cyclic_count(4, n) for n in range(5)] == [1, 1, 3, 7, 21]
+
+
+@pytest.mark.parametrize("k", [4, 6, 60])
+def test_finite_trace_formula_is_exact_until_it_refuses(k):
+    # the finite sum is exact up to a roundoff bound over max(n + 2, k) terms:
+    # every order through 29 rounds to the integer count, and 3^30 is too large
+    group = FiniteGroup.cyclic(E3, k)
+    for n in range(30):
+        got = dim_invariants_quadrature(group, n)
+        assert round(got) == cyclic_count(k, n), (k, n, got)
+    with pytest.raises(NumericalError, match="use the closed form"):
+        dim_invariants_quadrature(group, 30)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_finite_orbit_moment_is_the_loop_mean(k):
+    group = FiniteGroup.cyclic(E3, k)
+    v = np.diag([1.0, 2.0, 3.0])
+    m1 = moment(OrbitSpec(group, "sym2", as_tensor(v)), 1).array
+    loop = sum(g.matrix @ v @ g.matrix.T for g in group) / len(group)
+    assert np.abs(m1 - loop).max() <= 1e-15
+    assert np.allclose(m1, np.diag([1.5, 1.5, 3.0]), atol=1e-15)
