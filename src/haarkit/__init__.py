@@ -8,7 +8,7 @@ SO(2), O(2), SO(3), and O(3); averages also run over finite subgroups.
 
 from .chartlang import ChartError, parse_chart, print_chart
 from .charts import (BUILTIN_NAMES, Chart, DomainError, builtin_chart, load_chart)
-from .groups import (FiniteGroup, GroupElement, frobenius, hat, rodrigues, so_algebra_basis,
+from .groups import (FiniteGroup, as_orthogonal, frobenius, hat, rodrigues, so_algebra_basis,
                      vee)
 from .haar import (HaarDensity, NumericalError, chart_change_check, density_numeric,
                    integrate_scalar, integrate_tensor, normalize)
@@ -28,7 +28,6 @@ __all__ = [
     "ChartError",
     "DomainError",
     "FiniteGroup",
-    "GroupElement",
     "HaarDensity",
     "NumericalError",
     "OrbitSpec",
@@ -38,6 +37,7 @@ __all__ = [
     "Tensor",
     "act",
     "act_batch",
+    "as_orthogonal",
     "as_tensor",
     "builtin_chart",
     "chart_change_check",

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage or input error (bad flags, malformed chart
-or tensor files, points outside domains) or a stdout closed before the
+or tensor files, points outside domains), an ``--out`` path that cannot be
+written, a request larger than memory, or a stdout closed before the
 output was written, 2 numerical failure (degenerate normalization,
 non-convergence, under-resolved quadrature).  JSON output
 carries 17 significant digits so values round-trip through text; human
@@ -423,16 +424,19 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         text = args.handler(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            return 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ChartError, DomainError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        return 0
+    except MemoryError as exc:  # numpy names the allocation it could not make; Python does not
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
     try:
         print(text)
         sys.stdout.flush()

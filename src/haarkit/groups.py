@@ -2,12 +2,15 @@
 
 GROUPS is the one table of SO(2), O(2), SO(3) and O(3): every module reads
 a group's dimension, properness, spelling and charts from its row, found by
-lookup_group under either spelling (``so3`` or ``so(3)``).  A FiniteGroup
-stands in for a tag in every group average (haar.haar_nodes gives its
-elements weight 1/|G| each).  Also provides orthogonality_error, hat/vee
-between R^3 and skew-symmetric matrices, the Olinde-Rodrigues rotation
-formula, plane reflections, the half-trace Frobenius product, and the
-rotation matrices of unit quaternions.
+lookup_group under either spelling (``so3`` or ``so(3)``).  A group element
+is a plain D x D orthogonal ndarray, and a stack of them is (n, D, D);
+as_orthogonal is the one validator, and rodrigues and reflection return
+its read-only arrays.  A FiniteGroup is one validated stack, which stands
+in for a tag in every group average (haar.haar_nodes gives its elements
+weight 1/|G| each).  Also provides orthogonality_error, hat/vee between
+R^3 and skew-symmetric matrices, the Olinde-Rodrigues rotation formula,
+plane reflections, the half-trace Frobenius product, and the rotation
+matrices of unit quaternions.
 
 Conventions: hat(x) @ v == cross(x, v) (right-hand rule), so that
 exp(alpha * hat(n)) is the counterclockwise rotation by alpha about n,
@@ -18,7 +21,7 @@ rodrigues(n, alpha).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,25 +73,27 @@ def lookup_group(tag: str) -> Group:
 class FiniteGroup:
     """A finite set of orthogonal matrices verified to form a group.
 
-    Every average that takes a group tag takes a FiniteGroup in its place
-    and sums over the elements, improper ones included, at weight 1/|G|.
+    Built from an (n, D, D) stack or a list of D x D matrices, which
+    as_orthogonal validates into the read-only stack ``matrices``.  Every
+    average that takes a group tag takes a FiniteGroup in its place and
+    sums over the elements, improper ones included, at weight 1/|G|.
     """
 
-    elements: tuple[GroupElement, ...]
-    matrices: np.ndarray = field(init=False)  # (n, D, D) stack of the elements
+    matrices: np.ndarray  # (n, D, D), read-only
 
     def __post_init__(self):
-        if not self.elements:
-            raise ValueError("a finite group needs at least one element")
-        arr = np.stack([g.matrix for g in self.elements])
-        arr.setflags(write=False)
+        arr = np.asarray(self.matrices, dtype=float)
+        if arr.ndim != 3 or not len(arr):
+            raise ValueError("a finite group needs a nonempty (n, D, D) stack of matrices, "
+                             f"got shape {arr.shape}")
+        arr = as_orthogonal(arr)
         object.__setattr__(self, "matrices", arr)
         n, dim = arr.shape[0], arr.shape[1]
         if not np.abs(arr - np.eye(dim)).max(axis=(1, 2)).min() <= INPUT_TOL:
             raise ValueError("the identity is not among the elements")
         products = np.einsum("aij,bjk->abik", arr, arr).reshape(n * n, dim, dim)
         gaps = np.full(n * n, np.inf)
-        for g in arr:  # one member at a time keeps memory O(n^2 D^2); NaN propagates
+        for g in arr:  # one member at a time keeps memory O(n^2 D^2)
             gaps = np.minimum(gaps, np.abs(products - g).max(axis=(1, 2)))
         if not gaps.max() <= INPUT_TOL:
             i, j = divmod(int(gaps.argmax()), n)
@@ -99,25 +104,18 @@ class FiniteGroup:
             raise ValueError("not closed under inverses")
 
     @classmethod
-    def from_matrices(cls, matrices) -> "FiniteGroup":
-        return cls(tuple(GroupElement.from_matrix(m) for m in matrices))
-
-    @classmethod
     def cyclic(cls, axis, k: int) -> "FiniteGroup":
         """The k rotations by multiples of 2*pi/k about an axis of R^3."""
         if k < 1:
             raise ValueError("cyclic group order must be positive")
-        return cls(tuple(rodrigues(axis, 2.0 * np.pi * j / k) for j in range(k)))
+        return cls([rodrigues(axis, 2.0 * np.pi * j / k) for j in range(k)])
 
     @property
     def dim(self) -> int:
         return self.matrices.shape[-1]
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
+        return len(self.matrices)
 
     def __repr__(self) -> str:  # short, as error messages print it
         return f"FiniteGroup(order={len(self)}, dim={self.dim})"
@@ -208,57 +206,26 @@ def _check_unit(n: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be a unit vector (norm {norm:.6g}); not normalizing silently")
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
-    """A dense D x D orthogonal matrix with validated group invariants."""
+def as_orthogonal(matrices, tol: float = INPUT_TOL) -> np.ndarray:
+    """A read-only copy of one D x D matrix or an (n, D, D) stack, validated as group elements.
 
-    matrix: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, matrix, tol: float = INPUT_TOL) -> "GroupElement":
-        """Validate orthogonality and |det| = 1 within tol, then wrap."""
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"group element must be square, got shape {m.shape}")
-        if not orthogonality_error(m) <= tol:
-            raise ValueError("matrix is not orthogonal within tolerance")
-        det = float(np.linalg.det(m))
-        if not abs(abs(det) - 1.0) <= tol:
-            raise ValueError(f"matrix determinant {det:.6g} is not +-1 within tolerance")
-        elem = cls(m.copy())
-        elem.matrix.setflags(write=False)
-        return elem
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
-    @property
-    def proper(self) -> bool:
-        """True iff det = +1 (a rotation, no reflection)."""
-        return self.determinant > 0.0
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement.from_matrix(self.matrix.T, tol=CONSTRUCTED_TOL)
-
-    def __matmul__(self, other):
-        if isinstance(other, GroupElement):
-            return GroupElement.from_matrix(self.matrix @ other.matrix, tol=INPUT_TOL)
-        return self.matrix @ np.asarray(other, dtype=float)
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.matrix, dtype=dtype)
-
-    def __repr__(self) -> str:
-        kind = "proper" if self.proper else "improper"
-        return f"GroupElement(dim={self.dim}, {kind})"
+    Each matrix must be square, with orthogonality_error and ||det| - 1| at
+    most tol; NaN fails both.
+    """
+    m = np.array(matrices, dtype=float)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"group element must be square, got shape {m.shape}")
+    if not orthogonality_error(m) <= tol:
+        raise ValueError("matrix is not orthogonal within tolerance")
+    dets = np.linalg.det(m).ravel()
+    det = dets[np.abs(np.abs(dets) - 1.0).argmax()]  # the furthest from +-1
+    if not abs(abs(det) - 1.0) <= tol:
+        raise ValueError(f"matrix determinant {det:.6g} is not +-1 within tolerance")
+    m.setflags(write=False)
+    return m
 
 
-def rodrigues(axis, angle: float) -> GroupElement:
+def rodrigues(axis, angle: float) -> np.ndarray:
     """Rotation about a unit axis: I + sin(a) hat(n) + (1 - cos(a)) hat(n)^2."""
     n = np.asarray(axis, dtype=float)
     if n.shape != (3,):
@@ -266,17 +233,17 @@ def rodrigues(axis, angle: float) -> GroupElement:
     _check_unit(n, "rotation axis")
     k = hat(n)
     m = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-    return GroupElement.from_matrix(m, tol=CONSTRUCTED_TOL)
+    return as_orthogonal(m, tol=CONSTRUCTED_TOL)
 
 
-def reflection(normal) -> GroupElement:
+def reflection(normal) -> np.ndarray:
     """Reflection through the plane orthogonal to a unit normal: I - 2 n n^T."""
     n = np.asarray(normal, dtype=float)
     if n.ndim != 1 or n.size < 2:
         raise ValueError(f"reflection expects a vector of length >= 2, got shape {n.shape}")
     _check_unit(n, "reflection normal")
     m = np.eye(n.size) - 2.0 * np.outer(n, n)
-    return GroupElement.from_matrix(m, tol=CONSTRUCTED_TOL)
+    return as_orthogonal(m, tol=CONSTRUCTED_TOL)
 
 
 def quat_rotation_matrices(q) -> np.ndarray:

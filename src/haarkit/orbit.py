@@ -30,7 +30,7 @@ import numpy as np
 from .groups import FiniteGroup, lookup_group
 from .haar import HaarDensity, integrate_tensor
 from .sampling import SampleBatch, SamplerConfig, sample
-from .tensors import MAX_ENTRIES, Tensor, act_batch, as_tensor, outer_power, outer_power_batch
+from .tensors import Tensor, act_batch, as_tensor, check_budget, outer_power, outer_power_batch
 
 REPRESENTATIONS = ("natural", "tensor", "sym2")
 
@@ -68,11 +68,8 @@ class OrbitSpec:
 
 
 def _power_shape(spec: OrbitSpec, r: int) -> tuple[int, ...]:
-    shape = spec.seed.entries.shape * r
-    if spec.seed.dim ** (spec.seed.order * r) > MAX_ENTRIES:
-        raise ValueError(f"moment of order {r} over an order-{spec.seed.order} seed "
-                         f"exceeds the {MAX_ENTRIES}-entry budget")
-    return shape
+    check_budget(spec.seed.dim, spec.seed.order * r)
+    return spec.seed.entries.shape * r
 
 
 def moment(spec: OrbitSpec, r: int, density: HaarDensity | None = None, rule=None) -> Tensor:

@@ -26,7 +26,7 @@ import numpy as np
 from .charts import builtin_chart
 from .groups import FiniteGroup, lookup_group
 from .haar import HaarDensity, NumericalError, coset_stacks, haar_nodes, integrate_tensor
-from .tensors import MAX_ENTRIES, Tensor, act_batch
+from .tensors import Tensor, act_batch, check_budget
 
 RANK_THRESHOLD = 1e-6
 INTEGER_SLACK = 1e-3
@@ -52,12 +52,10 @@ def reynolds_matrix(group, n: int, density: HaarDensity | None = None) -> np.nda
     the node sum is one contraction of the two half Kronecker powers (at
     n = 0 both are 1, and it is the weight sum).
     """
+    dim = group.dim if isinstance(group, FiniteGroup) else lookup_group(group).dim
+    check_budget(dim, 2 * n)  # the operator's D^(2n) entries, before any node is built
     weighted, elements = haar_nodes(group, density, degree=n)
-    dim = elements.shape[-1]
     size = dim**n
-    if size * size > MAX_ENTRIES:
-        raise ValueError(f"order-{n} operator over dimension {dim} exceeds the "
-                         f"{MAX_ENTRIES}-entry budget")
     stacks = coset_stacks(group, elements)
     total = np.zeros((size, size))
     for stack in stacks:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import builtin_chart
-from .groups import GroupElement, improper_coset, lookup_group, quat_rotation_matrices
+from .groups import improper_coset, lookup_group, quat_rotation_matrices
 from .haar import HaarDensity, NumericalError
 
 CDF_TOL = 1e-12
@@ -190,11 +190,7 @@ class SamplerConfig:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Samples with coordinates, matrices, and quaternions when applicable.
-
-    Iterates as GroupElement instances; bulk consumers should read the
-    arrays directly.
-    """
+    """Samples with coordinates, matrices, and quaternions when applicable."""
 
     config: SamplerConfig
     coordinates: np.ndarray  # (N, d) chart coordinates of the proper part
@@ -203,13 +199,6 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
-
-    def __getitem__(self, i) -> GroupElement:
-        return GroupElement.from_matrix(self.matrices[i])
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 def _axis_streams(seed: int, axes: int) -> list[np.random.Generator]:

@@ -19,11 +19,11 @@ E1, E2, E3 = np.eye(3)
 
 
 def rz(a):
-    return rodrigues(E3, a).matrix
+    return rodrigues(E3, a)
 
 
 def rx(a):
-    return rodrigues(E1, a).matrix
+    return rodrigues(E1, a)
 
 
 def test_builtin_charts_load_and_validate():
@@ -82,7 +82,7 @@ def test_polar_chart_is_axis_angle():
         phi, psi, alpha = chart.random_interior(1, RNG)[0]
         n = np.array([np.cos(psi) * np.cos(phi), np.cos(psi) * np.sin(phi), np.sin(psi)])
         assert np.allclose(chart.evaluate([phi, psi, alpha]),
-                           rodrigues(n, alpha).matrix, atol=1e-13)
+                           rodrigues(n, alpha), atol=1e-13)
 
 
 def test_evaluate_many_matches_evaluate():

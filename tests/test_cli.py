@@ -1,5 +1,6 @@
 """End-to-end command-line checks through main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -478,3 +479,47 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert head.startswith(b'{"R": [[')
     assert code == 1
     assert err.splitlines() == ["error: stdout was closed before the output was written"]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_out_path_that_cannot_be_written_exits_1(where, tmp_path, capsys):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "dim", "--group", "so3", "--order", "2", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_memory_error_exits_1_with_one_line(monkeypatch, capsys):
+    def too_big(config):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli_module, "sample", too_big)
+    code, out, err = run(capsys, "sample", "--group", "so3", "-n", "10000000000")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: out of memory: Unable to allocate 74.5 GiB for an array"]
+
+
+def test_orbit_moments_seed_tensor_file_prints_the_diag_bytes(tmp_path, capsys):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps({"dim": 3, "order": 2,
+                                "entries": np.diag([1.0, 2.0, 3.0]).ravel().tolist()}))
+    code, from_file, _ = run(capsys, "orbit-moments", "--group", "so3", "--seed-tensor", str(path))
+    assert code == 0
+    code, from_diag, _ = run(capsys, "orbit-moments", "--group", "so3", "--diag", "1,2,3")
+    assert code == 0
+    assert (hashlib.sha256(from_file.encode()).hexdigest()
+            == hashlib.sha256(from_diag.encode()).hexdigest())
+    code, out, err = run(capsys, "orbit-moments", "--group", "so3", "--seed-tensor", str(path),
+                         "--diag", "1,2,3")
+    assert (code, out) == (1, "")
+    assert "exactly one of --seed-tensor or --diag" in err
+
+
+def test_malformed_point_and_unknown_map_exit_1(capsys):
+    code, out, err = run(capsys, "density", "--chart", "builtin:so3-euler", "--point", "1,x,2")
+    assert (code, out) == (1, "")
+    assert "could not parse" in err
+    code, out, err = run(capsys, "chart-change", "--chart1", "builtin:so2-angle",
+                         "--chart2", "builtin:so2-shifted", "--point", "2.0", "--map", "rotate")
+    assert (code, out) == (1, "")
+    assert "unknown --map 'rotate'" in err

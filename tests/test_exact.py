@@ -34,7 +34,7 @@ def levi_civita() -> np.ndarray:
 
 def random_rotation() -> np.ndarray:
     axis = RNG.normal(size=3)
-    return rodrigues(axis / np.linalg.norm(axis), RNG.uniform(0.0, np.pi)).matrix
+    return rodrigues(axis / np.linalg.norm(axis), RNG.uniform(0.0, np.pi))
 
 
 def average(group, t, degree=None):

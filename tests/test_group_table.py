@@ -124,7 +124,7 @@ def test_every_average_takes_a_finite_group_in_place_of_a_tag(name):
 
 def test_a_finite_group_adds_no_coset_and_weighs_each_element_once():
     # the Klein four-group of sign flips, two of them improper
-    klein = FiniteGroup.from_matrices([np.diag(s) for s in ((1.0, 1.0), (-1.0, 1.0),
+    klein = FiniteGroup([np.diag(s) for s in ((1.0, 1.0), (-1.0, 1.0),
                                                             (1.0, -1.0), (-1.0, -1.0))])
     weights, elements = haar_nodes(klein, None)
     assert np.array_equal(weights, np.full(4, 0.25)) and elements is klein.matrices

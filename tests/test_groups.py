@@ -1,10 +1,10 @@
-"""Matrix group primitives: hat/vee, Rodrigues, group elements, quaternion rotations."""
+"""Matrix group primitives: hat/vee, Rodrigues, the element validator, quaternion rotations."""
 
 import numpy as np
 import pytest
 
-from haarkit.groups import (GroupElement, frobenius, hat, quat_rotation_matrices, reflection,
-                            rodrigues, so_algebra_basis, vee)
+from haarkit.groups import (FiniteGroup, as_orthogonal, frobenius, hat, quat_rotation_matrices,
+                            reflection, rodrigues, so_algebra_basis, vee)
 from haarkit.groups import improper_coset
 
 RNG = np.random.default_rng(1234)
@@ -57,8 +57,7 @@ def test_frobenius_shape_mismatch():
 
 def test_rodrigues_is_rotation_about_axis():
     axis = np.array([1.0, 2.0, 2.0]) / 3.0
-    g = rodrigues(axis, 0.9)
-    m = g.matrix
+    m = rodrigues(axis, 0.9)
     assert np.allclose(m @ m.T, np.eye(3), atol=1e-14)
     assert np.isclose(np.linalg.det(m), 1.0)
     assert np.allclose(m @ axis, axis, atol=1e-14)
@@ -74,20 +73,48 @@ def test_rodrigues_rejects_non_unit_axis():
 def test_reflection_matrix():
     n = np.array([1.0, 0.0, 0.0])
     g = reflection(n)
-    assert np.allclose(g.matrix, np.diag([-1.0, 1.0, 1.0]))
-    assert np.isclose(np.linalg.det(g.matrix), -1.0)
+    assert np.allclose(g, np.diag([-1.0, 1.0, 1.0]))
+    assert np.isclose(np.linalg.det(g), -1.0)
 
 
 def test_group_element_validates_orthogonality():
-    with pytest.raises(ValueError):
-        GroupElement.from_matrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        as_orthogonal(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
-def test_group_element_inverse_and_compose():
-    g = GroupElement.from_matrix(random_rotation())
-    h = GroupElement.from_matrix(random_rotation())
-    assert np.allclose((g @ g.inverse()).matrix, np.eye(3), atol=1e-13)
-    assert np.allclose((g @ h).matrix, g.matrix @ h.matrix)
+def test_as_orthogonal_checks_every_element_of_a_stack():
+    good = np.stack([random_rotation() for _ in range(4)])
+    out = as_orthogonal(good)
+    assert np.array_equal(out, good) and out is not good
+    assert not out.flags.writeable and good.flags.writeable
+    for bad in (np.diag([1.0, 1.0, 1.0 + 1e-6]), np.full((3, 3), np.nan)):
+        stack = good.copy()
+        stack[2] = bad
+        with pytest.raises(ValueError, match="not orthogonal"):
+            as_orthogonal(stack)
+
+
+def test_as_orthogonal_refuses_non_square_and_wrong_rank():
+    for shape in ((2, 3), (4, 2, 3), (3,), (1, 1, 3, 3)):
+        with pytest.raises(ValueError, match="must be square"):
+            as_orthogonal(np.ones(shape))
+
+
+def test_rodrigues_and_reflection_are_read_only():
+    for g in (rodrigues([0.0, 0.0, 1.0], 0.4), reflection([0.0, 1.0])):
+        assert isinstance(g, np.ndarray) and not g.flags.writeable
+
+
+def test_finite_group_from_a_list_equals_from_a_stack():
+    mats = [np.eye(3), -np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, 1.0])]
+    from_list, from_stack = FiniteGroup(mats), FiniteGroup(np.stack(mats))
+    assert len(from_list) == len(from_stack) == 4
+    assert np.array_equal(from_list.matrices, from_stack.matrices)
+    assert not from_list.matrices.flags.writeable
+    with pytest.raises(ValueError, match="nonempty"):
+        FiniteGroup([])
+    with pytest.raises(ValueError, match="nonempty"):
+        FiniteGroup(np.eye(3))  # one matrix, not a stack
 
 
 def test_quat_rotation_matches_rodrigues():
@@ -95,7 +122,7 @@ def test_quat_rotation_matches_rodrigues():
     angle = 1.1
     q = np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis])
     m = quat_rotation_matrices(q[None])[0]
-    assert np.allclose(m, rodrigues(axis, angle).matrix, atol=1e-13)
+    assert np.allclose(m, rodrigues(axis, angle), atol=1e-13)
 
 
 def test_quat_double_cover():
@@ -105,7 +132,7 @@ def test_quat_double_cover():
 
 
 def test_improper_coset_representatives():
-    mats = np.stack([rodrigues([0.0, 0.0, 1.0], a).matrix for a in (0.0, 0.7)])
+    mats = np.stack([rodrigues([0.0, 0.0, 1.0], a) for a in (0.0, 0.7)])
     assert np.array_equal(improper_coset(mats), -mats)
     planar = np.stack([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])])
     assert np.array_equal(improper_coset(planar), np.diag([-1.0, 1.0]) @ planar)

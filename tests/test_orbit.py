@@ -207,3 +207,27 @@ def test_moment_rule_may_only_restate_the_density_grid():
             moment(spec, 1, dens, rule=bad)
         with pytest.raises(ValueError, match="leave rule out"):
             covariance(spec, dens, rule=bad)
+
+
+def test_moments_refuse_an_order_past_the_entry_budget(monkeypatch):
+    # a sym2 seed has 9 entries, so its order-6 moment would have 3^12 > 3^10
+    spec = OrbitSpec("so3", "sym2", as_tensor(V0))
+    with pytest.raises(ValueError, match="budget"):
+        moment(spec, 6)
+
+    def no_draws(config):
+        raise AssertionError("sampled before the budget check")
+
+    monkeypatch.setattr("haarkit.orbit.sample", no_draws)
+    with pytest.raises(ValueError, match="budget"):
+        mc_moments(spec, 6, SamplerConfig(group="so3", seed=1, count=10))
+
+
+def test_moment_order_zero_and_an_order_1_sym2_seed_are_refused():
+    spec = OrbitSpec("so3", "sym2", as_tensor(V0))
+    with pytest.raises(ValueError, match="moment order must be positive"):
+        moment(spec, 0)
+    with pytest.raises(ValueError, match="moment order must be positive"):
+        mc_moments(spec, 0, SamplerConfig(group="so3", seed=1, count=10))
+    with pytest.raises(ValueError, match="order-2 tensors"):
+        OrbitSpec("so3", "sym2", as_tensor([1.0, 2.0, 3.0]))

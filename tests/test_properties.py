@@ -32,7 +32,7 @@ def orthogonal(draw, dim: int) -> np.ndarray:
         axis = np.array([draw(unit), draw(unit), draw(unit)])
         norm = np.linalg.norm(axis)
         axis = axis / norm if norm > 1e-3 else np.array([0.0, 0.0, 1.0])
-        g = rodrigues(axis, draw(angle)).matrix
+        g = rodrigues(axis, draw(angle))
     return improper_coset(g[None])[0] if draw(st.booleans()) else g
 
 

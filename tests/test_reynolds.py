@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from haarkit.groups import FiniteGroup, GroupElement, rodrigues
+from haarkit.groups import FiniteGroup, rodrigues
 from haarkit.haar import NumericalError, coset_stacks, haar_nodes, normalize
 from haarkit.charts import builtin_chart
 from haarkit.orbit import OrbitSpec, moment
@@ -39,14 +39,13 @@ def so3_density(nodes=24):
 def test_cyclic_group_construction():
     group = FiniteGroup.cyclic(E3, 4)
     assert len(group) == 4
-    mats = np.stack([g.matrix for g in group])
-    assert any(np.allclose(m, np.eye(3)) for m in mats)
+    assert any(np.allclose(m, np.eye(3)) for m in group.matrices)
 
 
 def test_finite_group_requires_closure():
-    half_turn = rodrigues(E3, np.pi / 2).matrix
+    half_turn = rodrigues(E3, np.pi / 2)
     with pytest.raises(ValueError):
-        FiniteGroup.from_matrices([np.eye(3), half_turn])  # missing powers
+        FiniteGroup([np.eye(3), half_turn])  # missing powers
 
 
 def test_finite_group_closure_check_memory():
@@ -62,17 +61,16 @@ def test_finite_group_closure_check_memory():
 
 
 def test_finite_group_requires_identity():
-    quarter = rodrigues(E3, np.pi / 2).matrix
+    quarter = rodrigues(E3, np.pi / 2)
     with pytest.raises(ValueError):
-        FiniteGroup.from_matrices([quarter, quarter @ quarter,
-                                   quarter @ quarter @ quarter])
+        FiniteGroup([quarter, quarter @ quarter, quarter @ quarter @ quarter])
 
 
 def test_reynolds_finite_projects_onto_invariants():
     group = FiniteGroup.cyclic(E3, 6)
     t = as_tensor(RNG.normal(size=(3, 3)))
     avg = reynolds_continuous(group, t)
-    for g in group:
+    for g in group.matrices:
         assert np.allclose(act(g, avg).array, avg.array, atol=1e-12)
     # averaging again changes nothing
     assert np.allclose(reynolds_continuous(group, avg).array, avg.array, atol=1e-13)
@@ -97,7 +95,7 @@ def test_reynolds_continuous_idempotent_and_invariant():
     avg = reynolds_continuous("so3", t, density)
     again = reynolds_continuous("so3", avg, density)
     assert np.abs(again.array - avg.array).max() < 1e-9
-    g = GroupElement.from_matrix(rodrigues(np.array([0.6, 0.0, 0.8]), 1.0).matrix)
+    g = rodrigues(np.array([0.6, 0.0, 0.8]), 1.0)
     assert np.abs(act(g, avg).array - avg.array).max() < 1e-9
 
 
@@ -319,7 +317,7 @@ def square_dihedral_group():
     quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
     flip = np.diag([1.0, -1.0])
     rotations = [np.linalg.matrix_power(quarter, k) for k in range(4)]
-    return FiniteGroup.from_matrices(rotations + [r @ flip for r in rotations])
+    return FiniteGroup(rotations + [r @ flip for r in rotations])
 
 
 def test_reynolds_finite_square_dihedral_group():
@@ -332,14 +330,14 @@ def test_reynolds_finite_square_dihedral_group():
     avg = reynolds_continuous(group, t).array
     assert np.allclose(avg, np.trace(t.array) / 2 * np.eye(2), atol=1e-15)
     # the element-by-element loop, as the reference
-    loop = sum(g.matrix @ t.array @ g.matrix.T for g in group) / len(group)
+    loop = sum(g @ t.array @ g.T for g in group.matrices) / len(group)
     assert np.abs(avg - loop).max() <= 1e-15
     # e1^(x)4 averages to (e1^(x)4 + e2^(x)4) / 2, invariant under D4 but not under O(2)
     avg = reynolds_continuous(group, Tensor.basis_element(2, (0, 0, 0, 0))).array
     expected = np.zeros((2,) * 4)
     expected[0, 0, 0, 0] = expected[1, 1, 1, 1] = 0.5
     assert np.abs(avg - expected).max() <= 1e-15
-    for g in group:
+    for g in group.matrices:
         assert np.abs(act(g, as_tensor(avg)).array - avg).max() <= 1e-15
 
 
@@ -365,10 +363,10 @@ FINITE_GROUPS = {
 def loop_kronecker_mean(group, n):
     """The mean of g^(x)n over the elements, one np.kron chain per element."""
     total = 0.0
-    for g in group:
+    for g in group.matrices:
         power = np.ones((1, 1))
         for _ in range(n):
-            power = np.kron(power, g.matrix)
+            power = np.kron(power, g)
         total = total + power
     return total / len(group)
 
@@ -424,6 +422,22 @@ def test_finite_orbit_moment_is_the_loop_mean(k):
     group = FiniteGroup.cyclic(E3, k)
     v = np.diag([1.0, 2.0, 3.0])
     m1 = moment(OrbitSpec(group, "sym2", as_tensor(v)), 1).array
-    loop = sum(g.matrix @ v @ g.matrix.T for g in group) / len(group)
+    loop = sum(g @ v @ g.T for g in group.matrices) / len(group)
     assert np.abs(m1 - loop).max() <= 1e-15
     assert np.allclose(m1, np.diag([1.5, 1.5, 3.0]), atol=1e-15)
+
+
+def test_reynolds_matrix_refuses_the_budget_before_building_nodes(monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("nodes built before the budget check")
+
+    monkeypatch.setattr("haarkit.reynolds.haar_nodes", no_nodes)
+    with pytest.raises(ValueError, match="budget"):
+        reynolds_matrix("so3", 6)  # a (3^6, 3^6) operator
+
+
+def test_dims_refuse_a_negative_order():
+    with pytest.raises(ValueError, match="nonnegative"):
+        dim_invariants_closed("so3", -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        dim_invariants_quadrature("so3", -1)
