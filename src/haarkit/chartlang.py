@@ -18,7 +18,10 @@ optional group tag.  Grammar (EBNF):
 
 Functions: sin cos tan sqrt arccos arcsin.  Bounds must be constant
 expressions with lower < upper; matrix entries may use declared parameters
-and pi.  ``evaluate_expr`` walks the tree over numpy scalars or arrays;
+and pi.  ``tokenize`` scans with one compiled token pattern.  The parser
+reads expr and term as one precedence-climbing loop over ``_PREC``, the
+table ``print_expr`` parenthesizes by, so the two agree on binding.
+``evaluate_expr`` walks the tree over numpy scalars or arrays;
 ``charts.Chart`` compiles its entries and their ``differentiate`` partials
 into straight-line plans of the same numpy calls.  Nothing uses eval().
 """
@@ -26,6 +29,7 @@ into straight-line plans of the same numpy calls.  Nothing uses eval().
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +44,9 @@ FUNCTIONS = {
     "arccos": np.arccos,
     "arcsin": np.arcsin,
 }
+# Python's operators, not charts._BINARY's ufuncs: constant folding walks the
+# tree, and a Python float overflows to inf without raising, so 1e308*10 is
+# reported "not finite" (np.multiply under errstate(over="raise") would raise).
 OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 GROUP_TAGS = (*(g.spelling for g in GROUPS.values()), "none")
@@ -58,13 +65,23 @@ class ChartError(ValueError):
 # Tokens
 
 
-PUNCT = set("{}[](),;:+-*/^")
-DIGITS = set("0123456789")  # str.isdigit() also accepts superscripts such as "²"
+# One alternative per token class, tried in order.  Numbers take ASCII digits
+# only (float() rejects "²" without a position).  \w is str.isalnum() or "_",
+# so an ident run that starts with neither a letter nor "_" ("²", "Ⅻ") is an
+# unexpected character, as is anything no other alternative takes.
+_TOKEN = re.compile(r"""
+    (?P<number> (?:[0-9]+(?:\.[0-9]*)? | \.[0-9]+) (?:[eE][+-]?[0-9]+)? )
+  | (?P<ident>  \w+ )
+  | (?P<punct>  [{}\[\](),;:+\-*/^] )
+  | (?P<blank>  [ \t\r]+ )
+  | (?P<newline> \n )
+  | (?P<other>  . )
+""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "number" | "ident" | one of PUNCT | "eof"
+    kind: str  # "number" | "ident" | the punctuation character | "eof"
     text: str
     line: int
     column: int
@@ -72,54 +89,16 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-        if ch in DIGITS or (ch == "." and i + 1 < n and source[i + 1] in DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (source[j] in DIGITS or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k] in DIGITS:
-                    j = k
-                    while j < n and source[j] in DIGITS:
-                        j += 1
-            tokens.append(Token("number", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in PUNCT:
-            tokens.append(Token(ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ChartError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0  # columns count characters from the last newline
+    for m in _TOKEN.finditer(source):
+        kind, text, column = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "other" or kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
+            raise ChartError(f"unexpected character {text[0]!r}", line, column)
+        elif kind != "blank":
+            tokens.append(Token(text if kind == "punct" else kind, text, line, column))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -188,6 +167,11 @@ class ChartAst:
 # Parser
 
 
+# Binding strength, shared by the parser and the printer.  Binary operators
+# are left-associative: a right operand binds strictly tighter.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -208,28 +192,34 @@ class _Parser:
         tok = tok or self.peek()
         raise ChartError(message, tok.line, tok.column)
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def expect(self, kind: str, what: str | None = None, text: str | None = None) -> Token:
+        """The next token, which must be of ``kind`` and, given ``text``, spell it."""
         tok = self.peek()
-        if tok.kind != kind:
+        if tok.kind != kind or text is not None and tok.text != text:
             found = tok.text if tok.kind != "eof" else "end of input"
-            self.error(f"expected {what or kind!r}, found {found!r}", tok)
+            self.error(f"expected {what or text or kind!r}, found {found!r}", tok)
         return self.advance()
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            found = tok.text if tok.kind != "eof" else "end of input"
-            self.error(f"expected {word!r}, found {found!r}", tok)
-        return self.advance()
+    def parse_list(self, parse_item):
+        """item { "," item }, yielding each item as it is parsed."""
+        yield parse_item()
+        while self.peek().kind == ",":
+            self.advance()
+            yield parse_item()
 
     # chart = "chart" ident "{" sections "}"
     def parse_chart(self) -> ChartAst:
-        self.expect_keyword("chart")
+        self.expect("ident", text="chart")
         name = self.expect("ident", "chart name").text
         self.expect("{")
-        self.expect_keyword("params")
+        self.expect("ident", text="params")
         self.expect(":")
-        params = self.parse_params()
+        params = list(self.parse_list(self.parse_param))
+        seen = set()
+        for p in params:
+            if p.name in seen:
+                self.error(f"duplicate parameter {p.name!r}")
+            seen.add(p.name)
         self.expect(";")
         group = None
         if self.peek().kind == "ident" and self.peek().text == "group":
@@ -237,7 +227,7 @@ class _Parser:
             self.expect(":")
             group = self.parse_group_tag()
             self.expect(";")
-        self.expect_keyword("matrix")
+        self.expect("ident", text="matrix")
         self.expect(":")
         self.allowed_vars = {p.name for p in params}
         matrix = self.parse_matrix()
@@ -247,24 +237,12 @@ class _Parser:
         self.expect("eof", "end of input")
         return ChartAst(name=name, params=tuple(params), group=group, matrix=matrix)
 
-    def parse_params(self) -> list[Param]:
-        params = [self.parse_param()]
-        while self.peek().kind == ",":
-            self.advance()
-            params.append(self.parse_param())
-        seen = set()
-        for p in params:
-            if p.name in seen:
-                self.error(f"duplicate parameter {p.name!r}")
-            seen.add(p.name)
-        return params
-
     def parse_param(self) -> Param:
         name_tok = self.expect("ident", "parameter name")
         name = name_tok.text
         if name == "pi" or name in FUNCTIONS:
             self.error(f"parameter name {name!r} is reserved", name_tok)
-        self.expect_keyword("in")
+        self.expect("ident", text="in")
         self.expect("[")
         lower = self.parse_expr()
         self.expect(",")
@@ -293,43 +271,28 @@ class _Parser:
         return None if spelling == "none" else spelling
 
     def parse_matrix(self) -> tuple[tuple[Expr, ...], ...]:
-        open_tok = self.expect("[")
-        rows = [self.parse_row()]
-        while self.peek().kind == ",":
-            self.advance()
-            row_tok = self.peek()
-            rows.append(self.parse_row())
-            if len(rows[-1]) != len(rows[0]):
-                self.error(
-                    f"ragged matrix: row {len(rows)} has {len(rows[-1])} entries, "
-                    f"expected {len(rows[0])}", row_tok)
-        self.expect("]")
-        if not rows or not rows[0]:
-            self.error("matrix must have at least one entry", open_tok)
-        return tuple(tuple(r) for r in rows)
-
-    def parse_row(self) -> list[Expr]:
         self.expect("[")
-        entries = [self.parse_expr()]
-        while self.peek().kind == ",":
-            self.advance()
-            entries.append(self.parse_expr())
+        rows = []
+        for row_tok, row in self.parse_list(self.parse_row):
+            if rows and len(row) != len(rows[0]):
+                self.error(f"ragged matrix: row {len(rows) + 1} has {len(row)} entries, "
+                           f"expected {len(rows[0])}", row_tok)
+            rows.append(row)
         self.expect("]")
-        return entries
+        return tuple(rows)
 
-    # expr = term { ("+"|"-") term }
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.parse_term())
-        return node
+    def parse_row(self) -> tuple[Token, tuple[Expr, ...]]:
+        open_tok = self.expect("[")
+        entries = tuple(self.parse_list(self.parse_expr))
+        self.expect("]")
+        return open_tok, entries
 
-    def parse_term(self) -> Expr:
+    # expr = factor { op factor }, climbing _PREC
+    def parse_expr(self, min_prec: int = 1) -> Expr:
         node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.parse_factor())
+        while (op := self.peek().kind) in OPERATORS and _PREC[op] >= min_prec:
+            self.advance()
+            node = BinOp(op, node, self.parse_expr(_PREC[op] + 1))
         return node
 
     def parse_factor(self) -> Expr:
@@ -474,9 +437,6 @@ def differentiate(node: Expr, name: str) -> Expr | None:
 
 # ---------------------------------------------------------------------------
 # Printing.  print_chart(parse_chart(s)) reparses to an equal AST.
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
 def _format_number(value: float) -> str:

@@ -46,6 +46,8 @@ class DomainError(ValueError):
 # Straight-line plans
 
 
+# The plan runs in place on arrays (out=); chartlang.OPERATORS keeps Python's
+# operators for constant folding, which relies on their silent overflow.
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}
 
 
@@ -249,9 +251,10 @@ class Chart:
 
     # -- domain ------------------------------------------------------------
 
-    def contains(self, u) -> bool:
+    def contains(self, u):
+        """Whether a point (d,) lies in the closed box, or which rows of an (N, d) batch do."""
         u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.domain[:, 0]) and np.all(u <= self.domain[:, 1]))
+        return np.all((u >= self.domain[:, 0]) & (u <= self.domain[:, 1]), axis=-1)
 
     def check_point(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)

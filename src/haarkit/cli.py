@@ -31,7 +31,7 @@ from .charts import DomainError, load_chart
 from .groups import GROUPS, lookup_group
 from .haar import (NumericalError, chart_change_check, check_chart_map, integrate_scalar,
                    normalize)
-from .orbit import OrbitSpec, mc_moments, moment
+from .orbit import REPRESENTATIONS, OrbitSpec, mc_moments, moment
 from .reynolds import dim_invariants_closed, dim_invariants_quadrature, reynolds_continuous
 from .sampling import SamplerConfig, closed_form, sample
 from .tensors import Tensor, outer_power
@@ -393,7 +393,7 @@ def build_parser() -> _Parser:
     p = add("orbit-moments", _cmd_orbit_moments,
             "Quadrature and Monte Carlo moments of an orbit random variable.")
     p.add_argument("--group", required=True, choices=GROUPS)
-    p.add_argument("--representation", choices=("sym2", "natural", "tensor"), default="sym2")
+    p.add_argument("--representation", choices=REPRESENTATIONS, default="sym2")
     p.add_argument("--seed-tensor", help="seed tensor JSON file")
     p.add_argument("--diag", help="diagonal seed matrix, e.g. 1,2,3 (sym2 shorthand)")
     p.add_argument("--chart", default="",

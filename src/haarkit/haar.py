@@ -215,8 +215,7 @@ class HaarDensity:
                 step = np.linalg.pinv(np.swapaxes(jac[live], 1, 2)) @ gap[live, :, None]
                 u[live] -= step[:, :, 0]
             gap = np.abs(chart.evaluate_many(u) - g).reshape(len(u), -1).max(axis=1)
-        lo, hi = chart.domain.T
-        inside = live & np.all((u >= lo) & (u <= hi), axis=1)
+        inside = live & chart.contains(u)
         hits = np.flatnonzero(inside & (gap <= _GAP))
         if len(hits) == 0:
             best = f"best entry gap {gap[inside].min():.3g}" if inside.any() else "no root"

@@ -32,7 +32,7 @@ from .haar import HaarDensity, integrate_tensor
 from .sampling import SampleBatch, SamplerConfig, sample
 from .tensors import Tensor, act_batch, as_tensor, check_budget, outer_power, outer_power_batch
 
-REPRESENTATIONS = ("natural", "tensor", "sym2")
+REPRESENTATIONS = ("sym2", "natural", "tensor")
 
 SYMMETRY_TOL = 1e-12
 
@@ -153,8 +153,7 @@ def diagonal_delta(dim: int = 3) -> Tensor:
 
 def identity_pair(dim: int = 3) -> Tensor:
     """delta_ij delta_kl."""
-    eye = np.eye(dim)
-    return Tensor.from_array(np.einsum("ij,kl->ijkl", eye, eye), dim=dim)
+    return isotropic_basis(dim)[0]
 
 
 def isotropic_basis(dim: int = 3) -> list[Tensor]:

@@ -52,6 +52,8 @@ def reynolds_matrix(group, n: int, density: HaarDensity | None = None) -> np.nda
     the node sum is one contraction of the two half Kronecker powers (at
     n = 0 both are 1, and it is the weight sum).
     """
+    if n < 0:
+        raise ValueError("tensor order must be nonnegative")
     dim = group.dim if isinstance(group, FiniteGroup) else lookup_group(group).dim
     check_budget(dim, 2 * n)  # the operator's D^(2n) entries, before any node is built
     weighted, elements = haar_nodes(group, density, degree=n)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haarkit.chartlang import (BinOp, Call, ChartError, Neg, Num, Pi, Pow, Var,
                                evaluate_expr, parse_chart, print_chart, print_expr,
@@ -165,6 +167,56 @@ def test_numbers_lex_ascii_digits_only():
     with pytest.raises(ChartError, match="unexpected character '²'") as info:
         parse_chart("chart p { params: t in [0, 1]; matrix: [[cos(t)*1²]]; }")
     assert (info.value.line, info.value.column) == (1, 50)
+
+
+# (source, tokens as (kind, text, line, column) without eof, eof (line, column))
+# or (source, None, (message, line, column)) for a lexical error
+LEXER_EDGES = [
+    ("1..2", [("number", "1.", 1, 1), ("number", ".2", 1, 3)], (1, 5)),
+    ("1e", [("number", "1", 1, 1), ("ident", "e", 1, 2)], (1, 3)),
+    ("1e+", [("number", "1", 1, 1), ("ident", "e", 1, 2), ("+", "+", 1, 3)], (1, 4)),
+    (".5e3", [("number", ".5e3", 1, 1)], (1, 5)),
+    ("1E-3x", [("number", "1E-3", 1, 1), ("ident", "x", 1, 5)], (1, 6)),
+    ("1e5e5", [("number", "1e5", 1, 1), ("ident", "e5", 1, 4)], (1, 6)),
+    ("x²", [("ident", "x²", 1, 1)], (1, 3)),  # "²" may continue an identifier
+    ("_a", [("ident", "_a", 1, 1)], (1, 3)),
+    ("é", [("ident", "é", 1, 1)], (1, 2)),
+    ("a\r\nb c", [("ident", "a", 1, 1), ("ident", "b", 2, 1), ("ident", "c", 2, 3)], (2, 4)),
+    ("x\n\n  y", [("ident", "x", 1, 1), ("ident", "y", 3, 3)], (3, 4)),
+    ("x  \t ", [("ident", "x", 1, 1)], (1, 6)),  # end of input after trailing blanks
+    ("", [], (1, 1)),
+    ("a\xa0b", None, ("unexpected character '\\xa0'", 1, 2)),
+    ("a\vb", None, ("unexpected character '\\x0b'", 1, 2)),
+    ("Ⅻ", None, ("unexpected character 'Ⅻ'", 1, 1)),  # numeric, not a letter
+    ("²", None, ("unexpected character '²'", 1, 1)),
+    ("x\n .", None, ("unexpected character '.'", 2, 2)),
+]
+
+
+@pytest.mark.parametrize("source,tokens,end", LEXER_EDGES)
+def test_lexer_edge_cases(source, tokens, end):
+    if tokens is None:
+        with pytest.raises(ChartError) as info:
+            tokenize(source)
+        assert (str(info.value), info.value.line, info.value.column) == (
+            f"line {end[1]}, column {end[2]}: {end[0]}", end[1], end[2])
+        return
+    got = [(t.kind, t.text, t.line, t.column) for t in tokenize(source)]
+    assert got == tokens + [("eof", "", *end)]
+
+
+LEXABLE = st.text(st.sampled_from(list("0123456789.eE+-_axyz²é{}[](),;:*/^ \t\r\n")), max_size=40)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(source=LEXABLE)
+def test_relexing_spaced_token_texts_gives_the_same_tokens(source):
+    try:
+        tokens = tokenize(source)[:-1]
+    except ChartError:
+        return
+    again = tokenize(" ".join(t.text for t in tokens))[:-1]
+    assert [(t.kind, t.text) for t in again] == [(t.kind, t.text) for t in tokens]
 
 
 def test_print_expr_minimal_parens():

@@ -60,6 +60,14 @@ def test_domain_membership():
         chart.check_point([0.0, 1.0])  # wrong arity
 
 
+def test_domain_membership_of_a_batch():
+    chart = builtin_chart("so3-euler")
+    batch = np.array([[0.0, np.pi / 2, 0.0], [-np.pi, 0.0, np.pi], [0.0, -0.1, 0.0],
+                      [np.nan, 1.0, 0.0]])
+    assert chart.contains(batch).tolist() == [True, True, False, False]
+    assert chart.contains(batch).tolist() == [chart.contains(u) for u in batch]
+
+
 def test_random_interior_stays_inside():
     chart = builtin_chart("so3-polar")
     pts = chart.random_interior(200, RNG)

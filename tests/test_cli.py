@@ -225,6 +225,12 @@ def test_orbit_moments_mc_draws_once(capsys, monkeypatch):
     assert np.array_equal(record["cov"], covariance(spec).array)
 
 
+def test_representation_choices_are_the_orbit_table(capsys):
+    code, out, _ = run(capsys, "orbit-moments", "--help")
+    assert code == 0
+    assert "--representation {sym2,natural,tensor}" in out
+
+
 def test_orbit_moments_needs_one_seed(capsys):
     code, _, err = run(capsys, "orbit-moments", "--group", "so3")
     assert code == 1

@@ -15,8 +15,8 @@ import pytest
 from haarkit.charts import builtin_chart
 from haarkit.groups import FiniteGroup
 from haarkit.haar import normalize
-from haarkit.orbit import (OrbitSpec, covariance, decompose, isotropic_basis,
-                           mc_moments, moment, sym2_covariance_closed,
+from haarkit.orbit import (REPRESENTATIONS, OrbitSpec, covariance, decompose, identity_pair,
+                           isotropic_basis, mc_moments, moment, sym2_covariance_closed,
                            sym2_mean_closed, sym2_second_moment_closed)
 from haarkit.reynolds import reynolds_continuous
 from haarkit.sampling import SamplerConfig, sample
@@ -42,6 +42,20 @@ def test_spec_validation():
         OrbitSpec(group="so3", representation="natural", seed=as_tensor(V0))
     with pytest.raises(ValueError):
         OrbitSpec(group="so3", representation="spinor", seed=as_tensor(np.ones(3)))
+
+
+def test_representations_are_listed_once():
+    # the CLI's --representation choices read the same tuple, sym2 (the default) first
+    assert REPRESENTATIONS == ("sym2", "natural", "tensor")
+    with pytest.raises(ValueError, match="expected one of sym2, natural, tensor"):
+        OrbitSpec(group="so3", representation="spinor", seed=as_tensor(np.ones(3)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_identity_pair_is_the_first_isotropic_tensor(dim):
+    eye = np.eye(dim)
+    assert np.array_equal(identity_pair(dim).array, isotropic_basis(dim)[0].array)
+    assert np.array_equal(identity_pair(dim).array, np.einsum("ij,kl->ijkl", eye, eye))
 
 
 def test_sym2_first_moment_is_isotropic():

@@ -441,3 +441,27 @@ def test_dims_refuse_a_negative_order():
         dim_invariants_closed("so3", -1)
     with pytest.raises(ValueError, match="nonnegative"):
         dim_invariants_quadrature("so3", -1)
+
+
+@pytest.mark.parametrize("group,density", [
+    ("so3", None),
+    ("so3", "so3-euler"),
+    (FiniteGroup.cyclic(E3, 4), None),
+], ids=["tag", "density", "finite"])
+def test_reynolds_matrix_refuses_a_negative_order(group, density):
+    density = density and normalize(builtin_chart(density), 4)
+    for fn, n in ((reynolds_matrix, -1), (invariant_rank, -2)):
+        with pytest.raises(ValueError, match="tensor order must be nonnegative"):
+            fn(group, n, density)
+
+
+@pytest.mark.parametrize("average", [
+    lambda d: reynolds_continuous("so3", Tensor.from_array(np.eye(3), dim=3), d),
+    lambda d: reynolds_matrix("so3", 2, d),
+    lambda d: dim_invariants_quadrature("so3", 2, d),
+    lambda d: moment(OrbitSpec("so3", "sym2", as_tensor(np.diag([1.0, 2.0, 3.0]))), 1, d),
+], ids=["reynolds_continuous", "reynolds_matrix", "dim_invariants_quadrature", "moment"])
+def test_averages_refuse_a_density_of_another_group(average):
+    density = normalize(builtin_chart("so2-angle"), 16)
+    with pytest.raises(ValueError, match=r"group so3 needs 3x3 elements, got \(16, 2, 2\)"):
+        average(density)
