@@ -18,9 +18,10 @@ optional group tag.  Grammar (EBNF):
 
 Functions: sin cos tan sqrt arccos arcsin.  Bounds must be constant
 expressions with lower < upper; matrix entries may use declared parameters
-and pi.  ``tokenize`` scans with one compiled token pattern.  The parser
-reads expr and term as one precedence-climbing loop over ``_PREC``, the
-table ``print_expr`` parenthesizes by, so the two agree on binding.
+and pi; every expression nests at most MAX_DEPTH levels, one per parenthesis,
+call, operator and power.  ``tokenize`` scans with one compiled token pattern.
+The parser reads expr and term as one precedence-climbing loop over ``_PREC``,
+the table ``print_expr`` parenthesizes by, so the two agree on binding.
 ``evaluate_expr`` walks the tree over numpy scalars or arrays;
 ``charts.Chart`` compiles its entries and their ``differentiate`` partials
 into straight-line plans of the same numpy calls.  Nothing uses eval().
@@ -50,6 +51,7 @@ FUNCTIONS = {
 OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 GROUP_TAGS = (*(g.spelling for g in GROUPS.values()), "none")
+MAX_DEPTH = 100  # derivatives nest up to twice as deep; the parser takes 5 frames a level
 
 
 class ChartError(ValueError):
@@ -179,6 +181,7 @@ class _Parser:
         # None: no identifiers allowed (bound expressions); otherwise the set
         # of declared parameter names usable in matrix entries.
         self.allowed_vars: set[str] | None = None
+        self.open = 0  # levels open above the expression being parsed
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -199,6 +202,20 @@ class _Parser:
             found = tok.text if tok.kind != "eof" else "end of input"
             self.error(f"expected {what or text or kind!r}, found {found!r}", tok)
         return self.advance()
+
+    def deeper(self, depth: int, tok: Token) -> int:
+        """depth + 1, refused at tok where that and the levels open above pass MAX_DEPTH."""
+        if self.open + depth >= MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels", tok)
+        return depth + 1
+
+    def below(self, tok: Token, parse, beside: int = 0) -> tuple[Expr, int]:
+        """parse() one level below a node made at tok, and that node's depth (over ``beside`` too)."""
+        self.deeper(1, tok)  # refused before recursing: that node is at least two deep
+        self.open += 1
+        node, depth = parse()
+        self.open -= 1
+        return node, self.deeper(max(depth, beside), tok)
 
     def parse_list(self, parse_item):
         """item { "," item }, yielding each item as it is parsed."""
@@ -244,9 +261,9 @@ class _Parser:
             self.error(f"parameter name {name!r} is reserved", name_tok)
         self.expect("ident", text="in")
         self.expect("[")
-        lower = self.parse_expr()
+        lower = self.parse_expr()[0]
         self.expect(",")
-        upper = self.parse_expr()
+        upper = self.parse_expr()[0]
         close = self.expect("]")
         try:
             with np.errstate(invalid="raise", divide="raise", over="raise"):
@@ -283,71 +300,69 @@ class _Parser:
 
     def parse_row(self) -> tuple[Token, tuple[Expr, ...]]:
         open_tok = self.expect("[")
-        entries = tuple(self.parse_list(self.parse_expr))
+        entries = tuple(node for node, _ in self.parse_list(self.parse_expr))
         self.expect("]")
         return open_tok, entries
 
-    # expr = factor { op factor }, climbing _PREC
-    def parse_expr(self, min_prec: int = 1) -> Expr:
-        node = self.parse_factor()
+    # expr = factor { op factor }, climbing _PREC.  Each parse_* returns (node, depth).
+    def parse_expr(self, min_prec: int = 1) -> tuple[Expr, int]:
+        node, depth = self.parse_factor()
         while (op := self.peek().kind) in OPERATORS and _PREC[op] >= min_prec:
-            self.advance()
-            node = BinOp(op, node, self.parse_expr(_PREC[op] + 1))
-        return node
+            right, depth = self.below(self.advance(), lambda: self.parse_expr(_PREC[op] + 1), depth)
+            node = BinOp(op, node, right)
+        return node, depth
 
-    def parse_factor(self) -> Expr:
+    def parse_factor(self) -> tuple[Expr, int]:
         if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.parse_factor())
+            arg, depth = self.below(self.advance(), self.parse_factor)
+            return Neg(arg), depth
         return self.parse_power()
 
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
+    def parse_power(self) -> tuple[Expr, int]:
+        base, depth = self.parse_atom()
         if self.peek().kind == "^":
             caret = self.advance()
-            negative = False
-            if self.peek().kind == "-":
+            negative = self.peek().kind == "-"
+            if negative:
                 self.advance()
-                negative = True
             exp_tok = self.peek()
             if exp_tok.kind != "number" or not exp_tok.text.isdigit():
                 self.error("exponent must be an integer literal", exp_tok if exp_tok.kind != "eof" else caret)
-            self.advance()
-            exponent = int(exp_tok.text)
-            return Pow(base, -exponent if negative else exponent)
-        return base
+            exponent = int(self.advance().text)
+            return Pow(base, -exponent if negative else exponent), self.deeper(depth, caret)
+        return base, depth
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
             value = float(tok.text)
             if not np.isfinite(value):  # 1e999 overflows to inf without raising
                 self.error(f"constant {value!r} is not finite (literal {tok.text})", tok)
-            return Num(value)
+            return Num(value), 1
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node, depth = self.below(tok, self.parse_expr)
             self.expect(")")
-            return node
+            return node, depth
         if tok.kind == "ident":
             self.advance()
             if tok.text == "pi":
-                return Pi()
+                return Pi(), 1
             if self.peek().kind == "(":
                 if tok.text not in FUNCTIONS:
                     self.error(f"unknown function {tok.text!r}", tok)
                 self.advance()
-                arg = self.parse_expr()
+                arg, depth = self.below(tok, self.parse_expr)
                 self.expect(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), depth
             if tok.text in FUNCTIONS:
                 self.error(f"function {tok.text!r} needs an argument list", tok)
             if self.allowed_vars is None:
                 self.error(f"identifier {tok.text!r} is not allowed in a constant bound", tok)
             if tok.text not in self.allowed_vars:
                 self.error(f"unknown identifier {tok.text!r}; not a declared parameter", tok)
-            return Var(tok.text)
+            return Var(tok.text), 1
         found = tok.text if tok.kind != "eof" else "end of input"
         self.error(f"expected an expression, found {found!r}", tok)
 

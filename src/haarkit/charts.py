@@ -14,10 +14,11 @@ reader has run.  The steps are the ufuncs the tree walk of
 the walk's values bit for bit.  Jacobians run a second plan of the
 entries' symbolic partials, compiled with the first: exact, with no step.
 
-Charts are validated at 100 random domain points at load time: square
-charts tagged ``group: so(D)`` or ``o(D)`` for orthogonality (det +1 for
-so), 4 x 1 charts, read as unit quaternions (w, x, y, z) of SO(3), for
-unit norm, and every other chart for finite entries.
+Charts are validated at 100 random domain points at load time against the
+group they parametrise (Chart.parametrises): 4 x 1 charts, unit quaternions
+(w, x, y, z) of SO(3), for unit norm; other untagged charts for finite
+entries; square charts (untagged D x D ones are of O(D)) for orthogonality
+(det +1 for so(D)).  Charts of any other shape have no Haar density.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .chartlang import (FUNCTIONS, BinOp, Call, ChartAst, ChartError, Neg, Num, Pow, Var,
                         differentiate, evaluate_expr, parse_chart, print_chart, print_expr)
-from .groups import GROUPS, INPUT_TOL, lookup_group, orthogonality_error
+from .groups import GROUPS, INPUT_TOL, Group, lookup_group, orthogonality_error
 
 BUILTIN_NAMES = tuple(dict.fromkeys(tag for group in GROUPS.values() for tag in group.charts))
 
@@ -238,9 +239,13 @@ class Chart:
         return self.shape == (4, 1)
 
     @property
-    def matrix_dim(self) -> int:
-        """Dimension of the group elements the chart produces."""
-        return 3 if self.is_quaternion else self.shape[0]
+    def parametrises(self) -> Group | None:
+        """The GROUPS row of the chart's elements: its tag's, SO(3) for a 4 x 1 (quaternion) chart,
+        O(D) for an untagged D x D one, D = 2 or 3, and None (no group, no density) for any other."""
+        if self.group is not None or self.is_quaternion:
+            return lookup_group(self.group or "so3")
+        rows, cols = self.shape
+        return GROUPS.get(f"o{rows}") if rows == cols else None
 
     def source(self) -> str:
         return print_chart(self.ast)
@@ -321,42 +326,35 @@ class Chart:
 
     @np.errstate(all="ignore")  # a NaN entry fails each "not err <= tol" below, quietly
     def validate(self) -> None:
-        """Structural checks plus random-point group/unit-norm validation."""
+        """Random-point checks against the group the chart parametrises."""
+        def fail(message: str):
+            raise ChartError(f"chart {self.name!r} {message}", 1, 1)
         rows, cols = self.shape
         rng = np.random.default_rng(_VALIDATION_SEED)
         pts = rng.uniform(self.domain[:, 0], self.domain[:, 1], size=(_VALIDATION_POINTS, self.d))
         mats = self.evaluate_many(pts)
-        if self.group is not None:
-            group = lookup_group(self.group)
-            dim = group.dim
-            if (rows, cols) != (dim, dim):
-                raise ChartError(
-                    f"chart {self.name!r} declares group {self.group} but its matrix is {rows}x{cols}", 1, 1)
-            expected_d = dim * (dim - 1) // 2
-            if self.d != expected_d:
-                raise ChartError(
-                    f"chart {self.name!r} declares group {self.group} but has {self.d} parameters; "
-                    f"the group needs {expected_d}", 1, 1)
-            err = orthogonality_error(mats)
-            if not err <= INPUT_TOL:
-                raise ChartError(
-                    f"chart {self.name!r} is not orthogonal on its domain "
-                    f"(max |p p^T - I| = {err:.3g} over {_VALIDATION_POINTS} random points)", 1, 1)
-            if group.proper:
-                dets = np.linalg.det(mats)
-                if not float(np.abs(dets - 1.0).max()) <= INPUT_TOL:
-                    raise ChartError(
-                        f"chart {self.name!r} declares {self.group} but det p deviates from +1", 1, 1)
-        elif self.is_quaternion:
+        group = self.parametrises
+        if self.group is None and self.is_quaternion:
             q = mats[:, :, 0]
             err = float(np.abs(np.einsum("ni,ni->n", q, q) - 1.0).max())
             if not err <= INPUT_TOL:
-                raise ChartError(
-                    f"chart {self.name!r} is 4x1 (quaternion) but |q| deviates from 1 by {err:.3g}", 1, 1)
-        elif not np.isfinite(mats).all():
+                fail(f"is 4x1 (quaternion) but |q| deviates from 1 by {err:.3g}")
+        elif self.group is None and not np.isfinite(mats).all():
             k, i, j = np.argwhere(~np.isfinite(mats))[0]
-            raise ChartError(f"chart {self.name!r} is not finite on its domain: entry ({i}, {j}) "
-                             f"is {mats[k, i, j]} at {pts[k].tolist()}", 1, 1)
+            fail(f"is not finite on its domain: entry ({i}, {j}) is {mats[k, i, j]} at {pts[k].tolist()}")
+        elif group is not None:
+            claim = f"declares group {self.group}" if self.group else f"is untagged, so {group.spelling},"
+            needs = group.dim * (group.dim - 1) // 2
+            if (rows, cols) != (group.dim, group.dim):
+                fail(f"{claim} but its matrix is {rows}x{cols}")
+            if self.d != needs:
+                fail(f"{claim} but has {self.d} parameters; the group needs {needs}")
+            err = orthogonality_error(mats)
+            if not err <= INPUT_TOL:
+                fail(f"is not orthogonal on its domain (max |p p^T - I| = {err:.3g} "
+                     f"over {_VALIDATION_POINTS} random points)")
+            if group.proper and not float(np.abs(np.linalg.det(mats) - 1.0).max()) <= INPUT_TOL:
+                fail(f"declares {self.group} but det p deviates from +1")
 
 
 # ---------------------------------------------------------------------------

@@ -235,30 +235,25 @@ def _cmd_check_chart(args) -> str:
     record = {"chart": chart.name, "parse": "ok", "d": chart.d,
               "shape": list(chart.shape), "group": chart.group or "none",
               "C": density.C}
+    group = chart.parametrises  # normalize refused a chart of no group
+    rng = np.random.default_rng(20240817)
+    battery = [lambda m: np.trace(m, axis1=-2, axis2=-1),
+               lambda m: np.trace(m, axis1=-2, axis2=-1) ** 2]
+    base = [integrate_scalar(f, group.tag, density) for f in battery]
     worst = 0.0
-    group_tag = chart.group or ("so3" if chart.is_quaternion else None)  # so(3) names so3 too
-    if group_tag is not None:
-        rng = np.random.default_rng(20240817)
-        battery = [lambda m: np.trace(m, axis1=-2, axis2=-1),
-                   lambda m: np.trace(m, axis1=-2, axis2=-1) ** 2]
-        base = [integrate_scalar(f, group_tag, density) for f in battery]
-        dim = chart.matrix_dim
-        for _ in range(3):
-            h = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
-            if np.linalg.det(h) < 0:
-                h[:, 0] = -h[:, 0]
-            for f, ref in zip(battery, base):
-                left = integrate_scalar(lambda m: f(np.einsum("ij,njk->nik", h, m)),
-                                        group_tag, density)
-                right = integrate_scalar(lambda m: f(np.einsum("nij,jk->nik", m, h)),
-                                         group_tag, density)
-                worst = max(worst, abs(left - ref), abs(right - ref))
-        record["invariance_max_residual"] = worst
-        record["invariance_tolerance"] = args.tolerance
-        if worst > args.tolerance:
-            raise NumericalError(
-                f"invariance battery failed: residual {worst:.3g} above {args.tolerance:g}\n"
-                + to_json(record))
+    for _ in range(3):
+        h = np.linalg.qr(rng.normal(size=(group.dim, group.dim)))[0]
+        if np.linalg.det(h) < 0:
+            h[:, 0] = -h[:, 0]
+        for f, ref in zip(battery, base):
+            left = integrate_scalar(lambda m: f(np.einsum("ij,njk->nik", h, m)), group.tag, density)
+            right = integrate_scalar(lambda m: f(np.einsum("nij,jk->nik", m, h)), group.tag, density)
+            worst = max(worst, abs(left - ref), abs(right - ref))
+    record.update(invariance_max_residual=worst, invariance_tolerance=args.tolerance)
+    if worst > args.tolerance:
+        raise NumericalError(
+            f"invariance battery failed: residual {worst:.3g} above {args.tolerance:g}\n"
+            + to_json(record))
     record["status"] = "ok"
     return to_json(record)
 

@@ -14,12 +14,12 @@ one entry (a, b), +1 at (b, a) and 0 elsewhere, so with tau = p^-1 dp/du_j
 and only those two entries of tau are formed.  The partials dp/du_j are
 exact, from the chart's compiled derivative plan, read as its contiguous
 entry rows (one (N,) row per partial of an entry; see
-Chart.jacobian_many).  For charts tagged as rotation groups p^-1 is the
-transpose and tau[x, y] = sum_k p[k, x] dp[k, y]/du_j, summed over k in
-order and read from p's strided columns (a contiguous copy of p would
-raise peak memory); untagged square charts go through an LU solve.  A 4 x 1 chart is treated as a unit-quaternion parametrisation and
-M_ij is the i-th imaginary part of conj(q) dq/du_j, with the pure
-imaginaries (i, j, k) as basis.
+Chart.jacobian_many).  Every square chart with a density is orthogonal
+(Chart.parametrises), so p^-1 is the transpose and tau[x, y] =
+sum_k p[k, x] dp[k, y]/du_j, summed over k in order and read from p's
+strided columns (a contiguous copy of p would raise peak memory).  A 4 x 1
+chart is a unit-quaternion parametrisation and M_ij is the i-th imaginary
+part of conj(q) dq/du_j, with the pure imaginaries (i, j, k) as basis.
 
 The sign of det M is an orientation artifact of basis and parameter
 order, so the absolute value is taken before normalizing, on the grid that
@@ -71,6 +71,8 @@ def _density_and_elements(chart: Chart, pts: np.ndarray):
     M is built transposed, mt[j, i] = M_ij at every point, so each entry is
     one contiguous row.
     """
+    if chart.parametrises is None:
+        raise ValueError(f"chart {chart.name!r} has {chart.shape} matrices: no group, no Haar density")
     n, d = len(pts), chart.d
     jac = chart.jacobian_many(pts)  # (N, d, rows, cols) view of contiguous entry rows
     rows = jac.reshape(n, -1).T  # row (j * rows + k) * cols + l: dp_kl/du_j
@@ -85,14 +87,9 @@ def _density_and_elements(chart: Chart, pts: np.ndarray):
             mt[j, 2] = w * bz - x * by + y * bx - z * bw
         return np.abs(np.linalg.det(mt.T)), quat_rotation_matrices(q)
     mats = chart.evaluate_many(pts)
-    dim = chart.matrix_dim
+    dim = chart.parametrises.dim
     pairs = [tuple(np.argwhere(xi == -1.0)[0]) for xi in so_algebra_basis(dim)]
     mt = np.empty((d, len(pairs), n))
-    if chart.group is None:
-        tau = np.linalg.solve(mats[:, None, :, :], jac)  # (N, d, D, D)
-        for i, (a, b) in enumerate(pairs):
-            mt[:, i] = (0.5 * (tau[:, :, b, a] - tau[:, :, a, b])).T
-        return np.abs(np.linalg.det(mt.T)), mats
 
     def tau(j, x, y):  # (p^T dp/du_j)[x, y]
         total = mats[:, 0, x] * rows[j * dim * dim + y]
@@ -332,13 +329,16 @@ def haar_nodes(group, density: HaarDensity | None,
     """(weights, elements before coset_stacks) of a group average.
 
     A FiniteGroup gives each of its elements weight 1/|G| and takes no
-    density; a tag gives the grid of a density, else the exact rule.
+    density; a tag gives the grid of a density of it or its SO(D), else the exact rule.
     """
     if isinstance(group, FiniteGroup):
         if density is not None:
             raise ValueError("a finite group averages over its elements and takes no density")
         return np.full(len(group), 1.0 / len(group)), group.matrices
     if density is not None:
+        row, own = lookup_group(group), density.chart.parametrises
+        if row.proper and not own.proper and own.dim == row.dim:
+            raise ValueError(f"a density of {own.spelling} chart {density.chart.name!r} cannot average {group}")
         return density.grid()[1:]
     if degree is None:
         raise ValueError("without a density the exact rule needs the integrand's polynomial degree")

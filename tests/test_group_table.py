@@ -25,7 +25,7 @@ def test_rows_in_order_with_builtin_charts_of_their_dimension():
         assert group.charts and list(group) == list(group.charts)
         for name in group.charts:
             assert name in BUILTIN_NAMES
-            assert builtin_chart(name).matrix_dim == group.dim
+            assert builtin_chart(name).parametrises.dim == group.dim
         assert group.proper == tag.startswith("so")
     assert GROUP_TAGS == (*(g.spelling for g in GROUPS.values()), "none")
 

@@ -1,5 +1,6 @@
 """Invariant densities: numeric vs closed form, normalization, integration."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -340,15 +341,29 @@ def test_averages_run_on_the_grid_of_normalize(monkeypatch):
 
 
 def test_untagged_square_chart_matches_tagged():
-    # without a group tag p^-1 comes from an LU solve instead of the transpose
+    # an untagged square chart is validated orthogonal, so p^-1 is the transpose as under a tag
     tagged = builtin_chart("so3-euler")
     untagged = Chart.from_source(tagged.source().replace("group: so(3);", ""))
     assert untagged.group is None
-    k, k_lu = normalize(tagged, rule=16), normalize(untagged, rule=16)
-    assert abs(k_lu.C / k.C - 1.0) <= 1e-12
+    k, k_untagged = normalize(tagged, rule=16), normalize(untagged, rule=16)
+    assert k_untagged.C == k.C
     pts = tagged.random_interior(200, RNG)
-    assert np.abs(k_lu.density_many(pts) / k.density_many(pts) - 1.0).max() <= 1e-12
-    assert np.array_equal(k_lu.grid()[2], k.grid()[2])
+    assert np.array_equal(k_untagged.density_many(pts), k.density_many(pts))
+    assert np.array_equal(k_untagged.grid()[1], k.grid()[1])
+    assert np.array_equal(k_untagged.grid()[2], k.grid()[2])
+
+
+@pytest.mark.parametrize("source", [
+    "chart col { params: t in [0, 1]; matrix: [[t], [1], [0]]; }",
+    "chart col { params: t in [0, 1]; matrix: [[t]]; }",
+    "chart col { params: t in [0, 1]; matrix: [[t, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]; }",
+], ids=["3x1", "1x1", "4x4"])
+def test_chart_of_no_group_has_no_density(source):
+    chart = Chart.from_source(source)  # it loads: its entries are finite
+    message = re.escape(f"chart 'col' has {chart.shape} matrices: no group, no Haar density")
+    for call in (lambda: normalize(chart, 8), lambda: density_numeric(chart, [0.5])):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_normalize_memory_per_node():

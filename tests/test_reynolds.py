@@ -15,9 +15,9 @@ import warnings
 import numpy as np
 import pytest
 
-from haarkit.groups import FiniteGroup, rodrigues
+from haarkit.groups import FiniteGroup, lookup_group, rodrigues
 from haarkit.haar import NumericalError, coset_stacks, haar_nodes, normalize
-from haarkit.charts import builtin_chart
+from haarkit.charts import Chart, builtin_chart
 from haarkit.orbit import OrbitSpec, moment
 from haarkit.quadrature import QuadratureRule
 from haarkit.reynolds import (dim_invariants_closed, dim_invariants_quadrature, invariant_rank,
@@ -178,7 +178,7 @@ def test_reynolds_matrix_matches_chunked_reference(group, tag, n):
     for dens in (None, density):
         got = reynolds_matrix(group, n, dens)
         ref = chunked_reference(group, n, dens)
-        assert got.shape == ref.shape == (chart.matrix_dim**n,) * 2
+        assert got.shape == ref.shape == (chart.parametrises.dim**n,) * 2
         assert np.allclose(got, ref, rtol=0.0, atol=1e-14)
 
 
@@ -455,13 +455,36 @@ def test_reynolds_matrix_refuses_a_negative_order(group, density):
             fn(group, n, density)
 
 
-@pytest.mark.parametrize("average", [
-    lambda d: reynolds_continuous("so3", Tensor.from_array(np.eye(3), dim=3), d),
-    lambda d: reynolds_matrix("so3", 2, d),
-    lambda d: dim_invariants_quadrature("so3", 2, d),
-    lambda d: moment(OrbitSpec("so3", "sym2", as_tensor(np.diag([1.0, 2.0, 3.0]))), 1, d),
-], ids=["reynolds_continuous", "reynolds_matrix", "dim_invariants_quadrature", "moment"])
-def test_averages_refuse_a_density_of_another_group(average):
-    density = normalize(builtin_chart("so2-angle"), 16)
-    with pytest.raises(ValueError, match=r"group so3 needs 3x3 elements, got \(16, 2, 2\)"):
-        average(density)
+AVERAGES = {
+    "reynolds_continuous":
+        lambda g, dim, d: reynolds_continuous(g, Tensor.from_array(np.eye(dim), dim=dim), d),
+    "reynolds_matrix": lambda g, dim, d: reynolds_matrix(g, 2, d),
+    "dim_invariants_quadrature": lambda g, dim, d: dim_invariants_quadrature(g, 2, d),
+    "moment": lambda g, dim, d: moment(OrbitSpec(g, "sym2", as_tensor(np.diag(np.arange(1.0, dim + 1)))),
+                                       1, d),
+}
+REFL = ("chart refl { params: t in [-pi, pi]; group: o(2); "
+        "matrix: [[cos(t), sin(t)], [sin(t), -cos(t)]]; }")
+UNTAGGED_ANGLE = builtin_chart("so2-angle").source().replace("group: so(2);", "")
+OTHER_GROUP = {  # id suffix: (averaged group, chart source, message)
+    "": ("so3", builtin_chart("so2-angle").source(), r"group so3 needs 3x3 elements, got \(16, 2, 2\)"),
+    " o(2) for so2": ("so2", REFL, r"a density of o\(2\) chart 'refl' cannot average so2"),
+    " untagged for so2": ("so2", UNTAGGED_ANGLE, r"a density of o\(2\) chart 'so2_angle' cannot average so2"),
+}
+
+
+@pytest.mark.parametrize("average,case", [(a, c) for c in OTHER_GROUP for a in AVERAGES],
+                         ids=[a + c for c in OTHER_GROUP for a in AVERAGES])
+def test_averages_refuse_a_density_of_another_group(average, case):
+    # an SO(D) density averages O(D), but no density averages a group its chart is not of
+    group, source, message = OTHER_GROUP[case]
+    density = normalize(Chart.from_source(source), 16)
+    with pytest.raises(ValueError, match=message):
+        AVERAGES[average](group, lookup_group(group).dim, density)
+
+
+@pytest.mark.parametrize("source", [UNTAGGED_ANGLE, REFL], ids=["untagged", "o(2)"])
+def test_density_of_an_o2_chart_averages_o2(source):
+    density = normalize(Chart.from_source(source), 32)
+    t = Tensor.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]), dim=2)
+    assert np.abs(reynolds_continuous("o2", t, density).array - 2.5 * np.eye(2)).max() <= 1e-12
