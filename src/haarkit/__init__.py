@@ -11,7 +11,7 @@ from .charts import (BUILTIN_NAMES, Chart, DomainError, builtin_chart, load_char
 from .groups import (FiniteGroup, as_orthogonal, frobenius, hat, rodrigues, so_algebra_basis,
                      vee)
 from .haar import (HaarDensity, NumericalError, chart_change_check, density_numeric,
-                   integrate_scalar, integrate_tensor, normalize)
+                   integrate_tensor, normalize)
 from .orbit import OrbitSpec, covariance, mc_moments, moment
 from .quadrature import QuadratureRule
 from .reynolds import (dim_invariants_closed, dim_invariants_quadrature, invariant_rank,
@@ -49,7 +49,6 @@ __all__ = [
     "dim_invariants_quadrature",
     "frobenius",
     "hat",
-    "integrate_scalar",
     "integrate_tensor",
     "invariant_rank",
     "invert_cdf",

@@ -31,7 +31,7 @@ import numpy as np
 
 from .chartlang import (FUNCTIONS, BinOp, Call, ChartAst, ChartError, Neg, Num, Pow, Var,
                         differentiate, evaluate_expr, parse_chart, print_chart, print_expr)
-from .groups import GROUPS, INPUT_TOL, Group, lookup_group, orthogonality_error
+from .groups import GROUPS, INPUT_TOL, Group, UnknownNameError, lookup_group, orthogonality_error
 
 BUILTIN_NAMES = tuple(dict.fromkeys(tag for group in GROUPS.values() for tag in group.charts))
 
@@ -367,7 +367,7 @@ _builtin_cache: dict[str, Chart] = {}
 def builtin_chart(name: str) -> Chart:
     """Load one of the built-in charts by tag (see BUILTIN_NAMES)."""
     if name not in BUILTIN_NAMES:
-        raise KeyError(f"unknown built-in chart {name!r}; available: {', '.join(BUILTIN_NAMES)}")
+        raise UnknownNameError(f"unknown built-in chart {name!r}; available: {', '.join(BUILTIN_NAMES)}")
     if name not in _builtin_cache:
         text = resources.files("haarkit").joinpath(f"data/{name}.chart").read_text(encoding="utf-8")
         _builtin_cache[name] = Chart.from_source(text)

@@ -29,7 +29,7 @@ import numpy as np
 from .chartlang import ChartError
 from .charts import DomainError, load_chart
 from .groups import GROUPS, lookup_group
-from .haar import (NumericalError, chart_change_check, check_chart_map, integrate_scalar,
+from .haar import (NumericalError, chart_change_check, check_chart_map, integrate_tensor,
                    normalize)
 from .orbit import REPRESENTATIONS, OrbitSpec, mc_moments, moment
 from .reynolds import dim_invariants_closed, dim_invariants_quadrature, reynolds_continuous
@@ -239,15 +239,16 @@ def _cmd_check_chart(args) -> str:
     rng = np.random.default_rng(20240817)
     battery = [lambda m: np.trace(m, axis1=-2, axis2=-1),
                lambda m: np.trace(m, axis1=-2, axis2=-1) ** 2]
-    base = [integrate_scalar(f, group.tag, density) for f in battery]
+    mean = lambda f: float(integrate_tensor(f, group.tag, density))
+    base = [mean(f) for f in battery]
     worst = 0.0
     for _ in range(3):
         h = np.linalg.qr(rng.normal(size=(group.dim, group.dim)))[0]
         if np.linalg.det(h) < 0:
             h[:, 0] = -h[:, 0]
         for f, ref in zip(battery, base):
-            left = integrate_scalar(lambda m: f(np.einsum("ij,njk->nik", h, m)), group.tag, density)
-            right = integrate_scalar(lambda m: f(np.einsum("nij,jk->nik", m, h)), group.tag, density)
+            left = mean(lambda m: f(np.einsum("ij,njk->nik", h, m)))
+            right = mean(lambda m: f(np.einsum("nij,jk->nik", m, h)))
             worst = max(worst, abs(left - ref), abs(right - ref))
     record.update(invariance_max_residual=worst, invariance_tolerance=args.tolerance)
     if worst > args.tolerance:

@@ -55,10 +55,15 @@ GROUPS = {g.tag: g for g in (
 )}
 
 
-class UnknownGroupError(KeyError, ValueError):
-    """A tag of no row of GROUPS: a KeyError and a ValueError, printed unquoted."""
+class UnknownNameError(KeyError, ValueError):
+    """A name of no table row (a group tag, a built-in chart): a KeyError and
+    a ValueError, printed unquoted."""
 
     __str__ = ValueError.__str__
+
+
+class UnknownGroupError(UnknownNameError):
+    """A tag of no row of GROUPS."""
 
 
 def lookup_group(tag: str) -> Group:

@@ -26,8 +26,8 @@ order, so the absolute value is taken before normalizing, on the grid that
 averages reuse.  Group averages read groups.GROUPS: dimension, properness
 (an O-group adds the improper coset) and first chart (the exact rule).  A
 groups.FiniteGroup in place of a tag averages over its elements at weight
-1/|G| each; haar_nodes and coset_stacks are the one place either is turned
-into weights and element stacks.
+1/|G| each; haar_nodes and class_nodes are the one place either is turned
+into weights and element stacks, O(D)'s improper coset included.
 
 A density also inverts its chart: ``coordinates(g)`` runs batch
 Gauss-Newton (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 10) on
@@ -49,6 +49,7 @@ from .quadrature import DEFAULT_NODES, QuadratureRule, axis_rule
 DEGENERATE_C = 1e-12
 _SEEDS = 64  # grid nodes nearest g that coordinates() starts from
 _ROUNDS = 8  # Gauss-Newton rounds per seed
+_HALVINGS = 8  # halvings of a Gauss-Newton step that would leave the box
 _GAP = 1e-13  # largest entry gap |p(u) - g| of an accepted root
 
 
@@ -194,7 +195,9 @@ class HaarDensity:
         Starts from the _SEEDS grid nodes with the largest tr(p^T g), runs
         _ROUNDS batch Gauss-Newton steps on the exact jacobians, and returns
         the root of the nearest seed that lies in the box within entry gap
-        _GAP; a seed whose value or jacobian turns non-finite is dropped.
+        _GAP.  A step that would leave the box is halved, up to _HALVINGS
+        times (a chart like sqrt(t) overshoots below 0 from its first grid
+        node); a seed whose value or jacobian turns non-finite is dropped.
         NumericalError when no seed gets there, ValueError for quaternions.
         """
         chart = _single_cover(self.chart)
@@ -209,8 +212,13 @@ class HaarDensity:
                 gap = (chart.evaluate_many(u) - g).reshape(len(u), -1)
                 jac = chart.jacobian_many(u).reshape(len(u), chart.d, -1)
                 live &= np.isfinite(gap).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
-                step = np.linalg.pinv(np.swapaxes(jac[live], 1, 2)) @ gap[live, :, None]
-                u[live] -= step[:, :, 0]
+                step = (np.linalg.pinv(np.swapaxes(jac[live], 1, 2)) @ gap[live, :, None])[:, :, 0]
+                for _ in range(_HALVINGS):
+                    out = ~chart.contains(u[live] - step)
+                    if not out.any():
+                        break
+                    step[out] *= 0.5
+                u[live] -= step
             gap = np.abs(chart.evaluate_many(u) - g).reshape(len(u), -1).max(axis=1)
         inside = live & chart.contains(u)
         hits = np.flatnonzero(inside & (gap <= _GAP))
@@ -280,19 +288,14 @@ def chart_change_check(c1, c2, u, shift=None) -> float:
 # Normalized integration over SO / O groups and finite groups
 
 
-def coset_stacks(group, elements: np.ndarray) -> list[np.ndarray]:
-    """The element stacks a group average runs over.
-
-    SO(D) averages f over the proper elements; O(D) integrates
-    (1/2)[f(g) + f(sigma g)], so its list adds the improper coset.  A
-    FiniteGroup's elements already hold its improper ones, if any.
-    """
-    if isinstance(group, FiniteGroup):
-        return [elements]
-    row = lookup_group(group)
+def _with_cosets(group_tag: str, weights: np.ndarray,
+                 elements: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(weights, stacks): SO(D) averages f over the proper elements; O(D)
+    integrates (1/2)[f(g) + f(sigma g)], so its stacks add the improper coset."""
+    row = lookup_group(group_tag)
     if elements.shape[-1] != row.dim:
-        raise ValueError(f"group {group} needs {row.dim}x{row.dim} elements, got {elements.shape}")
-    return [elements] if row.proper else [elements, improper_coset(elements)]
+        raise ValueError(f"group {group_tag} needs {row.dim}x{row.dim} elements, got {elements.shape}")
+    return weights, [elements] if row.proper else [elements, improper_coset(elements)]
 
 
 def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,30 +327,46 @@ def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return weights, chart.evaluate_many(points)
 
 
-def haar_nodes(group, density: HaarDensity | None,
-               degree: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, elements before coset_stacks) of a group average.
+def class_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(weights, stacks) exact for class functions of degree <= n = ``degree``, as Tr(g)^n.
 
-    A FiniteGroup gives each of its elements weight 1/|G| and takes no
-    density; a tag gives the grid of a density of it or its SO(D), else the exact rule.
+    By Weyl's formula they average over rotations by a about one axis, weighted
+    by 1 - cos a on SO(3); the m = n + 2 angles a = 2 pi j / m, in the group's
+    first chart at (a) or (a, 0, 0), integrate that degree-(n + 1)
+    trigonometric polynomial exactly.  Starting at the identity, where Tr^n
+    peaks, spares its largest terms cancellation in a.
+    """
+    if degree < 0:
+        raise ValueError("polynomial degree must be nonnegative")
+    row = lookup_group(group_tag)
+    chart = builtin_chart(row.charts[0])
+    m = degree + 2
+    angles = 2.0 * np.pi * np.arange(m) / m
+    points = np.zeros((m, chart.d))
+    points[:, 0] = np.where(angles > chart.domain[0, 1], angles - 2.0 * np.pi, angles)
+    weights = (1.0 - np.cos(points[:, 0])) / m if row.dim == 3 else np.full(m, 1.0 / m)
+    return _with_cosets(group_tag, weights, chart.evaluate_many(points))
+
+
+def haar_nodes(group, density: HaarDensity | None,
+               degree: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(weights, stacks) of a group average, the mean of its weighted sums over the stacks.
+
+    A FiniteGroup gives its one stack at weight 1/|G| each and takes no density;
+    a tag gives the grid of a density of it or its SO(D), else the exact rule.
     """
     if isinstance(group, FiniteGroup):
         if density is not None:
             raise ValueError("a finite group averages over its elements and takes no density")
-        return np.full(len(group), 1.0 / len(group)), group.matrices
+        return np.full(len(group), 1.0 / len(group)), [group.matrices]
     if density is not None:
         row, own = lookup_group(group), density.chart.parametrises
         if row.proper and not own.proper and own.dim == row.dim:
             raise ValueError(f"a density of {own.spelling} chart {density.chart.name!r} cannot average {group}")
-        return density.grid()[1:]
+        return _with_cosets(group, *density.grid()[1:])
     if degree is None:
         raise ValueError("without a density the exact rule needs the integrand's polynomial degree")
-    return exact_nodes(group, degree)
-
-
-def integrate_scalar(f, group, density: HaarDensity) -> float:
-    """Normalized integral of f, which maps the (N, D, D) element stack to (N,) values."""
-    return float(integrate_tensor(f, group, density))
+    return _with_cosets(group, *exact_nodes(group, degree))
 
 
 def integrate_tensor(f, group, density: HaarDensity | None,
@@ -360,7 +379,6 @@ def integrate_tensor(f, group, density: HaarDensity | None,
     ``density=None`` it runs on exact_nodes(group, degree), which is exact
     when f is a polynomial of degree <= ``degree`` in the entries of g.
     """
-    weights, elements = haar_nodes(group, density, degree)
-    parts = [np.tensordot(weights, np.asarray(f(mats), dtype=float), axes=1)
-             for mats in coset_stacks(group, elements)]
+    weights, stacks = haar_nodes(group, density, degree)
+    parts = [np.tensordot(weights, np.asarray(f(mats), dtype=float), axes=1) for mats in stacks]
     return sum(parts[1:], parts[0]) / len(parts)

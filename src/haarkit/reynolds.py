@@ -3,13 +3,13 @@
 The Reynolds projector sends a tensor to its group average.  Every average
 here takes a group tag or a groups.FiniteGroup in the same argument and
 runs on the one averaging engine of haar: haar_nodes gives the weights and
-elements, coset_stacks adds the improper coset of an O-group.  A finite
-group averages exactly over its elements; a compact group integrates
-against the uniform measure.  The trace formula turns the same average
-into the dimension of the invariant subspace of order-n tensors; for the
-rotation groups that reduces to a 1D integral in the rotation angle, exact
-on n + 2 equispaced angles, and binomial sums give the SO(3)/O(3)
-dimensions.
+element stacks, O(D)'s improper coset included, and each average is its
+reduction over the stacks.  A finite group averages exactly over its
+elements; a compact group integrates against the uniform measure.  The
+trace formula turns the same average into the dimension of the invariant
+subspace of order-n tensors; for the rotation groups that is a class
+function, exact on the n + 2 angles of haar.class_nodes, and binomial sums
+give the SO(3)/O(3) dimensions.
 
 The action on order-n tensors is a polynomial of degree n in the entries
 of g, so without a density the continuous averages run on the exact rule
@@ -23,9 +23,8 @@ from math import comb
 
 import numpy as np
 
-from .charts import builtin_chart
 from .groups import FiniteGroup, lookup_group
-from .haar import HaarDensity, NumericalError, coset_stacks, haar_nodes, integrate_tensor
+from .haar import HaarDensity, NumericalError, class_nodes, haar_nodes, integrate_tensor
 from .tensors import Tensor, act_batch, check_budget
 
 RANK_THRESHOLD = 1e-6
@@ -56,9 +55,8 @@ def reynolds_matrix(group, n: int, density: HaarDensity | None = None) -> np.nda
         raise ValueError("tensor order must be nonnegative")
     dim = group.dim if isinstance(group, FiniteGroup) else lookup_group(group).dim
     check_budget(dim, 2 * n)  # the operator's D^(2n) entries, before any node is built
-    weighted, elements = haar_nodes(group, density, degree=n)
+    weighted, stacks = haar_nodes(group, density, degree=n)
     size = dim**n
-    stacks = coset_stacks(group, elements)
     total = np.zeros((size, size))
     for stack in stacks:
         powers = [np.ones((len(stack), 1, 1))]  # g^(x)k at each node, k = 0..a
@@ -107,36 +105,23 @@ def dim_invariants_quadrature(group, n: int, density: HaarDensity | None = None)
 
     On a FiniteGroup it is the exact finite sum over the elements.  For a
     tag with a density it runs on the grid the density was normalized on.
-    Without, it is exact up to roundoff: by Weyl's formula the class
-    function Tr(g)^n averages over rotations by a about one axis, weighted
-    by 1 - cos a on SO(3); the m = n + 2 angles a = 2 pi j / m, in the
-    group's first chart at (a) or (a, 0, 0), integrate that degree-(n + 1)
-    trigonometric polynomial exactly.  Starting at the identity, where Tr^n
-    peaks, spares its largest terms cancellation in a.  O-groups add the
-    improper coset.  With r = 4 m eps sum|w Tr(g)^n| bounding roundoff,
-    m = max(n + 2, |G|) on a finite group and n + 2 otherwise, a result that
-    is not finite or further than max(INTEGER_SLACK, r) from an integer is a
-    NumericalError, as is r >= 1/2 on an exact sum (a finite group or the
-    Weyl rule) or, on a density's grid, whose one resolution check is this
-    test, r >= INTEGER_SLACK.
+    Without, it runs on haar.class_nodes(group, n), the n + 2 angles of
+    Weyl's rule, and is exact up to roundoff.  With r = 4 m eps
+    sum|w Tr(g)^n| bounding roundoff, m = max(n + 2, |G|) on a finite group
+    and n + 2 otherwise, a result that is not finite or further than
+    max(INTEGER_SLACK, r) from an integer is a NumericalError, as is r >= 1/2
+    on an exact sum (a finite group or the Weyl rule) or, on a density's
+    grid, whose one resolution check is this test, r >= INTEGER_SLACK.
     """
     if n < 0:
         raise ValueError("tensor order must be nonnegative")
-    m = n + 2  # summed terms, for the roundoff bound
     if isinstance(group, FiniteGroup) or density is not None:
-        weights, elements = haar_nodes(group, density)  # a FiniteGroup refuses a density
-        if density is None:
-            m = max(m, len(weights))
+        weights, stacks = haar_nodes(group, density)  # a FiniteGroup refuses a density
     else:
-        row = lookup_group(group)
-        chart = builtin_chart(row.charts[0])
-        angles = 2.0 * np.pi * np.arange(m) / m
-        points = np.zeros((m, chart.d))
-        points[:, 0] = np.where(angles > chart.domain[0, 1], angles - 2.0 * np.pi, angles)
-        weights = (1.0 - np.cos(points[:, 0])) / m if row.dim == 3 else np.full(m, 1.0 / m)
-        elements = chart.evaluate_many(points)
+        weights, stacks = class_nodes(group, n)
+    m = n + 2 if density is not None else max(n + 2, len(weights))  # summed terms, for roundoff
     with np.errstate(over="ignore", invalid="ignore"):  # 3^n overflows past n = 646
-        powers = [np.trace(s, axis1=-2, axis2=-1) ** n for s in coset_stacks(group, elements)]
+        powers = [np.trace(s, axis1=-2, axis2=-1) ** n for s in stacks]
         value = sum(float(np.dot(weights, p)) for p in powers) / len(powers)
         scale = sum(float(np.dot(weights, np.abs(p))) for p in powers) / len(powers)  # w >= 0
     if not np.isfinite(value):

@@ -574,3 +574,10 @@ def test_malformed_point_and_unknown_map_exit_1(capsys):
                          "--chart2", "builtin:so2-shifted", "--point", "2.0", "--map", "rotate")
     assert (code, out) == (1, "")
     assert "unknown --map 'rotate'" in err
+
+
+def test_unknown_builtin_chart_prints_one_unquoted_line(capsys):
+    code, out, err = run(capsys, "normalize", "--chart", "builtin:nope")
+    assert (code, out) == (1, "")
+    assert err == ("error: unknown built-in chart 'nope'; available: "
+                   "so2-angle, so2-shifted, so3-euler, so3-polar, so3-quat\n")

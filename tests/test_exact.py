@@ -1,18 +1,21 @@
-"""The exact product rule: Haar averages with no density, exact up to roundoff.
+"""The exact rules: Haar averages with no density, exact up to roundoff.
 
 Without a density, reynolds_continuous, reynolds_matrix, invariant_rank,
 moment and covariance average on haar.exact_nodes at the polynomial degree
-of their integrand.  These tests compare that rule with the chart grid, with
-closed forms that owe nothing to quadrature, and with a rule one degree
-short, which must fail.
+of their integrand, and dim_invariants_quadrature on haar.class_nodes.
+These tests compare those rules with the chart grid, with closed forms that
+owe nothing to quadrature, and with a rule one degree short, which must
+fail.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
 
 from haarkit.charts import builtin_chart
-from haarkit.groups import rodrigues
-from haarkit.haar import exact_nodes, integrate_tensor, normalize
+from haarkit.groups import improper_coset, rodrigues
+from haarkit.haar import class_nodes, exact_nodes, haar_nodes, integrate_tensor, normalize
 from haarkit.orbit import (OrbitSpec, covariance, isotropic_basis, moment,
                            sym2_covariance_closed, sym2_mean_closed,
                            sym2_second_moment_closed)
@@ -55,6 +58,40 @@ def test_node_counts_and_weights():
         assert abs(weights.sum() - 1.0) < 1e-14
     with pytest.raises(ValueError):
         exact_nodes("so3", -1)
+
+
+def trace_power_mean(group, n):
+    """Tr(g)^n averaged on class_nodes(group, n): the mean over the stacks of each weighted sum."""
+    weights, stacks = class_nodes(group, n)
+    sums = [float(np.dot(weights, np.trace(s, axis1=-2, axis2=-1) ** n)) for s in stacks]
+    return sum(sums) / len(sums)
+
+
+@pytest.mark.parametrize("group", ["so3", "o3"])
+def test_class_nodes_give_the_closed_dimensions(group):
+    for n in range(13):
+        closed = dim_invariants_closed(group, n)
+        assert abs(trace_power_mean(group, n) - closed) <= 1e-12 * max(1, closed), n
+
+
+def test_class_nodes_on_so2_give_central_binomials():
+    # Tr(g) = 2 cos a, and the mean of (2 cos a)^n is C(n, n/2) for even n, 0 for odd n
+    for n in range(13):
+        expected = comb(n, n // 2) if n % 2 == 0 else 0
+        assert abs(trace_power_mean("so2", n) - expected) <= 1e-12 * max(1, expected), n
+    with pytest.raises(ValueError, match="nonnegative"):
+        class_nodes("so2", -1)
+
+
+@pytest.mark.parametrize("group", ["so2", "o2", "so3", "o3"])
+def test_node_sources_return_coset_complete_stacks(group):
+    density = normalize(builtin_chart(GROUP_CHART[group]), rule=6)
+    for weights, stacks in (haar_nodes(group, None, degree=2), haar_nodes(group, density),
+                            class_nodes(group, 2)):
+        assert len(stacks) == (1 if group.startswith("so") else 2)
+        assert all(s.shape == (len(weights),) + stacks[0].shape[1:] for s in stacks)
+        if len(stacks) == 2:
+            assert np.array_equal(stacks[1], improper_coset(stacks[0]))
 
 
 def test_integrate_tensor_needs_degree_without_density():

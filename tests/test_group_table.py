@@ -9,8 +9,7 @@ import pytest
 from haarkit.chartlang import GROUP_TAGS, parse_chart
 from haarkit.charts import BUILTIN_NAMES, builtin_chart
 from haarkit.groups import GROUPS, FiniteGroup, UnknownGroupError, lookup_group
-from haarkit.haar import (coset_stacks, exact_nodes, haar_nodes, integrate_scalar,
-                          integrate_tensor, normalize)
+from haarkit.haar import class_nodes, exact_nodes, haar_nodes, integrate_tensor, normalize
 from haarkit.orbit import OrbitSpec, covariance, moment
 from haarkit.reynolds import (dim_invariants_closed, dim_invariants_quadrature,
                               invariant_rank, reynolds_continuous, reynolds_matrix)
@@ -59,13 +58,11 @@ def _density():
 
 TAKES_A_TAG = {
     "lookup_group": lambda tag: lookup_group(tag),
-    "coset_stacks": lambda tag: coset_stacks(tag, np.eye(3)[None]),
     "exact_nodes": lambda tag: exact_nodes(tag, 2),
+    "class_nodes": lambda tag: class_nodes(tag, 2),
     "haar_nodes": lambda tag: haar_nodes(tag, None, degree=2),
     "integrate_tensor": lambda tag: integrate_tensor(lambda m: m, tag, None, degree=1),
     "integrate_tensor/density": lambda tag: integrate_tensor(lambda m: m, tag, _density()),
-    "integrate_scalar": lambda tag: integrate_scalar(
-        lambda m: np.ones(len(m)), tag, _density()),
     "reynolds_continuous": lambda tag: reynolds_continuous(tag, Tensor.zeros(3, 2)),
     "reynolds_matrix": lambda tag: reynolds_matrix(tag, 0),
     "reynolds_matrix/density": lambda tag: reynolds_matrix(tag, 0, _density()),
@@ -102,7 +99,6 @@ def _orbit(group):
 AVERAGES = {
     "haar_nodes": lambda g, d: haar_nodes(g, d, degree=2),
     "integrate_tensor": lambda g, d: integrate_tensor(lambda m: m, g, d, degree=1),
-    "integrate_scalar": lambda g, d: integrate_scalar(lambda m: np.ones(len(m)), g, d),
     "reynolds_continuous": lambda g, d: reynolds_continuous(g, Tensor.zeros(3, 2), d),
     "reynolds_matrix": lambda g, d: reynolds_matrix(g, 2, d),
     "invariant_rank": lambda g, d: invariant_rank(g, 2, d),
@@ -119,13 +115,13 @@ def test_every_average_takes_a_finite_group_in_place_of_a_tag(name):
     with pytest.raises(ValueError, match="finite group averages over its elements"):
         AVERAGES[name](c4, _density())
     with pytest.raises(UnknownGroupError, match="unknown group tag 'su2'"):
-        AVERAGES[name]("su2", None if name != "integrate_scalar" else _density())
+        AVERAGES[name]("su2", None)
 
 
 def test_a_finite_group_adds_no_coset_and_weighs_each_element_once():
     # the Klein four-group of sign flips, two of them improper
     klein = FiniteGroup([np.diag(s) for s in ((1.0, 1.0), (-1.0, 1.0),
                                                             (1.0, -1.0), (-1.0, -1.0))])
-    weights, elements = haar_nodes(klein, None)
-    assert np.array_equal(weights, np.full(4, 0.25)) and elements is klein.matrices
-    assert len(coset_stacks(klein, elements)) == 1
+    weights, stacks = haar_nodes(klein, None)
+    assert np.array_equal(weights, np.full(4, 0.25))
+    assert len(stacks) == 1 and stacks[0] is klein.matrices

@@ -9,8 +9,8 @@ import pytest
 
 from haarkit.charts import Chart, DomainError, builtin_chart
 from haarkit.groups import quat_rotation_matrices
-from haarkit.haar import (NumericalError, chart_change_check, density_numeric,
-                          integrate_scalar, integrate_tensor, normalize)
+from haarkit.haar import (NumericalError, chart_change_check, density_numeric, integrate_tensor,
+                          normalize)
 from haarkit.orbit import OrbitSpec, moment
 from haarkit.quadrature import DEFAULT_NODES, QuadratureRule
 from haarkit.reynolds import reynolds_matrix
@@ -114,6 +114,21 @@ def test_infinite_slope_raises_without_warnings():
         with pytest.raises(NumericalError, match="not finite"):
             density_numeric(chart, [0.0])
         assert density_numeric(chart, [4.0]) == 0.25  # 1 / (2 sqrt(t))
+
+
+SQRT_TURN = ("chart sqrt_turn { params: t in [0, 4*pi^2]; group: so(2); "
+             "matrix: [[cos(sqrt(t)), -sin(sqrt(t))], [sin(sqrt(t)), cos(sqrt(t))]]; }")
+
+
+@pytest.mark.parametrize("angle", [0.1, 0.01])
+def test_coordinates_halve_steps_that_leave_the_box(angle):
+    # from the grid nodes nearest t = 0 a full Gauss-Newton step on sqrt(t)
+    # lands below 0, where sqrt is NaN; halved, it stays in the box and converges
+    density = normalize(Chart.from_source(SQRT_TURN))
+    g = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    u = density.coordinates(g)
+    assert np.isclose(u[0], angle**2, rtol=1e-12, atol=0.0)
+    assert np.abs(density.chart.evaluate(u) - g).max() <= 1e-13
 
 
 def test_overflowing_slope_raises_without_warnings():
@@ -222,15 +237,15 @@ def test_integrate_scalar_normalization():
     for group, tag in (("so2", "so2-angle"), ("o2", "so2-angle"),
                        ("so3", "so3-quat"), ("o3", "so3-quat")):
         density = normalize(builtin_chart(tag))
-        total = integrate_scalar(lambda m: np.ones(m.shape[0]), group, density)
+        total = float(integrate_tensor(lambda m: np.ones(m.shape[0]), group, density))
         assert abs(total - 1.0) < 1e-9
 
 
 def test_integrate_scalar_determinant_vanishes_on_o3():
     density = normalize(builtin_chart("so3-quat"))
-    value = integrate_scalar(np.linalg.det, "o3", density)
+    value = float(integrate_tensor(np.linalg.det, "o3", density))
     assert abs(value) < 1e-12
-    proper = integrate_scalar(np.linalg.det, "so3", density)
+    proper = float(integrate_tensor(np.linalg.det, "so3", density))
     assert abs(proper - 1.0) < 1e-12
 
 
@@ -238,14 +253,14 @@ def test_integrate_scalar_trace_moments():
     # mean trace powers count invariant dimensions
     density = normalize(builtin_chart("so3-euler"))
     tr = lambda m: np.trace(m, axis1=-2, axis2=-1)
-    assert abs(integrate_scalar(tr, "so3", density)) < 1e-9
-    assert abs(integrate_scalar(lambda m: tr(m)**2, "so3", density) - 1.0) < 1e-9
+    assert abs(float(integrate_tensor(tr, "so3", density))) < 1e-9
+    assert abs(float(integrate_tensor(lambda m: tr(m)**2, "so3", density)) - 1.0) < 1e-9
 
 
 def test_integrate_scalar_o2_improper_traceless():
     density = normalize(builtin_chart("so2-angle"))
     tr = lambda m: np.trace(m, axis1=-2, axis2=-1)
-    assert abs(integrate_scalar(lambda m: tr(m)**2, "o2", density) - 1.0) < 1e-9
+    assert abs(float(integrate_tensor(lambda m: tr(m)**2, "o2", density)) - 1.0) < 1e-9
 
 
 def test_integrate_tensor_second_moment():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from haarkit.groups import FiniteGroup, lookup_group, rodrigues
-from haarkit.haar import NumericalError, coset_stacks, haar_nodes, normalize
+from haarkit.haar import NumericalError, haar_nodes, normalize
 from haarkit.charts import Chart, builtin_chart
 from haarkit.orbit import OrbitSpec, moment
 from haarkit.quadrature import QuadratureRule
@@ -152,15 +152,14 @@ def test_reynolds_matrix_order_zero():
 
 def chunked_reference(group_tag, n, density, chunk=512):
     """The operator as a sum of per-node D^n x D^n Kronecker powers, chunk by chunk."""
-    weighted, elements = haar_nodes(group_tag, density, degree=n)
-    dim = elements.shape[-1]
+    weighted, stacks = haar_nodes(group_tag, density, degree=n)
+    dim = stacks[0].shape[-1]
     if n == 0:
         return np.array([[float(weighted.sum())]])
     total = np.zeros((dim**n, dim**n))
-    for start in range(0, elements.shape[0], chunk):
+    for start in range(0, len(weighted), chunk):
         w = weighted[start:start + chunk]
-        stacks = coset_stacks(group_tag, elements[start:start + chunk])
-        for stack in stacks:
+        for stack in (s[start:start + chunk] for s in stacks):
             power = stack
             for _ in range(n - 1):
                 m = power.shape[1]
