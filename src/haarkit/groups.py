@@ -35,16 +35,13 @@ SO2_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 @dataclass(frozen=True)
 class Group:
-    """A row of GROUPS; iterating it yields its charts."""
+    """A row of GROUPS."""
 
     tag: str  # "so3"
     spelling: str  # "so(3)", as a chart's group tag
     dim: int  # elements are dim x dim
     proper: bool  # SO(D); O(D) adds the improper coset
     charts: tuple[str, ...]  # of the proper part; the first samples by default, exact rule
-
-    def __iter__(self):
-        return iter(self.charts)
 
 
 GROUPS = {g.tag: g for g in (

@@ -26,8 +26,10 @@ order, so the absolute value is taken before normalizing, on the grid that
 averages reuse.  Group averages read groups.GROUPS: dimension, properness
 (an O-group adds the improper coset) and first chart (the exact rule).  A
 groups.FiniteGroup in place of a tag averages over its elements at weight
-1/|G| each; haar_nodes and class_nodes are the one place either is turned
-into weights and element stacks, O(D)'s improper coset included.
+1/|G| each.  haar_nodes, exact_nodes and class_nodes are the one place either
+is turned into weights and element stacks, O(D)'s improper coset included,
+and haar_nodes the one check that a density's chart parametrises the
+averaged group (Chart.parametrises).
 
 A density also inverts its chart: ``coordinates(g)`` runs batch
 Gauss-Newton (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 10) on
@@ -42,13 +44,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import Chart, builtin_chart
-from .groups import (FiniteGroup, improper_coset, lookup_group, quat_rotation_matrices,
+from .groups import (FiniteGroup, Group, improper_coset, lookup_group, quat_rotation_matrices,
                      so_algebra_basis)
 from .quadrature import DEFAULT_NODES, QuadratureRule, axis_rule
 
 DEGENERATE_C = 1e-12
 _SEEDS = 64  # grid nodes nearest g that coordinates() starts from
-_ROUNDS = 8  # Gauss-Newton rounds per seed
+_ROUNDS = 12  # Gauss-Newton rounds per seed
 _HALVINGS = 8  # halvings of a Gauss-Newton step that would leave the box
 _GAP = 1e-13  # largest entry gap |p(u) - g| of an accepted root
 
@@ -288,18 +290,15 @@ def chart_change_check(c1, c2, u, shift=None) -> float:
 # Normalized integration over SO / O groups and finite groups
 
 
-def _with_cosets(group_tag: str, weights: np.ndarray,
+def _with_cosets(row: Group, weights: np.ndarray,
                  elements: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """(weights, stacks): SO(D) averages f over the proper elements; O(D)
     integrates (1/2)[f(g) + f(sigma g)], so its stacks add the improper coset."""
-    row = lookup_group(group_tag)
-    if elements.shape[-1] != row.dim:
-        raise ValueError(f"group {group_tag} needs {row.dim}x{row.dim} elements, got {elements.shape}")
     return weights, [elements] if row.proper else [elements, improper_coset(elements)]
 
 
-def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and proper elements of a Haar rule exact up to polynomial degree n.
+def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(weights, stacks) of a Haar rule exact up to polynomial degree n.
 
     Averages of polynomials of degree <= n = ``degree`` in the entries of g
     are exact up to roundoff.  SO(2) uses n + 1 equispaced angles.  SO(3)
@@ -311,20 +310,22 @@ def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, np.ndarray]:
     exact alpha and gamma averages are invariant under a shift by pi; what
     remains is a polynomial of degree <= n in cos(beta), which Gauss-Legendre
     integrates exactly (Graf & Potts, Numer. Funct. Anal. Optim. 2009).
-    The nodes lie in the group's first chart, so2-angle or so3-euler.
+    The nodes lie in the group's first chart, so2-angle or so3-euler; O(D)
+    adds their improper coset as a second stack, as class_nodes does.
     """
     if degree < 0:
         raise ValueError("polynomial degree must be nonnegative")
-    chart = builtin_chart(lookup_group(group_tag).charts[0])
+    row = lookup_group(group_tag)
+    chart = builtin_chart(row.charts[0])
     m = degree + 1
     turns = chart.domain[0, 0] + 2.0 * np.pi * np.arange(m) / m
     if chart.d == 1:
-        return np.full(m, 1.0 / m), chart.evaluate_many(turns[:, None])
+        return _with_cosets(row, np.full(m, 1.0 / m), chart.evaluate_many(turns[:, None]))
     x, w = axis_rule(degree // 2 + 1, -1.0, 1.0)
     alpha, beta, gamma = np.meshgrid(turns, np.arccos(x), turns, indexing="ij")
     points = np.stack([alpha.ravel(), beta.ravel(), gamma.ravel()], axis=-1)
     weights = np.broadcast_to(w[None, :, None], alpha.shape).ravel() / (2.0 * m * m)
-    return weights, chart.evaluate_many(points)
+    return _with_cosets(row, weights, chart.evaluate_many(points))
 
 
 def class_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -345,7 +346,7 @@ def class_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, list[np.ndarra
     points = np.zeros((m, chart.d))
     points[:, 0] = np.where(angles > chart.domain[0, 1], angles - 2.0 * np.pi, angles)
     weights = (1.0 - np.cos(points[:, 0])) / m if row.dim == 3 else np.full(m, 1.0 / m)
-    return _with_cosets(group_tag, weights, chart.evaluate_many(points))
+    return _with_cosets(row, weights, chart.evaluate_many(points))
 
 
 def haar_nodes(group, density: HaarDensity | None,
@@ -353,20 +354,21 @@ def haar_nodes(group, density: HaarDensity | None,
     """(weights, stacks) of a group average, the mean of its weighted sums over the stacks.
 
     A FiniteGroup gives its one stack at weight 1/|G| each and takes no density;
-    a tag gives the grid of a density of it or its SO(D), else the exact rule.
+    a tag gives the exact rule, or the grid of a density whose chart
+    parametrises the group or, for O(D), its SO(D).
     """
     if isinstance(group, FiniteGroup):
         if density is not None:
             raise ValueError("a finite group averages over its elements and takes no density")
         return np.full(len(group), 1.0 / len(group)), [group.matrices]
-    if density is not None:
-        row, own = lookup_group(group), density.chart.parametrises
-        if row.proper and not own.proper and own.dim == row.dim:
-            raise ValueError(f"a density of {own.spelling} chart {density.chart.name!r} cannot average {group}")
-        return _with_cosets(group, *density.grid()[1:])
-    if degree is None:
-        raise ValueError("without a density the exact rule needs the integrand's polynomial degree")
-    return _with_cosets(group, *exact_nodes(group, degree))
+    if density is None:
+        if degree is None:
+            raise ValueError("without a density the exact rule needs the integrand's polynomial degree")
+        return exact_nodes(group, degree)
+    row, own = lookup_group(group), density.chart.parametrises
+    if own.dim != row.dim or (row.proper and not own.proper):
+        raise ValueError(f"a density of {own.spelling} chart {density.chart.name!r} cannot average {group}")
+    return _with_cosets(row, *density.grid()[1:])
 
 
 def integrate_tensor(f, group, density: HaarDensity | None,

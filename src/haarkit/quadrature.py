@@ -40,7 +40,6 @@ class QuadratureRule:
     matching product weights (N,); N is the product of the axis counts.
     """
 
-    domain: np.ndarray  # (d, 2)
     nodes_per_axis: tuple[int, ...]
     points: np.ndarray
     weights: np.ndarray
@@ -64,7 +63,7 @@ class QuadratureRule:
         weights = np.asarray(weights).ravel()
         points.setflags(write=False)
         weights.setflags(write=False)
-        return cls(domain=dom, nodes_per_axis=counts, points=points, weights=weights)
+        return cls(nodes_per_axis=counts, points=points, weights=weights)
 
     @property
     def size(self) -> int:

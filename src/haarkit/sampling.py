@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import builtin_chart
-from .groups import improper_coset, lookup_group, quat_rotation_matrices
+from .groups import UnknownNameError, improper_coset, lookup_group, quat_rotation_matrices
 from .haar import HaarDensity, NumericalError
 
 CDF_TOL = 1e-12
@@ -149,7 +149,7 @@ def closed_form(tag: str) -> HaarDensity:
     suite checks agreement at 1e-6.
     """
     if tag not in CHART_LAWS:
-        raise KeyError(f"no closed-form density for tag {tag!r}; "
+        raise UnknownNameError(f"no closed-form density for tag {tag!r}; "
                        f"available: {', '.join(sorted(CHART_LAWS))}")
     laws = CHART_LAWS[tag][1]
     chart = builtin_chart(tag)

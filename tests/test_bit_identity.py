@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from haarkit.chartlang import evaluate_expr, parse_chart
 from haarkit.charts import BUILTIN_NAMES, Chart, builtin_chart
 from haarkit.cli import _row_template, format_float, format_rows, main, to_json
-from haarkit.groups import (GROUPS as GROUP_CHARTS, improper_coset, quat_rotation_matrices,
+from haarkit.groups import (GROUPS, improper_coset, quat_rotation_matrices,
                             so_algebra_basis)
 from haarkit.haar import NumericalError, _density_and_elements
 from haarkit.orbit import OrbitSpec, mc_moments
@@ -353,7 +353,7 @@ def test_invert_cdf_matches_dense_loop_on_drawn_targets(name, data):
 @pytest.mark.parametrize("group", ["o2", "o3"])
 def test_in_place_flip_matches_where(group):
     proper = "so" + group[1:]
-    for chart in GROUP_CHARTS[group]:
+    for chart in GROUPS[group].charts:
         config = SamplerConfig(group=group, chart=chart, seed=4242, count=5000)
         mats = sample(SamplerConfig(group=proper, chart=chart, seed=4242, count=5000)).matrices
         d = builtin_chart(chart).d
@@ -465,7 +465,7 @@ def test_format_rows_matches_format_float_on_drawn_floats(template, data):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("group, chart", [(g, c) for g in GROUP_CHARTS for c in GROUP_CHARTS[g]])
+@pytest.mark.parametrize("group, chart", [(g, c) for g in GROUPS for c in GROUPS[g].charts])
 def test_sample_output_matches_format_float(group, chart, fmt, capsys):
     config = SamplerConfig(group=group, chart=chart, seed=9, count=3000)
     batch = sample(config)

@@ -506,6 +506,22 @@ def test_reynolds_averages_only_the_group_of_the_chart(tmp_path, capsys):
     assert np.abs(np.array(json.loads(out)["entries"]) - [2.5, 0, 0, 2.5]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("group,chart,name", [
+    ("so3", "so2-angle", "so2_angle"), ("o3", "so2-angle", "so2_angle"),
+    ("so2", "so3-euler", "so3_euler"), ("o2", "so3-quat", "so3_quat"),
+])
+def test_averages_refuse_a_chart_of_another_dimension_with_one_line(group, chart, name, tmp_path,
+                                                                    capsys):
+    dim = int(group[-1])
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dim": dim, "order": 2, "entries": np.eye(dim).ravel().tolist()}))
+    spelling = "so(3)" if chart.startswith("so3") else "so(2)"
+    expected = f"error: a density of {spelling} chart '{name}' cannot average {group}\n"
+    for argv in (("reynolds", "--tensor", str(path)), ("orbit-moments", "--diag", "1," * (dim - 1) + "2")):
+        code, out, err = run(capsys, *argv, "--group", group, "--chart", f"builtin:{chart}", "--nodes", "4")
+        assert (code, out, err) == (1, "", expected)
+
+
 def test_check_chart_runs_its_battery_on_an_untagged_chart(tmp_path, capsys):
     path = tmp_path / "euler.chart"
     path.write_text(builtin_chart("so3-euler").source().replace("group: so(3);", ""))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from haarkit.charts import builtin_chart
-from haarkit.groups import improper_coset, rodrigues
+from haarkit.groups import improper_coset, lookup_group, rodrigues
 from haarkit.haar import class_nodes, exact_nodes, haar_nodes, integrate_tensor, normalize
 from haarkit.orbit import (OrbitSpec, covariance, isotropic_basis, moment,
                            sym2_covariance_closed, sym2_mean_closed,
@@ -49,11 +49,11 @@ def average(group, t, degree=None):
 
 def test_node_counts_and_weights():
     for n in range(7):
-        weights, mats = exact_nodes("so3", n)
+        weights, [mats] = exact_nodes("so3", n)
         assert mats.shape == ((n + 1) ** 2 * (n // 2 + 1), 3, 3)
         assert abs(weights.sum() - 1.0) < 1e-14
         assert np.abs(np.einsum("nji,njk->nik", mats, mats) - np.eye(3)).max() < 1e-14
-        weights, mats = exact_nodes("so2", n)
+        weights, [mats] = exact_nodes("so2", n)
         assert mats.shape == (n + 1, 2, 2)
         assert abs(weights.sum() - 1.0) < 1e-14
     with pytest.raises(ValueError):
@@ -87,11 +87,19 @@ def test_class_nodes_on_so2_give_central_binomials():
 def test_node_sources_return_coset_complete_stacks(group):
     density = normalize(builtin_chart(GROUP_CHART[group]), rule=6)
     for weights, stacks in (haar_nodes(group, None, degree=2), haar_nodes(group, density),
-                            class_nodes(group, 2)):
+                            exact_nodes(group, 2), class_nodes(group, 2)):
         assert len(stacks) == (1 if group.startswith("so") else 2)
         assert all(s.shape == (len(weights),) + stacks[0].shape[1:] for s in stacks)
         if len(stacks) == 2:
             assert np.array_equal(stacks[1], improper_coset(stacks[0]))
+
+
+@pytest.mark.parametrize("group,mean", [("so2", 1.0), ("o2", 0.0), ("so3", 1.0), ("o3", 0.0)])
+def test_exact_nodes_average_det_over_the_group(group, mean):
+    # det g is 1 on SO(D) and -1 on its improper coset, so it averages to 0 on O(D)
+    weights, stacks = exact_nodes(group, lookup_group(group).dim)
+    sums = [float(np.dot(weights, np.linalg.det(s))) for s in stacks]
+    assert abs(sum(sums) / len(sums) - mean) <= 1e-14
 
 
 def test_integrate_tensor_needs_degree_without_density():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from haarkit.charts import Chart, DomainError, builtin_chart
-from haarkit.groups import quat_rotation_matrices
+from haarkit.groups import UnknownNameError, quat_rotation_matrices
 from haarkit.haar import (NumericalError, chart_change_check, density_numeric, integrate_tensor,
                           normalize)
 from haarkit.orbit import OrbitSpec, moment
@@ -63,6 +63,13 @@ def test_closed_form_examples():
 def test_closed_form_unknown_tag():
     with pytest.raises(KeyError):
         closed_form("so3-cayley")
+
+
+def test_closed_form_unknown_tag_prints_unquoted():
+    with pytest.raises(UnknownNameError) as info:
+        closed_form("nope")
+    assert str(info.value) == ("no closed-form density for tag 'nope'; available: "
+                               "so2-angle, so2-shifted, so3-euler, so3-polar, so3-quat")
 
 
 def test_density_positive_in_interior():
@@ -120,7 +127,7 @@ SQRT_TURN = ("chart sqrt_turn { params: t in [0, 4*pi^2]; group: so(2); "
              "matrix: [[cos(sqrt(t)), -sin(sqrt(t))], [sin(sqrt(t)), cos(sqrt(t))]]; }")
 
 
-@pytest.mark.parametrize("angle", [0.1, 0.01])
+@pytest.mark.parametrize("angle", [0.1, 0.01, 0.001, 1e-4])
 def test_coordinates_halve_steps_that_leave_the_box(angle):
     # from the grid nodes nearest t = 0 a full Gauss-Newton step on sqrt(t)
     # lands below 0, where sqrt is NaN; halved, it stays in the box and converges

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from haarkit.chartlang import (FUNCTIONS, GROUP_TAGS, BinOp, Call, ChartAst, Neg, Num, Param,
                                Pi, Pow, Var, parse_chart, print_chart)
-from haarkit.groups import GROUPS as GROUP_CHARTS, improper_coset, rodrigues
+from haarkit.groups import GROUPS, improper_coset, rodrigues
 from haarkit.reynolds import reynolds_matrix
 from haarkit.sampling import SamplerConfig, sample
 from haarkit.tensors import Tensor, act
@@ -55,8 +55,8 @@ def test_action_is_a_homomorphism(data, dim, order):
     assert np.allclose(sequential, via_product, rtol=0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("group,chart", [(g, c) for g, charts in GROUP_CHARTS.items()
-                                         for c in charts])
+@pytest.mark.parametrize("group,chart", [(g, c) for g, row in GROUPS.items()
+                                         for c in row.charts])
 @PROPERTY
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 1000), data=st.data())
 def test_sampler_batch_prefix_is_the_shorter_batch(group, chart, seed, n, data):

@@ -8,7 +8,9 @@ for the same sequence, a(n) = (n-1)(2a(n-1) + 3a(n-2))/(n+1), and against
 central binomial coefficients in the planar case.
 """
 
+import functools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -16,9 +18,9 @@ import numpy as np
 import pytest
 
 from haarkit.groups import FiniteGroup, lookup_group, rodrigues
-from haarkit.haar import NumericalError, haar_nodes, normalize
+from haarkit.haar import NumericalError, haar_nodes, integrate_tensor, normalize
 from haarkit.charts import Chart, builtin_chart
-from haarkit.orbit import OrbitSpec, moment
+from haarkit.orbit import OrbitSpec, covariance, moment
 from haarkit.quadrature import QuadratureRule
 from haarkit.reynolds import (dim_invariants_closed, dim_invariants_quadrature, invariant_rank,
                               reynolds_continuous, reynolds_matrix)
@@ -458,17 +460,41 @@ AVERAGES = {
     "reynolds_continuous":
         lambda g, dim, d: reynolds_continuous(g, Tensor.from_array(np.eye(dim), dim=dim), d),
     "reynolds_matrix": lambda g, dim, d: reynolds_matrix(g, 2, d),
+    "invariant_rank": lambda g, dim, d: invariant_rank(g, 2, d),
     "dim_invariants_quadrature": lambda g, dim, d: dim_invariants_quadrature(g, 2, d),
     "moment": lambda g, dim, d: moment(OrbitSpec(g, "sym2", as_tensor(np.diag(np.arange(1.0, dim + 1)))),
                                        1, d),
+    "covariance": lambda g, dim, d: covariance(OrbitSpec(g, "sym2", as_tensor(np.eye(dim))), d),
+    "integrate_tensor": lambda g, dim, d: integrate_tensor(lambda mats: mats, g, d),
 }
 REFL = ("chart refl { params: t in [-pi, pi]; group: o(2); "
         "matrix: [[cos(t), sin(t)], [sin(t), -cos(t)]]; }")
 UNTAGGED_ANGLE = builtin_chart("so2-angle").source().replace("group: so(2);", "")
-OTHER_GROUP = {  # id suffix: (averaged group, chart source, message)
-    "": ("so3", builtin_chart("so2-angle").source(), r"group so3 needs 3x3 elements, got \(16, 2, 2\)"),
-    " o(2) for so2": ("so2", REFL, r"a density of o\(2\) chart 'refl' cannot average so2"),
-    " untagged for so2": ("so2", UNTAGGED_ANGLE, r"a density of o\(2\) chart 'so2_angle' cannot average so2"),
+UNTAGGED_EULER = builtin_chart("so3-euler").source().replace("group: so(3);", "")
+CHARTS = {  # the densities of the group checks: chart source by label
+    "so2-angle": builtin_chart("so2-angle").source(),
+    "o(2)": REFL,
+    "untagged so2-angle": UNTAGGED_ANGLE,
+    "so3-euler": builtin_chart("so3-euler").source(),
+    "so3-quat": builtin_chart("so3-quat").source(),
+    "untagged so3-euler": UNTAGGED_EULER,
+}
+
+
+@functools.cache
+def chart_density(label):
+    return normalize(Chart.from_source(CHARTS[label]), 8)
+
+
+OTHER_GROUP = {  # id suffix: (averaged group, chart label, message)
+    "": ("so3", "so2-angle", r"a density of so\(2\) chart 'so2_angle' cannot average so3"),
+    " o(2) for so2": ("so2", "o(2)", r"a density of o\(2\) chart 'refl' cannot average so2"),
+    " untagged for so2": ("so2", "untagged so2-angle",
+                          r"a density of o\(2\) chart 'so2_angle' cannot average so2"),
+    " so3-quat for so2": ("so2", "so3-quat", r"a density of so\(3\) chart 'so3_quat' cannot average so2"),
+    " so3-quat for o2": ("o2", "so3-quat", r"a density of so\(3\) chart 'so3_quat' cannot average o2"),
+    " so3-euler for o2": ("o2", "so3-euler", r"a density of so\(3\) chart 'so3_euler' cannot average o2"),
+    " so2-angle for o3": ("o3", "so2-angle", r"a density of so\(2\) chart 'so2_angle' cannot average o3"),
 }
 
 
@@ -476,10 +502,31 @@ OTHER_GROUP = {  # id suffix: (averaged group, chart source, message)
                          ids=[a + c for c in OTHER_GROUP for a in AVERAGES])
 def test_averages_refuse_a_density_of_another_group(average, case):
     # an SO(D) density averages O(D), but no density averages a group its chart is not of
-    group, source, message = OTHER_GROUP[case]
-    density = normalize(Chart.from_source(source), 16)
+    group, label, message = OTHER_GROUP[case]
     with pytest.raises(ValueError, match=message):
-        AVERAGES[average](group, lookup_group(group).dim, density)
+        AVERAGES[average](group, lookup_group(group).dim, chart_density(label))
+
+
+ACCEPTED = {  # group: the charts whose densities average it; every other pair is refused
+    "so2": {"so2-angle"},
+    "o2": {"so2-angle", "o(2)", "untagged so2-angle"},
+    "so3": {"so3-euler", "so3-quat"},
+    "o3": {"so3-euler", "so3-quat", "untagged so3-euler"},
+}
+
+
+@pytest.mark.parametrize("group", list(ACCEPTED))
+@pytest.mark.parametrize("label", list(CHARTS))
+def test_a_density_averages_its_group_and_an_o_group_over_its_so_part(group, label):
+    density = chart_density(label)
+    if label in ACCEPTED[group]:
+        weights, stacks = haar_nodes(group, density)
+        assert weights is density.grid()[1] and len(stacks) == (1 if group.startswith("so") else 2)
+    else:
+        spelling = density.chart.parametrises.spelling
+        with pytest.raises(ValueError, match=f"^a density of {re.escape(spelling)} chart "
+                                             f"'{density.chart.name}' cannot average {group}$"):
+            haar_nodes(group, density)
 
 
 @pytest.mark.parametrize("source", [UNTAGGED_ANGLE, REFL], ids=["untagged", "o(2)"])
