@@ -40,7 +40,7 @@ _VALIDATION_SEED = 0x5EED
 
 
 class DomainError(ValueError):
-    """A coordinate tuple outside (or too close to the edge of) the domain."""
+    """A coordinate tuple outside the domain, or a point or batch of the wrong shape."""
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +269,13 @@ class Chart:
             raise DomainError(f"point {u.tolist()} outside the domain of chart {self.name!r}")
         return u
 
+    def check_batch(self, points) -> np.ndarray:
+        """An (N, d) batch as floats, shape-checked only: its points are not held to the box."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.d:
+            raise DomainError(f"expected an (N, {self.d}) batch, got shape {pts.shape}")
+        return pts
+
     def random_interior(self, count: int, rng, margin: float = 1e-3) -> np.ndarray:
         """Uniform points in the domain shrunk by a relative margin per axis."""
         lo, hi = self.domain[:, 0], self.domain[:, 1]
@@ -288,9 +295,7 @@ class Chart:
         ``evaluate_expr`` walk.  Points are not domain-checked; quadrature
         and sampling call this on nodes already known to lie inside.
         """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.d:
-            raise DomainError(f"expected an (N, {self.d}) batch, got shape {pts.shape}")
+        pts = self.check_batch(points)
         rows, cols = self.shape
         out = np.empty((len(pts), rows, cols))
         self._plan.run(pts, out.reshape(len(pts), rows * cols).T)
@@ -316,7 +321,7 @@ class Chart:
         row k * rows * cols + i * cols + j holds dp_ij/du_k at every point,
         so ``jac.reshape(N, -1).T`` gives those entry rows without a copy.
         """
-        pts = np.asarray(points, dtype=float)
+        pts = self.check_batch(points)
         rows = np.empty((self.d * self.shape[0] * self.shape[1], len(pts)))
         with np.errstate(all="ignore"):
             self._jacobian_plan.run(pts, rows)

@@ -29,8 +29,7 @@ import numpy as np
 from .chartlang import ChartError
 from .charts import DomainError, load_chart
 from .groups import GROUPS, lookup_group
-from .haar import (NumericalError, chart_change_check, check_chart_map, integrate_tensor,
-                   normalize)
+from .haar import NumericalError, chart_change_check, integrate_tensor, normalize
 from .orbit import REPRESENTATIONS, OrbitSpec, mc_moments, moment
 from .reynolds import dim_invariants_closed, dim_invariants_quadrature, reynolds_continuous
 from .sampling import SamplerConfig, closed_form, sample
@@ -322,9 +321,7 @@ def _cmd_chart_change(args) -> str:
         shift = _parse_point(args.map[len("shift:"):])
     else:
         raise ValueError(f"unknown --map {args.map!r}; use 'auto' or 'shift:dx1,dx2,...'")
-    point = check_chart_map(c1, c2, point, shift)  # refuse before either quadrature
-    residual = chart_change_check(normalize(c1, rule=args.nodes), normalize(c2, rule=args.nodes),
-                                  point, shift)
+    residual = chart_change_check(c1, c2, point, shift, args.nodes)
     return to_json({"chart1": c1.name, "chart2": c2.name, "point": list(point),
                     "residual": residual})
 

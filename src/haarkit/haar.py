@@ -134,23 +134,6 @@ def _check_shape(chart: Chart, shape: tuple) -> None:
         raise ValueError(f"chart {chart.name!r} has {chart.shape} matrices, got {shape}")
 
 
-def check_chart_map(chart1: Chart, chart2: Chart, u, shift=None) -> np.ndarray:
-    """u as a point of chart1, or ValueError where no change of chart maps it.
-
-    Through the group element (no ``shift``) that is a double-cover
-    (quaternion) chart on either side, or charts with matrices of different
-    shapes; with ``shift``, a u + shift outside chart2.  Reads the charts
-    only, so a caller can refuse before any quadrature.
-    """
-    u = chart1.check_point(u)
-    if shift is None:
-        _single_cover(chart1)
-        _check_shape(_single_cover(chart2), chart1.shape)
-    elif not chart2.contains(w := u + np.asarray(shift, dtype=float)):
-        raise ValueError(f"phi({u.tolist()}) = {w.tolist()} lands outside chart {chart2.name!r}")
-    return u
-
-
 @dataclass(frozen=True, eq=False)
 class HaarDensity:
     """A chart with its normalized Haar density k(u) = unnormalized(u) / C.
@@ -166,7 +149,7 @@ class HaarDensity:
     _grid: tuple | None = field(default=None, repr=False)  # (rule, weighted, elements)
 
     def density_many(self, points) -> np.ndarray:
-        return self.unnormalized(np.asarray(points, dtype=float)) / self.C
+        return self.unnormalized(self.chart.check_batch(points)) / self.C
 
     def density(self, u) -> float:
         """k(u) at a point of the closed domain, or NumericalError where it is not finite."""
@@ -234,12 +217,16 @@ class HaarDensity:
 def normalize(chart: Chart, rule=None) -> HaarDensity:
     """Normalize the numeric density of a chart by tensor-product quadrature.
 
-    ``rule`` is a QuadratureRule or a node count per axis (None: DEFAULT_NODES).
-    The density and elements computed on its nodes are kept as the density's
-    grid(), so every average against it does no chart work.
+    ``rule`` is a QuadratureRule on the chart's box (ValueError for another
+    box) or node counts per axis (None: DEFAULT_NODES).  The density and
+    elements computed on its nodes are kept as the density's grid(), so
+    every average against it does no chart work.
     """
     if not isinstance(rule, QuadratureRule):
         rule = QuadratureRule.for_domain(chart.domain, DEFAULT_NODES if rule is None else rule)
+    elif not np.array_equal(rule.domain, chart.domain):
+        raise ValueError(f"quadrature rule on box {rule.domain.tolist()} does not fit "
+                         f"chart {chart.name!r} on box {chart.domain.tolist()}")
     raw, elements = _density_and_elements(chart, rule.points)
     if not np.all(np.isfinite(raw)):
         raise NumericalError(f"density of chart {chart.name!r} is not finite on the grid")
@@ -254,34 +241,34 @@ def normalize(chart: Chart, rule=None) -> HaarDensity:
 # Chart cross-validation
 
 
-def _as_density(chart_or_density) -> HaarDensity:
-    if isinstance(chart_or_density, HaarDensity):
-        return chart_or_density
-    return normalize(chart_or_density)
-
-
-def chart_change_check(c1, c2, u, shift=None) -> float:
+def chart_change_check(chart1: Chart, chart2: Chart, u, shift=None, rule=None) -> float:
     """Residual |k1(u) - |det Dphi(u)| * k2(phi(u))| of a change of chart.
 
     Without ``shift``, phi goes through the group element: w = phi(u) is
-    c2's coordinates of p1(u), and Dphi solves J2(w) Dphi = J1(u) from the
-    charts' exact jacobians, which needs J2(w) of full column rank.  With
-    ``shift``, phi(u) = u + shift and Dphi = I.  Accepts Chart or
-    HaarDensity arguments; charts are normalized on the fly, after the
-    refusals of check_chart_map.
+    chart2's coordinates of p1(u), and Dphi solves J2(w) Dphi = J1(u) from
+    the charts' exact jacobians, which needs J2(w) of full column rank.
+    With ``shift``, phi(u) = u + shift and Dphi = I.  Both charts are
+    normalized on ``rule``, as normalize takes it, but only after the
+    refusals that read the charts alone: u outside chart1 (DomainError);
+    without ``shift`` a double-cover (quaternion) chart on either side or
+    matrices of different shapes, with it a u + shift outside chart2.
     """
-    u = check_chart_map(*(c.chart if isinstance(c, HaarDensity) else c for c in (c1, c2)), u, shift)
-    d1 = _as_density(c1)
-    d2 = _as_density(c2)
+    u = chart1.check_point(u)
+    if shift is None:
+        _single_cover(chart1)
+        _check_shape(_single_cover(chart2), chart1.shape)
+    elif not chart2.contains(w := u + np.asarray(shift, dtype=float)):
+        raise ValueError(f"phi({u.tolist()}) = {w.tolist()} lands outside chart {chart2.name!r}")
+    d1, d2 = normalize(chart1, rule), normalize(chart2, rule)
     if shift is not None:
-        return float(abs(d1.density(u) - d2.density(u + np.asarray(shift, dtype=float))))
+        return float(abs(d1.density(u) - d2.density(w)))
     k1 = d1.density(u)  # NumericalError where a slope is infinite, before any solve
-    w = d2.coordinates(d1.chart.evaluate(u))
+    w = d2.coordinates(chart1.evaluate(u))
     k2 = d2.density(w)
-    j1 = np.reshape(d1.chart.jacobian(u), (len(u), -1)).T  # column k: dp/du_k, flattened
-    j2 = np.reshape(d2.chart.jacobian(w), (len(w), -1)).T
+    j1 = np.reshape(chart1.jacobian(u), (len(u), -1)).T  # column k: dp/du_k, flattened
+    j2 = np.reshape(chart2.jacobian(w), (len(w), -1)).T
     if np.linalg.matrix_rank(j2) < len(w):
-        raise ValueError(f"chart {d2.chart.name!r} is singular at {w.tolist()}: "
+        raise ValueError(f"chart {chart2.name!r} is singular at {w.tolist()}: "
                          "its jacobian lacks full column rank")
     return float(abs(k1 - abs(np.linalg.det(np.linalg.lstsq(j2, j1, rcond=None)[0])) * k2))
 

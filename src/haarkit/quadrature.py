@@ -36,17 +36,19 @@ def axis_rule(n: int, lower: float, upper: float) -> tuple[np.ndarray, np.ndarra
 class QuadratureRule:
     """A per-axis node count list bound to a box domain.
 
-    ``points`` is the flattened tensor grid (N, d) and ``weights`` the
-    matching product weights (N,); N is the product of the axis counts.
+    ``domain`` is the read-only (d, 2) box, ``points`` the flattened tensor
+    grid (N, d) and ``weights`` the matching product weights (N,); N is the
+    product of the axis counts.
     """
 
+    domain: np.ndarray
     nodes_per_axis: tuple[int, ...]
     points: np.ndarray
     weights: np.ndarray
 
     @classmethod
     def for_domain(cls, domain, nodes_per_axis: int | tuple[int, ...] = DEFAULT_NODES) -> "QuadratureRule":
-        dom = np.asarray(domain, dtype=float)
+        dom = np.array(domain, dtype=float)
         d = dom.shape[0]
         if isinstance(nodes_per_axis, (int, np.integer)):
             counts = (int(nodes_per_axis),) * d
@@ -61,9 +63,9 @@ class QuadratureRule:
         for _, w in axes[1:]:
             weights = np.multiply.outer(weights, w)
         weights = np.asarray(weights).ravel()
-        points.setflags(write=False)
-        weights.setflags(write=False)
-        return cls(nodes_per_axis=counts, points=points, weights=weights)
+        for array in (dom, points, weights):
+            array.setflags(write=False)
+        return cls(domain=dom, nodes_per_axis=counts, points=points, weights=weights)
 
     @property
     def size(self) -> int:

@@ -60,6 +60,29 @@ def test_domain_membership():
         chart.check_point([0.0, 1.0])  # wrong arity
 
 
+def test_check_batch_checks_the_shape_only():
+    chart = builtin_chart("so3-euler")
+    pts = chart.check_batch([[0.0, 4.0, 0.0]])  # outside the box, but a (1, 3) batch
+    assert pts.dtype == float and pts.shape == (1, 3)
+    for bad in ([0.0, 1.0, 0.0], [[0.3]], np.zeros((2, 3, 1))):
+        with pytest.raises(DomainError, match=r"expected an \(N, 3\) batch"):
+            chart.check_batch(bad)
+
+
+def test_jacobian_many_refuses_a_wider_batch_and_leaves_it_unchanged():
+    # the plan's register slots follow the d parameter columns, so an unchecked third
+    # column would be taken for a register and overwritten
+    batch = np.array([[0.5, 7.0, 8.0], [1.0, 9.0, 10.0]])
+    with pytest.raises(DomainError, match=r"expected an \(N, 1\) batch, got shape \(2, 3\)"):
+        builtin_chart("so2-angle").jacobian_many(batch)
+    assert batch.tolist() == [[0.5, 7.0, 8.0], [1.0, 9.0, 10.0]]
+
+
+def test_jacobian_many_refuses_a_narrower_batch():
+    with pytest.raises(DomainError, match=r"expected an \(N, 3\) batch, got shape \(1, 1\)"):
+        builtin_chart("so3-euler").jacobian_many(np.array([[0.3]]))
+
+
 def test_domain_membership_of_a_batch():
     chart = builtin_chart("so3-euler")
     batch = np.array([[0.0, np.pi / 2, 0.0], [-np.pi, 0.0, np.pi], [0.0, -0.1, 0.0],

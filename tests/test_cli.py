@@ -272,11 +272,28 @@ def test_chart_change_refuses_before_quadrature(chart1, chart2, point, message, 
     def no_quadrature(*args, **kwargs):
         raise AssertionError("normalize ran before the refusal")
 
-    monkeypatch.setattr("haarkit.cli.normalize", no_quadrature)
+    monkeypatch.setattr("haarkit.haar.normalize", no_quadrature)
     code, out, err = run(capsys, "chart-change", "--chart1", chart1, "--chart2", chart2,
                          "--point", point, "--map", map_)
     assert (code, out) == (1, "")
     assert message in err
+
+
+@pytest.mark.parametrize("map_", ["auto", "shift:0"])
+def test_chart_change_nodes_reach_both_normalizations(map_, monkeypatch, capsys):
+    seen = []
+
+    def recording(chart, rule=None):
+        seen.append((chart.name, rule))
+        return normalize(chart, rule)
+
+    monkeypatch.setattr("haarkit.haar.normalize", recording)
+    code, out, _ = run(capsys, "chart-change", "--chart1", "builtin:so2-angle",
+                       "--chart2", "builtin:so2-angle", "--point", "2.5", "--map", map_,
+                       "--nodes", "8")
+    assert code == 0
+    assert json.loads(out)["residual"] <= 1e-15
+    assert seen == [("so2_angle", 8), ("so2_angle", 8)]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -209,6 +209,19 @@ def test_chart_change_refuses_charts_before_quadrature(tag1, tag2, shift, messag
         chart_change_check(builtin_chart(tag1), builtin_chart(tag2), [1.0, 1.0, 1.0], shift)
 
 
+def test_chart_change_normalizes_both_charts_on_the_rule(monkeypatch):
+    seen = []
+
+    def recording(chart, rule=None):
+        seen.append((chart.name, rule))
+        return normalize(chart, rule)
+
+    monkeypatch.setattr("haarkit.haar.normalize", recording)
+    c1, c2 = builtin_chart("so3-euler"), builtin_chart("so3-polar")
+    assert chart_change_check(c1, c2, [0.4, 1.1, 2.0], rule=8) < 1e-12
+    assert seen == [("so3_euler", 8), ("so3_polar", 8)]
+
+
 def test_chart_change_identity():
     c = builtin_chart("so3-euler")
     residual = chart_change_check(c, c, [0.4, 1.0, -0.2])
@@ -405,3 +418,24 @@ def test_normalize_memory_per_node():
 def test_closed_form_density_has_no_grid(tag):
     with pytest.raises(ValueError, match=r"normalize\(chart, rule\)"):
         closed_form(tag).grid()
+
+
+def test_density_many_refuses_a_batch_of_another_width_and_leaves_it_unchanged():
+    # a numeric density runs jacobian_many's plan on the batch, and the closed form zips
+    # its laws with the columns: neither may see a batch of another width
+    batch = np.array([[0.5, 7.0, 8.0], [1.0, 9.0, 10.0]])
+    with pytest.raises(DomainError, match=r"expected an \(N, 1\) batch, got shape \(2, 3\)"):
+        normalize(builtin_chart("so2-angle"), 8).density_many(batch)
+    assert batch.tolist() == [[0.5, 7.0, 8.0], [1.0, 9.0, 10.0]]
+    with pytest.raises(DomainError, match=r"expected an \(N, 3\) batch, got shape \(1, 1\)"):
+        closed_form("so3-euler").density_many([[0.3]])
+
+
+@pytest.mark.parametrize("domain", [[[0.0, 1.0]], [[0.0, 2 * np.pi]] * 3])
+def test_normalize_refuses_a_rule_of_another_box(domain):
+    # a rule on [0, 1] would give C = 1 and wrong averages without an error
+    chart = builtin_chart("so2-angle")
+    with pytest.raises(ValueError, match="quadrature rule on box .* does not fit chart 'so2_angle'"):
+        normalize(chart, QuadratureRule.for_domain(domain, 8))
+    rule = QuadratureRule.for_domain(chart.domain, 8)
+    assert normalize(chart, rule).grid()[0] is rule

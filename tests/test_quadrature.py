@@ -30,6 +30,14 @@ def test_product_rule_shapes():
     assert rule.nodes_per_axis == (4, 4, 4)
 
 
+def test_rule_keeps_a_read_only_copy_of_its_box():
+    domain = np.array([[0.0, 1.0], [-1.0, 1.0]])
+    rule = QuadratureRule.for_domain(domain, 4)
+    assert np.array_equal(rule.domain, domain) and not rule.domain.flags.writeable
+    domain[0, 1] = 5.0
+    assert rule.domain[0, 1] == 1.0
+
+
 def test_per_axis_node_counts():
     domain = np.array([[0.0, 1.0], [0.0, 1.0]])
     rule = QuadratureRule.for_domain(domain, (3, 5))
