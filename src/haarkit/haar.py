@@ -29,7 +29,12 @@ groups.FiniteGroup in place of a tag averages over its elements at weight
 1/|G| each.  haar_nodes, exact_nodes and class_nodes are the one place either
 is turned into weights and element stacks, O(D)'s improper coset included,
 and haar_nodes the one check that a density's chart parametrises the
-averaged group (Chart.parametrises).
+averaged group (Chart.parametrises).  Node sums (integrate_tensor,
+reynolds.reynolds_matrix) run over slices of at most BLOCK_ENTRIES float64
+integrand entries, so an average holds 2 MiB of integrand beside the grid,
+not N times its width.  A sum over more than one slice is added up in
+another order and can change in the last bits; one within the budget keeps
+the bytes of the unsliced sum.
 
 A density also inverts its chart: ``coordinates(g)`` runs batch
 Gauss-Newton (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 10) on
@@ -40,6 +45,7 @@ differentiate through the two jacobians, so no step size appears anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -53,6 +59,7 @@ _SEEDS = 64  # grid nodes nearest g that coordinates() starts from
 _ROUNDS = 12  # Gauss-Newton rounds per seed
 _HALVINGS = 8  # halvings of a Gauss-Newton step that would leave the box
 _GAP = 1e-13  # largest entry gap |p(u) - g| of an accepted root
+BLOCK_ENTRIES = 2**18  # float64 integrand entries per node slice of a group average (2 MiB)
 
 
 class NumericalError(RuntimeError):
@@ -251,12 +258,16 @@ def chart_change_check(chart1: Chart, chart2: Chart, u, shift=None, rule=None) -
     normalized on ``rule``, as normalize takes it, but only after the
     refusals that read the charts alone: u outside chart1 (DomainError);
     without ``shift`` a double-cover (quaternion) chart on either side or
-    matrices of different shapes, with it a u + shift outside chart2.
+    matrices of different shapes, with it a shift of another length than u
+    or a u + shift outside chart2.
     """
     u = chart1.check_point(u)
     if shift is None:
         _single_cover(chart1)
         _check_shape(_single_cover(chart2), chart1.shape)
+    elif np.shape(shift) != u.shape:
+        raise ValueError(f"shift has length {np.size(shift)}, but chart {chart1.name!r} "
+                         f"has {chart1.d} coordinates")
     elif not chart2.contains(w := u + np.asarray(shift, dtype=float)):
         raise ValueError(f"phi({u.tolist()}) = {w.tolist()} lands outside chart {chart2.name!r}")
     d1, d2 = normalize(chart1, rule), normalize(chart2, rule)
@@ -275,6 +286,12 @@ def chart_change_check(chart1: Chart, chart2: Chart, u, shift=None, rule=None) -
 
 # ---------------------------------------------------------------------------
 # Normalized integration over SO / O groups and finite groups
+
+
+def _node_blocks(count: int, width: int) -> list[slice]:
+    """Slices of range(count), each of at most BLOCK_ENTRIES // width nodes (at least one)."""
+    step = max(1, BLOCK_ENTRIES // max(1, width))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _with_cosets(row: Group, weights: np.ndarray,
@@ -367,7 +384,14 @@ def integrate_tensor(f, group, density: HaarDensity | None,
     with a density the integral runs on the grid it was normalized on; with
     ``density=None`` it runs on exact_nodes(group, degree), which is exact
     when f is a polynomial of degree <= ``degree`` in the entries of g.
+    f runs on one node for its width w, then on node slices of at most
+    BLOCK_ENTRIES entries (_node_blocks), whose weighted sums are added in
+    order.  A stack of N nodes with N w <= BLOCK_ENTRIES is one slice, with
+    the bytes of np.tensordot(weights, f(stack), axes=1); above that the
+    result can change in the last bits.
     """
     weights, stacks = haar_nodes(group, density, degree)
-    parts = [np.tensordot(weights, np.asarray(f(mats), dtype=float), axes=1) for mats in stacks]
-    return sum(parts[1:], parts[0]) / len(parts)
+    width = np.size(f(stacks[0][:1]))
+    parts = (np.tensordot(weights[s], np.asarray(f(mats[s]), dtype=float), axes=1)
+             for mats in stacks for s in _node_blocks(len(mats), width))
+    return reduce(np.add, parts) / len(stacks)

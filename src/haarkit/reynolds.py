@@ -24,7 +24,8 @@ from math import comb
 import numpy as np
 
 from .groups import FiniteGroup, lookup_group
-from .haar import HaarDensity, NumericalError, class_nodes, haar_nodes, integrate_tensor
+from .haar import (HaarDensity, NumericalError, _node_blocks, class_nodes, haar_nodes,
+                   integrate_tensor)
 from .tensors import Tensor, act_batch, check_budget
 
 RANK_THRESHOLD = 1e-6
@@ -47,9 +48,13 @@ def reynolds_matrix(group, n: int, density: HaarDensity | None = None) -> np.nda
     Column (j1..jn) is the group average of the canonical basis tensor
     e_{j1} x ... x e_{jn}.  A FiniteGroup sums over its elements; for a tag
     without a density the exact rule of degree n makes the operator exact
-    up to roundoff; with one it is integrated on the density's grid.  As g^(x)n = g^(x)a (x) g^(x)b, a = ceil(n/2), b = n - a,
-    the node sum is one contraction of the two half Kronecker powers (at
-    n = 0 both are 1, and it is the weight sum).
+    up to roundoff; with one it is integrated on the density's grid.  As
+    g^(x)n = g^(x)a (x) g^(x)b, a = ceil(n/2), b = n - a, the node sum is a
+    contraction of the two half Kronecker powers (at n = 0 both are 1, and
+    it is the weight sum), accumulated over node slices of at most
+    haar.BLOCK_ENTRIES entries of width D^(2a).  A stack of at most that
+    many entries is one slice and keeps the bytes of the unsliced sum;
+    above that the operator can change in the last bits.
     """
     if n < 0:
         raise ValueError("tensor order must be nonnegative")
@@ -58,13 +63,16 @@ def reynolds_matrix(group, n: int, density: HaarDensity | None = None) -> np.nda
     weighted, stacks = haar_nodes(group, density, degree=n)
     size = dim**n
     total = np.zeros((size, size))
+    half = (n + 1) // 2
     for stack in stacks:
-        powers = [np.ones((len(stack), 1, 1))]  # g^(x)k at each node, k = 0..a
-        for _ in range((n + 1) // 2):
-            m = powers[-1].shape[1] * dim
-            powers.append(np.einsum("nab,ncd->nacbd", powers[-1], stack).reshape(-1, m, m))
-        total += np.einsum("n,nab,ncd->acbd", weighted, powers[-1], powers[n // 2],
-                           optimize=True).reshape(size, size)
+        for s in _node_blocks(len(stack), dim ** (2 * half)):
+            block = stack[s]
+            powers = [np.ones((len(block), 1, 1))]  # g^(x)k at each node, k = 0..a
+            for _ in range(half):
+                m = powers[-1].shape[1] * dim
+                powers.append(np.einsum("nab,ncd->nacbd", powers[-1], block).reshape(-1, m, m))
+            total += np.einsum("n,nab,ncd->acbd", weighted[s], powers[-1], powers[n // 2],
+                               optimize=True).reshape(size, size)
     return total / len(stacks)
 
 

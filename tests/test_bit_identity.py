@@ -3,7 +3,8 @@
 Each fast path (the compiled chart plan, the Haar density kernel on entry
 rows, the compacting inverse CDF, the improper coset as a sign, whole or
 masked in place, the templated sample formatter, the Monte Carlo moments
-with their standard errors taken in place) is compared with a
+with their standard errors taken in place, the group averages summed in
+node slices) is compared with a
 straightforward reference kept here, on bytes rather than on values, so a
 flipped sign of zero counts as a difference.  The Hamilton product that the
 einsum reference kernel uses lives here too, with tests of its own.
@@ -17,15 +18,17 @@ from hypothesis import strategies as st
 from haarkit.chartlang import evaluate_expr, parse_chart
 from haarkit.charts import BUILTIN_NAMES, Chart, builtin_chart
 from haarkit.cli import _row_template, format_float, format_rows, main, to_json
-from haarkit.groups import (GROUPS, improper_coset, quat_rotation_matrices,
+from haarkit.groups import (GROUPS, FiniteGroup, improper_coset, quat_rotation_matrices,
                             so_algebra_basis)
-from haarkit.haar import NumericalError, _density_and_elements
+from haarkit.haar import (BLOCK_ENTRIES, NumericalError, _density_and_elements, haar_nodes,
+                          integrate_tensor, normalize)
 from haarkit.orbit import OrbitSpec, mc_moments
 from haarkit.quadrature import QuadratureRule
 from haarkit.sampling import (CDF_TOL, MAX_NEWTON, SamplerConfig, _angle_cdf,
                               _angle_cdf_slope, _axis_streams, _half_angle_cdf,
                               _half_angle_cdf_slope, invert_cdf, sample)
-from haarkit.tensors import as_tensor, outer_power_batch
+from haarkit.reynolds import reynolds_matrix
+from haarkit.tensors import act_batch, as_tensor, outer_power_batch
 
 RNG = np.random.default_rng(20261018)
 
@@ -515,3 +518,64 @@ def test_mc_moments_match_numpy_mean_and_std(name, r, count):
         assert same_bits(got_mean.array.reshape(-1), mean), (name, r, count)
         assert same_bits(got_stderr.array.reshape(-1), stderr), (name, r, count)
     assert same_bits(batch.matrices, sample(config).matrices)  # the batch is only read
+
+
+# ---------------------------------------------------------------------------
+# Group averages within the node budget against one unsliced sum
+
+
+def reference_integrate(f, weights: np.ndarray, stacks: list) -> np.ndarray:
+    parts = [np.tensordot(weights, np.asarray(f(mats), dtype=float), axes=1) for mats in stacks]
+    return sum(parts[1:], parts[0]) / len(parts)
+
+
+def reference_reynolds_matrix(dim: int, n: int, weighted: np.ndarray, stacks: list) -> np.ndarray:
+    total = np.zeros((dim**n, dim**n))
+    for stack in stacks:
+        powers = [np.ones((len(stack), 1, 1))]
+        for _ in range((n + 1) // 2):
+            m = powers[-1].shape[1] * dim
+            powers.append(np.einsum("nab,ncd->nacbd", powers[-1], stack).reshape(-1, m, m))
+        total += np.einsum("n,nab,ncd->acbd", weighted, powers[-1], powers[n // 2],
+                           optimize=True).reshape(dim**n, dim**n)
+    return total / len(stacks)
+
+
+def acting(order: int, dim: int = 3):
+    t = as_tensor(np.random.default_rng(order).normal(size=(dim,) * order))
+    return lambda mats: act_batch(mats, t)
+
+
+def trace_squared(mats):
+    return np.trace(mats, axis1=-2, axis2=-1) ** 2
+
+
+WITHIN_BUDGET = {  # (f, group, density, degree), each stack N * width <= BLOCK_ENTRIES
+    "exact so3 order 6": lambda: (acting(6), "so3", None, 6),  # 196 nodes x 729
+    "exact o3 order 4": lambda: (acting(4), "o3", None, 4),
+    "so3-euler 12^3 order 2": lambda: (acting(2), "so3", normalize(builtin_chart("so3-euler"), 12), 2),
+    "scalar on 64^3 = 2^18 nodes": lambda: (trace_squared, "so3",
+                                            normalize(builtin_chart("so3-euler"), 64), None),
+    "finite group order 4": lambda: (acting(4), FiniteGroup.cyclic([0.0, 0.0, 1.0], 6), None, None),
+}
+
+
+@pytest.mark.parametrize("case", WITHIN_BUDGET)
+def test_integrate_tensor_within_the_budget_matches_one_tensordot(case):
+    f, group, density, degree = WITHIN_BUDGET[case]()
+    weights, stacks = haar_nodes(group, density, degree)
+    assert all(len(s) * np.size(f(s[:1])) <= BLOCK_ENTRIES for s in stacks)
+    assert same_bits(integrate_tensor(f, group, density, degree),
+                     reference_integrate(f, weights, stacks)), case
+
+
+@pytest.mark.parametrize("group, n, nodes", [("so3", 3, None), ("o3", 3, 8), ("so3", 2, 12),
+                                             ("o2", 5, 64)])
+def test_reynolds_matrix_within_the_budget_matches_one_contraction(group, n, nodes):
+    chart = builtin_chart("so3-euler" if group.endswith("3") else "so2-angle")
+    density = None if nodes is None else normalize(chart, nodes)
+    weighted, stacks = haar_nodes(group, density, degree=n)
+    dim = stacks[0].shape[-1]
+    assert len(stacks[0]) * dim ** (2 * ((n + 1) // 2)) <= BLOCK_ENTRIES
+    assert same_bits(reynolds_matrix(group, n, density),
+                     reference_reynolds_matrix(dim, n, weighted, stacks))

@@ -266,6 +266,11 @@ def test_chart_change_rejects_double_cover(capsys):
     ("builtin:so3-euler", "builtin:so3-polar", "9,9,9", "outside the domain", "auto"),
     ("builtin:so3-euler", "builtin:so3-polar", "1,1", "takes 3 coordinates", "auto"),
     ("builtin:so3-euler", "builtin:so3-polar", "1,1,1", "lands outside chart", "shift:10,0,0"),
+    # a one-entry shift used to move all three coordinates, a two-entry one to fail broadcasting
+    ("builtin:so3-euler", "builtin:so3-euler", "0.4,1.1,2.0",
+     "error: shift has length 1, but chart 'so3_euler' has 3 coordinates", "shift:0.1"),
+    ("builtin:so3-euler", "builtin:so3-euler", "0.4,1.1,2.0",
+     "error: shift has length 2, but chart 'so3_euler' has 3 coordinates", "shift:1,1"),
 ])
 def test_chart_change_refuses_before_quadrature(chart1, chart2, point, message, map_,
                                                 monkeypatch, capsys):
@@ -277,6 +282,7 @@ def test_chart_change_refuses_before_quadrature(chart1, chart2, point, message, 
                          "--point", point, "--map", map_)
     assert (code, out) == (1, "")
     assert message in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("map_", ["auto", "shift:0"])

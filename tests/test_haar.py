@@ -7,15 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
+import haarkit.haar as haar_module
 from haarkit.charts import Chart, DomainError, builtin_chart
-from haarkit.groups import UnknownNameError, quat_rotation_matrices
-from haarkit.haar import (NumericalError, chart_change_check, density_numeric, integrate_tensor,
-                          normalize)
+from haarkit.groups import FiniteGroup, UnknownNameError, quat_rotation_matrices
+from haarkit.haar import (NumericalError, _node_blocks, chart_change_check, density_numeric,
+                          integrate_tensor, normalize)
 from haarkit.orbit import OrbitSpec, moment
 from haarkit.quadrature import DEFAULT_NODES, QuadratureRule
-from haarkit.reynolds import reynolds_matrix
+from haarkit.reynolds import reynolds_continuous, reynolds_matrix
 from haarkit.sampling import closed_form, closed_form_density
-from haarkit.tensors import as_tensor
+from haarkit.tensors import act_batch, as_tensor
 
 RNG = np.random.default_rng(20240501)
 
@@ -199,6 +200,9 @@ def test_chart_change_so2_shift():
 @pytest.mark.parametrize("tag1, tag2, shift, message", [
     ("so3-quat", "so3-euler", None, "double-cover"),
     ("so3-euler", "so3-polar", [10.0, 0.0, 0.0], "lands outside chart"),
+    ("so3-euler", "so3-euler", [0.1], "shift has length 1, but chart 'so3_euler' has 3 coordinates"),
+    ("so3-euler", "so3-euler", 0.1, "shift has length 1, but chart 'so3_euler' has 3 coordinates"),
+    ("so3-euler", "so3-euler", [1.0, 1.0], "shift has length 2, but chart 'so3_euler' has 3"),
 ])
 def test_chart_change_refuses_charts_before_quadrature(tag1, tag2, shift, message, monkeypatch):
     def no_quadrature(*args, **kwargs):
@@ -439,3 +443,71 @@ def test_normalize_refuses_a_rule_of_another_box(domain):
         normalize(chart, QuadratureRule.for_domain(domain, 8))
     rule = QuadratureRule.for_domain(chart.domain, 8)
     assert normalize(chart, rule).grid()[0] is rule
+
+
+# ---------------------------------------------------------------------------
+# Node blocks
+
+
+@pytest.mark.parametrize("count, width", [(1, 1), (10, 3), (2**18, 1), (2**18 + 1, 1),
+                                          (4096, 81), (5, 2**19)])
+def test_node_blocks_cover_the_nodes_once_within_the_budget(count, width):
+    blocks = _node_blocks(count, width)
+    assert np.array_equal(np.concatenate([np.arange(count)[s] for s in blocks]), np.arange(count))
+    assert all(len(range(count)[s]) * width <= max(haar_module.BLOCK_ENTRIES, width) for s in blocks)
+    assert (len(blocks) == 1) == (count * width <= haar_module.BLOCK_ENTRIES)
+
+
+def _tensor(order: int) -> np.ndarray:
+    return np.random.default_rng(order).normal(size=(3,) * order)
+
+
+BLOCK_CASES = {
+    "so3 order 2": lambda: integrate_tensor(lambda m: act_batch(m, as_tensor(_tensor(2))), "so3",
+                                            normalize(builtin_chart("so3-euler"), 8)),
+    "o3 order 2": lambda: integrate_tensor(lambda m: act_batch(m, as_tensor(_tensor(2))), "o3",
+                                           normalize(builtin_chart("so3-euler"), 8)),
+    "finite group order 4": lambda: integrate_tensor(
+        lambda m: act_batch(m, as_tensor(_tensor(4))), FiniteGroup.cyclic([1 / 3, 2 / 3, 2 / 3], 12), None),
+    "scalar": lambda: integrate_tensor(lambda m: np.trace(m, axis1=-2, axis2=-1) ** 2, "o3",
+                                       normalize(builtin_chart("so3-polar"), 10)),
+    "so3 order 4": lambda: integrate_tensor(lambda m: act_batch(m, as_tensor(_tensor(4))), "so3",
+                                            normalize(builtin_chart("so3-euler"), 6)),
+    "reynolds_matrix so3": lambda: reynolds_matrix("so3", 3, normalize(builtin_chart("so3-euler"), 6)),
+    "reynolds_matrix o3": lambda: reynolds_matrix("o3", 4, normalize(builtin_chart("so3-polar"), 6)),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_small_node_blocks_agree_with_one_slice(case, monkeypatch):
+    one_slice = BLOCK_CASES[case]()
+    calls = []
+
+    def recording(count, width):
+        calls.append(_node_blocks(count, width))
+        return calls[-1]
+
+    monkeypatch.setattr(haar_module, "BLOCK_ENTRIES", 97)
+    monkeypatch.setattr(haar_module, "_node_blocks", recording)
+    monkeypatch.setattr("haarkit.reynolds._node_blocks", recording)
+    blocked = BLOCK_CASES[case]()
+    assert calls and all(len(blocks) > 1 for blocks in calls)  # sliced at 97
+    assert np.shape(blocked) == np.shape(one_slice)
+    assert np.abs(np.asarray(blocked) - one_slice).max() <= 1e-14
+
+
+@pytest.mark.parametrize("average", [
+    lambda d: reynolds_continuous("so3", as_tensor(_tensor(4)), d),
+    lambda d: reynolds_matrix("so3", 5, d),
+], ids=["reynolds_continuous order 4", "reynolds_matrix order 5"])
+def test_grid_average_memory_is_bounded_by_the_block_budget(average):
+    # unsliced, the order-4 average held the (32^3, 81) stack of rotated tensors
+    # twice over (40.5 MiB) and the order-5 operator its (32^3, 729) Kronecker powers
+    density = normalize(builtin_chart("so3-euler"), DEFAULT_NODES)
+    tracemalloc.start()
+    try:
+        average(density)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
