@@ -34,7 +34,8 @@ reynolds.reynolds_matrix) run over slices of at most BLOCK_ENTRIES float64
 integrand entries, so an average holds 2 MiB of integrand beside the grid,
 not N times its width.  A sum over more than one slice is added up in
 another order and can change in the last bits; one within the budget keeps
-the bytes of the unsliced sum.
+the bytes of the unsliced sum.  The same budget sizes the row blocks of the
+samplers (sampling.sample), whose bytes do not depend on it.
 
 A density also inverts its chart: ``coordinates(g)`` runs batch
 Gauss-Newton (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 10) on
@@ -59,7 +60,7 @@ _SEEDS = 64  # grid nodes nearest g that coordinates() starts from
 _ROUNDS = 12  # Gauss-Newton rounds per seed
 _HALVINGS = 8  # halvings of a Gauss-Newton step that would leave the box
 _GAP = 1e-13  # largest entry gap |p(u) - g| of an accepted root
-BLOCK_ENTRIES = 2**18  # float64 integrand entries per node slice of a group average (2 MiB)
+BLOCK_ENTRIES = 2**18  # float64 entries per node slice of a group average or sampler row block (2 MiB)
 
 
 class NumericalError(RuntimeError):

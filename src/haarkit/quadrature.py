@@ -13,6 +13,10 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_NODES = 32
+# Nodes per axis.  leggauss(n) solves an n x n companion eigenproblem: 8 MiB and
+# about 0.1 s at 1024, growing as n^2 in memory and n^3 in time (2^18 would ask
+# for 512 GiB).  Built-in densities resolve to roundoff at 32.
+MAX_NODES_PER_AXIS = 1024
 
 
 @lru_cache(maxsize=None)
@@ -27,6 +31,8 @@ def axis_rule(n: int, lower: float, upper: float) -> tuple[np.ndarray, np.ndarra
     """Gauss-Legendre nodes and weights mapped to [lower, upper]."""
     if n < 1:
         raise ValueError("quadrature needs at least one node per axis")
+    if n > MAX_NODES_PER_AXIS:
+        raise ValueError(f"{n} quadrature nodes per axis exceed the limit of {MAX_NODES_PER_AXIS}")
     x, w = _leggauss(n)
     half = 0.5 * (upper - lower)
     return lower + half * (x + 1.0), half * w

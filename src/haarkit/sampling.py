@@ -14,6 +14,14 @@ Determinism contract: a fresh sampler with the same seed reproduces the
 same batch bit for bit.  Each coordinate axis draws from its own Philox
 substream (counter-jumped per axis), and O-group coin flips use a further
 substream, so coordinate laws stay independent of batch layout.
+
+A batch is drawn in row blocks of haar.BLOCK_ENTRIES // D^2 elements
+(haar._node_blocks): each block's uniforms are drawn, inverted, charted and
+flipped while they are in cache, and written into the batch's arrays, so a
+sampler holds one block of temporaries beside its output.  The bytes do not
+depend on the block size: each Philox stream carries on from where its last
+call stopped, so the blocks' draws are the whole batch's, and every later
+stage works row by row.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 
 from .charts import builtin_chart
 from .groups import UnknownNameError, improper_coset, lookup_group, quat_rotation_matrices
-from .haar import HaarDensity, NumericalError
+from .haar import HaarDensity, NumericalError, _node_blocks
 
 CDF_TOL = 1e-12
 MAX_NEWTON = 64
@@ -207,19 +215,26 @@ def _axis_streams(seed: int, axes: int) -> list[np.random.Generator]:
 
 
 def sample(config: SamplerConfig) -> SampleBatch:
-    """Draw config.count uniform elements of config.group through its chart."""
+    """Draw config.count uniform elements of config.group through its chart, block by block."""
     tag = config.chart
     chart = builtin_chart(tag)
+    group = lookup_group(config.group)
     streams = _axis_streams(config.seed, chart.d + 1)
-    coords = np.column_stack([law.draw(stream.random(config.count), lo, hi) for law, stream, (lo, hi)
-                              in zip(CHART_LAWS[tag][1], streams, chart.domain)])
-    quats = None
-    if chart.is_quaternion:
-        quats = chart.quaternions_at(coords)
-        mats = quat_rotation_matrices(quats)
-    else:
-        mats = chart.evaluate_many(coords)
-    if not lookup_group(config.group).proper:
-        improper_coset(mats, where=streams[chart.d].random(config.count) < 0.5)
-        quats = None
+    count, dim = config.count, group.dim
+    coords = np.empty((count, chart.d))
+    mats = np.empty((count, dim, dim))
+    quats = np.empty((count, 4)) if chart.is_quaternion and group.proper else None
+    for s in _node_blocks(count, dim * dim):
+        rows = len(coords[s])
+        for j, (law, stream, (lo, hi)) in enumerate(zip(CHART_LAWS[tag][1], streams, chart.domain)):
+            coords[s, j] = law.draw(stream.random(rows), lo, hi)
+        if chart.is_quaternion:
+            q = chart.quaternions_at(coords[s])
+            mats[s] = quat_rotation_matrices(q)
+            if quats is not None:
+                quats[s] = q
+        else:
+            mats[s] = chart.evaluate_many(coords[s])
+        if not group.proper:
+            improper_coset(mats[s], where=streams[chart.d].random(rows) < 0.5)
     return SampleBatch(config=config, coordinates=coords, matrices=mats, quaternions=quats)

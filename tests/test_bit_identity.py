@@ -4,7 +4,7 @@ Each fast path (the compiled chart plan, the Haar density kernel on entry
 rows, the compacting inverse CDF, the improper coset as a sign, whole or
 masked in place, the templated sample formatter, the Monte Carlo moments
 with their standard errors taken in place, the group averages summed in
-node slices) is compared with a
+node slices, the samplers drawn in row blocks) is compared with a
 straightforward reference kept here, on bytes rather than on values, so a
 flipped sign of zero counts as a difference.  The Hamilton product that the
 einsum reference kernel uses lives here too, with tests of its own.
@@ -24,8 +24,8 @@ from haarkit.haar import (BLOCK_ENTRIES, NumericalError, _density_and_elements, 
                           integrate_tensor, normalize)
 from haarkit.orbit import OrbitSpec, mc_moments
 from haarkit.quadrature import QuadratureRule
-from haarkit.sampling import (CDF_TOL, MAX_NEWTON, SamplerConfig, _angle_cdf,
-                              _angle_cdf_slope, _axis_streams, _half_angle_cdf,
+from haarkit.sampling import (CDF_TOL, CHART_LAWS, MAX_NEWTON, SampleBatch, SamplerConfig,
+                              _angle_cdf, _angle_cdf_slope, _axis_streams, _half_angle_cdf,
                               _half_angle_cdf_slope, invert_cdf, sample)
 from haarkit.reynolds import reynolds_matrix
 from haarkit.tensors import act_batch, as_tensor, outer_power_batch
@@ -363,6 +363,53 @@ def test_in_place_flip_matches_where(group):
         flip = _axis_streams(4242, d + 1)[d].random(5000) < 0.5
         ref = np.where(flip[:, None, None], improper_coset(mats), mats)
         assert same_bits(sample(config).matrices, ref)
+
+
+# ---------------------------------------------------------------------------
+# Samplers in row blocks against one draw of the whole batch
+
+
+def reference_sample(config: SamplerConfig) -> SampleBatch:
+    """The sampler with every stage on whole count-length arrays."""
+    tag = config.chart
+    chart = builtin_chart(tag)
+    streams = _axis_streams(config.seed, chart.d + 1)
+    coords = np.column_stack([law.draw(stream.random(config.count), lo, hi) for law, stream, (lo, hi)
+                              in zip(CHART_LAWS[tag][1], streams, chart.domain)])
+    quats = None
+    if chart.is_quaternion:
+        quats = chart.quaternions_at(coords)
+        mats = quat_rotation_matrices(quats)
+    else:
+        mats = chart.evaluate_many(coords)
+    if not GROUPS[config.group].proper:
+        improper_coset(mats, where=streams[chart.d].random(config.count) < 0.5)
+        quats = None
+    return SampleBatch(config=config, coordinates=coords, matrices=mats, quaternions=quats)
+
+
+def assert_same_batch(config: SamplerConfig):
+    got, ref = sample(config), reference_sample(config)
+    assert same_bits(got.coordinates, ref.coordinates), config
+    assert same_bits(got.matrices, ref.matrices), config
+    assert (got.quaternions is None) == (ref.quaternions is None), config
+    if ref.quaternions is not None:
+        assert same_bits(got.quaternions, ref.quaternions), config
+
+
+SAMPLERS = [(g, c) for g in GROUPS for c in GROUPS[g].charts]
+
+
+@pytest.mark.parametrize("group, chart", SAMPLERS)
+def test_sampler_in_small_blocks_matches_one_draw(group, chart, monkeypatch):
+    monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", 97)  # 10 rows per block on SO(3), 24 on SO(2)
+    for count in (1, 9, 10, 11, 31):
+        assert_same_batch(SamplerConfig(group=group, chart=chart, seed=31, count=count))
+
+
+@pytest.mark.parametrize("group, chart", SAMPLERS)
+def test_sampler_in_default_blocks_matches_one_draw(group, chart):
+    assert_same_batch(SamplerConfig(group=group, chart=chart, seed=2027, count=100_003))
 
 
 # ---------------------------------------------------------------------------

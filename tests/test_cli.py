@@ -615,6 +615,12 @@ def test_malformed_point_and_unknown_map_exit_1(capsys):
     assert "unknown --map 'rotate'" in err
 
 
+def test_nodes_above_the_cap_exit_1_with_one_line(capsys):
+    code, out, err = run(capsys, "normalize", "--chart", "builtin:so2-angle", "--nodes", "20000")
+    assert (code, out) == (1, "")
+    assert err == "error: 20000 quadrature nodes per axis exceed the limit of 1024\n"
+
+
 def test_unknown_builtin_chart_prints_one_unquoted_line(capsys):
     code, out, err = run(capsys, "normalize", "--chart", "builtin:nope")
     assert (code, out) == (1, "")

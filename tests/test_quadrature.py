@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from haarkit.quadrature import QuadratureRule, axis_rule
+from haarkit.charts import builtin_chart
+from haarkit.haar import normalize
+from haarkit.quadrature import MAX_NODES_PER_AXIS, QuadratureRule, axis_rule
 
 
 def test_axis_rule_polynomial_exactness():
@@ -19,6 +21,20 @@ def test_axis_rule_positive_weights():
     _, weights = axis_rule(40, 0.0, 1.0)
     assert (weights > 0).all()
     assert np.isclose(weights.sum(), 1.0)
+
+
+def test_axis_rule_refuses_more_than_the_node_cap(monkeypatch):
+    def no_leggauss(n):
+        raise AssertionError("leggauss ran before the refusal")
+
+    assert len(axis_rule(MAX_NODES_PER_AXIS, 0.0, 1.0)[0]) == MAX_NODES_PER_AXIS
+    monkeypatch.setattr("haarkit.quadrature._leggauss", no_leggauss)
+    message = f"{MAX_NODES_PER_AXIS + 1} quadrature nodes per axis exceed the limit of 1024"
+    with pytest.raises(ValueError, match=message):
+        axis_rule(MAX_NODES_PER_AXIS + 1, 0.0, 1.0)
+    # a 2^18-node axis once asked numpy for a 512 GiB companion matrix
+    with pytest.raises(ValueError, match="exceed the limit"):
+        normalize(builtin_chart("so2-angle"), 2**18)
 
 
 def test_product_rule_shapes():

@@ -4,6 +4,8 @@ The quaternion-chart law is cross-checked against the classic construction
 of uniform points on the 3-sphere by normalizing 4D Gaussian draws.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,24 @@ def test_determinism_and_prefix_property():
     assert np.array_equal(longer.coordinates[:8], a.coordinates)
     other_seed = sample(SamplerConfig(group="so3", chart="polar", seed=10, count=8))
     assert not np.allclose(other_seed.coordinates, a.coordinates)
+
+
+@pytest.mark.parametrize("group, chart", [("so3", "polar"), ("o3", "euler")])
+def test_sampler_memory_is_its_output_plus_one_block(group, chart):
+    # drawn in whole, the batch held about ten count-length temporaries per
+    # Newton round and stage (18.3 and 12.2 MiB above the output at 2 * 10^5)
+    config = SamplerConfig(group=group, chart=chart, seed=3, count=200_000)
+    sample(SamplerConfig(group=group, chart=chart, count=2))  # compile the chart's plan
+    tracemalloc.start()
+    try:
+        batch = sample(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = batch.coordinates.nbytes + batch.matrices.nbytes
+    if batch.quaternions is not None:
+        output += batch.quaternions.nbytes
+    assert peak - output <= 8 * 2**20, (peak, output)
 
 
 def test_improper_coin_does_not_disturb_rotation_stream():
