@@ -29,13 +29,16 @@ groups.FiniteGroup in place of a tag averages over its elements at weight
 1/|G| each.  haar_nodes, exact_nodes and class_nodes are the one place either
 is turned into weights and element stacks, O(D)'s improper coset included,
 and haar_nodes the one check that a density's chart parametrises the
-averaged group (Chart.parametrises).  Node sums (integrate_tensor,
-reynolds.reynolds_matrix) run over slices of at most BLOCK_ENTRIES float64
-integrand entries, so an average holds 2 MiB of integrand beside the grid,
-not N times its width.  A sum over more than one slice is added up in
-another order and can change in the last bits; one within the budget keeps
-the bytes of the unsliced sum.  The same budget sizes the row blocks of the
-samplers (sampling.sample), whose bytes do not depend on it.
+averaged group (Chart.parametrises).  Every pass over the grid runs in node
+blocks (_node_blocks) of at most BLOCK_ENTRIES float64 entries.  The density
+kernel fills |det M| and the elements block by block, so normalize holds one
+block of jacobian rows and chart temporaries beside the grid; node sums
+(integrate_tensor, reynolds.reynolds_matrix) hold 2 MiB of integrand, not N
+times its width.  The kernel's bytes do not depend on the block size; a sum
+over more than one slice is added up in another order and can change in the
+last bits, and one within the budget keeps the bytes of the unsliced sum.
+The same budget sizes the row blocks of the samplers (sampling.sample),
+whose bytes do not depend on it either.
 
 A density also inverts its chart: ``coordinates(g)`` runs batch
 Gauss-Newton (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 10) on
@@ -60,7 +63,7 @@ _SEEDS = 64  # grid nodes nearest g that coordinates() starts from
 _ROUNDS = 12  # Gauss-Newton rounds per seed
 _HALVINGS = 8  # halvings of a Gauss-Newton step that would leave the box
 _GAP = 1e-13  # largest entry gap |p(u) - g| of an accepted root
-BLOCK_ENTRIES = 2**18  # float64 entries per node slice of a group average or sampler row block (2 MiB)
+BLOCK_ENTRIES = 2**18  # float64 entries per node block of a grid pass or sampler (2 MiB)
 
 
 class NumericalError(RuntimeError):
@@ -81,37 +84,50 @@ def _density_and_elements(chart: Chart, pts: np.ndarray):
     einsum and Hamilton-product forms.
     M is built transposed, mt[j, i] = M_ij at every point, so each entry is
     one contiguous row.
+    The (N,) values and (N, D, D) elements are allocated once and filled
+    over node blocks of at most BLOCK_ENTRIES // (d D^2) nodes
+    (_node_blocks), so the jacobian rows, plan registers, M and det's copy
+    exist for one block at a time.  That is the jacobian's width for a
+    D x D chart; a quaternion chart's 4d rows take its elements' wider d D^2,
+    which lowers its peak.  Every step works node by node and np.linalg.det
+    factors each matrix on its own, so the bytes do not depend on the block
+    size.
     """
-    if chart.parametrises is None:
+    group = chart.parametrises
+    if group is None:
         raise ValueError(f"chart {chart.name!r} has {chart.shape} matrices: no group, no Haar density")
-    n, d = len(pts), chart.d
-    jac = chart.jacobian_many(pts)  # (N, d, rows, cols) view of contiguous entry rows
-    rows = jac.reshape(n, -1).T  # row (j * rows + k) * cols + l: dp_kl/du_j
-    if chart.is_quaternion:
-        q = chart.quaternions_at(pts)
-        w, x, y, z = q.T
-        mt = np.empty((d, 3, n))
-        for j in range(d):
-            bw, bx, by, bz = rows[4 * j:4 * j + 4]
-            mt[j, 0] = w * bx - x * bw - y * bz + z * by
-            mt[j, 1] = w * by + x * bz - y * bw - z * bx
-            mt[j, 2] = w * bz - x * by + y * bx - z * bw
-        return np.abs(np.linalg.det(mt.T)), quat_rotation_matrices(q)
-    mats = chart.evaluate_many(pts)
-    dim = chart.parametrises.dim
+    n, d, dim = len(pts), chart.d, group.dim
+    raw = np.empty(n)
+    elements = np.empty((n, dim, dim))
     pairs = [tuple(np.argwhere(xi == -1.0)[0]) for xi in so_algebra_basis(dim)]
-    mt = np.empty((d, len(pairs), n))
+    for s in _node_blocks(n, d * dim * dim):
+        mats = elements[s]
+        # row (j * rows + k) * cols + l of the jacobian block: dp_kl/du_j
+        rows = chart.jacobian_many(pts[s]).reshape(len(mats), -1).T
+        mt = np.empty((d, len(pairs), len(mats)))
+        if chart.is_quaternion:
+            q = chart.quaternions_at(pts[s])
+            w, x, y, z = q.T
+            for j in range(d):
+                bw, bx, by, bz = rows[4 * j:4 * j + 4]
+                mt[j, 0] = w * bx - x * bw - y * bz + z * by
+                mt[j, 1] = w * by + x * bz - y * bw - z * bx
+                mt[j, 2] = w * bz - x * by + y * bx - z * bw
+            mats[...] = quat_rotation_matrices(q)
+        else:
+            mats[...] = chart.evaluate_many(pts[s])
 
-    def tau(j, x, y):  # (p^T dp/du_j)[x, y]
-        total = mats[:, 0, x] * rows[j * dim * dim + y]
-        for k in range(1, dim):
-            total += mats[:, k, x] * rows[(j * dim + k) * dim + y]
-        return total
+            def tau(j, x, y):  # (p^T dp/du_j)[x, y]
+                total = mats[:, 0, x] * rows[j * dim * dim + y]
+                for k in range(1, dim):
+                    total += mats[:, k, x] * rows[(j * dim + k) * dim + y]
+                return total
 
-    for j in range(d):
-        for i, (a, b) in enumerate(pairs):
-            mt[j, i] = 0.5 * (tau(j, b, a) - tau(j, a, b))
-    return np.abs(np.linalg.det(mt.T)), mats
+            for j in range(d):
+                for i, (a, b) in enumerate(pairs):
+                    mt[j, i] = 0.5 * (tau(j, b, a) - tau(j, a, b))
+        raw[s] = np.abs(np.linalg.det(mt.T))
+    return raw, elements
 
 
 def density_numeric_many(chart: Chart, points) -> np.ndarray:

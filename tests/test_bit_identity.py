@@ -1,10 +1,10 @@
 """Differential tests: the fast paths give the reference paths' exact bits.
 
 Each fast path (the compiled chart plan, the Haar density kernel on entry
-rows, the compacting inverse CDF, the improper coset as a sign, whole or
-masked in place, the templated sample formatter, the Monte Carlo moments
-with their standard errors taken in place, the group averages summed in
-node slices, the samplers drawn in row blocks) is compared with a
+rows and in node blocks, the compacting inverse CDF, the improper coset as a
+sign, whole or masked in place, the templated sample formatter, the Monte
+Carlo moments with their standard errors taken in place, the group averages
+summed in node slices, the samplers drawn in row blocks) is compared with a
 straightforward reference kept here, on bytes rather than on values, so a
 flipped sign of zero counts as a difference.  The Hamilton product that the
 einsum reference kernel uses lives here too, with tests of its own.
@@ -256,6 +256,27 @@ def test_density_kernel_matches_einsum_kernel_at_infinite_slopes(name):
     raw = assert_kernels_agree(chart, pts)
     assert not np.isfinite(raw[::2]).any()
     assert np.isfinite(raw[1::2]).all()
+
+
+def kernel_outputs(chart: Chart, pts: np.ndarray) -> list:
+    """C, weighted values and elements of a normalized grid, then |det M| and elements at pts."""
+    density = normalize(chart, 9 if chart.d == 3 else 33)
+    _, weighted, elements = density.grid()
+    return [np.float64(density.C), weighted, elements, *_density_and_elements(chart, pts)]
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, *KERNEL_CHARTS])
+def test_density_kernel_in_small_blocks_matches_one_block(name, monkeypatch):
+    chart = Chart.from_source(KERNEL_CHARTS[name]) if name in KERNEL_CHARTS else builtin_chart(name)
+    pts = kernel_points(chart)
+    if name.startswith("sqrt"):
+        pts[::3, chart.params.index("t")] = 0.0  # inf and NaN rows keep their bits too
+    monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", 2**62)
+    one_block = kernel_outputs(chart, pts)
+    monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", 50)  # one node per block on SO(3), 12 on SO(2)
+    blocked = kernel_outputs(chart, pts)
+    assert all(same_bits(a, b) for a, b in zip(blocked, one_block))
+    assert np.isfinite(one_block[3]).all() != name.startswith("sqrt")
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,31 @@ def test_normalize_memory_per_node():
     assert peak / (8 * 24**3) < 60, peak
 
 
+def test_normalize_memory_is_its_grid_plus_one_block():
+    # the kernel fills raw and the elements over node blocks, so the jacobian rows,
+    # plan registers, M and det's copy exist for one block; the kept grid is 11.8 MiB
+    chart = builtin_chart("so3-polar")
+    normalize(chart, rule=4)
+    tracemalloc.start()
+    try:
+        normalize(chart, rule=48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
+
+
+@pytest.mark.parametrize("tag", ["so2-angle", "so3-euler", "so3-quat"])
+def test_numeric_density_of_an_empty_batch_is_empty(tag):
+    chart = builtin_chart(tag)
+    empty = np.empty((0, chart.d))
+    assert normalize(chart, 8).density_many(empty).shape == (0,)
+    assert closed_form(tag).density_many(empty).shape == (0,)
+    raw, elements = haar_module._density_and_elements(chart, empty)
+    dim = chart.parametrises.dim
+    assert raw.shape == (0,) and elements.shape == (0, dim, dim)
+
+
 @pytest.mark.parametrize("tag", ["so2-angle", "so3-euler", "so3-quat"])
 def test_closed_form_density_has_no_grid(tag):
     with pytest.raises(ValueError, match=r"normalize\(chart, rule\)"):
