@@ -29,9 +29,9 @@ import numpy as np
 from .chartlang import ChartError
 from .charts import DomainError, load_chart
 from .groups import GROUPS, lookup_group
-from .haar import NumericalError, chart_change_check, integrate_tensor, normalize
+from .haar import NumericalError, chart_change_check, normalize
 from .orbit import REPRESENTATIONS, OrbitSpec, mc_moments, moment
-from .reynolds import dim_invariants_closed, dim_invariants_quadrature, reynolds_continuous
+from .reynolds import dim_invariants_closed, dim_invariants_quadrature, reynolds_continuous, reynolds_matrix
 from .sampling import SamplerConfig, closed_form, sample
 from .tensors import Tensor, outer_power
 
@@ -229,31 +229,24 @@ def _cmd_sample(args) -> str:
 
 
 def _cmd_check_chart(args) -> str:
+    if not 0 <= args.tolerance < np.inf:
+        raise ValueError(f"--tolerance must be finite and nonnegative, got {args.tolerance:g}")
     chart = load_chart(args.chart)  # load already runs structural validation
     density = normalize(chart, rule=args.nodes)
     record = {"chart": chart.name, "parse": "ok", "d": chart.d,
               "shape": list(chart.shape), "group": chart.group or "none",
               "C": density.C}
-    group = chart.parametrises  # normalize refused a chart of no group
-    rng = np.random.default_rng(20240817)
-    battery = [lambda m: np.trace(m, axis1=-2, axis2=-1),
-               lambda m: np.trace(m, axis1=-2, axis2=-1) ** 2]
-    mean = lambda f: float(integrate_tensor(f, group.tag, density))
-    base = [mean(f) for f in battery]
-    worst = 0.0
-    for _ in range(3):
-        h = np.linalg.qr(rng.normal(size=(group.dim, group.dim)))[0]
-        if np.linalg.det(h) < 0:
-            h[:, 0] = -h[:, 0]
-        for f, ref in zip(battery, base):
-            left = mean(lambda m: f(np.einsum("ij,njk->nik", h, m)))
-            right = mean(lambda m: f(np.einsum("nij,jk->nik", m, h)))
-            worst = max(worst, abs(left - ref), abs(right - ref))
+    tag = chart.parametrises.tag  # normalize refused a chart of no group
+    # E[g] and E[g (x) g] on the grid against the exact rule: any invariance test
+    # of an integrand of degree <= 2 in g, such as Tr(h g) or Tr(g h)^2, is a
+    # linear functional of these two moments.
+    worst = max(float(np.abs(reynolds_matrix(tag, n, density) - reynolds_matrix(tag, n)).max())
+                for n in (1, 2))
     record.update(invariance_max_residual=worst, invariance_tolerance=args.tolerance)
     if worst > args.tolerance:
         raise NumericalError(
-            f"invariance battery failed: residual {worst:.3g} above {args.tolerance:g}\n"
-            + to_json(record))
+            f"invariance check failed: grid moments of degree 1 and 2 are {worst:.3g} "
+            f"from the exact rule, above {args.tolerance:g}\n" + to_json(record))
     record["status"] = "ok"
     return to_json(record)
 

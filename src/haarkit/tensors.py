@@ -84,8 +84,12 @@ class Tensor:
         data = json.loads(text)
         if not isinstance(data, dict) or not {"dim", "order", "entries"} <= data.keys():
             raise ValueError('tensor JSON needs the keys "dim", "order", and "entries"')
-        dim, order = int(data["dim"]), int(data["order"])
+        dim, order = data["dim"], data["order"]
+        if not all(type(v) is int for v in (dim, order)):  # not 2.9, "3" or true
+            raise ValueError(f'tensor "dim" and "order" must be integers, got {dim!r} and {order!r}')
         entries = np.asarray(data["entries"], dtype=float)
+        if not np.isfinite(entries).all():
+            raise ValueError("tensor entries must be finite")
         if entries.size != dim**order:
             raise ValueError(f"expected {dim}^{order} = {dim**order} entries, "
                              f"got {entries.size}")

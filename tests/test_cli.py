@@ -14,7 +14,7 @@ import pytest
 import haarkit
 import haarkit.cli as cli_module
 import haarkit.orbit as orbit_module
-from haarkit.charts import builtin_chart, load_chart
+from haarkit.charts import BUILTIN_NAMES, builtin_chart, load_chart
 from haarkit.cli import format_float, main, to_json
 from haarkit.haar import normalize
 from haarkit.orbit import OrbitSpec, covariance, mc_moments
@@ -116,21 +116,48 @@ def test_sample_quaternion_lines(capsys):
 
 
 def test_check_chart_reports_invariance(capsys):
-    code, out, _ = run(capsys, "check-chart", "--chart", "builtin:so2-shifted")
-    assert code == 0
-    record = json.loads(out)
-    assert record["status"] == "ok"
-    assert record["invariance_max_residual"] < 1e-8
+    for name in BUILTIN_NAMES:
+        code, out, _ = run(capsys, "check-chart", "--chart", f"builtin:{name}")
+        assert code == 0, name
+        record = json.loads(out)
+        assert record["status"] == "ok"
+        assert record["invariance_max_residual"] < 1e-13, name
 
 
-def test_check_chart_detects_partial_cover(tmp_path, capsys):
-    # covers only half of SO(2): normalizes fine but is not invariant
-    path = tmp_path / "half.chart"
-    path.write_text("chart half { params: a in [0, pi]; group: so(2); "
-                    "matrix: [[cos(a), -sin(a)], [sin(a), cos(a)]]; }")
-    code, _, err = run(capsys, "check-chart", "--chart", str(path))
-    assert code == 2
+EULER = builtin_chart("so3-euler").source()
+PARTIAL_COVERS = {
+    "half_so2": "chart half { params: a in [0, pi]; group: so(2); "
+                "matrix: [[cos(a), -sin(a)], [sin(a), cos(a)]]; }",
+    "half_beta_euler": EULER.replace("beta in [0, pi]", "beta in [0, pi/2]"),
+    # half of SO(3) twice and the other half not at all: C/8pi^2 = 1, a covering degree of 1
+    "twice_half": EULER.replace("alpha in [-pi, pi], beta in [0, pi]",
+                                "alpha in [-pi, 3*pi], beta in [0, pi/2]"),
+    # O(3), so the -I coset makes E[g] exact: only the degree-2 moment sees it (half SO(2)
+    # is the converse, E[g (x) g] exact and E[g] off)
+    "untagged_half_beta_euler": EULER.replace("beta in [0, pi]", "beta in [0, pi/2]")
+                                     .replace("group: so(3);", ""),
+}
+
+
+@pytest.mark.parametrize("source", PARTIAL_COVERS.values(), ids=PARTIAL_COVERS.keys())
+def test_check_chart_detects_partial_cover(source, tmp_path, capsys):
+    # each normalizes fine, but its grid's moments of degree 1 and 2 are not Haar's
+    path = tmp_path / "partial.chart"
+    path.write_text(source)
+    code, out, err = run(capsys, "check-chart", "--chart", str(path))
+    assert (code, out) == (2, "")
     assert "invariance" in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+def test_check_chart_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tolerance, capsys,
+                                                                           monkeypatch):
+    # refused before any quadrature: nan used to pass every chart, and -1 exited 2
+    monkeypatch.setattr(cli_module, "normalize", lambda *a, **k: pytest.fail("normalize ran"))
+    code, out, err = run(capsys, "check-chart", "--chart", "builtin:so2-angle",
+                         f"--tolerance={tolerance}")
+    assert (code, out) == (1, "")
+    assert err == f"error: --tolerance must be finite and nonnegative, got {tolerance}\n"
 
 
 def test_dim_default_methods(capsys):
@@ -545,14 +572,15 @@ def test_averages_refuse_a_chart_of_another_dimension_with_one_line(group, chart
         assert (code, out, err) == (1, "", expected)
 
 
-def test_check_chart_runs_its_battery_on_an_untagged_chart(tmp_path, capsys):
+def test_check_chart_checks_moments_on_an_untagged_chart(tmp_path, capsys):
+    # an untagged 3x3 chart parametrises O(3): its grid, with the -I coset, against O(3)'s exact rule
     path = tmp_path / "euler.chart"
-    path.write_text(builtin_chart("so3-euler").source().replace("group: so(3);", ""))
+    path.write_text(EULER.replace("group: so(3);", ""))
     code, out, _ = run(capsys, "check-chart", "--chart", str(path))
     assert code == 0
     record = json.loads(out)
     assert (record["group"], record["status"]) == ("none", "ok")
-    assert record["invariance_max_residual"] < 1e-8
+    assert record["invariance_max_residual"] < 1e-13
     assert record["invariance_tolerance"] == 1e-6
 
 

@@ -76,6 +76,13 @@ def test_json_rejects_bad_payload():
         Tensor.from_json('{"dim": 3, "order": 2, "entries": [1, 2, 3]}')
     with pytest.raises(ValueError):
         Tensor.from_json('{"dim": 3}')
+    # int() would read these as order 1 and dim 2, with exit 0
+    for dim, order in (("3", "1.7"), ("2.9", "1"), ("3", "1.0"), ('"3"', "1"), ("true", "1")):
+        with pytest.raises(ValueError, match="must be integers"):
+            Tensor.from_json(f'{{"dim": {dim}, "order": {order}, "entries": [1, 2, 3]}}')
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match="must be finite"):
+            Tensor.from_json(f'{{"dim": 3, "order": 1, "entries": [1, {bad}, 3]}}')
 
 
 def test_act_order1_is_matrix_vector():
