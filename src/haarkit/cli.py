@@ -5,9 +5,9 @@ or tensor files, points outside domains), an ``--out`` path that cannot be
 written, a request larger than memory, or a stdout closed before the
 output was written, 2 numerical failure (degenerate normalization,
 non-convergence, under-resolved quadrature).  JSON output
-carries 17 significant digits so values round-trip through text; human
-tables use 9.  All angles are radians.  Identical argv (and seed) produce
-byte-identical stdout.
+carries 17 significant digits so values round-trip through text; the
+``dim`` table prints integers.  All angles are radians.  Identical argv
+(and seed) produce byte-identical stdout.
 
 Every float prints as format_float prints it: ``'%.17g'``, with "0" for
 -0.0 and "NaN" for NaN.  The exception is ``reynolds``, which prints
@@ -36,7 +36,6 @@ from .sampling import SamplerConfig, closed_form, sample
 from .tensors import Tensor, outer_power
 
 JSON_DIGITS = 17
-TABLE_DIGITS = 9
 _SLOT = f"%.{JSON_DIGITS}g"
 
 
@@ -44,10 +43,10 @@ _SLOT = f"%.{JSON_DIGITS}g"
 # Deterministic serialization
 
 
-def format_float(value: float, digits: int = JSON_DIGITS) -> str:
+def format_float(value: float) -> str:
     if value != value:
         return "NaN"
-    text = format(float(value), f".{digits}g")
+    text = format(float(value), f".{JSON_DIGITS}g")
     return "0" if text == "-0" else text
 
 
@@ -267,7 +266,7 @@ def _cmd_dim(args) -> str:
     if "quadrature" in values:
         # The quadrature value is within its roundoff slack, below 1/2, of an
         # integer (or it raised), so the table prints that integer.
-        parts.append(format_float(round(values["quadrature"]), TABLE_DIGITS))
+        parts.append(str(round(values["quadrature"])))
     return "\n".join(parts)
 
 

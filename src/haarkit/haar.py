@@ -392,6 +392,7 @@ def haar_nodes(group, density: HaarDensity | None,
     return _with_cosets(row, *density.grid()[1:])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of
 def integrate_tensor(f, group, density: HaarDensity | None,
                      degree: int | None = None) -> np.ndarray:
     """Entry-wise normalized integral of a tensor-valued function.
@@ -405,10 +406,14 @@ def integrate_tensor(f, group, density: HaarDensity | None,
     BLOCK_ENTRIES entries (_node_blocks), whose weighted sums are added in
     order.  A stack of N nodes with N w <= BLOCK_ENTRIES is one slice, with
     the bytes of np.tensordot(weights, f(stack), axes=1); above that the
-    result can change in the last bits.
+    result can change in the last bits.  An integral that overflows or turns
+    NaN is a NumericalError.
     """
     weights, stacks = haar_nodes(group, density, degree)
     width = np.size(f(stacks[0][:1]))
     parts = (np.tensordot(weights[s], np.asarray(f(mats[s]), dtype=float), axes=1)
              for mats in stacks for s in _node_blocks(len(mats), width))
-    return reduce(np.add, parts) / len(stacks)
+    out = reduce(np.add, parts) / len(stacks)
+    if not np.isfinite(out).all():
+        raise NumericalError("the group average is not finite: the integrand overflows or is NaN")
+    return out

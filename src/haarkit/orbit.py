@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, lookup_group
-from .haar import HaarDensity, integrate_tensor
+from .haar import HaarDensity, NumericalError, integrate_tensor
 from .sampling import SampleBatch, SamplerConfig, sample
 from .tensors import Tensor, act_batch, as_tensor, check_budget, outer_power, outer_power_batch
 
@@ -50,6 +50,8 @@ class OrbitSpec:
             raise ValueError(f"unknown representation {self.representation!r}; "
                              f"expected one of {', '.join(REPRESENTATIONS)}")
         object.__setattr__(self, "seed", as_tensor(self.seed))
+        if not np.isfinite(self.seed.array).all():
+            raise ValueError("the orbit seed's entries must be finite")
         if self.representation == "natural" and self.seed.order != 1:
             raise ValueError("the natural representation acts on vectors (order-1 tensors)")
         if self.representation == "sym2":
@@ -99,6 +101,7 @@ def covariance(spec: OrbitSpec, density: HaarDensity | None = None, rule=None) -
     return m2 - outer_power(m1, 2)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of
 def mc_moments(spec: OrbitSpec, r: int,
                config: SamplerConfig | SampleBatch) -> tuple[Tensor, Tensor]:
     """Monte Carlo m_r(X) with entry-wise standard errors of the mean.
@@ -109,7 +112,7 @@ def mc_moments(spec: OrbitSpec, r: int,
     moments exactly.  The results are numpy's ``mean`` and
     ``std(ddof=1) / sqrt(n)`` over the (N, S^r) stack of outer powers, step
     for step, but the deviations overwrite that stack instead of filling a
-    second one.
+    second one.  A mean or standard error that overflows is a NumericalError.
     """
     if r < 1:
         raise ValueError("moment order must be positive")
@@ -134,6 +137,9 @@ def mc_moments(spec: OrbitSpec, r: int,
         stderr /= n - 1
         np.sqrt(stderr, out=stderr)
         stderr /= np.sqrt(n)
+    if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
+        raise NumericalError(f"Monte Carlo moment of order {r} or its standard error is not "
+                             "finite: the orbit's values overflow")
     dim = spec.seed.dim
     return (Tensor.from_array(mean.reshape(shape), dim=dim),
             Tensor.from_array(stderr.reshape(shape), dim=dim))

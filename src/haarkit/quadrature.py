@@ -78,8 +78,12 @@ class QuadratureRule:
         return self.points.shape[0]
 
     def integrate(self, values) -> float | np.ndarray:
-        """Weighted sum of per-node values; values may have trailing axes."""
+        """Weighted sum of per-node values; values may have trailing axes.
+
+        numpy's own reduction over the node axis adds in a fixed order; a BLAS
+        dot product would change its last bits with the BLAS thread count.
+        """
         vals = np.asarray(values, dtype=float)
         if vals.shape[0] != self.size:
             raise ValueError(f"expected {self.size} node values, got {vals.shape[0]}")
-        return np.tensordot(self.weights, vals, axes=1)
+        return np.sum(self.weights.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals, axis=0)

@@ -7,9 +7,9 @@ element stacks, O(D)'s improper coset included, and each average is its
 reduction over the stacks.  A finite group averages exactly over its
 elements; a compact group integrates against the uniform measure.  The
 trace formula turns the same average into the dimension of the invariant
-subspace of order-n tensors; for the rotation groups that is a class
-function, exact on the n + 2 angles of haar.class_nodes, and binomial sums
-give the SO(3)/O(3) dimensions.
+subspace of order-n tensors, the projector's trace and so its rank; for the
+rotation groups that is a class function, exact on the n + 2 angles of
+haar.class_nodes, and binomial sums give the SO(3)/O(3) dimensions.
 
 The action on order-n tensors is a polynomial of degree n in the entries
 of g, so without a density the continuous averages run on the exact rule
@@ -28,7 +28,6 @@ from .haar import (HaarDensity, NumericalError, _node_blocks, class_nodes, haar_
                    integrate_tensor)
 from .tensors import Tensor, act_batch, check_budget
 
-RANK_THRESHOLD = 1e-6
 INTEGER_SLACK = 1e-3
 
 
@@ -77,10 +76,9 @@ def reynolds_matrix(group, n: int, density: HaarDensity | None = None) -> np.nda
 
 
 def invariant_rank(group, n: int, density: HaarDensity | None = None) -> int:
-    """Numerical rank of the order-n averaging operator (singular values > RANK_THRESHOLD)."""
-    op = reynolds_matrix(group, n, density)
-    singular = np.linalg.svd(op, compute_uv=False)
-    return int(np.sum(singular > RANK_THRESHOLD))
+    """Rank of the order-n averaging operator: the integer of its trace, on the nodes and
+    with the refusals of dim_invariants_quadrature (an uneven grid is a NumericalError)."""
+    return round(dim_invariants_quadrature(group, n, density))
 
 
 # ---------------------------------------------------------------------------

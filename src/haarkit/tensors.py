@@ -87,8 +87,19 @@ class Tensor:
         dim, order = data["dim"], data["order"]
         if not all(type(v) is int for v in (dim, order)):  # not 2.9, "3" or true
             raise ValueError(f'tensor "dim" and "order" must be integers, got {dim!r} and {order!r}')
-        entries = np.asarray(data["entries"], dtype=float)
-        if not np.isfinite(entries).all():
+        if dim < 1:
+            raise ValueError(f'tensor "dim" must be at least 1, got {dim}')
+        if order < 0:
+            raise ValueError(f'tensor "order" must be nonnegative, got {order}')
+        raw = data["entries"]
+        if type(raw) is not list or not all(type(x) in (int, float) for x in raw):  # not "1.5", true, [..]
+            raise ValueError('tensor "entries" must be a flat list of numbers')
+        try:
+            entries = np.array(raw, dtype=float)
+            finite = np.isfinite(entries).all()
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ValueError("tensor entries must be finite")
         if entries.size != dim**order:
             raise ValueError(f"expected {dim}^{order} = {dim**order} entries, "

@@ -184,6 +184,14 @@ def test_dim_so2_order_45_is_roundoff_of_zero(capsys):
     assert (code, out) == (0, "0\n")
 
 
+def test_dim_table_prints_large_counts_in_full(capsys):
+    # every digit of the count, and the same integer from both methods
+    code, out, _ = run(capsys, "dim", "--group", "so2", "--order", "44")
+    assert (code, out) == (0, "2104098963720\n")
+    code, out, _ = run(capsys, "dim", "--group", "so3", "--order", "30", "--method", "both")
+    assert (code, out) == (0, "439742222071\n439742222071\n")
+
+
 def test_dim_both_json(capsys):
     code, out, _ = run(capsys, "dim", "--group", "o3", "--order", "6",
                        "--method", "both", "--format", "json")
@@ -216,6 +224,36 @@ def test_reynolds_round_trip(tmp_path, capsys):
     got = np.array(record["entries"]).reshape(3, 3)
     trace = 1.0 + 5.0 + 9.0
     assert np.abs(got - trace / 3.0 * np.eye(3)).max() < 1e-6
+
+
+def run_quietly(capsys, *argv):
+    """run, with every warning an error: a failure must not print warning text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, *argv)
+
+
+def test_reynolds_of_an_overflowing_tensor_exits_2(tmp_path, capsys):
+    # rotated entries of 1e308 overflow: no Infinity (not JSON) on stdout and no warning
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dim": 3, "order": 2, "entries": [1e308] * 9}))
+    code, out, err = run_quietly(capsys, "reynolds", "--group", "so3", "--tensor", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("numerical failure: the group average is not finite: "
+                   "the integrand overflows or is NaN\n")
+
+
+def test_orbit_moments_that_overflow_exit_2(capsys):
+    # the second moment of a 1e200 seed is past the float range
+    code, out, err = run_quietly(capsys, "orbit-moments", "--group", "so3", "--diag", "1e200,1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
+
+
+def test_orbit_moments_refuse_a_seed_that_is_not_finite(capsys):
+    code, out, err = run_quietly(capsys, "orbit-moments", "--group", "so3", "--diag", "1,inf,3")
+    assert (code, out) == (1, "")
+    assert err == "error: the orbit seed's entries must be finite\n"
 
 
 def test_orbit_moments_diag(capsys):
@@ -459,17 +497,35 @@ def test_auto_map_picks_the_inverse_by_builtin_tag_not_chart_name(name, tmp_path
     assert json.loads(out)["residual"] <= 1e-15
 
 
-@pytest.mark.parametrize("argv,expected", [
-    (["--chart1", "builtin:so3-euler", "--chart2", "builtin:so3-polar", "--point", "0.4,1.1,2.0"],
-     '{"chart1": "so3_euler", "chart2": "so3_polar", "point": [0.40000000000000002, '
-     '1.1000000000000001, 2], "residual": 0}\n'),
-    (["--chart1", "builtin:so3-polar", "--chart2", "builtin:so3-euler", "--point", "0.4,0.3,2.0"],
-     '{"chart1": "so3_polar", "chart2": "so3_euler", "point": [0.40000000000000002, '
-     '0.29999999999999999, 2], "residual": 3.4694469519536142e-17}\n'),
-    (["--chart1", "builtin:so2-angle", "--chart2", "builtin:so2-shifted", "--point", "2.5"],
-     '{"chart1": "so2_angle", "chart2": "so2_shifted", "point": [2.5], '
-     '"residual": 2.7755575615628914e-17}\n'),
-])
+AUTO_MAP_ARGVS = [
+    ["--chart1", "builtin:so3-euler", "--chart2", "builtin:so3-polar", "--point", "0.4,1.1,2.0"],
+    ["--chart1", "builtin:so3-polar", "--chart2", "builtin:so3-euler", "--point", "0.4,0.3,2.0"],
+    ["--chart1", "builtin:so2-angle", "--chart2", "builtin:so2-shifted", "--point", "2.5"],
+]
+
+
+def test_chart_density_outputs_do_not_depend_on_the_blas_thread_count():
+    # C is summed by numpy in a fixed order, so no output built on it follows the BLAS threads
+    argvs = [["normalize", "--chart", "builtin:so3-euler"]]
+    argvs += [["chart-change", *argv, "--map", "auto"] for argv in AUTO_MAP_ARGVS]
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(haarkit.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        outputs[threads] = [subprocess.run([sys.executable, "-m", "haarkit.cli", *argv],
+                                           capture_output=True, env=env, check=True).stdout
+                            for argv in argvs]
+    assert outputs["1"] == outputs["2"]
+
+
+@pytest.mark.parametrize("argv,expected", zip(AUTO_MAP_ARGVS, [
+    '{"chart1": "so3_euler", "chart2": "so3_polar", "point": [0.40000000000000002, '
+    '1.1000000000000001, 2], "residual": 3.4694469519536142e-18}\n',
+    '{"chart1": "so3_polar", "chart2": "so3_euler", "point": [0.40000000000000002, '
+    '0.29999999999999999, 2], "residual": 1.3877787807814457e-17}\n',
+    '{"chart1": "so2_angle", "chart2": "so2_shifted", "point": [2.5], '
+    '"residual": 0}\n',
+]))
 def test_auto_map_to_builtin_targets_keeps_its_bytes(argv, expected, capsys):
     code, out, _ = run(capsys, "chart-change", *argv, "--map", "auto")
     assert (code, out) == (0, expected)

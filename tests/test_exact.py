@@ -155,7 +155,9 @@ def test_idempotent_and_equivariant(group, order):
 
 @pytest.mark.parametrize("group", ["so3", "o3"])
 def test_invariant_rank_without_density(group):
-    for n in range(5):
+    # the trace formula's integer builds no (3^n, 3^n) operator, so the 3^10-entry budget
+    # does not bound the order
+    for n in range(11):
         assert invariant_rank(group, n) == dim_invariants_closed(group, n), n
 
 

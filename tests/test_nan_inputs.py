@@ -21,6 +21,7 @@ CASES = {
     "rodrigues_axis": lambda: rodrigues(NAN_AXIS, 0.3),
     "reflection_normal": lambda: reflection(NAN_AXIS),
     "orbit_seed_symmetry": lambda: OrbitSpec("so3", "sym2", np.diag([1.0, np.nan, 3.0])),
+    "orbit_seed_inf": lambda: OrbitSpec("so3", "natural", np.array([1.0, np.inf, 3.0])),
     "finite_group_from_matrices": lambda: FiniteGroup([np.eye(3), NAN3]),
     "invert_cdf_target": lambda: invert_cdf(lambda x: x, np.nan, (0.0, 1.0),
                                              lambda x: np.ones_like(x)),

@@ -8,13 +8,14 @@ them through an entirely different code path.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from haarkit.charts import builtin_chart
 from haarkit.groups import FiniteGroup
-from haarkit.haar import normalize
+from haarkit.haar import NumericalError, normalize
 from haarkit.orbit import (REPRESENTATIONS, OrbitSpec, covariance, decompose, identity_pair,
                            isotropic_basis, mc_moments, moment, sym2_covariance_closed,
                            sym2_mean_closed, sym2_second_moment_closed)
@@ -193,6 +194,16 @@ def test_finite_group_spec_checks_the_seed_dimension():
     with pytest.raises(ValueError, match=r"^seed dimension 2 does not match group "
                                          r"FiniteGroup\(order=12, dim=3\)$"):
         OrbitSpec(FiniteGroup.cyclic([0.0, 0.0, 1.0], 12), "natural", as_tensor([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_mc_moments_refuse_a_moment_that_is_not_finite(r):
+    # a 1e200 seed: its outer square, and the squared deviations of its draws, overflow
+    spec = OrbitSpec("so3", "sym2", np.diag([1e200, 1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"moment of order {r} or its standard error"):
+            mc_moments(spec, r, SamplerConfig(group="so3", count=100))
 
 
 def test_mc_moments_refuses_a_finite_group():

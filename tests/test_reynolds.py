@@ -191,6 +191,19 @@ def test_invariant_rank_matches_closed_dims():
             assert rank == dim_invariants_closed(group, n)
 
 
+TWICE_HALF = builtin_chart("so3-euler").source().replace(
+    "alpha in [-pi, pi], beta in [0, pi]", "alpha in [-pi, 3*pi], beta in [0, pi/2]")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_invariant_rank_refuses_an_uneven_cover(n):
+    # half of SO(3) twice and the other half not at all: C/8pi^2 = 1, but Tr^n integrates
+    # to 0.5, 1.5, 2.375 and 5.625 on the grid, which no integer count rounds away
+    density = normalize(Chart.from_source(TWICE_HALF), 24)
+    with pytest.raises(NumericalError, match="under-resolved"):
+        invariant_rank("so3", n, density)
+
+
 # ---------------------------------------------------------------------------
 # Invariant dimensions
 

@@ -80,9 +80,16 @@ def test_json_rejects_bad_payload():
     for dim, order in (("3", "1.7"), ("2.9", "1"), ("3", "1.0"), ('"3"', "1"), ("true", "1")):
         with pytest.raises(ValueError, match="must be integers"):
             Tensor.from_json(f'{{"dim": {dim}, "order": {order}, "entries": [1, 2, 3]}}')
-    for bad in ("NaN", "Infinity", "-Infinity"):
+    for bad in ("NaN", "Infinity", "-Infinity", "1" + "0" * 400):
         with pytest.raises(ValueError, match="must be finite"):
             Tensor.from_json(f'{{"dim": 3, "order": 1, "entries": [1, {bad}, 3]}}')
+    for entries in ('["1.5", "2", "3"]', "[1, true, 3]", "[[1, 2, 3]]", '"123"', "{}"):
+        with pytest.raises(ValueError, match='"entries" must be a flat list of numbers'):
+            Tensor.from_json(f'{{"dim": 3, "order": 1, "entries": {entries}}}')
+    for dim, order, message in ((-3, 1, '"dim" must be at least 1'), (0, 1, '"dim" must be at least 1'),
+                                (3, -1, '"order" must be nonnegative')):
+        with pytest.raises(ValueError, match=message):
+            Tensor.from_json(f'{{"dim": {dim}, "order": {order}, "entries": [1, 2, 3]}}')
 
 
 def test_act_order1_is_matrix_vector():
