@@ -45,9 +45,10 @@ FUNCTIONS = {
     "arccos": np.arccos,
     "arcsin": np.arcsin,
 }
-# Python's operators, not charts._BINARY's ufuncs: constant folding walks the
-# tree, and a Python float overflows to inf without raising, so 1e308*10 is
-# reported "not finite" (np.multiply under errstate(over="raise") would raise).
+# Python's operators, not ufuncs: the walk and the chart plans call these, and
+# in constant folding a Python float overflows to inf without raising, so
+# 1e308*10 is reported "not finite" (np.multiply under errstate(over="raise")
+# would raise).
 OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 GROUP_TAGS = (*(g.spelling for g in GROUPS.values()), "none")

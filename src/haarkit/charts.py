@@ -7,12 +7,12 @@ exact jacobians.  Built-in charts ship as chart-language files under
 Evaluation runs a straight-line plan (Griewank & Walther, *Evaluating
 Derivatives*, SIAM 2008) that each chart compiles once from its matrix:
 equal subtrees are computed once, variable-free subtrees are folded to
-constants, and every remaining node is one numpy ufunc step writing into a
-row of a (registers, N) scratch block, a row being reused once its last
-reader has run.  The steps are the ufuncs the tree walk of
-``chartlang.evaluate_expr`` calls, on the same operands, so the plan gives
-the walk's values bit for bit.  Jacobians run a second plan of the
-entries' symbolic partials, compiled with the first: exact, with no step.
+constants, and every remaining node is one step calling the function the
+tree walk of ``chartlang.evaluate_expr`` calls, on the same operands, so the
+plan gives the walk's values bit for bit.  Each step's array is dropped
+after its last reader has run.  Jacobians run a second plan of the
+entries' symbolic partials, compiled with the first: exact, with no
+difference step.
 
 Charts are validated at 100 random domain points at load time against the
 group they parametrise (Chart.parametrises): 4 x 1 charts, unit quaternions
@@ -23,14 +23,15 @@ entries; square charts (untagged D x D ones are of O(D)) for orthogonality
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .chartlang import (FUNCTIONS, BinOp, Call, ChartAst, ChartError, Neg, Num, Pow, Var,
-                        differentiate, evaluate_expr, parse_chart, print_chart, print_expr)
+from .chartlang import (FUNCTIONS, OPERATORS, BinOp, Call, ChartAst, ChartError, Neg, Num, Pow,
+                        Var, differentiate, evaluate_expr, parse_chart, print_chart, print_expr)
 from .groups import GROUPS, INPUT_TOL, Group, UnknownNameError, lookup_group, orthogonality_error
 
 BUILTIN_NAMES = tuple(dict.fromkeys(tag for group in GROUPS.values() for tag in group.charts))
@@ -47,53 +48,46 @@ class DomainError(ValueError):
 # Straight-line plans
 
 
-# The plan runs in place on arrays (out=); chartlang.OPERATORS keeps Python's
-# operators for constant folding, which relies on their silent overflow.
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}
-
-
-def _power(base, exponent, out):
-    # ndarray ** int, as in the walk: numpy special-cases small exponents
-    out[...] = base ** exponent
-
-
 @dataclass(frozen=True)
 class _Plan:
     """A chart matrix as straight-line code over (N, d) points.
 
-    At run time the slots are the d parameter columns, then the register
-    rows of the scratch block, then the constants.  ``preset`` pairs a slot
-    with an entry that is a constant or a bare parameter; each step is
-    (function, argument slots, destination slot, entries it stores).
+    An operand is ("p", k), parameter column k; ("s", t), the array step t
+    returned; or ("c", value), a folded constant.  ``preset`` pairs an
+    operand that is no step with an entry; each step is (function,
+    operands, entries it stores, steps dropped after it): the earlier steps
+    it reads for the last time, and itself if no later step reads it.  Each
+    call allocates its own result, so the live arrays are the steps some
+    later step still reads, and numpy's reference counting frees the rest.
     Entry (i, j) goes to row i * cols + j of the caller's (entries, N)
     ``out``, which may be a strided view (evaluate_many passes the transpose
     of its (N, rows, cols) result) or a contiguous block (jacobian_many).
     """
 
     shape: tuple[int, int]
-    constants: tuple
-    registers: int
-    preset: tuple  # (slot, (i, j))
-    steps: tuple  # (function, (slot, ...), slot, ((i, j), ...))
+    preset: tuple  # (operand, (i, j))
+    steps: tuple  # (function, (operand, ...), ((i, j), ...), (step, ...))
 
     def run(self, pts: np.ndarray, out: np.ndarray) -> None:
         cols = self.shape[1]
-        scratch = np.empty((self.registers, pts.shape[0]))
-        slots = [*pts.T, *scratch, *self.constants]
-        for slot, (i, j) in self.preset:
-            out[i * cols + j] = slots[slot]
-        for fn, args, dest, entries in self.steps:
-            fn(*[slots[a] for a in args], out=slots[dest])
+        values = {("p", k): column for k, column in enumerate(pts.T)}
+        for op, (i, j) in self.preset:
+            out[i * cols + j] = op[1] if op[0] == "c" else values[op]
+        for s, (fn, args, entries, drops) in enumerate(self.steps):
+            values["s", s] = fn(*[op[1] if op[0] == "c" else values[op] for op in args])
             for i, j in entries:
-                out[i * cols + j] = slots[dest]
+                out[i * cols + j] = values["s", s]
+            for t in drops:
+                del values["s", t]
 
 
 def _compile(ast: ChartAst) -> _Plan:
-    """Merge equal subtrees, fold variable-free ones, and assign registers.
+    """Merge equal subtrees, fold variable-free ones, and find each step's last reader.
 
     No number is -0.0 (literals are nonnegative, derivative coefficients
-    nonzero), so equal subtrees compute equal values.  Until slots are
-    assigned an operand is ("c", value), ("p", column) or ("s", step index).
+    nonzero), so equal subtrees compute equal values.  A step calls the
+    function ``evaluate_expr`` calls for its node on the same operands, so
+    the plan gives the walk's bits.
     """
     column = {p.name: k for k, p in enumerate(ast.params)}
     steps: list = []  # (function, operands), each operand computed before its reader
@@ -117,66 +111,37 @@ def _compile(ast: ChartAst) -> _Plan:
         if node in step_of:
             return ("s", step_of[node])
         if isinstance(node, Neg):
-            fn, args = np.negative, [operand(node.arg)]
+            fn, args = operator.neg, [operand(node.arg)]
         elif isinstance(node, BinOp):
-            fn, args = _BINARY[node.op], [operand(node.left), operand(node.right)]
+            fn, args = OPERATORS[node.op], [operand(node.left), operand(node.right)]
         elif isinstance(node, Pow):
-            fn, args = _power, [operand(node.base), ("c", node.exponent)]
+            fn, args = operator.pow, [operand(node.base), ("c", node.exponent)]
         elif isinstance(node, Call):
             fn, args = FUNCTIONS[node.func], [operand(node.arg)]
         else:  # Num, Pi
             return constant(node)
         if all(kind == "c" for kind, _ in args):
             return constant(node)
-        steps.append((fn, args))
+        steps.append((fn, tuple(args)))
         step_of[node] = len(steps) - 1
         return ("s", len(steps) - 1)
 
-    roots = [(operand(entry), (i, j))
-             for i, row in enumerate(ast.matrix) for j, entry in enumerate(row)]
-
-    # A row is freed after the last step that reads it, before that step
-    # picks its own row, so a step may overwrite its argument in place.
-    # Entries are stored right after their step, so a row that no step
-    # reads is free again at once.
-    last_read = list(range(len(steps)))
-    for s, (_, args) in enumerate(steps):
-        for t in (v for k, v in args if k == "s"):
-            last_read[t] = s
-    register: list[int] = []
-    free: list[int] = []
-    count = 0
-    for s, (_, args) in enumerate(steps):
-        free.extend(register[t] for t in sorted({v for k, v in args if k == "s"})
-                    if last_read[t] == s)
-        register.append(free.pop() if free else count)
-        count = max(count, register[-1] + 1)
-        if last_read[s] == s:
-            free.append(register[s])
-
-    d = len(column)
-    constants: list = []
-
-    def slot(op) -> int:
-        kind, value = op
-        if kind == "p":
-            return value
-        if kind == "s":
-            return d + register[value]
-        constants.append(value)
-        return d + count + len(constants) - 1
-
     preset = []
     stored: dict[int, list] = {}
-    for op, ij in roots:
-        if op[0] == "s":
-            stored.setdefault(op[1], []).append(ij)
-        else:
-            preset.append((slot(op), ij))
-    compiled = tuple((fn, tuple(slot(a) for a in args), d + register[s], tuple(stored.get(s, ())))
-                     for s, (fn, args) in enumerate(steps))
-    return _Plan(shape=(len(ast.matrix), len(ast.matrix[0])), constants=tuple(constants),
-                 registers=count, preset=tuple(preset), steps=compiled)
+    for i, row in enumerate(ast.matrix):
+        for j, entry in enumerate(row):
+            op = operand(entry)
+            if op[0] == "s":
+                stored.setdefault(op[1], []).append((i, j))
+            else:
+                preset.append((op, (i, j)))
+    last_read = {t: s for s, (_, args) in enumerate(steps) for kind, t in args if kind == "s"}
+    drops: list[list] = [[] for _ in steps]
+    for t in range(len(steps)):
+        drops[last_read.get(t, t)].append(t)
+    return _Plan(shape=(len(ast.matrix), len(ast.matrix[0])), preset=tuple(preset),
+                 steps=tuple((fn, args, tuple(stored.get(s, ())), tuple(drops[s]))
+                             for s, (fn, args) in enumerate(steps)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,10 +68,6 @@ def to_json(obj) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _nested(array: np.ndarray):
-    return array.tolist() if isinstance(array, np.ndarray) else array
-
-
 # The decimal exponents k the numpy path of format_rows prints, and 10^(16-k)
 # for each: 17 significant digits of 1e-4 <= |x| < 1 are |x| 10^(16-k)
 # rounded.  Every 10^(16-k) is an exact double (5^20 < 2^53), so Dekker's
@@ -291,15 +287,15 @@ def _cmd_orbit_moments(args) -> str:
     m2 = moment(spec, 2, density)
     cov = m2 - outer_power(m1, 2)  # orbit.covariance, on the moments already in hand
     record = {"group": args.group, "representation": args.representation,
-              "m1": _nested(m1.array), "m2": _nested(m2.array), "cov": _nested(cov.array)}
+              "m1": m1.array.tolist(), "m2": m2.array.tolist(), "cov": cov.array.tolist()}
     if args.mc:
         batch = sample(SamplerConfig(group=args.group, chart=args.mc_chart or "",
                                      seed=args.mc_seed, count=args.mc))
         mc1, se1 = mc_moments(spec, 1, batch)
         mc2, se2 = mc_moments(spec, 2, batch)
-        record["mc_m1"] = _nested(mc1.array)
-        record["mc_m2"] = _nested(mc2.array)
-        record["mc_stderr"] = {"m1": _nested(se1.array), "m2": _nested(se2.array)}
+        record["mc_m1"] = mc1.array.tolist()
+        record["mc_m2"] = mc2.array.tolist()
+        record["mc_stderr"] = {"m1": se1.array.tolist(), "m2": se2.array.tolist()}
     return to_json(record)
 
 

@@ -86,12 +86,12 @@ def _density_and_elements(chart: Chart, pts: np.ndarray):
     one contiguous row.
     The (N,) values and (N, D, D) elements are allocated once and filled
     over node blocks of at most BLOCK_ENTRIES // (d D^2) nodes
-    (_node_blocks), so the jacobian rows, plan registers, M and det's copy
-    exist for one block at a time.  That is the jacobian's width for a
-    D x D chart; a quaternion chart's 4d rows take its elements' wider d D^2,
-    which lowers its peak.  Every step works node by node and np.linalg.det
-    factors each matrix on its own, so the bytes do not depend on the block
-    size.
+    (_node_blocks), so the jacobian rows, the plan's live step arrays, M
+    and det's copy exist for one block at a time.  That is the jacobian's
+    width for a D x D chart; a quaternion chart's 4d rows take its
+    elements' wider d D^2, which lowers its peak.  Every step works node by
+    node and np.linalg.det factors each matrix on its own, so the bytes do
+    not depend on the block size.
     """
     group = chart.parametrises
     if group is None:

@@ -10,12 +10,15 @@ flipped sign of zero counts as a difference.  The Hamilton product that the
 einsum reference kernel uses lives here too, with tests of its own.
 """
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarkit.chartlang import evaluate_expr, parse_chart
+from haarkit.chartlang import Num, differentiate, evaluate_expr, parse_chart
 from haarkit.charts import BUILTIN_NAMES, Chart, builtin_chart
 from haarkit.cli import _row_template, format_float, format_rows, main, to_json
 from haarkit.groups import (GROUPS, FiniteGroup, improper_coset, quat_rotation_matrices,
@@ -112,6 +115,17 @@ def test_plan_on_fortran_ordered_and_single_point_batches():
     assert chart.evaluate_many(np.empty((0, 3))).shape == (0, 3, 3)
 
 
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, *sorted(USER_CHARTS)])
+def test_jacobian_plan_matches_walk_of_the_partials(name):
+    chart = builtin_chart(name) if name in BUILTIN_NAMES else Chart(parse_chart(USER_CHARTS[name]))
+    partials = tuple(tuple(differentiate(e, p) or Num(0.0) for e in row)
+                     for p in chart.params for row in chart.ast.matrix)
+    pts = plan_points(chart)
+    with np.errstate(all="ignore"):  # some slopes are infinite at the box's corners
+        expected = walk(Chart(replace(chart.ast, matrix=partials)), pts)
+        assert same_bits(chart.jacobian_many(pts).reshape(expected.shape), expected)
+
+
 def test_plan_computes_each_distinct_subtree_once():
     # cos(alpha), sin(alpha) and -sin(alpha): three steps for four entries
     assert len(builtin_chart("so2-angle")._plan.steps) == 3
@@ -119,7 +133,32 @@ def test_plan_computes_each_distinct_subtree_once():
     euler = builtin_chart("so3-euler")._plan
     calls = [fn for fn, *_ in euler.steps if fn in (np.sin, np.cos)]
     assert len(calls) == 6
-    assert euler.registers < len(euler.steps)
+    assert most_alive(euler) < len(euler.steps)
+
+
+def most_alive(plan) -> int:
+    """The most step arrays a plan run holds at once, from its last-reader lists."""
+    alive = top = 0
+    for *_, drops in plan.steps:
+        alive += 1
+        top = max(top, alive)
+        alive -= len(drops)
+    return top
+
+
+def test_jacobian_temporaries_are_the_live_steps_not_one_row_per_step():
+    chart = builtin_chart("so3-euler")
+    plan, n = chart._jacobian_plan, 20_000
+    pts = plan_points(chart, n)
+    chart.jacobian_many(pts[:2])
+    tracemalloc.start()
+    try:
+        jac = chart.jacobian_many(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = (peak - jac.nbytes) / (8 * n)  # temporaries beyond the (d * 9, N) result, in rows of N
+    assert rows < most_alive(plan) + 1 < len(plan.steps) / 4, (rows, most_alive(plan))
 
 
 def test_plan_scalar_evaluate_agrees():

@@ -70,8 +70,8 @@ def test_check_batch_checks_the_shape_only():
 
 
 def test_jacobian_many_refuses_a_wider_batch_and_leaves_it_unchanged():
-    # the plan's register slots follow the d parameter columns, so an unchecked third
-    # column would be taken for a register and overwritten
+    # the plan reads parameter k from column k, so an unchecked wider batch would run
+    # on its first column and quietly ignore the others
     batch = np.array([[0.5, 7.0, 8.0], [1.0, 9.0, 10.0]])
     with pytest.raises(DomainError, match=r"expected an \(N, 1\) batch, got shape \(2, 3\)"):
         builtin_chart("so2-angle").jacobian_many(batch)

@@ -419,8 +419,8 @@ def test_normalize_memory_per_node():
 
 
 def test_normalize_memory_is_its_grid_plus_one_block():
-    # the kernel fills raw and the elements over node blocks, so the jacobian rows,
-    # plan registers, M and det's copy exist for one block; the kept grid is 11.8 MiB
+    # the kernel fills raw and the elements over node blocks, so the jacobian rows, the
+    # plan's live step arrays, M and det's copy exist for one block; the kept grid is 11.8 MiB
     chart = builtin_chart("so3-polar")
     normalize(chart, rule=4)
     tracemalloc.start()

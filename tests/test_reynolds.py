@@ -10,13 +10,18 @@ central binomial coefficients in the planar case.
 
 import functools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import haarkit
 from haarkit.groups import FiniteGroup, lookup_group, rodrigues
 from haarkit.haar import NumericalError, haar_nodes, integrate_tensor, normalize
 from haarkit.charts import Chart, builtin_chart
@@ -287,6 +292,20 @@ def test_quadrature_dims_are_exact_up_to_roundoff():
             assert abs(got - expected) <= 1e-9 * max(expected, 1), (group, n)
     assert abs(dim_invariants_quadrature("so3", 26) - dim_invariants_closed("so3", 26)) < 1e-5
     assert abs(dim_invariants_quadrature("so3", 30) - dim_invariants_closed("so3", 30)) < 1e-3
+
+
+def test_quadrature_dims_on_a_density_do_not_depend_on_the_blas_thread_count():
+    # the weighted Tr^n sums run in numpy's fixed order, not a BLAS dot
+    code = ("from haarkit import builtin_chart, dim_invariants_quadrature, normalize; "
+            "print(repr(dim_invariants_quadrature('so3', 4, normalize(builtin_chart('so3-euler')))))")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(haarkit.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        outputs[threads] = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                          env=env, check=True).stdout
+    assert outputs["1"] == outputs["2"]
+    assert abs(float(outputs["1"]) - 3.0) < 1e-12, outputs
 
 
 def test_quadrature_dims_overflow_is_a_numerical_error():
