@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 usage or input error (bad flags, malformed chart
 or tensor files, points outside domains), an ``--out`` path that cannot be
 written, a request larger than memory, or a stdout closed before the
 output was written, 2 numerical failure (degenerate normalization,
-non-convergence, under-resolved quadrature).  JSON output
-carries 17 significant digits so values round-trip through text; the
-``dim`` table prints integers.  All angles are radians.  Identical argv
-(and seed) produce byte-identical stdout.
+non-convergence, under-resolved quadrature, a ``--chart`` whose grid
+covers its group unevenly).  JSON output carries 17 significant digits so
+values round-trip through text; the ``dim`` table prints integers.  All
+angles are radians.  Identical argv (and seed) produce byte-identical
+stdout.
 
 Every float prints as format_float prints it: ``'%.17g'``, with "0" for
 -0.0 and "NaN" for NaN.  The exception is ``reynolds``, which prints
@@ -31,7 +32,8 @@ from .charts import DomainError, load_chart
 from .groups import GROUPS, lookup_group
 from .haar import NumericalError, chart_change_check, normalize
 from .orbit import REPRESENTATIONS, OrbitSpec, mc_moments, moment
-from .reynolds import dim_invariants_closed, dim_invariants_quadrature, reynolds_continuous, reynolds_matrix
+from .reynolds import (INTEGER_SLACK, dim_invariants_closed, dim_invariants_quadrature, moment_gap,
+                       reynolds_continuous)
 from .sampling import SamplerConfig, closed_form, sample
 from .tensors import Tensor, outer_power
 
@@ -179,6 +181,16 @@ def _averaging_density(args):
     return normalize(load_chart(args.chart), rule=args.nodes) if args.chart else None
 
 
+def _refuse_an_uneven_cover(density) -> None:
+    """A NumericalError when the grid of --chart misses Haar's moments of degree 1 and 2 by
+    more than INTEGER_SLACK: the chart covers its group unevenly, so its averages are not
+    the group's.  Run after the average, whose refusals come first."""
+    if density is not None and (gap := moment_gap(density)) > INTEGER_SLACK:
+        raise NumericalError(f"chart {density.chart.name!r} covers its group unevenly: grid "
+                             f"moments of degree 1 and 2 are {gap:.3g} from the exact rule, "
+                             f"above {INTEGER_SLACK:g}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns the stdout text.
 
@@ -231,12 +243,7 @@ def _cmd_check_chart(args) -> str:
     record = {"chart": chart.name, "parse": "ok", "d": chart.d,
               "shape": list(chart.shape), "group": chart.group or "none",
               "C": density.C}
-    tag = chart.parametrises.tag  # normalize refused a chart of no group
-    # E[g] and E[g (x) g] on the grid against the exact rule: any invariance test
-    # of an integrand of degree <= 2 in g, such as Tr(h g) or Tr(g h)^2, is a
-    # linear functional of these two moments.
-    worst = max(float(np.abs(reynolds_matrix(tag, n, density) - reynolds_matrix(tag, n)).max())
-                for n in (1, 2))
+    worst = moment_gap(density)
     record.update(invariance_max_residual=worst, invariance_tolerance=args.tolerance)
     if worst > args.tolerance:
         raise NumericalError(
@@ -269,7 +276,9 @@ def _cmd_dim(args) -> str:
 def _cmd_reynolds(args) -> str:
     with open(args.tensor, "r", encoding="utf-8") as fh:
         tensor = Tensor.from_json(fh.read())
-    averaged = reynolds_continuous(args.group, tensor, _averaging_density(args))
+    density = _averaging_density(args)
+    averaged = reynolds_continuous(args.group, tensor, density)
+    _refuse_an_uneven_cover(density)
     return averaged.to_json()
 
 
@@ -285,6 +294,7 @@ def _cmd_orbit_moments(args) -> str:
     density = _averaging_density(args)
     m1 = moment(spec, 1, density)
     m2 = moment(spec, 2, density)
+    _refuse_an_uneven_cover(density)
     cov = m2 - outer_power(m1, 2)  # orbit.covariance, on the moments already in hand
     record = {"group": args.group, "representation": args.representation,
               "m1": m1.array.tolist(), "m2": m2.array.tolist(), "cov": cov.array.tolist()}

@@ -32,13 +32,13 @@ and haar_nodes the one check that a density's chart parametrises the
 averaged group (Chart.parametrises).  Every pass over the grid runs in node
 blocks (_node_blocks) of at most BLOCK_ENTRIES float64 entries.  The density
 kernel fills |det M| and the elements block by block, so normalize holds one
-block of jacobian rows and chart temporaries beside the grid; node sums
-(integrate_tensor, reynolds.reynolds_matrix) hold 2 MiB of integrand, not N
-times its width.  The kernel's bytes do not depend on the block size; a sum
-over more than one slice is added up in another order and can change in the
-last bits, and one within the budget keeps the bytes of the unsliced sum.
-The same budget sizes the row blocks of the samplers (sampling.sample),
-whose bytes do not depend on it either.
+block of jacobian rows and chart temporaries beside the grid; every group
+average sums its node blocks through node_mean, so it holds 2 MiB of
+integrand, not N times its width.  The kernel's bytes do not depend on the
+block size; a sum over more than one slice is added up in another order and
+can change in the last bits, and one within the budget keeps the bytes of
+the unsliced sum.  The same budget sizes the row blocks of the samplers
+(sampling.sample), whose bytes do not depend on it either.
 
 A density also inverts its chart: ``coordinates(g)`` runs batch
 Gauss-Newton (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 10) on
@@ -392,6 +392,15 @@ def haar_nodes(group, density: HaarDensity | None,
     return _with_cosets(row, *density.grid()[1:])
 
 
+def node_mean(weights: np.ndarray, stacks: list[np.ndarray], width: int, term) -> np.ndarray:
+    """Mean over haar_nodes' stacks of the sums term(w, mats) of an integrand of ``width``
+    entries per node, weighted by w, on node slices of at most BLOCK_ENTRIES // width nodes,
+    added in order: the one walk of every group average.  A stack within the budget is one
+    slice, with the bytes of term on the whole stack; above that the last bits can change."""
+    parts = (term(weights[s], mats[s]) for mats in stacks for s in _node_blocks(len(mats), width))
+    return reduce(np.add, parts) / len(stacks)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of
 def integrate_tensor(f, group, density: HaarDensity | None,
                      degree: int | None = None) -> np.ndarray:
@@ -402,18 +411,13 @@ def integrate_tensor(f, group, density: HaarDensity | None,
     with a density the integral runs on the grid it was normalized on; with
     ``density=None`` it runs on exact_nodes(group, degree), which is exact
     when f is a polynomial of degree <= ``degree`` in the entries of g.
-    f runs on one node for its width w, then on node slices of at most
-    BLOCK_ENTRIES entries (_node_blocks), whose weighted sums are added in
-    order.  A stack of N nodes with N w <= BLOCK_ENTRIES is one slice, with
-    the bytes of np.tensordot(weights, f(stack), axes=1); above that the
-    result can change in the last bits.  An integral that overflows or turns
-    NaN is a NumericalError.
+    f runs on one node for its width w, then on node_mean's slices, each
+    summed by np.tensordot(weights, f(slice), axes=1).  An integral that
+    overflows or turns NaN is a NumericalError.
     """
     weights, stacks = haar_nodes(group, density, degree)
-    width = np.size(f(stacks[0][:1]))
-    parts = (np.tensordot(weights[s], np.asarray(f(mats[s]), dtype=float), axes=1)
-             for mats in stacks for s in _node_blocks(len(mats), width))
-    out = reduce(np.add, parts) / len(stacks)
+    out = node_mean(weights, stacks, np.size(f(stacks[0][:1])),
+                    lambda w, mats: np.tensordot(w, np.asarray(f(mats), dtype=float), axes=1))
     if not np.isfinite(out).all():
         raise NumericalError("the group average is not finite: the integrand overflows or is NaN")
     return out

@@ -3,13 +3,14 @@
 The Reynolds projector sends a tensor to its group average.  Every average
 here takes a group tag or a groups.FiniteGroup in the same argument and
 runs on the one averaging engine of haar: haar_nodes gives the weights and
-element stacks, O(D)'s improper coset included, and each average is its
-reduction over the stacks.  A finite group averages exactly over its
-elements; a compact group integrates against the uniform measure.  The
-trace formula turns the same average into the dimension of the invariant
-subspace of order-n tensors, the projector's trace and so its rank; for the
-rotation groups that is a class function, exact on the n + 2 angles of
-haar.class_nodes, and binomial sums give the SO(3)/O(3) dimensions.
+element stacks, O(D)'s improper coset included, and each average hands its
+sum over one node slice to haar.node_mean, which walks the stacks.  A
+finite group averages exactly over its elements; a compact group
+integrates against the uniform measure.  The trace formula turns the same
+average into the dimension of the invariant subspace of order-n tensors,
+the projector's trace and so its rank; for the rotation groups that is a
+class function, exact on the n + 2 angles of haar.class_nodes, and
+binomial sums give the SO(3)/O(3) dimensions.
 
 The action on order-n tensors is a polynomial of degree n in the entries
 of g, so without a density the continuous averages run on the exact rule
@@ -24,9 +25,8 @@ from math import comb
 import numpy as np
 
 from .groups import FiniteGroup, lookup_group
-from .haar import (HaarDensity, NumericalError, _node_blocks, class_nodes, haar_nodes,
-                   integrate_tensor)
-from .tensors import Tensor, act_batch, check_budget
+from .haar import HaarDensity, NumericalError, class_nodes, haar_nodes, integrate_tensor, node_mean
+from .tensors import Tensor, act_batch, check_budget, outer_power_batch
 
 INTEGER_SLACK = 1e-3
 
@@ -49,34 +49,38 @@ def reynolds_matrix(group, n: int, density: HaarDensity | None = None) -> np.nda
     without a density the exact rule of degree n makes the operator exact
     up to roundoff; with one it is integrated on the density's grid.  As
     g^(x)n = g^(x)a (x) g^(x)b, a = ceil(n/2), b = n - a, the node sum is a
-    contraction of the two half Kronecker powers (at n = 0 both are 1, and
-    it is the weight sum), accumulated over node slices of at most
-    haar.BLOCK_ENTRIES entries of width D^(2a).  A stack of at most that
-    many entries is one slice and keeps the bytes of the unsliced sum;
-    above that the operator can change in the last bits.  The contraction
-    is a BLAS matrix multiply, so its last bits also follow the BLAS thread
-    count.  It stays one: a fixed-order np.einsum("na,nb->ab") took about
-    six times as long (80 ms against 13 ms for the bare n = 4 contraction
-    on 32^3 nodes, on a 2-vCPU x86 host).
+    contraction of the outer powers of the flattened elements, of widths
+    D^(2a) and D^(2b) (at n = 0 both are 1, and it is the weight sum), over
+    haar.node_mean's slices.  Its axes (i1 j1 .. in jn) are put in rows
+    (i1..in) and columns (j1..jn) once, after the sum.  The contraction is
+    a BLAS matrix multiply, so its last bits also follow the BLAS thread
+    count.  It stays one: a fixed-order np.einsum("na,nb->ab") on the
+    weighted power took about five times as long (114 ms against 20 ms for
+    the bare n = 4 contraction on 32^3 nodes, 1 BLAS thread, on a 2-vCPU
+    x86 host).
     """
     if n < 0:
         raise ValueError("tensor order must be nonnegative")
     dim = group.dim if isinstance(group, FiniteGroup) else lookup_group(group).dim
     check_budget(dim, 2 * n)  # the operator's D^(2n) entries, before any node is built
     weighted, stacks = haar_nodes(group, density, degree=n)
-    size = dim**n
-    total = np.zeros((size, size))
     half = (n + 1) // 2
-    for stack in stacks:
-        for s in _node_blocks(len(stack), dim ** (2 * half)):
-            block = stack[s]
-            powers = [np.ones((len(block), 1, 1))]  # g^(x)k at each node, k = 0..a
-            for _ in range(half):
-                m = powers[-1].shape[1] * dim
-                powers.append(np.einsum("nab,ncd->nacbd", powers[-1], block).reshape(-1, m, m))
-            total += np.einsum("n,nab,ncd->acbd", weighted[s], powers[-1], powers[n // 2],
-                               optimize=True).reshape(size, size)
-    return total / len(stacks)
+    total = node_mean(weighted, stacks, dim ** (2 * half), lambda w, mats: np.einsum(
+        "n,na,nb->ab", w, outer_power_batch(mats, half), outer_power_batch(mats, n // 2),
+        optimize=True))
+    axes = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return total.reshape((dim,) * 2 * n).transpose(axes).reshape(dim**n, dim**n)
+
+
+def moment_gap(density: HaarDensity) -> float:
+    """Largest entry gap between the density grid's moments E[g] and E[g (x) g]
+    and the exact rule's, on the group its chart parametrises.  Any
+    invariance test of an integrand of degree <= 2 in g, such as Tr(h g) or
+    Tr(g h)^2, is a linear functional of these two moments, so a grid that
+    covers the group unevenly shows here."""
+    tag = density.chart.parametrises.tag
+    return max(float(np.abs(reynolds_matrix(tag, n, density) - reynolds_matrix(tag, n)).max())
+               for n in (1, 2))
 
 
 def invariant_rank(group, n: int, density: HaarDensity | None = None) -> int:
@@ -132,10 +136,13 @@ def dim_invariants_quadrature(group, n: int, density: HaarDensity | None = None)
     else:
         weights, stacks = class_nodes(group, n)
     m = n + 2 if density is not None else max(n + 2, len(weights))  # summed terms, for roundoff
+
+    def sums(w, mats):  # the weighted Tr(g)^n and |Tr(g)^n| sums of a slice, w >= 0
+        p = np.trace(mats, axis1=-2, axis2=-1) ** n
+        return np.array([np.sum(w * p), np.sum(w * np.abs(p))])
+
     with np.errstate(over="ignore", invalid="ignore"):  # 3^n overflows past n = 646
-        powers = [np.trace(s, axis1=-2, axis2=-1) ** n for s in stacks]
-        value = sum(float(np.sum(weights * p)) for p in powers) / len(powers)
-        scale = sum(float(np.sum(weights * np.abs(p))) for p in powers) / len(powers)  # w >= 0
+        value, scale = node_mean(weights, stacks, 1, sums).tolist()
     if not np.isfinite(value):
         raise NumericalError(f"Tr^{n} integral is not finite ({value!r})")
     roundoff = 4.0 * m * np.finfo(float).eps * scale

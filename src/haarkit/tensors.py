@@ -136,8 +136,10 @@ def act_batch(mats: np.ndarray, t: Tensor) -> np.ndarray:
 
 
 def outer_power_batch(values: np.ndarray, r: int) -> np.ndarray:
-    """Per-sample r-fold outer product of an (N, ...) stack, flattened to (N, S^r)."""
-    flat = out = values.reshape(values.shape[0], -1)
+    """Per-sample r-fold outer product of an (N, ...) stack, flattened to (N, S^r);
+    r = 0 gives the (N, 1) column of ones."""
+    flat = values.reshape(values.shape[0], -1)
+    out = flat if r else np.ones((len(flat), 1))
     for _ in range(r - 1):
         out = np.einsum("na,nb->nab", out, flat).reshape(values.shape[0], -1)
     return out

@@ -149,6 +149,24 @@ def test_check_chart_detects_partial_cover(source, tmp_path, capsys):
     assert "invariance" in err
 
 
+@pytest.mark.parametrize("command", ["reynolds", "orbit-moments"])
+@pytest.mark.parametrize("source", PARTIAL_COVERS.values(), ids=PARTIAL_COVERS.keys())
+def test_averages_on_a_partial_cover_exit_2_with_one_line(command, source, tmp_path, capsys):
+    # the grid's moments of degree 1 and 2 miss the exact rule's by 0.25 to 0.64, so the
+    # average is not the group's; it used to print with exit 0
+    path = tmp_path / "partial.chart"
+    path.write_text(source)
+    group = load_chart(str(path)).parametrises.tag
+    dim = int(group[-1])
+    seed = tmp_path / "t.json"
+    seed.write_text(json.dumps({"dim": dim, "order": 2, "entries": list(range(dim * dim))}))
+    argv = ("--tensor", str(seed)) if command == "reynolds" else ("--diag", "1," * (dim - 1) + "2")
+    code, out, err = run(capsys, command, "--group", group, *argv, "--chart", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: chart ") and "covers its group unevenly" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
 def test_check_chart_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tolerance, capsys,
                                                                            monkeypatch):

@@ -14,7 +14,7 @@ from haarkit.haar import (NumericalError, _node_blocks, chart_change_check, dens
                           integrate_tensor, normalize)
 from haarkit.orbit import OrbitSpec, moment
 from haarkit.quadrature import DEFAULT_NODES, QuadratureRule
-from haarkit.reynolds import reynolds_continuous, reynolds_matrix
+from haarkit.reynolds import dim_invariants_quadrature, reynolds_continuous, reynolds_matrix
 from haarkit.sampling import closed_form, closed_form_density
 from haarkit.tensors import act_batch, as_tensor
 
@@ -500,6 +500,8 @@ BLOCK_CASES = {
                                             normalize(builtin_chart("so3-euler"), 6)),
     "reynolds_matrix so3": lambda: reynolds_matrix("so3", 3, normalize(builtin_chart("so3-euler"), 6)),
     "reynolds_matrix o3": lambda: reynolds_matrix("o3", 4, normalize(builtin_chart("so3-polar"), 6)),
+    "dim_invariants_quadrature o3": lambda: dim_invariants_quadrature(
+        "o3", 4, normalize(builtin_chart("so3-polar"), 8)),
 }
 
 
@@ -514,7 +516,6 @@ def test_small_node_blocks_agree_with_one_slice(case, monkeypatch):
 
     monkeypatch.setattr(haar_module, "BLOCK_ENTRIES", 97)
     monkeypatch.setattr(haar_module, "_node_blocks", recording)
-    monkeypatch.setattr("haarkit.reynolds._node_blocks", recording)
     blocked = BLOCK_CASES[case]()
     assert calls and all(len(blocks) > 1 for blocks in calls)  # sliced at 97
     assert np.shape(blocked) == np.shape(one_slice)

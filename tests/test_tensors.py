@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from haarkit.groups import rodrigues
-from haarkit.tensors import Tensor, act, act_batch, as_tensor, outer_power
+from haarkit.tensors import Tensor, act, act_batch, as_tensor, outer_power, outer_power_batch
 
 RNG = np.random.default_rng(31)
 
@@ -140,6 +140,13 @@ def test_outer_power():
     assert np.isclose(p.array[0, 1, 2], 1.0 * 2.0 * 3.0)
     with pytest.raises(ValueError):
         outer_power(v, 0)
+
+
+def test_outer_power_batch_of_order_zero_is_a_column_of_ones():
+    # reynolds_matrix's half powers at n = 0 and 1; it used to return the first power
+    values = RNG.normal(size=(5, 3, 3))
+    ones = outer_power_batch(values, 0)
+    assert ones.shape == (5, 1) and np.all(ones == 1.0)
 
 
 def test_outer_power_budget():
