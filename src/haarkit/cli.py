@@ -6,9 +6,9 @@ written, a request larger than memory, or a stdout closed before the
 output was written, 2 numerical failure (degenerate normalization,
 non-convergence, under-resolved quadrature, a ``--chart`` whose grid
 covers its group unevenly).  JSON output carries 17 significant digits so
-values round-trip through text; the ``dim`` table prints integers.  All
-angles are radians.  Identical argv (and seed) produce byte-identical
-stdout.
+values round-trip through text; the ``dim`` table prints integers, of any
+length.  All angles are radians.  Identical argv (and seed) produce
+byte-identical stdout.
 
 Every float prints as format_float prints it: ``'%.17g'``, with "0" for
 -0.0 and "NaN" for NaN.  The exception is ``reynolds``, which prints
@@ -22,6 +22,7 @@ format_float.
 from __future__ import annotations
 
 import argparse
+import decimal
 import os
 import sys
 
@@ -61,8 +62,8 @@ def to_json(obj) -> str:
         return "[" + ", ".join(to_json(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+    if isinstance(obj, (int, np.integer)):  # any length: str(int) refuses past 4300 digits
+        return str(decimal.Decimal(int(obj)))
     if isinstance(obj, (float, np.floating)):
         return format_float(obj)
     if obj is None:
@@ -254,7 +255,7 @@ def _cmd_check_chart(args) -> str:
 
 
 def _cmd_dim(args) -> str:
-    # Closed-form sums exist only in 3D; planar groups use the trace formula.
+    # Closed-form counts exist only in 3D; planar groups use the trace formula.
     method = args.method or ("closed" if lookup_group(args.group).dim == 3 else "quadrature")
     values = {}
     if method in ("closed", "both"):
@@ -263,14 +264,9 @@ def _cmd_dim(args) -> str:
         values["quadrature"] = dim_invariants_quadrature(args.group, args.order)
     if args.format == "json":
         return to_json({"group": args.group, "order": args.order, **values})
-    parts = []
-    if "closed" in values:
-        parts.append(str(values["closed"]))
-    if "quadrature" in values:
-        # The quadrature value is within its roundoff slack, below 1/2, of an
-        # integer (or it raised), so the table prints that integer.
-        parts.append(str(round(values["quadrature"])))
-    return "\n".join(parts)
+    # The quadrature value is within its roundoff slack, below 1/2, of an
+    # integer (or it raised), so the table prints that integer.
+    return "\n".join(to_json(round(v)) for v in values.values())
 
 
 def _cmd_reynolds(args) -> str:

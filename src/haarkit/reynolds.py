@@ -10,7 +10,7 @@ integrates against the uniform measure.  The trace formula turns the same
 average into the dimension of the invariant subspace of order-n tensors,
 the projector's trace and so its rank; for the rotation groups that is a
 class function, exact on the n + 2 angles of haar.class_nodes, and
-binomial sums give the SO(3)/O(3) dimensions.
+the Riordan recurrence gives the SO(3)/O(3) dimensions in exact integers.
 
 The action on order-n tensors is a polynomial of degree n in the entries
 of g, so without a density the continuous averages run on the exact rule
@@ -19,8 +19,6 @@ averages on the grid it was normalized on, which cross-checks user charts.
 """
 
 from __future__ import annotations
-
-from math import comb
 
 import numpy as np
 
@@ -94,7 +92,14 @@ def invariant_rank(group, n: int, density: HaarDensity | None = None) -> int:
 
 
 def dim_invariants_closed(group_tag: str, n: int) -> int:
-    """Exact dimension of order-n invariant tensors over SO(3) or O(3)."""
+    """Exact dimension of order-n invariant tensors over SO(3) or O(3).
+
+    Over SO(3) it is the Riordan number R_n (OEIS A005043), the integer
+    average of Tr(g)^n, from the recurrence R_0 = 1, R_1 = 0,
+    R_m = (m - 1)(2 R_{m-1} + 3 R_{m-2}) / (m + 1), whose divisions are exact.
+    Over O(3), -I sends Tr(g)^n to (-1)^n Tr(g)^n: odd orders have none and
+    even ones R_n.
+    """
     group = lookup_group(group_tag)
     if group.dim != 3:
         raise ValueError(f"closed-form dimensions cover so3 and o3, not {group_tag!r}")
@@ -102,16 +107,10 @@ def dim_invariants_closed(group_tag: str, n: int) -> int:
         raise ValueError("tensor order must be nonnegative")
     if not group.proper and n % 2 == 1:
         return 0
-    m = n // 2
-    if n % 2 == 0:
-        twice = sum(comb(2 * k, k) * (3 * comb(2 * m, 2 * k) - comb(2 * m + 1, 2 * k))
-                    for k in range(m + 1))
-    else:
-        twice = sum(comb(2 * k, k) * (3 * comb(2 * m + 1, 2 * k) - comb(2 * m + 2, 2 * k))
-                    for k in range(m + 1)) - comb(2 * m + 2, m + 1)
-    if twice % 2:
-        raise NumericalError(f"half-integer dimension sum for n = {n}; formula misapplied")
-    return twice // 2
+    before, count = 0, 1  # R_{m-2} and R_{m-1}, from m = 1 on (R_{-1} is multiplied by 0)
+    for m in range(1, n + 1):
+        before, count = count, (m - 1) * (2 * count + 3 * before) // (m + 1)
+    return count
 
 
 def dim_invariants_quadrature(group, n: int, density: HaarDensity | None = None) -> float:

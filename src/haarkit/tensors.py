@@ -101,6 +101,7 @@ class Tensor:
             finite = False
         if not finite:
             raise ValueError("tensor entries must be finite")
+        check_budget(dim, order)  # before dim**order is formed
         if entries.size != dim**order:
             raise ValueError(f"expected {dim}^{order} = {dim**order} entries, "
                              f"got {entries.size}")
@@ -108,10 +109,17 @@ class Tensor:
 
 
 def check_budget(dim: int, order: int) -> None:
-    """Refuse an order-n tensor over dimension D with more than MAX_ENTRIES entries."""
-    if dim**order > MAX_ENTRIES:
-        raise ValueError(f"order-{order} tensor over dimension {dim} exceeds the "
-                         f"{MAX_ENTRIES}-entry budget")
+    """Refuse an order-n tensor over dimension D with more than MAX_ENTRIES entries.
+
+    The count D^n is multiplied out one factor at a time and stops at the
+    first partial product past the budget, so a huge order costs no huge power.
+    """
+    entries = 1
+    for _ in range(order if dim > 1 else 0):  # D^n <= 1 for D = 0 or 1
+        entries *= dim
+        if entries > MAX_ENTRIES:
+            raise ValueError(f"order-{order} tensor over dimension {dim} exceeds the "
+                             f"{MAX_ENTRIES}-entry budget")
 
 
 def as_tensor(value, dim: int | None = None) -> Tensor:

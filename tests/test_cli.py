@@ -1,5 +1,6 @@
 """End-to-end command-line checks through main(argv)."""
 
+import decimal
 import hashlib
 import json
 import os
@@ -208,6 +209,15 @@ def test_dim_table_prints_large_counts_in_full(capsys):
     assert (code, out) == (0, "2104098963720\n")
     code, out, _ = run(capsys, "dim", "--group", "so3", "--order", "30", "--method", "both")
     assert (code, out) == (0, "439742222071\n439742222071\n")
+
+
+def test_dim_prints_counts_past_the_int_string_limit(capsys):
+    # 4336 digits: str(int) refuses past 4300, and the CLI exited 1 with Python's advice
+    count = haarkit.dim_invariants_closed("so3", 9100)
+    code, out, err = run(capsys, "dim", "--group", "so3", "--order", "9100")
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and len(out) == 4337 and out[:-1].isdigit()
+    assert decimal.Decimal(out) == count  # int(out) has the same limit
 
 
 def test_dim_both_json(capsys):

@@ -1,11 +1,14 @@
 """Dense small tensors and the orthogonal change-of-basis action."""
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from haarkit.groups import rodrigues
+from haarkit.orbit import OrbitSpec, moment
+from haarkit.reynolds import reynolds_matrix
 from haarkit.tensors import Tensor, act, act_batch, as_tensor, outer_power, outer_power_batch
 
 RNG = np.random.default_rng(31)
@@ -90,6 +93,28 @@ def test_json_rejects_bad_payload():
                                 (3, -1, '"order" must be nonnegative')):
         with pytest.raises(ValueError, match=message):
             Tensor.from_json(f'{{"dim": {dim}, "order": {order}, "entries": [1, 2, 3]}}')
+
+
+def test_json_refuses_the_budget_before_counting_entries():
+    # 3^3000000 used to be formed for the count check, and its digits for the message
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="order-3000000 tensor over dimension 3 exceeds the "
+                                         "59049-entry budget"):
+        Tensor.from_json('{"dim": 3, "order": 3000000, "entries": [1]}')
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: reynolds_matrix("so3", 10**7),
+    lambda: outer_power(as_tensor(np.ones(3)), 10**7),
+    lambda: moment(OrbitSpec("so3", "sym2", as_tensor(np.eye(3))), 10**7),
+], ids=["reynolds_matrix", "outer_power", "moment"])
+def test_huge_orders_are_refused_without_a_huge_power(refuse):
+    # each used to form a power of 3 with millions of digits in the budget check: 10 s to refuse
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget"):
+        refuse()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_act_order1_is_matrix_vector():
