@@ -17,6 +17,8 @@ import numpy as np
 # Per-tensor entry budget: 3^10.  Orders above this are a sign the dense
 # representation is the wrong tool, independent of available memory.
 MAX_ENTRIES = 3**10
+# The most axes a numpy (2.x) array can have; only D = 1 reaches it within the budget.
+MAX_ORDER = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +111,8 @@ class Tensor:
 
 
 def check_budget(dim: int, order: int) -> None:
-    """Refuse an order-n tensor over dimension D with more than MAX_ENTRIES entries.
+    """Refuse an order-n tensor over dimension D with more than MAX_ENTRIES entries
+    or more than MAX_ORDER axes.
 
     The count D^n is multiplied out one factor at a time and stops at the
     first partial product past the budget, so a huge order costs no huge power.
@@ -120,6 +123,9 @@ def check_budget(dim: int, order: int) -> None:
         if entries > MAX_ENTRIES:
             raise ValueError(f"order-{order} tensor over dimension {dim} exceeds the "
                              f"{MAX_ENTRIES}-entry budget")
+    if order > MAX_ORDER:
+        raise ValueError(f"order-{order} tensor over dimension {dim} has more than the "
+                         f"{MAX_ORDER} axes an array can have")
 
 
 def as_tensor(value, dim: int | None = None) -> Tensor:

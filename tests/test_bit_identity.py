@@ -28,8 +28,9 @@ from haarkit.haar import (BLOCK_ENTRIES, NumericalError, _density_and_elements, 
 from haarkit.orbit import OrbitSpec, mc_moments
 from haarkit.quadrature import QuadratureRule
 from haarkit.sampling import (CDF_TOL, CHART_LAWS, MAX_NEWTON, SampleBatch, SamplerConfig,
-                              _angle_cdf, _angle_cdf_slope, _axis_streams, _half_angle_cdf,
-                              _half_angle_cdf_slope, invert_cdf, sample)
+                              _angle_cdf, _angle_cdf_slope, _angle_start, _axis_streams,
+                              _half_angle_cdf, _half_angle_cdf_slope, _half_angle_start,
+                              invert_cdf, sample)
 from haarkit.reynolds import reynolds_matrix
 from haarkit.tensors import act_batch, as_tensor, outer_power_batch
 
@@ -322,13 +323,16 @@ def test_density_kernel_in_small_blocks_matches_one_block(name, monkeypatch):
 # Compacting inverse CDF against the dense loop it replaced
 
 
-def dense_invert_cdf(cdf, target, bracket, derivative):
+def dense_invert_cdf(cdf, target, bracket, derivative, start=None):
     a, b = float(bracket[0]), float(bracket[1])
     t = np.atleast_1d(np.asarray(target, dtype=float)).copy()
     fa, fb = float(cdf(a)), float(cdf(b))
     lo = np.full_like(t, a)
     hi = np.full_like(t, b)
     x = a + (b - a) * np.clip((t - fa) / (fb - fa), 0.0, 1.0)
+    if start is not None:
+        guess = np.asarray(start(t), dtype=float)
+        x = np.where(np.isfinite(guess), np.clip(guess, a, b), x)
     for _ in range(MAX_NEWTON):
         r = np.asarray(cdf(x)) - t
         live = np.abs(r) >= CDF_TOL
@@ -364,6 +368,23 @@ def test_compacted_invert_cdf_matches_dense_loop(cdf, slope, bracket):
     assert residual.max() < CDF_TOL
     assert same_bits(invert_cdf(cdf, t, bracket, derivative=slope), ref)
     scalar = invert_cdf(cdf, t[7], bracket, derivative=slope)
+    assert isinstance(scalar, float) and same_bits(np.float64(scalar), ref[7])
+
+
+STARTS = {
+    "angle": (_angle_cdf, _angle_cdf_slope, _angle_start),
+    "half-angle": (_half_angle_cdf, _half_angle_cdf_slope, _half_angle_start),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STARTS))
+def test_compacted_invert_cdf_matches_dense_loop_from_the_laws_starts(name):
+    cdf, slope, start = STARTS[name]
+    t = cdf_targets()
+    ref, residual = dense_invert_cdf(cdf, t, (0.0, np.pi), slope, start)
+    assert residual.max() < CDF_TOL
+    assert same_bits(invert_cdf(cdf, t, (0.0, np.pi), slope, start=start), ref)
+    scalar = invert_cdf(cdf, t[7], (0.0, np.pi), slope, start=start)
     assert isinstance(scalar, float) and same_bits(np.float64(scalar), ref[7])
 
 
@@ -407,6 +428,17 @@ def test_invert_cdf_matches_dense_loop_on_drawn_targets(name, data):
     ref, residual = dense_invert_cdf(cdf, t, (0.0, np.pi), derivative=slope)
     assert residual.max() < CDF_TOL
     assert same_bits(invert_cdf(cdf, t, (0.0, np.pi), derivative=slope), ref)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(name=st.sampled_from(sorted(STARTS)), data=st.data())
+def test_invert_cdf_from_a_start_matches_dense_loop_on_drawn_targets(name, data):
+    element = st.one_of(st.floats(0.0, 1.0), st.sampled_from(SPECIAL_TARGETS))
+    t = np.array(data.draw(st.lists(element, min_size=1, max_size=40)))
+    cdf, slope, start = STARTS[name]
+    ref, residual = dense_invert_cdf(cdf, t, (0.0, np.pi), slope, start)
+    assert residual.max() < CDF_TOL
+    assert same_bits(invert_cdf(cdf, t, (0.0, np.pi), slope, start=start), ref)
 
 
 # ---------------------------------------------------------------------------

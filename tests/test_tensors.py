@@ -117,6 +117,21 @@ def test_huge_orders_are_refused_without_a_huge_power(refuse):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("refuse", [
+    lambda: Tensor.from_json('{"dim": 1, "order": 3000000, "entries": [1]}'),
+    lambda: outer_power(as_tensor(np.ones(1)), 70),
+], ids=["from_json", "outer_power"])
+def test_dim_one_orders_past_the_axis_limit_are_refused_in_own_words(refuse):
+    # 1^n is within the entry budget, so numpy's "maximum supported dimension" used to refuse
+    with pytest.raises(ValueError, match=r"tensor over dimension 1 has more than the 64 axes"):
+        refuse()
+
+
+def test_dim_one_tensor_at_the_axis_limit_is_kept():
+    assert Tensor.from_json('{"dim": 1, "order": 64, "entries": [2]}').order == 64
+    assert outer_power(as_tensor(np.ones(1)), 64).array.shape == (1,) * 64
+
+
 def test_act_order1_is_matrix_vector():
     g = rodrigues(np.array([0.0, 0.0, 1.0]), 0.6)
     v = as_tensor(np.array([1.0, 2.0, 3.0]))
