@@ -37,13 +37,15 @@ import numpy as np
 
 from .groups import GROUPS
 
+# name -> (numpy call, slope).  The slope maps the argument's expression to
+# the derivative's, so the language is closed under d/du (``differentiate``).
 FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "sqrt": np.sqrt,
-    "arccos": np.arccos,
-    "arcsin": np.arcsin,
+    "sin": (np.sin, lambda a: Call("cos", a)),
+    "cos": (np.cos, lambda a: Neg(Call("sin", a))),
+    "tan": (np.tan, lambda a: Pow(Call("cos", a), -2)),
+    "sqrt": (np.sqrt, lambda a: BinOp("/", Num(0.5), Call("sqrt", a))),
+    "arccos": (np.arccos, lambda a: Neg(Pow(Call("sqrt", BinOp("-", _ONE, Pow(a, 2))), -1))),
+    "arcsin": (np.arcsin, lambda a: Pow(Call("sqrt", BinOp("-", _ONE, Pow(a, 2))), -1)),
 }
 # Python's operators, not ufuncs: the walk and the chart plans call these, and
 # in constant folding a Python float overflows to inf without raising, so
@@ -392,24 +394,14 @@ def evaluate_expr(node: Expr, env: dict[str, float | np.ndarray]):
     if isinstance(node, Pow):
         return evaluate_expr(node.base, env) ** node.exponent
     if isinstance(node, Call):
-        return FUNCTIONS[node.func](evaluate_expr(node.arg, env))
+        return FUNCTIONS[node.func][0](evaluate_expr(node.arg, env))
     raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
-# Differentiation.  The language is closed under d/du: None stands for an
-# identically zero derivative, and each slope is an expression of the argument.
+# Differentiation.  None stands for an identically zero derivative.
 
 _ONE = Num(1.0)
-
-SLOPES = {
-    "sin": lambda a: Call("cos", a),
-    "cos": lambda a: Neg(Call("sin", a)),
-    "tan": lambda a: Pow(Call("cos", a), -2),
-    "sqrt": lambda a: BinOp("/", Num(0.5), Call("sqrt", a)),
-    "arccos": lambda a: Neg(Pow(Call("sqrt", BinOp("-", _ONE, Pow(a, 2))), -1)),
-    "arcsin": lambda a: Pow(Call("sqrt", BinOp("-", _ONE, Pow(a, 2))), -1),
-}
 
 
 def _sum(a, b, op: str):
@@ -426,8 +418,9 @@ def _mul(a, b):
 
 def differentiate(node: Expr, name: str) -> Expr | None:
     """d node / d name: sum, product and quotient rules, then the chain rule
-    with n a^(n-1) for powers and SLOPES for calls.  Zero terms are dropped
-    and factors of 1 left out; the quotient rule reuses the quotient node.
+    with n a^(n-1) for powers and the slopes of FUNCTIONS for calls.  Zero terms
+    are dropped and factors of 1 left out; the quotient rule reuses the quotient
+    node.
     """
     if isinstance(node, Var):
         return _ONE if node.name == name else None
@@ -445,7 +438,7 @@ def differentiate(node: Expr, name: str) -> Expr | None:
         n, arg = node.exponent, node.base
         slope = None if n == 0 else _ONE if n == 1 else BinOp("*", Num(float(n)), Pow(arg, n - 1))
     elif isinstance(node, Call):
-        slope, arg = SLOPES[node.func](node.arg), node.arg
+        slope, arg = FUNCTIONS[node.func][1](node.arg), node.arg
     else:  # Num, Pi
         return None
     return _mul(slope, differentiate(arg, name))

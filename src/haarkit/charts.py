@@ -117,7 +117,7 @@ def _compile(ast: ChartAst) -> _Plan:
         elif isinstance(node, Pow):
             fn, args = operator.pow, [operand(node.base), ("c", node.exponent)]
         elif isinstance(node, Call):
-            fn, args = FUNCTIONS[node.func], [operand(node.arg)]
+            fn, args = FUNCTIONS[node.func][0], [operand(node.arg)]
         else:  # Num, Pi
             return constant(node)
         if all(kind == "c" for kind, _ in args):

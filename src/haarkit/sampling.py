@@ -4,14 +4,13 @@ A group samples through the built-in charts of its row of groups.GROUPS,
 the first by default.  Each built-in chart factorizes the uniform density
 into independent coordinate laws, its row of CHART_LAWS, which gives both
 the sampler (one scalar inverse CDF per coordinate) and the closed-form
-density.  Euler needs beta = arccos(1 - 2U); the axis-angle chart needs
-the angle CDF (alpha - sin alpha)/pi; the hyperpolar chart needs
-(2 theta - sin 2 theta)/(2 pi).  The two non-elementary inversions run
-Newton iterations inside a bisection bracket, since both CDFs have zero
-slope at an endpoint where pure Newton stalls.  Both are Kepler's equation
-E - sin E = M at eccentricity 1 (E = alpha, M = pi u; E = 2 theta,
-M = 2 pi u), so their Newton solves start from its cube-root series
-(_cycloid_start): about 3.4 CDF evaluations per draw, against 5.6-5.9 from
+density.  Euler needs beta = arccos(1 - 2U).  The axis angle alpha (k = 1)
+and the hyperpolar half-angle theta (k = 2) share one law, sin^2(k x / 2)
+on [0, pi] (_cycloid).  Its CDF (k x - sin k x)/(k pi) inverts as Kepler's
+equation E - sin E = k pi u at eccentricity 1, E = k x: Newton iterations
+inside a bisection bracket, since the slope is zero at an endpoint where
+pure Newton stalls, started from the equation's cube-root series
+(_cycloid_start), about 3.4 CDF evaluations per draw against 5.6-5.9 from
 a straight line across the bracket.
 
 Determinism contract: a fresh sampler with the same seed reproduces the
@@ -100,21 +99,13 @@ def invert_cdf(cdf, target, bracket, derivative, start=None) -> np.ndarray | flo
     return float(x[0]) if scalar else x
 
 
-def _angle_cdf(alpha):
-    return (alpha - np.sin(alpha)) / np.pi
+def _cycloid_cdf(x, k):
+    kx = k * x
+    return (kx - np.sin(kx)) / (k * np.pi)
 
 
-def _angle_cdf_slope(alpha):
-    return (1.0 - np.cos(alpha)) / np.pi
-
-
-def _half_angle_cdf(theta):
-    two_theta = 2.0 * theta
-    return (two_theta - np.sin(two_theta)) / (2.0 * np.pi)
-
-
-def _half_angle_cdf_slope(theta):
-    return (1.0 - np.cos(2.0 * theta)) / np.pi
+def _cycloid_slope(x, k):
+    return (1.0 - np.cos(k * x)) / np.pi
 
 
 def _cycloid_start(m):
@@ -129,14 +120,6 @@ def _cycloid_start(m):
     s2 = s * s
     e = s * (1.0 + s2 * (1.0 / 60.0 + s2 * (1.0 / 1400.0 + s2 / 25200.0)))
     return np.where(m <= np.pi, e, 2.0 * np.pi - e)
-
-
-def _angle_start(u):
-    return _cycloid_start(np.pi * u)  # alpha - sin alpha = pi u
-
-
-def _half_angle_start(u):
-    return 0.5 * _cycloid_start(2.0 * np.pi * u)  # 2 theta - sin 2 theta = 2 pi u
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +139,21 @@ class Law:
 UNIFORM = Law(np.ones_like, lambda lo, hi: hi - lo, lambda u, lo, hi: lo + (hi - lo) * u)
 SINE = Law(np.sin, lambda lo, hi: np.cos(lo) - np.cos(hi), lambda u, lo, hi: np.arccos(1.0 - 2.0 * u))
 COSINE = Law(np.cos, lambda lo, hi: np.sin(hi) - np.sin(lo), lambda u, lo, hi: np.arcsin(2.0 * u - 1.0))
-# pdf = pi/2 times the CDF's slope.  Draws look invert_cdf up when they run, so a
-# wrapper set on the module attribute sees every call.
-ANGLE = Law(lambda x: np.sin(x / 2.0) ** 2,
-            lambda lo, hi: np.pi / 2.0 * (_angle_cdf(hi) - _angle_cdf(lo)),
-            lambda u, lo, hi: invert_cdf(_angle_cdf, u, (lo, hi), derivative=_angle_cdf_slope,
-                                         start=_angle_start))
-HALF_ANGLE = Law(lambda x: np.sin(x) ** 2,
-                 lambda lo, hi: np.pi / 2.0 * (_half_angle_cdf(hi) - _half_angle_cdf(lo)),
-                 lambda u, lo, hi: invert_cdf(_half_angle_cdf, u, (lo, hi),
-                                              derivative=_half_angle_cdf_slope,
-                                              start=_half_angle_start))
+
+
+def _cycloid(k: float) -> Law:
+    """The law sin^2(k x / 2) on [0, pi], drawn as x = E / k from Kepler's
+    E - sin E = k pi u.  pdf = pi/2 times the CDF's slope.  Draws look invert_cdf
+    and _cycloid_cdf up when they run, so a wrapper set on the module attribute
+    sees every call."""
+    return Law(lambda x: np.sin(k * x / 2.0) ** 2,
+               lambda lo, hi: np.pi / 2.0 * (_cycloid_cdf(hi, k) - _cycloid_cdf(lo, k)),
+               lambda u, lo, hi: invert_cdf(lambda x: _cycloid_cdf(x, k), u, (lo, hi),
+                                            derivative=lambda x: _cycloid_slope(x, k),
+                                            start=lambda t: _cycloid_start(k * np.pi * t) / k))
+
+
+ANGLE, HALF_ANGLE = _cycloid(1.0), _cycloid(2.0)  # axis angle alpha; half-angle theta
 
 # Built-in chart tag -> (sampler alias, one law per coordinate).
 CHART_LAWS = {
@@ -223,6 +210,9 @@ class SamplerConfig:
             raise ValueError(f"chart {self.chart!r} does not sample group {self.group!r}; "
                              f"valid: {', '.join(charts)}")
         object.__setattr__(self, "chart", tag)
+        for name, value in (("seed", self.seed), ("count", self.count)):  # not 1.5 or True
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.count < 1:

@@ -12,6 +12,7 @@ einsum reference kernel uses lives here too, with tests of its own.
 
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,8 +29,7 @@ from haarkit.haar import (BLOCK_ENTRIES, NumericalError, _density_and_elements, 
 from haarkit.orbit import OrbitSpec, mc_moments
 from haarkit.quadrature import QuadratureRule
 from haarkit.sampling import (CDF_TOL, CHART_LAWS, MAX_NEWTON, SampleBatch, SamplerConfig,
-                              _angle_cdf, _angle_cdf_slope, _angle_start, _axis_streams,
-                              _half_angle_cdf, _half_angle_cdf_slope, _half_angle_start,
+                              _axis_streams, _cycloid_cdf, _cycloid_slope, _cycloid_start,
                               invert_cdf, sample)
 from haarkit.reynolds import reynolds_matrix
 from haarkit.tensors import act_batch, as_tensor, outer_power_batch
@@ -349,6 +349,13 @@ def dense_invert_cdf(cdf, target, bracket, derivative, start=None):
         x = np.where(live, candidate, x)
     residual = np.abs(np.asarray(cdf(x)) - t)
     return x, residual
+
+
+# the axis-angle (k = 1) and half-angle (k = 2) laws' CDFs, slopes and starts
+_angle_cdf, _angle_cdf_slope = partial(_cycloid_cdf, k=1.0), partial(_cycloid_slope, k=1.0)
+_half_angle_cdf, _half_angle_cdf_slope = partial(_cycloid_cdf, k=2.0), partial(_cycloid_slope, k=2.0)
+_angle_start = lambda u: _cycloid_start(np.pi * u) / 1.0
+_half_angle_start = lambda u: _cycloid_start(2.0 * np.pi * u) / 2.0
 
 
 def cdf_targets(n: int = 20000) -> np.ndarray:

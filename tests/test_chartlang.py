@@ -272,6 +272,18 @@ def test_non_finite_constant_in_a_partial_is_a_chart_error():
         Chart.from_source("chart p { params: x in [0, 1e-309]; matrix: [[x * 1e308 * 10]]; }")
 
 
+@pytest.mark.parametrize("params, entry, message, column", [
+    ("pi in [0, 1]", "pi", "parameter name 'pi' is reserved", 19),
+    ("t in [0, 1e308*10]", "t", "bounds of 't' are not finite", 19),
+    ("t in [0, 1]", "sin + t", "function 'sin' needs an argument list", 42),
+    ("t in [0, x]", "t", "identifier 'x' is not allowed in a constant bound", 28),
+], ids=["reserved", "overflowing-bound", "bare-function", "bound-identifier"])
+def test_misused_names_and_overflowing_bounds_are_chart_errors(params, entry, message, column):
+    with pytest.raises(ChartError) as info:
+        parse_chart(f"chart p {{ params: {params}; matrix: [[{entry}]]; }}")
+    assert str(info.value) == f"line 1, column {column}: {message}"
+
+
 # Each parenthesis, call, unary minus, binary operator and power nests one level.
 DEEP_PREFIX = "chart d { params: t in [0, 1]; matrix: [["
 

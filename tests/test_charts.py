@@ -133,6 +133,11 @@ def test_quaternion_chart_unit_norm():
     assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-13)
 
 
+def test_quaternions_of_a_matrix_chart_are_refused():
+    with pytest.raises(ValueError, match="chart 'so3_euler' is not a quaternion chart"):
+        builtin_chart("so3-euler").quaternions_at(np.zeros((2, 3)))
+
+
 def test_euler_jacobian_product_rule():
     # p = Rz(a) Rx(b) Rz(g): da -> hat(e3) p, dg -> p hat(e3),
     # db -> Rz(a) hat(e1) Rx(b) Rz(g)

@@ -19,7 +19,7 @@ from haarkit.charts import BUILTIN_NAMES, builtin_chart, load_chart
 from haarkit.cli import format_float, main, to_json
 from haarkit.haar import normalize
 from haarkit.orbit import OrbitSpec, covariance, mc_moments
-from haarkit.sampling import SamplerConfig, sample
+from haarkit.sampling import SamplerConfig, closed_form_density, sample
 from malformed_charts import MALFORMED
 from test_charts import EULER_REORDERED, SHEAR
 
@@ -61,6 +61,16 @@ def test_density_closed_form_flag(capsys):
     assert code == 0
     record = json.loads(out)
     assert abs(record["density"] - record["closed_form_density"]) < 1e-9
+
+
+def test_density_closed_form_alone_records_only_the_closed_form(capsys):
+    point = [1.5707963267948966, 1.5707963267948966, 1.0]
+    code, out, _ = run(capsys, "density", "--chart", "builtin:so3-quat",
+                       "--point", ",".join(map(repr, point)), "--closed-form")
+    assert code == 0
+    record = json.loads(out)
+    assert set(record) == {"chart", "point", "density"}
+    assert record["density"] == closed_form_density("so3-quat", point)
 
 
 def test_density_closed_form_needs_builtin(tmp_path, capsys):

@@ -50,6 +50,13 @@ def test_algebra_basis_orthonormal():
                 assert abs(frobenius(a, b) - (i == j)) < 1e-15
 
 
+def test_cyclic_order_and_algebra_dimension_are_checked():
+    with pytest.raises(ValueError, match="cyclic group order must be positive"):
+        FiniteGroup.cyclic([0.0, 0.0, 1.0], 0)
+    with pytest.raises(ValueError, match="no algebra basis for dimension 4"):
+        so_algebra_basis(4)
+
+
 def test_frobenius_shape_mismatch():
     with pytest.raises(ValueError):
         frobenius(np.eye(2), np.eye(3))

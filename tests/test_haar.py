@@ -139,6 +139,12 @@ def test_coordinates_halve_steps_that_leave_the_box(angle):
     assert np.abs(density.chart.evaluate(u) - g).max() <= 1e-13
 
 
+def test_coordinates_of_an_element_off_the_chart_raise_with_the_best_gap():
+    # a reflection is no rotation: the nearest so2-angle node misses by 1.02
+    with pytest.raises(NumericalError, match="best entry gap 1.02 in the box, above 1e-13"):
+        normalize(builtin_chart("so2-angle")).coordinates(np.diag([1.0, -1.0]))
+
+
 def test_overflowing_slope_raises_without_warnings():
     # the partials are about 1e308, so p^T dp and M overflow to inf
     src = """chart huge {

@@ -81,6 +81,12 @@ def test_integrate_trailing_axes():
     assert np.allclose(got, [[0.5, 1 / 3], [0.25, 1.0]], rtol=1e-13)
 
 
+def test_integrate_refuses_the_wrong_number_of_values():
+    rule = QuadratureRule.for_domain(np.array([[0.0, 1.0]]), 4)
+    with pytest.raises(ValueError, match="expected 4 node values, got 3"):
+        rule.integrate(np.ones(3))
+
+
 def test_convergence_on_smooth_integrand():
     domain = np.array([[0.0, np.pi]])
     fine = QuadratureRule.for_domain(domain, 64)

@@ -75,24 +75,23 @@ def test_invert_cdf_clips_a_start_outside_the_bracket():
         assert np.abs(cdf(got) - t).max() < CDF_TOL
 
 
-@pytest.mark.parametrize("law, cdf_name", [(sampling.ANGLE, "_angle_cdf"),
-                                           (sampling.HALF_ANGLE, "_half_angle_cdf")],
+@pytest.mark.parametrize("law, k", [(sampling.ANGLE, 1.0), (sampling.HALF_ANGLE, 2.0)],
                          ids=["angle", "half-angle"])
-def test_law_draws_from_their_start_take_few_cdf_evaluations(law, cdf_name, monkeypatch):
+def test_law_draws_from_their_start_take_few_cdf_evaluations(law, k, monkeypatch):
     # a straight-line start took 5.63 (angle) and 5.92 (half-angle) evaluations per target
-    cdf = getattr(sampling, cdf_name)
+    cdf = sampling._cycloid_cdf
     evaluated = []
 
-    def counted(x):
+    def counted(x, k):
         evaluated.append(np.size(x))
-        return cdf(x)
+        return cdf(x, k)
 
-    monkeypatch.setattr(sampling, cdf_name, counted)
+    monkeypatch.setattr(sampling, "_cycloid_cdf", counted)
     u = np.random.default_rng(34).random(100_000)
     u[:5] = [0.0, 1.0, 1e-300, 1.0 - 2**-53, 5e-324]
     x = law.draw(u, 0.0, np.pi)
-    assert sum(evaluated) / u.size <= 3.5
-    assert np.abs(cdf(x) - u).max() < CDF_TOL
+    assert 1.0 <= sum(evaluated) / u.size <= 3.5  # at least one: the wrapper saw the calls
+    assert np.abs(cdf(x, k) - u).max() < CDF_TOL
 
 
 # sha256 of coordinates then matrices of 1000 draws at seed 2026: these samplers
@@ -112,6 +111,39 @@ def test_samplers_without_a_numeric_inversion_keep_their_bytes(group, chart):
     batch = sample(SamplerConfig(group=group, chart=chart, seed=2026, count=1000))
     digest = hashlib.sha256(batch.coordinates.tobytes() + batch.matrices.tobytes()).hexdigest()
     assert digest == UNTOUCHED_SAMPLERS[group, chart]
+
+
+# sha256 of coordinates, matrices and quaternions (so3 quaternion only) of 1000
+# draws at seed 2026, and of closed_form(tag).C then its densities at 1000 points:
+# these run the cycloid law, and a rewrite of it that keeps every bit passes
+INVERTED_SAMPLERS = {
+    ("so3", "polar"): "86ba9fe8f8f126db5acb788dc45a7707aa4e0a77efb4d3052e2b793ec7eae744",
+    ("so3", "quaternion"): "6215564edd5352d98f31876a6b6b7cce615f765613a591410f10c52128de71be",
+    ("o3", "polar"): "bd22ce8300ff227d62aa84269fe57e01e744b694b30121b8da7c3cd721c2d0bf",
+    ("o3", "quaternion"): "21f7d4a87c5842f0f3f6a8dbc6a1392668e828392b8994bf5c035f2570d15df1",
+}
+CYCLOID_CLOSED_FORMS = {
+    "so3-polar": "9c0af8b0891fbda3796e436351d295826af8824f7c6ab8d835317da791fe02e0",
+    "so3-quat": "3a17b7adefaf615b5657ad8bc5b198b0b6f2d6e9c7e898af3f1a4945eb9779cd",
+}
+
+
+@pytest.mark.parametrize("group, chart", sorted(INVERTED_SAMPLERS))
+def test_samplers_through_the_cycloid_law_keep_their_bytes(group, chart):
+    batch = sample(SamplerConfig(group=group, chart=chart, seed=2026, count=1000))
+    quats = b"" if batch.quaternions is None else batch.quaternions.tobytes()
+    assert (batch.quaternions is not None) == ((group, chart) == ("so3", "quaternion"))
+    digest = hashlib.sha256(batch.coordinates.tobytes() + batch.matrices.tobytes() + quats)
+    assert digest.hexdigest() == INVERTED_SAMPLERS[group, chart]
+
+
+@pytest.mark.parametrize("tag", sorted(CYCLOID_CLOSED_FORMS))
+def test_closed_forms_of_the_cycloid_law_keep_their_bytes(tag):
+    domain = builtin_chart(tag).domain
+    pts = np.random.default_rng(2026).uniform(domain[:, 0], domain[:, 1], (1000, len(domain)))
+    reference = sampling.closed_form(tag)
+    digest = hashlib.sha256(np.float64(reference.C).tobytes() + reference.density_many(pts).tobytes())
+    assert digest.hexdigest() == CYCLOID_CLOSED_FORMS[tag]
 
 
 def test_config_defaults_and_aliases():
@@ -152,6 +184,20 @@ def test_config_validation():
         SamplerConfig(group="so2", count=0)
     with pytest.raises(ValueError):
         SamplerConfig(group="so2", seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", -0.5), ("seed", True),
+                                          ("count", 2.5), ("count", True)])
+def test_config_refuses_a_seed_or_count_that_is_not_an_integer(field, value):
+    # int(1.5) would draw seed 1's bytes, and numpy would refuse count 2.5 untyped
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        SamplerConfig(group="so3", **{field: value})
+
+
+def test_config_takes_numpy_integers():
+    config = SamplerConfig(group="so3", chart="polar", seed=np.uint64(7), count=np.int64(5))
+    assert sample(config).coordinates.tobytes() == sample(
+        SamplerConfig(group="so3", chart="polar", seed=7, count=5)).coordinates.tobytes()
 
 
 def test_determinism_and_prefix_property():
