@@ -16,8 +16,7 @@ from .orbit import OrbitSpec, covariance, mc_moments, moment
 from .quadrature import QuadratureRule
 from .reynolds import (dim_invariants_closed, dim_invariants_quadrature, invariant_rank,
                        reynolds_continuous, reynolds_matrix)
-from .sampling import (SampleBatch, SamplerConfig, closed_form, closed_form_density,
-                       invert_cdf, sample)
+from .sampling import SampleBatch, SamplerConfig, closed_form, closed_form_density, sample
 from .tensors import Tensor, act, act_batch, as_tensor, outer_power
 
 __version__ = "0.1.0"
@@ -51,7 +50,6 @@ __all__ = [
     "hat",
     "integrate_tensor",
     "invariant_rank",
-    "invert_cdf",
     "load_chart",
     "mc_moments",
     "moment",

@@ -1,17 +1,15 @@
-"""Uniform sampling of SO(2), O(2), SO(3), O(3) via per-coordinate inverse CDFs.
+"""Uniform sampling of SO(2), O(2), SO(3), O(3) through per-coordinate laws.
 
 A group samples through the built-in charts of its row of groups.GROUPS,
 the first by default.  Each built-in chart factorizes the uniform density
 into independent coordinate laws, its row of CHART_LAWS, which gives both
-the sampler (one scalar inverse CDF per coordinate) and the closed-form
-density.  Euler needs beta = arccos(1 - 2U).  The axis angle alpha (k = 1)
-and the hyperpolar half-angle theta (k = 2) share one law, sin^2(k x / 2)
-on [0, pi] (_cycloid).  Its CDF (k x - sin k x)/(k pi) inverts as Kepler's
-equation E - sin E = k pi u at eccentricity 1, E = k x: Newton iterations
-inside a bisection bracket, since the slope is zero at an endpoint where
-pure Newton stalls, started from the equation's cube-root series
-(_cycloid_start), about 3.4 CDF evaluations per draw against 5.6-5.9 from
-a straight line across the bracket.
+the sampler (one closed-form draw per coordinate) and the closed-form
+density.  Euler needs beta = arccos(1 - 2U), an inverse CDF.  The axis
+angle alpha (k = 1) and the hyperpolar half-angle theta (k = 2) share one
+law, sin^2(k x / 2) on [0, pi] (_cycloid).  Its CDF (k x - sin k x)/(k pi)
+has no closed-form inverse, so that law draws from two uniforms instead,
+through the abscissa of a uniform point in the unit half-disk: no iteration
+and no tolerance.
 
 Determinism contract: a fresh sampler with the same seed reproduces the
 same batch bit for bit.  Each coordinate axis draws from its own Philox
@@ -19,12 +17,13 @@ substream (counter-jumped per axis), and O-group coin flips use a further
 substream, so coordinate laws stay independent of batch layout.
 
 A batch is drawn in row blocks of haar.BLOCK_ENTRIES // D^2 elements
-(haar._node_blocks): each block's uniforms are drawn, inverted, charted and
-flipped while they are in cache, and written into the batch's arrays, so a
-sampler holds one block of temporaries beside its output.  The bytes do not
-depend on the block size: each Philox stream carries on from where its last
-call stopped, so the blocks' draws are the whole batch's, and every later
-stage works row by row.
+(haar._node_blocks): each block's uniforms are drawn, mapped to coordinates,
+charted and flipped while they are in cache, and written into the batch's
+arrays, so a sampler holds one block of temporaries beside its output.  The
+bytes do not depend on the block size: each Philox stream carries on from
+where its last call stopped, and a law taking two uniforms per row draws
+them as one (rows, 2) array in row-major order, so the blocks' draws are
+the whole batch's, and every later stage works row by row.
 """
 
 from __future__ import annotations
@@ -37,93 +36,16 @@ import numpy as np
 
 from .charts import builtin_chart
 from .groups import UnknownNameError, improper_coset, lookup_group, quat_rotation_matrices
-from .haar import HaarDensity, NumericalError, _node_blocks
-
-CDF_TOL = 1e-12
-MAX_NEWTON = 64
+from .haar import HaarDensity, _node_blocks
 
 
 # ---------------------------------------------------------------------------
-# Inverse CDF
-
-
-def invert_cdf(cdf, target, bracket, derivative, start=None) -> np.ndarray | float:
-    """Solve cdf(x) = target on the bracket to |cdf(x) - target| < 1e-12.
-
-    Newton steps on the slope ``derivative`` (the density), constrained to
-    a shrinking bisection bracket.  ``target`` may be an array; the result
-    matches its shape.  ``start`` maps the targets to first guesses, which
-    are clipped into the bracket; without it, or where a guess is not
-    finite, the first guess is the straight line across the bracket.
-    """
-    a, b = float(bracket[0]), float(bracket[1])
-    t = np.asarray(target, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t).copy()
-    fa, fb = float(cdf(a)), float(cdf(b))
-    if not np.all((t >= fa - CDF_TOL) & (t <= fb + CDF_TOL)):  # NaN fails too
-        raise ValueError(f"targets outside [cdf({a:g}), cdf({b:g})] = [{fa:g}, {fb:g}]")
-    x = a + (b - a) * np.clip((t - fa) / (fb - fa), 0.0, 1.0)
-    if start is not None:
-        guess = np.asarray(start(t), dtype=float)
-        x = np.where(np.isfinite(guess), np.clip(guess, a, b), x)
-    # A converged target's x never moves again, so each iteration runs on
-    # the still-live targets only; idx holds their positions in x.
-    idx, xs, ts = np.arange(t.size), x, t
-    lo, hi = np.full_like(t, a), np.full_like(t, b)
-    for _ in range(MAX_NEWTON):
-        r = np.asarray(cdf(xs)) - ts
-        live = np.flatnonzero(np.abs(r) >= CDF_TOL)
-        if not live.size:
-            break
-        if live.size < r.size:
-            idx, xs, ts, r, lo, hi = idx[live], xs[live], ts[live], r[live], lo[live], hi[live]
-        hi = np.where(r > 0, xs, hi)
-        lo = np.where(r < 0, xs, lo)
-        d = np.asarray(derivative(xs))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = xs - r / d
-        # A Newton step that is not finite or lands on or outside the bracket
-        # bisects: so does a zero or NaN slope (a step that is not finite) and a
-        # negative one (it steps away from the root, past the end set to old x).
-        bad = np.flatnonzero(~np.isfinite(xs) | (xs <= lo) | (xs >= hi))
-        xs[bad] = 0.5 * (lo[bad] + hi[bad])
-        x[idx] = xs
-    else:
-        # Targets that left the loop earlier passed this check at the same x.
-        residual = np.abs(np.asarray(cdf(xs)) - ts)
-        if np.any(residual >= CDF_TOL):
-            raise NumericalError(
-                f"cdf inversion did not reach {CDF_TOL:g} in {MAX_NEWTON} iterations "
-                f"(worst residual {float(residual.max()):.3g})")
-    return float(x[0]) if scalar else x
+# Coordinate laws of the built-in charts
 
 
 def _cycloid_cdf(x, k):
     kx = k * x
     return (kx - np.sin(kx)) / (k * np.pi)
-
-
-def _cycloid_slope(x, k):
-    return (1.0 - np.cos(k * x)) / np.pi
-
-
-def _cycloid_start(m):
-    """A first guess at E in Kepler's equation E - sin E = m at eccentricity 1.
-
-    For m <= pi it is the cube-root series E = s + s^3/60 + s^5/1400 +
-    s^7/25200 with s = (6m)^(1/3) (Mikkola, Celest. Mech. 40, 1987); above
-    pi it mirrors as 2 pi - E(2 pi - m), since E - sin E is odd about pi.
-    """
-    m = np.asarray(m, dtype=float)
-    s = np.cbrt(6.0 * np.minimum(m, 2.0 * np.pi - m))
-    s2 = s * s
-    e = s * (1.0 + s2 * (1.0 / 60.0 + s2 * (1.0 / 1400.0 + s2 / 25200.0)))
-    return np.where(m <= np.pi, e, 2.0 * np.pi - e)
-
-
-# ---------------------------------------------------------------------------
-# Coordinate laws of the built-in charts
 
 
 @dataclass(frozen=True)
@@ -133,7 +55,10 @@ class Law:
 
     pdf: Callable  # x -> unnormalized density factor
     mass: Callable  # (lo, hi) -> integral of pdf over [lo, hi]
-    draw: Callable  # (u, lo, hi) -> x whose CDF, integral of pdf / mass from lo, is u
+    # (u_1, ..., u_width, lo, hi) -> x with density pdf / mass on [lo, hi], from
+    # width independent uniform arrays; at width 1, the x whose CDF is u
+    draw: Callable
+    width: int = 1
 
 
 UNIFORM = Law(np.ones_like, lambda lo, hi: hi - lo, lambda u, lo, hi: lo + (hi - lo) * u)
@@ -142,15 +67,26 @@ COSINE = Law(np.cos, lambda lo, hi: np.sin(hi) - np.sin(lo), lambda u, lo, hi: n
 
 
 def _cycloid(k: float) -> Law:
-    """The law sin^2(k x / 2) on [0, pi], drawn as x = E / k from Kepler's
-    E - sin E = k pi u.  pdf = pi/2 times the CDF's slope.  Draws look invert_cdf
-    and _cycloid_cdf up when they run, so a wrapper set on the module attribute
-    sees every call."""
+    """The law sin^2(k x / 2) on [0, pi], for k = 1 or 2, drawn exactly from two uniforms.
+
+    w = sqrt(U1) cos(pi U2), the abscissa of a uniform point in the unit
+    half-disk, has density (2/pi) sqrt(1 - w^2) on [-1, 1] (Miles, Biometrika
+    52, 1965).  So arccos w has density (2/pi) sin^2, the law at k = 2, and
+    2 arccos |w| the law at k = 1.  Each arccos is taken as atan2(r, w), with
+    r^2 = 1 - w^2 summed as (1 - U1) + U1 sin^2(pi U2) without cancellation:
+    arccos itself loses half its digits near |w| = 1.  pdf = pi/2 times the
+    CDF's slope.
+    """
+
+    def draw(u1, u2, lo, hi):
+        turn = np.pi * u2
+        w = np.sqrt(u1) * np.cos(turn)
+        r = np.sqrt((1.0 - u1) + u1 * np.sin(turn) ** 2)
+        return np.arctan2(r, w) if k == 2.0 else 2.0 * np.arctan2(r, np.abs(w))
+
     return Law(lambda x: np.sin(k * x / 2.0) ** 2,
                lambda lo, hi: np.pi / 2.0 * (_cycloid_cdf(hi, k) - _cycloid_cdf(lo, k)),
-               lambda u, lo, hi: invert_cdf(lambda x: _cycloid_cdf(x, k), u, (lo, hi),
-                                            derivative=lambda x: _cycloid_slope(x, k),
-                                            start=lambda t: _cycloid_start(k * np.pi * t) / k))
+               draw, width=2)
 
 
 ANGLE, HALF_ANGLE = _cycloid(1.0), _cycloid(2.0)  # axis angle alpha; half-angle theta
@@ -207,8 +143,8 @@ class SamplerConfig:
         name = self.chart.removeprefix("builtin:")
         tag = next((t for t, (alias, _) in CHART_LAWS.items() if alias == name), name) or charts[0]
         if tag not in charts:
-            raise ValueError(f"chart {self.chart!r} does not sample group {self.group!r}; "
-                             f"valid: {', '.join(charts)}")
+            valid = ", ".join(f"{t} ({CHART_LAWS[t][0]})" for t in charts)
+            raise ValueError(f"chart {self.chart!r} does not sample group {self.group!r}; valid: {valid}")
         object.__setattr__(self, "chart", tag)
         for name, value in (("seed", self.seed), ("count", self.count)):  # not 1.5 or True
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -250,7 +186,7 @@ def sample(config: SamplerConfig) -> SampleBatch:
     for s in _node_blocks(count, dim * dim):
         rows = len(coords[s])
         for j, (law, stream, (lo, hi)) in enumerate(zip(CHART_LAWS[tag][1], streams, chart.domain)):
-            coords[s, j] = law.draw(stream.random(rows), lo, hi)
+            coords[s, j] = law.draw(*stream.random((rows, law.width)).T, lo, hi)
         if chart.is_quaternion:
             q = chart.quaternions_at(coords[s])
             mats[s] = quat_rotation_matrices(q)

@@ -1,10 +1,10 @@
 """Differential tests: the fast paths give the reference paths' exact bits.
 
 Each fast path (the compiled chart plan, the Haar density kernel on entry
-rows and in node blocks, the compacting inverse CDF, the improper coset as a
-sign, whole or masked in place, the templated sample formatter, the Monte
-Carlo moments with their standard errors taken in place, the group averages
-summed in node slices, the samplers drawn in row blocks) is compared with a
+rows and in node blocks, the improper coset as a sign, whole or masked in
+place, the templated sample formatter, the Monte Carlo moments with their
+standard errors taken in place, the group averages summed in node slices,
+the samplers drawn in row blocks) is compared with a
 straightforward reference kept here, on bytes rather than on values, so a
 flipped sign of zero counts as a difference.  The Hamilton product that the
 einsum reference kernel uses lives here too, with tests of its own.
@@ -12,7 +12,6 @@ einsum reference kernel uses lives here too, with tests of its own.
 
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -24,13 +23,12 @@ from haarkit.charts import BUILTIN_NAMES, Chart, builtin_chart
 from haarkit.cli import _row_template, format_float, format_rows, main, to_json
 from haarkit.groups import (GROUPS, FiniteGroup, improper_coset, quat_rotation_matrices,
                             so_algebra_basis)
-from haarkit.haar import (BLOCK_ENTRIES, NumericalError, _density_and_elements, haar_nodes,
+from haarkit.haar import (BLOCK_ENTRIES, _density_and_elements, haar_nodes,
                           integrate_tensor, normalize)
 from haarkit.orbit import OrbitSpec, mc_moments
 from haarkit.quadrature import QuadratureRule
-from haarkit.sampling import (CDF_TOL, CHART_LAWS, MAX_NEWTON, SampleBatch, SamplerConfig,
-                              _axis_streams, _cycloid_cdf, _cycloid_slope, _cycloid_start,
-                              invert_cdf, sample)
+from haarkit.sampling import (CHART_LAWS, SampleBatch, SamplerConfig, _axis_streams, _cycloid_cdf,
+                              sample)
 from haarkit.reynolds import reynolds_matrix
 from haarkit.tensors import act_batch, as_tensor, outer_power_batch
 
@@ -320,91 +318,6 @@ def test_density_kernel_in_small_blocks_matches_one_block(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Compacting inverse CDF against the dense loop it replaced
-
-
-def dense_invert_cdf(cdf, target, bracket, derivative, start=None):
-    a, b = float(bracket[0]), float(bracket[1])
-    t = np.atleast_1d(np.asarray(target, dtype=float)).copy()
-    fa, fb = float(cdf(a)), float(cdf(b))
-    lo = np.full_like(t, a)
-    hi = np.full_like(t, b)
-    x = a + (b - a) * np.clip((t - fa) / (fb - fa), 0.0, 1.0)
-    if start is not None:
-        guess = np.asarray(start(t), dtype=float)
-        x = np.where(np.isfinite(guess), np.clip(guess, a, b), x)
-    for _ in range(MAX_NEWTON):
-        r = np.asarray(cdf(x)) - t
-        live = np.abs(r) >= CDF_TOL
-        if not live.any():
-            break
-        hi = np.where(live & (r > 0), x, hi)
-        lo = np.where(live & (r < 0), x, lo)
-        d = np.asarray(derivative(x))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(d > 0, r / np.where(d > 0, d, 1.0), np.inf)
-        candidate = x - step
-        bad = ~np.isfinite(candidate) | (candidate <= lo) | (candidate >= hi)
-        candidate = np.where(bad, 0.5 * (lo + hi), candidate)
-        x = np.where(live, candidate, x)
-    residual = np.abs(np.asarray(cdf(x)) - t)
-    return x, residual
-
-
-# the axis-angle (k = 1) and half-angle (k = 2) laws' CDFs, slopes and starts
-_angle_cdf, _angle_cdf_slope = partial(_cycloid_cdf, k=1.0), partial(_cycloid_slope, k=1.0)
-_half_angle_cdf, _half_angle_cdf_slope = partial(_cycloid_cdf, k=2.0), partial(_cycloid_slope, k=2.0)
-_angle_start = lambda u: _cycloid_start(np.pi * u) / 1.0
-_half_angle_start = lambda u: _cycloid_start(2.0 * np.pi * u) / 2.0
-
-
-def cdf_targets(n: int = 20000) -> np.ndarray:
-    t = RNG.random(n)
-    t[:4] = [0.0, 1.0, 1e-300, 1.0 - 2**-53]  # endpoints and near-endpoints
-    return t
-
-
-@pytest.mark.parametrize("cdf, slope, bracket", [
-    (_angle_cdf, _angle_cdf_slope, (0.0, np.pi)),
-    (_half_angle_cdf, _half_angle_cdf_slope, (0.0, np.pi)),
-    (lambda x: (1 - np.cos(x)) / 2, lambda x: np.sin(x) / 2, (0.0, np.pi)),
-], ids=["angle-slope", "half-angle-slope", "cosine-slope"])
-def test_compacted_invert_cdf_matches_dense_loop(cdf, slope, bracket):
-    t = cdf_targets()
-    ref, residual = dense_invert_cdf(cdf, t, bracket, derivative=slope)
-    assert residual.max() < CDF_TOL
-    assert same_bits(invert_cdf(cdf, t, bracket, derivative=slope), ref)
-    scalar = invert_cdf(cdf, t[7], bracket, derivative=slope)
-    assert isinstance(scalar, float) and same_bits(np.float64(scalar), ref[7])
-
-
-STARTS = {
-    "angle": (_angle_cdf, _angle_cdf_slope, _angle_start),
-    "half-angle": (_half_angle_cdf, _half_angle_cdf_slope, _half_angle_start),
-}
-
-
-@pytest.mark.parametrize("name", sorted(STARTS))
-def test_compacted_invert_cdf_matches_dense_loop_from_the_laws_starts(name):
-    cdf, slope, start = STARTS[name]
-    t = cdf_targets()
-    ref, residual = dense_invert_cdf(cdf, t, (0.0, np.pi), slope, start)
-    assert residual.max() < CDF_TOL
-    assert same_bits(invert_cdf(cdf, t, (0.0, np.pi), slope, start=start), ref)
-    scalar = invert_cdf(cdf, t[7], (0.0, np.pi), slope, start=start)
-    assert isinstance(scalar, float) and same_bits(np.float64(scalar), ref[7])
-
-
-def test_compacted_invert_cdf_reports_the_dense_residual():
-    step_cdf = lambda x: np.where(np.asarray(x) < 0.5, 0.0, 1.0)
-    step_slope = lambda x: np.zeros_like(x)
-    t = np.array([0.25, 0.5, 0.75, 1.0])
-    _, residual = dense_invert_cdf(step_cdf, t, (0.0, 1.0), step_slope)
-    with pytest.raises(NumericalError, match=f"worst residual {float(residual.max()):.3g}"):
-        invert_cdf(step_cdf, t, (0.0, 1.0), step_slope)
-
-
-# ---------------------------------------------------------------------------
 # Half-angle CDF against the expression that doubled theta twice
 
 
@@ -412,40 +325,7 @@ def test_half_angle_cdf_matches_doubling_twice():
     theta = np.concatenate([[0.0, -0.0, np.pi, np.pi / 2, 5e-324, np.nextafter(np.pi, 0)],
                             np.random.default_rng(2).uniform(0.0, np.pi, 20000)])
     ref = (2.0 * theta - np.sin(2.0 * theta)) / (2.0 * np.pi)
-    assert same_bits(_half_angle_cdf(theta), ref)
-
-
-SPECIAL_TARGETS = [0.0, 1.0, 1e-300, 1.0 - 2**-53, 0.5, 5e-324]
-CDFS = {
-    "angle": (_angle_cdf, _angle_cdf_slope),
-    "half-angle": (_half_angle_cdf, _half_angle_cdf_slope),
-    "cosine": (lambda x: (1 - np.cos(x)) / 2, lambda x: np.sin(x) / 2),
-    "negative slope": (lambda x: (1 - np.cos(x)) / 2, lambda x: -np.sin(x) / 2),  # bisects
-}
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(name=st.sampled_from(sorted(CDFS)), data=st.data())
-def test_invert_cdf_matches_dense_loop_on_drawn_targets(name, data):
-    element = st.one_of(st.floats(0.0, 1.0), st.sampled_from(SPECIAL_TARGETS))
-    targets = data.draw(st.lists(element, min_size=1, max_size=40))
-    repeats = data.draw(st.integers(0, len(targets)))
-    t = np.array(targets + targets[:repeats])  # duplicates, in and out of order
-    cdf, slope = CDFS[name]
-    ref, residual = dense_invert_cdf(cdf, t, (0.0, np.pi), derivative=slope)
-    assert residual.max() < CDF_TOL
-    assert same_bits(invert_cdf(cdf, t, (0.0, np.pi), derivative=slope), ref)
-
-
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(name=st.sampled_from(sorted(STARTS)), data=st.data())
-def test_invert_cdf_from_a_start_matches_dense_loop_on_drawn_targets(name, data):
-    element = st.one_of(st.floats(0.0, 1.0), st.sampled_from(SPECIAL_TARGETS))
-    t = np.array(data.draw(st.lists(element, min_size=1, max_size=40)))
-    cdf, slope, start = STARTS[name]
-    ref, residual = dense_invert_cdf(cdf, t, (0.0, np.pi), slope, start)
-    assert residual.max() < CDF_TOL
-    assert same_bits(invert_cdf(cdf, t, (0.0, np.pi), slope, start=start), ref)
+    assert same_bits(_cycloid_cdf(theta, 2.0), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +353,8 @@ def reference_sample(config: SamplerConfig) -> SampleBatch:
     tag = config.chart
     chart = builtin_chart(tag)
     streams = _axis_streams(config.seed, chart.d + 1)
-    coords = np.column_stack([law.draw(stream.random(config.count), lo, hi) for law, stream, (lo, hi)
-                              in zip(CHART_LAWS[tag][1], streams, chart.domain)])
+    coords = np.column_stack([law.draw(*stream.random((config.count, law.width)).T, lo, hi)
+                              for law, stream, (lo, hi) in zip(CHART_LAWS[tag][1], streams, chart.domain)])
     quats = None
     if chart.is_quaternion:
         quats = chart.quaternions_at(coords)

@@ -748,3 +748,10 @@ def test_unknown_builtin_chart_prints_one_unquoted_line(capsys):
     assert (code, out) == (1, "")
     assert err == ("error: unknown built-in chart 'nope'; available: "
                    "so2-angle, so2-shifted, so3-euler, so3-polar, so3-quat\n")
+
+
+def test_sampler_refusal_lists_each_chart_with_its_alias(capsys):
+    code, out, err = run(capsys, "sample", "--group", "so3", "--chart", "POLAR")
+    assert (code, out) == (1, "")
+    assert err == ("error: chart 'POLAR' does not sample group 'so3'; "
+                   "valid: so3-euler (euler), so3-polar (polar), so3-quat (quaternion)\n")

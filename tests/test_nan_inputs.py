@@ -9,7 +9,6 @@ import pytest
 
 from haarkit.groups import FiniteGroup, as_orthogonal, reflection, rodrigues, vee
 from haarkit.orbit import OrbitSpec
-from haarkit.sampling import invert_cdf
 
 NAN3 = np.full((3, 3), np.nan)
 NAN_AXIS = np.array([np.nan, 0.0, 0.0])
@@ -23,8 +22,6 @@ CASES = {
     "orbit_seed_symmetry": lambda: OrbitSpec("so3", "sym2", np.diag([1.0, np.nan, 3.0])),
     "orbit_seed_inf": lambda: OrbitSpec("so3", "natural", np.array([1.0, np.inf, 3.0])),
     "finite_group_from_matrices": lambda: FiniteGroup([np.eye(3), NAN3]),
-    "invert_cdf_target": lambda: invert_cdf(lambda x: x, np.nan, (0.0, 1.0),
-                                             lambda x: np.ones_like(x)),
 }
 
 

@@ -1,4 +1,4 @@
-"""Seeded uniform sampling: CDF inversion, determinism, distribution laws.
+"""Seeded uniform sampling: coordinate laws, determinism, distribution laws.
 
 The quaternion-chart law is cross-checked against the classic construction
 of uniform points on the 3-sphere by normalizing 4D Gaussian draws.
@@ -13,89 +13,12 @@ import pytest
 from haarkit import sampling
 from haarkit.charts import BUILTIN_NAMES, builtin_chart
 from haarkit.groups import GROUPS
-from haarkit.haar import NumericalError
 from haarkit.quadrature import axis_rule
-from haarkit.sampling import CDF_TOL, CHART_LAWS, SamplerConfig, invert_cdf, sample
-
-
-def test_invert_cdf_square_law():
-    cdf = lambda x: x**2
-    targets = np.linspace(0.01, 0.99, 23)
-    got = invert_cdf(cdf, targets, (0.0, 1.0), derivative=lambda x: 2 * x)
-    # convergence contract is in CDF space
-    assert np.abs(cdf(got) - targets).max() < 1e-12
-    assert np.abs(got - np.sqrt(targets)).max() < 1e-10
-
-
-def test_invert_cdf_with_derivative():
-    cdf = lambda x: (1 - np.cos(x)) / 2
-    pdf = lambda x: np.sin(x) / 2
-    targets = np.array([0.1, 0.5, 0.9])
-    got = invert_cdf(cdf, targets, (0.0, np.pi), derivative=pdf)
-    assert np.abs(got - np.arccos(1 - 2 * targets)).max() < 1e-12
-
-
-def test_invert_cdf_scalar_and_endpoints():
-    cdf = lambda x: x
-    pdf = lambda x: np.ones_like(x)
-    assert np.isclose(invert_cdf(cdf, 0.0, (0.0, 1.0), pdf), 0.0, atol=1e-12)
-    assert np.isclose(invert_cdf(cdf, 1.0, (0.0, 1.0), pdf), 1.0, atol=1e-12)
-
-
-def test_invert_cdf_out_of_range_target():
-    with pytest.raises(ValueError):
-        invert_cdf(lambda x: 0.0 * x, 0.5, (0.0, 1.0), lambda x: 0.0 * x)
-
-
-def test_invert_cdf_non_convergence():
-    # a jump at 0.5 brackets the target but the residual never closes
-    step_cdf = lambda x: np.where(np.asarray(x) < 0.5, 0.0, 1.0)
-    with pytest.raises(NumericalError):
-        invert_cdf(step_cdf, 0.5, (0.0, 1.0), lambda x: np.zeros_like(x))
-
-
-COSINE_CDF = (lambda x: (1 - np.cos(x)) / 2, lambda x: np.sin(x) / 2)
-
-
-@pytest.mark.parametrize("guess", [np.nan, np.inf, -np.inf])
-def test_invert_cdf_starts_on_the_line_where_a_start_is_not_finite(guess):
-    # a NaN first guess has a NaN residual, which no |r| >= tol test catches
-    cdf, pdf = COSINE_CDF
-    t = np.array([0.2, 0.7])
-    got = invert_cdf(cdf, t, (0.0, np.pi), pdf, start=lambda u: np.full_like(u, guess))
-    assert got.tobytes() == invert_cdf(cdf, t, (0.0, np.pi), pdf).tobytes()
-
-
-def test_invert_cdf_clips_a_start_outside_the_bracket():
-    cdf, pdf = COSINE_CDF
-    t = np.array([0.0, 0.2, 0.7, 1.0])
-    for guess in (-5.0, 10.0):
-        got = invert_cdf(cdf, t, (0.0, np.pi), pdf, start=lambda u: np.full_like(u, guess))
-        assert np.all((got >= 0.0) & (got <= np.pi))
-        assert np.abs(cdf(got) - t).max() < CDF_TOL
-
-
-@pytest.mark.parametrize("law, k", [(sampling.ANGLE, 1.0), (sampling.HALF_ANGLE, 2.0)],
-                         ids=["angle", "half-angle"])
-def test_law_draws_from_their_start_take_few_cdf_evaluations(law, k, monkeypatch):
-    # a straight-line start took 5.63 (angle) and 5.92 (half-angle) evaluations per target
-    cdf = sampling._cycloid_cdf
-    evaluated = []
-
-    def counted(x, k):
-        evaluated.append(np.size(x))
-        return cdf(x, k)
-
-    monkeypatch.setattr(sampling, "_cycloid_cdf", counted)
-    u = np.random.default_rng(34).random(100_000)
-    u[:5] = [0.0, 1.0, 1e-300, 1.0 - 2**-53, 5e-324]
-    x = law.draw(u, 0.0, np.pi)
-    assert 1.0 <= sum(evaluated) / u.size <= 3.5  # at least one: the wrapper saw the calls
-    assert np.abs(cdf(x, k) - u).max() < CDF_TOL
+from haarkit.sampling import CHART_LAWS, SamplerConfig, _cycloid_cdf, sample
 
 
 # sha256 of coordinates then matrices of 1000 draws at seed 2026: these samplers
-# never invert a CDF numerically, so a change to invert_cdf leaves their bytes alone
+# never run the cycloid law, so a change to it leaves their bytes alone
 UNTOUCHED_SAMPLERS = {
     ("so2", "angle"): "b183ea50bd36ec2bf00c575418d41e90719b59489ee1d897871efd2f565bc501",
     ("so2", "shifted"): "00d9793e639972b06254bb71def5a6e7e30ad7c33c25e5f17a137278bbec2f6e",
@@ -117,10 +40,10 @@ def test_samplers_without_a_numeric_inversion_keep_their_bytes(group, chart):
 # draws at seed 2026, and of closed_form(tag).C then its densities at 1000 points:
 # these run the cycloid law, and a rewrite of it that keeps every bit passes
 INVERTED_SAMPLERS = {
-    ("so3", "polar"): "86ba9fe8f8f126db5acb788dc45a7707aa4e0a77efb4d3052e2b793ec7eae744",
-    ("so3", "quaternion"): "6215564edd5352d98f31876a6b6b7cce615f765613a591410f10c52128de71be",
-    ("o3", "polar"): "bd22ce8300ff227d62aa84269fe57e01e744b694b30121b8da7c3cd721c2d0bf",
-    ("o3", "quaternion"): "21f7d4a87c5842f0f3f6a8dbc6a1392668e828392b8994bf5c035f2570d15df1",
+    ("so3", "polar"): "a5bb57b3356db6a1567289c4ce0c96e978a74468ec1c69050dd7df4d9e0a3db1",
+    ("so3", "quaternion"): "2c5c80a2af495855cb1463c41bff0ae0a0ba00425b06aeae0344f98ce1a53fec",
+    ("o3", "polar"): "388c2284070e99e4b6a83da308bd2a18e1f687bdb1fd471149e3120ef3633167",
+    ("o3", "quaternion"): "72435055d888dfbec7a03f767998b55705c003f0e9475dec89ec2cd818508db3",
 }
 CYCLOID_CLOSED_FORMS = {
     "so3-polar": "9c0af8b0891fbda3796e436351d295826af8824f7c6ab8d835317da791fe02e0",
@@ -169,10 +92,53 @@ def test_law_mass_pdf_and_draw_agree(tag, axis):
     x, w = axis_rule(64, lo, hi)
     mass = law.mass(lo, hi)
     assert abs(mass - w @ law.pdf(x)) < 1e-12
+    if law.width == 2:  # the cycloid law: a draw is no function of one target
+        x = law.draw(*np.random.default_rng(36).random((100_000, 2)).T, lo, hi)
+        assert ks_distance(x, lambda x: law.mass(lo, x) / mass) < KS_1_PERCENT
+        return
     u = np.array([0.0, 0.05, 0.3, 0.5, 0.77, 0.999, 1.0])
     for target, drawn in zip(u, law.draw(u, lo, hi)):
         x, w = axis_rule(64, lo, drawn)  # the CDF at the draw
         assert abs(w @ law.pdf(x) / mass - target) < 1e-10
+
+
+KS_1_PERCENT = 1.63  # sqrt(n) D exceeds this with probability 1% for draws of the law
+
+
+def ks_distance(x: np.ndarray, cdf) -> float:
+    """sqrt(n) times the Kolmogorov-Smirnov distance of the draws x from the law cdf."""
+    f = cdf(np.sort(x))
+    i = np.arange(f.size)
+    return float(np.sqrt(f.size) * max((f - i / f.size).max(), ((i + 1) / f.size - f).max()))
+
+
+CYCLOID_LAWS = pytest.mark.parametrize("law, k", [(sampling.ANGLE, 1.0), (sampling.HALF_ANGLE, 2.0)],
+                                       ids=["angle", "half-angle"])
+
+
+@CYCLOID_LAWS
+def test_cycloid_law_draws_pass_a_ks_test(law, k):
+    u1, u2 = np.random.default_rng(2026).random((100_000, 2)).T
+    x = law.draw(u1, u2, 0.0, np.pi)
+    assert ks_distance(x, lambda x: _cycloid_cdf(x, k)) < KS_1_PERCENT
+
+
+@CYCLOID_LAWS
+def test_cycloid_law_keeps_its_digits_where_w_nears_one(law, k):
+    # at U2 = 0, w = sqrt(U1) and the draw is (2/k) asin(sqrt(1 - U1)); arccos(w)
+    # would round w to 1 at U1 = 1 - 2^-53 and draw 0 for 1.05e-8 (or twice it)
+    u1 = np.array([0.0, 0.25, 0.75, 1.0 - 2**-30, 1.0 - 2**-53])
+    ref = 2.0 / k * np.arcsin(np.sqrt(1.0 - u1))
+    got = law.draw(u1, np.zeros_like(u1), 0.0, np.pi)
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref)), (got, ref)
+
+
+@CYCLOID_LAWS
+def test_cycloid_law_draws_at_corner_uniforms_stay_on_the_half_turn(law, k):
+    corners = [0.0, 2**-53, 0.5, 1.0 - 2**-53]
+    u1, u2 = np.array([(a, b) for a in corners for b in corners]).T
+    x = law.draw(u1, u2, 0.0, np.pi)
+    assert np.all(np.isfinite(x) & (x >= 0.0) & (x <= np.pi)), x
 
 
 def test_config_validation():
@@ -214,7 +180,7 @@ def test_determinism_and_prefix_property():
 @pytest.mark.parametrize("group, chart", [("so3", "polar"), ("o3", "euler")])
 def test_sampler_memory_is_its_output_plus_one_block(group, chart):
     # drawn in whole, the batch held about ten count-length temporaries per
-    # Newton round and stage (18.3 and 12.2 MiB above the output at 2 * 10^5)
+    # stage (18.3 and 12.2 MiB above the output at 2 * 10^5)
     config = SamplerConfig(group=group, chart=chart, seed=3, count=200_000)
     sample(SamplerConfig(group=group, chart=chart, count=2))  # compile the chart's plan
     tracemalloc.start()
