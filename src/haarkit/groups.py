@@ -167,32 +167,21 @@ def so_algebra_basis(dim: int) -> list[np.ndarray]:
     raise ValueError(f"no algebra basis for dimension {dim}")
 
 
-def improper_coset(mats, where=None) -> np.ndarray:
-    """sigma g for an (N, D, D) stack of proper elements g.
+def improper_coset(mats) -> np.ndarray:
+    """sigma g for an (N, D, D) stack of proper elements g, as a new array.
 
     sigma = diag(-1, 1) on O(2) and -I on O(3); every O-group average,
     sampler and averaging operator uses this one representative.  sigma is
     diagonal, so it acts as a sign per row; adding 0.0 turns -0.0 into 0.0,
     which gives the bits of the matrix product sigma @ g on finite entries.
-    With a boolean (N,) mask ``where``, the masked elements of ``mats`` (a
-    float ndarray) are replaced in place by sigma g and ``mats`` is returned.
     """
     mats = np.asarray(mats, dtype=float)
-    dim = mats.shape[-1]
-    if dim == 2:
-        sign = np.array([[-1.0], [1.0]])
-    elif dim == 3:
-        sign = -1.0
-    else:
-        raise ValueError(f"no improper coset for dimension {dim}")
-    if where is None:
-        out = sign * mats
-        out += 0.0
-        return out
-    mask = np.asarray(where, dtype=bool)[:, None, None]
-    np.multiply(mats, sign, out=mats, where=mask)
-    np.add(mats, 0.0, out=mats, where=mask)
-    return mats
+    sign = {2: np.array([[-1.0], [1.0]]), 3: -1.0}.get(mats.shape[-1])
+    if sign is None:
+        raise ValueError(f"no improper coset for dimension {mats.shape[-1]}")
+    out = sign * mats
+    out += 0.0
+    return out
 
 
 def orthogonality_error(mats) -> float:

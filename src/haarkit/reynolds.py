@@ -20,6 +20,8 @@ averages on the grid it was normalized on, which cross-checks user charts.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .groups import FiniteGroup, lookup_group
@@ -119,7 +121,9 @@ def dim_invariants_quadrature(group, n: int, density: HaarDensity | None = None)
     On a FiniteGroup it is the exact finite sum over the elements.  For a
     tag with a density it runs on the grid the density was normalized on.
     Without, it runs on haar.class_nodes(group, n), the n + 2 angles of
-    Weyl's rule, and is exact up to roundoff.  With r = 4 m eps
+    Weyl's rule, and is exact up to roundoff; as the identity is one of
+    them, an order with D^n past float64's range is refused before any node
+    is built.  With r = 4 m eps
     sum|w Tr(g)^n| bounding roundoff, m = max(n + 2, |G|) on a finite group
     and n + 2 otherwise, a result that is not finite or further than
     max(INTEGER_SLACK, r) from an integer is a NumericalError, as is r >= 1/2
@@ -133,6 +137,9 @@ def dim_invariants_quadrature(group, n: int, density: HaarDensity | None = None)
     if isinstance(group, FiniteGroup) or density is not None:
         weights, stacks = haar_nodes(group, density)  # a FiniteGroup refuses a density
     else:
+        dim = lookup_group(group).dim
+        if n >= 1024 / math.log2(dim):  # D^n at the identity node is past float64's range
+            raise NumericalError(f"Tr^{n} integral is not finite: its identity term {dim}^n overflows")
         weights, stacks = class_nodes(group, n)
     m = n + 2 if density is not None else max(n + 2, len(weights))  # summed terms, for roundoff
 

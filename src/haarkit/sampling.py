@@ -19,11 +19,13 @@ substream, so coordinate laws stay independent of batch layout.
 A batch is drawn in row blocks of haar.BLOCK_ENTRIES // D^2 elements
 (haar._node_blocks): each block's uniforms are drawn, mapped to coordinates,
 charted and flipped while they are in cache, and written into the batch's
-arrays, so a sampler holds one block of temporaries beside its output.  The
-bytes do not depend on the block size: each Philox stream carries on from
-where its last call stopped, and a law taking two uniforms per row draws
-them as one (rows, 2) array in row-major order, so the blocks' draws are
-the whole batch's, and every later stage works row by row.
+arrays, so a sampler holds one block of temporaries beside its output.  An
+O-group block takes groups.improper_coset's sigma g, through np.where, on
+the rows whose coin is below 1/2.  The bytes do not depend on the block
+size: each Philox stream carries on from where its last call stopped, and a
+law taking two uniforms per row draws them as one (rows, 2) array in
+row-major order, so the blocks' draws are the whole batch's, and every
+later stage works row by row.
 """
 
 from __future__ import annotations
@@ -195,5 +197,6 @@ def sample(config: SamplerConfig) -> SampleBatch:
         else:
             mats[s] = chart.evaluate_many(coords[s])
         if not group.proper:
-            improper_coset(mats[s], where=streams[chart.d].random(rows) < 0.5)
+            coin = streams[chart.d].random(rows) < 0.5
+            mats[s] = np.where(coin[:, None, None], improper_coset(mats[s]), mats[s])
     return SampleBatch(config=config, coordinates=coords, matrices=mats, quaternions=quats)

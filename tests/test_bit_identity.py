@@ -1,13 +1,13 @@
 """Differential tests: the fast paths give the reference paths' exact bits.
 
 Each fast path (the compiled chart plan, the Haar density kernel on entry
-rows and in node blocks, the improper coset as a sign, whole or masked in
-place, the templated sample formatter, the Monte Carlo moments with their
-standard errors taken in place, the group averages summed in node slices,
-the samplers drawn in row blocks) is compared with a
-straightforward reference kept here, on bytes rather than on values, so a
-flipped sign of zero counts as a difference.  The Hamilton product that the
-einsum reference kernel uses lives here too, with tests of its own.
+rows and in node blocks, the improper coset as a sign, the templated sample
+formatter, the Monte Carlo moments with their standard errors taken in
+place, the group averages summed in node slices, the samplers drawn in row
+blocks) is compared with a straightforward reference kept here, on bytes
+rather than on values, so a flipped sign of zero counts as a difference.
+The Hamilton product that the einsum reference kernel uses lives here too,
+with tests of its own.
 """
 
 import tracemalloc
@@ -329,7 +329,7 @@ def test_half_angle_cdf_matches_doubling_twice():
 
 
 # ---------------------------------------------------------------------------
-# In-place improper flip against the np.where form
+# Improper flip against the np.where form
 
 
 @pytest.mark.parametrize("group", ["o2", "o3"])
@@ -362,7 +362,8 @@ def reference_sample(config: SamplerConfig) -> SampleBatch:
     else:
         mats = chart.evaluate_many(coords)
     if not GROUPS[config.group].proper:
-        improper_coset(mats, where=streams[chart.d].random(config.count) < 0.5)
+        coin = streams[chart.d].random(config.count) < 0.5
+        mats = np.where(coin[:, None, None], improper_coset(mats), mats)
         quats = None
     return SampleBatch(config=config, coordinates=coords, matrices=mats, quaternions=quats)
 
@@ -418,18 +419,6 @@ def test_improper_coset_matches_sigma_matrix(dim):
     out = improper_coset(mats)
     assert np.array_equal(out.view(np.int64), matrix_coset(before).view(np.int64))
     assert np.array_equal(mats.view(np.int64), before.view(np.int64))  # input untouched
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_masked_improper_coset_matches_sigma_matrix(dim):
-    rng = np.random.default_rng(dim)
-    mats = signed_zero_stack(rng, dim)
-    mask = rng.random(mats.shape[0]) < 0.5
-    mask[:3] = True
-    ref = np.where(mask[:, None, None], matrix_coset(mats), mats)
-    out = improper_coset(mats, where=mask)
-    assert out is mats
-    assert np.array_equal(mats.view(np.int64), ref.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,14 @@ def test_dim_overflow_exits_2(capsys):
     assert "Traceback" not in err and "Warning" not in err
 
 
+def test_dim_past_any_node_budget_exits_2(capsys):
+    # 2^(10^20) is refused before the 10^20 + 2 class nodes are built, not out of memory
+    code, out, err = run(capsys, "dim", "--group", "so2", "--order", "100000000000000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: Tr^100000000000000000000 integral is not finite")
+    assert err.count("\n") == 1
+
+
 def test_reynolds_round_trip(tmp_path, capsys):
     tensor = {"dim": 3, "order": 2,
               "entries": [float(x) for x in range(1, 10)]}

@@ -350,6 +350,23 @@ def test_quadrature_dims_overflow_is_a_numerical_error():
                 dim_invariants_quadrature("so3", n)
 
 
+@pytest.mark.parametrize("group,first", [("so2", 1024), ("o2", 1024), ("so3", 647), ("o3", 647)])
+def test_overflowing_order_is_refused_before_any_node(group, first, monkeypatch):
+    # D^n at the identity node overflows from the first order on: refused before class_nodes
+    # builds its n + 2 nodes, and without powering or converting a huge int; the order
+    # before keeps the roundoff refusal
+    with pytest.raises(NumericalError, match="carries roundoff"):
+        dim_invariants_quadrature(group, first - 1)
+
+    def no_nodes(*args):
+        raise AssertionError("class_nodes called")
+
+    monkeypatch.setattr("haarkit.reynolds.class_nodes", no_nodes)
+    for n in (first, 10**12):
+        with pytest.raises(NumericalError, match=f"^Tr\\^{n} integral is not finite"):
+            dim_invariants_quadrature(group, n)
+
+
 def planar_dim(group, n):
     """Invariant count over SO(2) or O(2): C(n, n/2) for even n, halved on O(2) past n = 0."""
     proper = math.comb(n, n // 2) if n % 2 == 0 else 0
