@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage or input error (bad flags, malformed chart
-or tensor files, points outside domains), an ``--out`` path that cannot be
+or tensor files, points outside domains, a closed-form ``dim`` order past
+reynolds.MAX_CLOSED_ORDER), an ``--out`` path that cannot be
 written, a request larger than memory, or a stdout closed before the
 output was written, 2 numerical failure (degenerate normalization,
 non-convergence, under-resolved quadrature, a ``--chart`` whose grid

@@ -29,6 +29,7 @@ from .haar import HaarDensity, NumericalError, class_nodes, haar_nodes, integrat
 from .tensors import Tensor, act_batch, check_budget, outer_power_batch
 
 INTEGER_SLACK = 1e-3
+MAX_CLOSED_ORDER = 50_000  # the Riordan recurrence's time is quadratic in n: about 1 s at 50 000
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +101,17 @@ def dim_invariants_closed(group_tag: str, n: int) -> int:
     average of Tr(g)^n, from the recurrence R_0 = 1, R_1 = 0,
     R_m = (m - 1)(2 R_{m-1} + 3 R_{m-2}) / (m + 1), whose divisions are exact.
     Over O(3), -I sends Tr(g)^n to (-1)^n Tr(g)^n: odd orders have none and
-    even ones R_n.
+    even ones R_n.  An order past MAX_CLOSED_ORDER is a ValueError, on both
+    groups: the recurrence's big-integer steps make its time quadratic in n.
     """
     group = lookup_group(group_tag)
     if group.dim != 3:
         raise ValueError(f"closed-form dimensions cover so3 and o3, not {group_tag!r}")
     if n < 0:
         raise ValueError("tensor order must be nonnegative")
+    if n > MAX_CLOSED_ORDER:
+        raise ValueError(f"order {n} exceeds the closed form's limit of MAX_CLOSED_ORDER = "
+                         f"{MAX_CLOSED_ORDER}")
     if not group.proper and n % 2 == 1:
         return 0
     before, count = 0, 1  # R_{m-2} and R_{m-1}, from m = 1 on (R_{-1} is multiplied by 0)

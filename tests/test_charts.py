@@ -5,6 +5,8 @@ direct differentiation of the quaternion components, and complex steps
 through the tree walk for a chart using every operator and function.
 """
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,12 @@ def test_builtin_charts_load_and_validate():
         chart = builtin_chart(name)
         assert chart.d in (1, 3)
         assert chart.shape in ((2, 2), (3, 3), (4, 1))
+
+
+def test_data_holds_one_chart_file_per_builtin_and_nothing_else():
+    # the package ships data/*.chart, so a built-in without its file, or a stray file, shows here
+    names = sorted(path.name for path in resources.files("haarkit").joinpath("data").iterdir())
+    assert names == sorted(f"{tag}.chart" for tag in BUILTIN_NAMES)
 
 
 def test_builtin_chart_is_cached():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -124,6 +125,42 @@ def test_sample_quaternion_lines(capsys):
     assert code == 0
     q = np.array(json.loads(out.strip().splitlines()[0])["q"])
     assert abs(np.linalg.norm(q) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("group, chart, fmt", [("o3", "polar", "csv"),
+                                               ("so3", "quaternion", "json")])
+def test_sample_stdout_matches_a_plain_17_digit_rendering(group, chart, fmt, capsys):
+    # '%.17g' of x + 0.0, which prints -0.0 as 0, row by row: csv, or the JSON-lines template
+    batch = sample(SamplerConfig(group=group, chart=chart, seed=5, count=20000))
+    code, out, _ = run(capsys, "sample", "--group", group, "--chart", chart, "--format", fmt,
+                       "--seed", "5", "-n", "20000")
+    if fmt == "csv":
+        lines = [",".join("%.17g" % (x + 0.0) for x in m.ravel()) for m in batch.matrices]
+    else:
+        lines = ['{"q": [%s]}' % ", ".join("%.17g" % (x + 0.0) for x in q)
+                 for q in batch.quaternions]
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
+
+
+MIXED = """chart mixed {
+  params: t in [-(pi), 2*pi - pi];
+  group: so(2);
+  matrix: [
+    [cos((t + 1) - 1), -(sin(t) * ((2 + cos(t))^-2 * (2 + cos(t))^2))],
+    [sin(t / 2 * 2), cos(t)]
+  ];
+}"""
+
+
+def test_normalize_a_chart_of_every_operator(tmp_path, capsys):
+    # four binary operators, unary minus, a negative exponent and nesting, each entry the
+    # rotation by t's: C is the circle's 2 pi
+    path = tmp_path / "mixed.chart"
+    path.write_text(MIXED)
+    code, out, _ = run(capsys, "normalize", "--chart", str(path))
+    assert code == 0
+    assert abs(json.loads(out)["C"] - 2 * np.pi) <= 1e-12
 
 
 def test_check_chart_reports_invariance(capsys):
@@ -258,6 +295,19 @@ def test_dim_past_any_node_budget_exits_2(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", [(), ("--method", "both")], ids=["closed", "both"])
+@pytest.mark.parametrize("order", ["50001", "1000000000000"])
+def test_dim_past_the_closed_form_limit_exits_1_with_one_line(order, method, capsys):
+    # the recurrence's time is quadratic in the order (31 s at 300000); with both methods the
+    # closed form refuses first, where the trace formula would exit 2
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dim", "--group", "so3", "--order", order, *method)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == (f"error: order {order} exceeds the closed form's limit of "
+                   "MAX_CLOSED_ORDER = 50000\n")
+
+
 def test_reynolds_round_trip(tmp_path, capsys):
     tensor = {"dim": 3, "order": 2,
               "entries": [float(x) for x in range(1, 10)]}
@@ -270,6 +320,19 @@ def test_reynolds_round_trip(tmp_path, capsys):
     got = np.array(record["entries"]).reshape(3, 3)
     trace = 1.0 + 5.0 + 9.0
     assert np.abs(got - trace / 3.0 * np.eye(3)).max() < 1e-6
+
+
+@pytest.mark.parametrize("tensor, message", [
+    ({"dim": 3, "order": 30000000, "entries": [1]}, "budget"),
+    ({"dim": 1, "order": 3000000, "entries": [1]}, "more than the 64 axes"),
+], ids=["past the entry budget", "dim 1 past 64 axes"])
+def test_tensor_files_past_the_limits_exit_1_with_one_line(tensor, message, tmp_path, capsys):
+    # refused before 3^30000000 is formed, and in haarkit's words rather than numpy's
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tensor))
+    code, out, err = run(capsys, "reynolds", "--group", "so3", "--tensor", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def run_quietly(capsys, *argv):
@@ -309,6 +372,16 @@ def test_orbit_moments_diag(capsys):
     record = json.loads(out)
     m1 = np.array(record["m1"])
     assert np.abs(m1 - 2.0 * np.eye(3)).max() < 1e-8
+    assert np.array(record["m2"]).shape == (3, 3, 3, 3)
+
+
+def test_orbit_moments_of_o3_on_an_so3_chart(capsys):
+    # an SO(3) density averages O(3) over its SO(3) part and the -I coset
+    code, out, _ = run(capsys, "orbit-moments", "--group", "o3", "--diag", "1,2,3",
+                       "--chart", "builtin:so3-quat", "--nodes", "12")
+    assert code == 0
+    record = json.loads(out)
+    assert np.abs(np.array(record["m1"]) - 2.0 * np.eye(3)).max() < 1e-5
     assert np.array(record["m2"]).shape == (3, 3, 3, 3)
 
 
@@ -630,7 +703,9 @@ def test_untagged_chart_not_finite_on_its_domain_exits_1(tmp_path, capsys):
      "error: chart 'col' has (3, 1) matrices: no group, no Haar density"),
     ("chart d { params: t in [0, 1]; matrix: [[" + "(" * 300 + "t" + ")" * 300 + "]]; }",
      "error: line 1, column 141: expression nested deeper than 100 levels"),
-], ids=["shear", "3x1", "too deep"])
+    ("chart bad {\n  params: t in [0, 1];\n  matrix: [[t +]];\n}\n",
+     "error: line 3, column 16: expected an expression, found ']'"),
+], ids=["shear", "3x1", "too deep", "dangling operator"])
 def test_chart_refusals_exit_1_with_one_line(source, start, tmp_path, capsys):
     path = tmp_path / "c.chart"
     path.write_text(source)

@@ -124,6 +124,11 @@ def test_finite_group_from_a_list_equals_from_a_stack():
         FiniteGroup(np.eye(3))  # one matrix, not a stack
 
 
+def test_finite_group_of_the_identity_and_its_negative():
+    # -I is improper and its own inverse: {I, -I} is a group of two elements
+    assert len(FiniteGroup([np.eye(3), -np.eye(3)])) == 2
+
+
 def test_quat_rotation_matches_rodrigues():
     axis = np.array([0.0, 0.6, 0.8])
     angle = 1.1

@@ -24,13 +24,14 @@ import numpy as np
 import pytest
 
 import haarkit
+import haarkit.reynolds as reynolds_module
 from haarkit.groups import FiniteGroup, lookup_group, rodrigues
 from haarkit.haar import NumericalError, haar_nodes, integrate_tensor, normalize
 from haarkit.charts import Chart, builtin_chart
 from haarkit.orbit import OrbitSpec, covariance, moment
 from haarkit.quadrature import QuadratureRule
-from haarkit.reynolds import (dim_invariants_closed, dim_invariants_quadrature, invariant_rank,
-                              reynolds_continuous, reynolds_matrix)
+from haarkit.reynolds import (MAX_CLOSED_ORDER, dim_invariants_closed, dim_invariants_quadrature,
+                              invariant_rank, reynolds_continuous, reynolds_matrix)
 from haarkit.tensors import Tensor, act, as_tensor
 
 RNG = np.random.default_rng(404)
@@ -49,6 +50,11 @@ def test_cyclic_group_construction():
     group = FiniteGroup.cyclic(E3, 4)
     assert len(group) == 4
     assert any(np.allclose(m, np.eye(3)) for m in group.matrices)
+
+
+def test_invariant_rank_of_a_quarter_turn_group():
+    # C4 about e3 fixes x^2 + y^2, z^2 and xy - yx among the order-2 tensors
+    assert invariant_rank(FiniteGroup.cyclic(E3, 4), 2) == 3
 
 
 def test_finite_group_requires_closure():
@@ -252,6 +258,25 @@ def test_closed_dims_at_order_9000_take_under_a_second():
     count = dim_invariants_closed("so3", 9000)
     assert time.perf_counter() - start < 1.0
     assert count == riordan(9000)
+
+
+@pytest.mark.parametrize("group", ["so3", "o3"])
+@pytest.mark.parametrize("n", [MAX_CLOSED_ORDER + 1, 10**12])
+def test_closed_dims_refuse_an_order_past_the_limit(group, n):
+    # refused at once rather than run through the quadratic-time recurrence, and on O(3) the
+    # odd orders too, whose count would be 0
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^order {n} exceeds the closed form's limit of "
+                                         f"MAX_CLOSED_ORDER = 50000$"):
+        dim_invariants_closed(group, n)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_closed_dims_count_up_to_the_limit(monkeypatch):
+    monkeypatch.setattr(reynolds_module, "MAX_CLOSED_ORDER", 30)
+    assert dim_invariants_closed("so3", 30) == 439742222071
+    with pytest.raises(ValueError, match="MAX_CLOSED_ORDER = 30"):
+        dim_invariants_closed("so3", 31)
 
 
 def test_closed_dims_match_recurrence():
