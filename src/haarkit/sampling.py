@@ -16,21 +16,24 @@ same batch bit for bit.  Each coordinate axis draws from its own Philox
 substream (counter-jumped per axis), and O-group coin flips use a further
 substream, so coordinate laws stay independent of batch layout.
 
-A batch is drawn in row blocks of haar.BLOCK_ENTRIES // D^2 elements
-(haar._node_blocks): each block's uniforms are drawn, mapped to coordinates,
-charted and flipped while they are in cache, and written into the batch's
-arrays, so a sampler holds one block of temporaries beside its output.  An
-O-group block takes groups.improper_coset's sigma g, through np.where, on
-the rows whose coin is below 1/2.  The bytes do not depend on the block
-size: each Philox stream carries on from where its last call stopped, and a
-law taking two uniforms per row draws them as one (rows, 2) array in
-row-major order, so the blocks' draws are the whole batch's, and every
-later stage works row by row.
+A batch is drawn in row blocks of haar.BLOCK_ENTRIES // (WORKERS D^2)
+elements (haar._node_blocks) on WORKERS threads, one per CPU the process may
+use, the caller among them.  A thread takes the next block and draws its
+uniforms and O-group coins under one lock, so each Philox stream runs in
+block order; outside the lock, where numpy lets go of the GIL, it maps,
+charts and flips (sigma g through np.where where the coin is below 1/2) into
+its own rows of the batch.  A sampler holds one block budget of temporaries
+beside its output, and its bytes depend on neither the block size nor the
+CPU count: a law taking two uniforms per row draws one (rows, 2) row-major
+array, and every stage after the draws works row by row.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -170,6 +173,10 @@ class SampleBatch:
         return self.matrices.shape[0]
 
 
+# Threads that draw a batch's row blocks: the CPUs this process may run on
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _axis_streams(seed: int, axes: int) -> list[np.random.Generator]:
     base = np.random.Philox(key=int(seed))
     return [np.random.Generator(base.jumped(j)) for j in range(axes)]
@@ -185,18 +192,40 @@ def sample(config: SamplerConfig) -> SampleBatch:
     coords = np.empty((count, chart.d))
     mats = np.empty((count, dim, dim))
     quats = np.empty((count, 4)) if chart.is_quaternion and group.proper else None
-    for s in _node_blocks(count, dim * dim):
-        rows = len(coords[s])
-        for j, (law, stream, (lo, hi)) in enumerate(zip(CHART_LAWS[tag][1], streams, chart.domain)):
-            coords[s, j] = law.draw(*stream.random((rows, law.width)).T, lo, hi)
-        if chart.is_quaternion:
-            q = chart.quaternions_at(coords[s])
-            mats[s] = quat_rotation_matrices(q)
-            if quats is not None:
-                quats[s] = q
-        else:
-            mats[s] = chart.evaluate_many(coords[s])
-        if not group.proper:
-            coin = streams[chart.d].random(rows) < 0.5
-            mats[s] = np.where(coin[:, None, None], improper_coset(mats[s]), mats[s])
+    blocks = _node_blocks(count, dim * dim * WORKERS)
+    todo, lock, failed = iter(blocks), threading.Lock(), []
+
+    def run():
+        try:
+            while not failed:
+                with lock:  # the take and the draws together: every stream runs in block order
+                    if (s := next(todo, None)) is None:
+                        return
+                    rows = len(coords[s])
+                    uniforms = [(law, stream.random((rows, law.width)).T)
+                                for law, stream in zip(CHART_LAWS[tag][1], streams)]
+                    coin = None if group.proper else streams[chart.d].random(rows) < 0.5
+                for j, ((law, u), (lo, hi)) in enumerate(zip(uniforms, chart.domain)):
+                    coords[s, j] = law.draw(*u, lo, hi)
+                if chart.is_quaternion:
+                    q = chart.quaternions_at(coords[s])
+                    mats[s] = quat_rotation_matrices(q)
+                    if quats is not None:
+                        quats[s] = q
+                else:
+                    mats[s] = chart.evaluate_many(coords[s])
+                if coin is not None:
+                    mats[s] = np.where(coin[:, None, None], improper_coset(mats[s]), mats[s])
+        except BaseException as exc:  # the others stop before their next block; re-raised below
+            failed.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run,))  # carries np.errstate
+               for _ in range(min(WORKERS, len(blocks)) - 1)]
+    for thread in threads:
+        thread.start()
+    run()
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
     return SampleBatch(config=config, coordinates=coords, matrices=mats, quaternions=quats)

@@ -4,12 +4,14 @@ Each fast path (the compiled chart plan, the Haar density kernel on entry
 rows and in node blocks, the improper coset as a sign, the templated sample
 formatter, the Monte Carlo moments with their standard errors taken in
 place, the group averages summed in node slices, the samplers drawn in row
-blocks) is compared with a straightforward reference kept here, on bytes
-rather than on values, so a flipped sign of zero counts as a difference.
+blocks on one or more threads) is compared with a straightforward reference
+kept here, on bytes rather than on values, so a flipped sign of zero counts
+as a difference.
 The Hamilton product that the einsum reference kernel uses lives here too,
 with tests of its own.
 """
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -23,7 +25,7 @@ from haarkit.charts import BUILTIN_NAMES, Chart, builtin_chart
 from haarkit.cli import _row_template, format_float, format_rows, main, to_json
 from haarkit.groups import (GROUPS, FiniteGroup, improper_coset, quat_rotation_matrices,
                             so_algebra_basis)
-from haarkit.haar import (BLOCK_ENTRIES, _density_and_elements, haar_nodes,
+from haarkit.haar import (BLOCK_ENTRIES, _density_and_elements, _node_blocks, haar_nodes,
                           integrate_tensor, normalize)
 from haarkit.orbit import OrbitSpec, mc_moments
 from haarkit.quadrature import QuadratureRule
@@ -390,6 +392,25 @@ def test_sampler_in_small_blocks_matches_one_draw(group, chart, monkeypatch):
 @pytest.mark.parametrize("group, chart", SAMPLERS)
 def test_sampler_in_default_blocks_matches_one_draw(group, chart):
     assert_same_batch(SamplerConfig(group=group, chart=chart, seed=2027, count=100_003))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("group, chart", SAMPLERS)
+def test_sampler_on_any_number_of_workers_matches_one_draw(group, chart, workers, monkeypatch):
+    # three workers on two CPUs, and at 97 entries hundreds of blocks with a short
+    # switch interval: a block drawn out of order would move some stream's bytes
+    monkeypatch.setattr("haarkit.sampling.WORKERS", workers)
+    dim = GROUPS[group].dim
+    interval = sys.getswitchinterval()
+    try:
+        for entries, largest in ((BLOCK_ENTRIES, 100_003), (97, 1003)):
+            monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", entries)
+            sys.setswitchinterval(1e-6 if entries == 97 else interval)
+            block = len(range(largest)[_node_blocks(largest, dim * dim * workers)[0]])
+            for count in (1, block + 1, largest):
+                assert_same_batch(SamplerConfig(group=group, chart=chart, seed=2028, count=count))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

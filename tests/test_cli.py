@@ -637,6 +637,23 @@ def test_chart_density_outputs_do_not_depend_on_the_blas_thread_count():
     assert outputs["1"] == outputs["2"]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_sample_output_does_not_depend_on_the_cpu_count():
+    # the sampler runs its row blocks on one thread per CPU the process may use
+    env = dict(os.environ, PYTHONPATH=str(Path(haarkit.__file__).parents[1]))
+    cpu = min(os.sched_getaffinity(0))
+
+    def child(*argv, pinned):
+        return subprocess.run([sys.executable, *argv], capture_output=True, env=env, check=True,
+                              preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None,
+                              timeout=300).stdout
+
+    assert child("-c", "from haarkit.sampling import WORKERS; print(WORKERS)", pinned=True) == b"1\n"
+    argv = ("-m", "haarkit.cli", "sample", "--group", "o3", "--chart", "quaternion",
+            "-n", "100003", "--seed", "5", "--format", "csv")
+    assert child(*argv, pinned=True) == child(*argv, pinned=False)
+
+
 @pytest.mark.parametrize("argv,expected", zip(AUTO_MAP_ARGVS, [
     '{"chart1": "so3_euler", "chart2": "so3_polar", "point": [0.40000000000000002, '
     '1.1000000000000001, 2], "residual": 3.4694469519536142e-18}\n',

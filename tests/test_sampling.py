@@ -5,7 +5,11 @@ of uniform points on the 3-sphere by normalizing 4D Gaussian draws.
 """
 
 import hashlib
+import itertools
+import threading
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +197,60 @@ def test_sampler_memory_is_its_output_plus_one_block(group, chart):
     if batch.quaternions is not None:
         output += batch.quaternions.nbytes
     assert peak - output <= 8 * 2**20, (peak, output)
+
+
+class DrawFailed(Exception):
+    pass
+
+
+def with_beta_draw(monkeypatch, draw):
+    """so3-euler's sampler with its beta law drawn by draw, on two workers and in
+    blocks of 5 rows, so that every batch below spans many blocks."""
+    alias, (alpha, beta, gamma) = CHART_LAWS["so3-euler"]
+    monkeypatch.setitem(CHART_LAWS, "so3-euler", (alias, (alpha, replace(beta, draw=draw), gamma)))
+    monkeypatch.setattr(sampling, "WORKERS", 2)
+    monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", 97)
+
+
+def test_a_failing_block_stops_every_worker_and_raises_in_the_caller(monkeypatch):
+    calls = itertools.count(1)
+    sine = CHART_LAWS["so3-euler"][1][1]
+
+    def draw(u, lo, hi):
+        if next(calls) == 3:
+            raise DrawFailed("third block")
+        return sine.draw(u, lo, hi)
+
+    with_beta_draw(monkeypatch, draw)
+    before = threading.active_count()
+    with pytest.raises(DrawFailed, match="third block"):
+        sample(SamplerConfig(group="o3", chart="euler", seed=5, count=1000))  # 200 blocks
+    assert threading.active_count() == before
+    assert next(calls) <= 6  # the failed block, and at most one more started by each runner
+
+
+def test_workers_keep_the_callers_errstate(monkeypatch):
+    # np.errstate is a context variable, which a new thread does not inherit unless
+    # it runs in a copy of the caller's context
+    drawn_on, both_drew = set(), threading.Barrier(2, timeout=30)
+    sine = CHART_LAWS["so3-euler"][1][1]
+
+    def draw(u, lo, hi):
+        np.zeros(len(u)) / np.zeros(len(u))  # 0/0: a RuntimeWarning unless ignored
+        if threading.get_ident() not in drawn_on:
+            drawn_on.add(threading.get_ident())
+            both_drew.wait()  # the caller's first block waits for the worker's
+        return sine.draw(u, lo, hi)
+
+    config = SamplerConfig(group="so3", chart="euler", seed=6, count=100)
+    reference = sample(config)
+    with_beta_draw(monkeypatch, draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(invalid="ignore"):
+            batch = sample(config)
+    assert len(drawn_on) == 2
+    assert batch.matrices.tobytes() == reference.matrices.tobytes()
 
 
 def test_improper_coin_does_not_disturb_rotation_stream():
