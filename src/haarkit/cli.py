@@ -17,7 +17,8 @@ Tensor.to_json: json.dumps, so shortest-repr floats ("0.0", "1.5") with
 -0.0 kept.  ``sample`` output goes through format_rows, which
 keeps those bytes but builds the digits of 1e-4 <= |x| < 1 as integers in
 numpy and leaves only other values, rounding carries and near-ties to
-format_float.
+format_float.  It formats the rows in blocks, so the Python objects of
+one block, not of the whole batch, are alive beside the text.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .chartlang import ChartError
 from .charts import DomainError, load_chart
 from .groups import GROUPS, lookup_group
-from .haar import NumericalError, chart_change_check, normalize
+from .haar import NumericalError, _node_blocks, chart_change_check, normalize
 from .orbit import REPRESENTATIONS, OrbitSpec, mc_moments, moment
 from .reynolds import (INTEGER_SLACK, dim_invariants_closed, dim_invariants_quadrature, moment_gap,
                        reynolds_continuous)
@@ -84,6 +85,10 @@ _PREFIXES = np.array([sign + "0." + "0" * (-k - 1) for sign in ("", "-") for k i
 # Fractions this close to 1/2 go to format_float: the product is exact, but
 # its fraction 1 + lo is rounded where lo is a small negative part.
 _TIE_MARGIN = 1e-6
+# float64 entries that the arrays and Python objects of one value take while
+# format_rows builds its text: about 145 bytes, so a block of
+# haar.BLOCK_ENTRIES // _VALUE_ENTRIES values holds about 2 MiB of them.
+_VALUE_ENTRIES = 16
 
 
 def _split(a):
@@ -120,9 +125,18 @@ def format_rows(template: str, rows: np.ndarray) -> str:
     zeros and that integer with its trailing zeros dropped.  format_float
     itself prints every other value (0, +-1, tiny roundoff, +-inf, NaN), a
     value whose rounding carries to the next power of ten, and one within
-    _TIE_MARGIN of a rounding tie.
+    _TIE_MARGIN of a rounding tie.  Rows are formatted in blocks of at most
+    haar.BLOCK_ENTRIES // _VALUE_ENTRIES values (_node_blocks) and the
+    blocks' lines joined by "\\n", so only one block's objects are alive
+    beside the text.
     """
     flat = rows.reshape(len(rows), -1)
+    blocks = _node_blocks(len(flat), flat.shape[1] * _VALUE_ENTRIES)
+    return "\n".join([_format_block(template, flat[s]) for s in blocks])
+
+
+def _format_block(template: str, flat: np.ndarray) -> str:
+    """format_rows on one block of rows, flattened to (rows, values)."""
     x = flat.ravel()
     a = np.abs(x)
     fast = np.flatnonzero((a >= 1e-4) & (a < 1.0))  # false for NaN

@@ -6,10 +6,12 @@ group tag or a groups.FiniteGroup.  Moments come from quadrature (the
 Reynolds average of tensor powers of X, on the exact rule, on the grid a
 density was normalized on, or over a finite group's elements) or, for a
 tag, from Monte Carlo sampling with entry-wise standard errors.  A Monte
-Carlo moment keeps one S^r-entry outer power per draw (S the seed's entry
-count) in a single (N, S^r) stack and reads its standard errors off that
-stack in place; ``orbit-moments --mc`` draws once per command and passes
-the SampleBatch to both orders.
+Carlo moment computes the orbit points of every draw at once, then walks
+their S^r-entry outer powers (S the seed's entry count) in row blocks of
+haar.BLOCK_ENTRIES entries, twice: once for the mean and once for the
+squared deviations from it, so no (N, S^r) stack is held;
+``orbit-moments --mc`` draws once per command and passes the SampleBatch
+to both orders.
 
 For conjugation orbits of symmetric 3x3 seeds the first two moments have
 closed forms in the isotropic tensors; see the *_closed functions.  They
@@ -23,12 +25,13 @@ for distinct orthonormal columns u, v (d is the Kronecker delta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import FiniteGroup, lookup_group
-from .haar import HaarDensity, NumericalError, integrate_tensor
+from .haar import HaarDensity, NumericalError, _node_blocks, integrate_tensor
 from .sampling import SampleBatch, SamplerConfig, sample
 from .tensors import Tensor, act_batch, as_tensor, check_budget, outer_power, outer_power_batch
 
@@ -101,6 +104,20 @@ def covariance(spec: OrbitSpec, density: HaarDensity | None = None, rule=None) -
     return m2 - outer_power(m1, 2)
 
 
+def _row_sum(blocks: list[slice], rows) -> np.ndarray:
+    """numpy's ``sum(axis=0)`` of the (N, W) array whose row blocks ``rows(s)`` gives.
+
+    For a C-contiguous array with W >= 2 numpy adds the rows in order, so
+    carrying the running total into the next block as its row 0 keeps the
+    bits of one sum over the whole array.
+    """
+    total = None
+    for s in blocks:
+        part = rows(s)
+        total = (part if total is None else np.concatenate((total[None], part))).sum(axis=0)
+    return total
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of
 def mc_moments(spec: OrbitSpec, r: int,
                config: SamplerConfig | SampleBatch) -> tuple[Tensor, Tensor]:
@@ -110,9 +127,11 @@ def mc_moments(spec: OrbitSpec, r: int,
     which gives the same bytes as its own config.  Either must draw the
     spec's group; a FiniteGroup has no sampler, and moment() gives its
     moments exactly.  The results are numpy's ``mean`` and
-    ``std(ddof=1) / sqrt(n)`` over the (N, S^r) stack of outer powers, step
-    for step, but the deviations overwrite that stack instead of filling a
-    second one.  A mean or standard error that overflows is a NumericalError.
+    ``std(ddof=1) / sqrt(n)`` over the (N, S^r) stack of outer powers, bit
+    for bit, but that stack is never built: the outer powers are formed
+    and summed one row block at a time (_row_sum), once for the mean and
+    again for the squared deviations.  A mean or standard error that
+    overflows is a NumericalError.
     """
     if r < 1:
         raise ValueError("moment order must be positive")
@@ -123,17 +142,21 @@ def mc_moments(spec: OrbitSpec, r: int,
     if lookup_group(drawn) is not lookup_group(spec.group):
         raise ValueError(f"draws of group {drawn!r} cannot average an orbit of {spec.group!r}")
     shape = _power_shape(spec, r)
-    # no name holds a batch drawn here, so it is freed before the S^r stack is built
+    # no name holds a batch drawn here, so it is freed once its orbit points are computed
     points = spec.values((config if isinstance(config, SampleBatch) else sample(config)).matrices)
-    values = outer_power_batch(points, r)
-    n = values.shape[0]
-    mean = values.sum(axis=0)
+    n, width = len(points), math.prod(shape)
+    # Every group has D >= 2, so S^r >= 2 unless the seed is a scalar.  numpy sums an (N, 1)
+    # array pairwise, not row by row, so a scalar's stack (N floats) is summed in one block.
+    blocks = _node_blocks(n, width) if width > 1 else [slice(0, n)]
+    mean = _row_sum(blocks, lambda s: outer_power_batch(points[s], r))
     mean /= n
     stderr = np.zeros_like(mean)
     if n > 1:
-        np.subtract(values, mean, out=values)
-        np.square(values, out=values)
-        values.sum(axis=0, out=stderr)
+        def squared_deviations(s):
+            dev = np.subtract(outer_power_batch(points[s], r), mean)
+            return np.square(dev, out=dev)
+
+        stderr = _row_sum(blocks, squared_deviations)
         stderr /= n - 1
         np.sqrt(stderr, out=stderr)
         stderr /= np.sqrt(n)

@@ -2,9 +2,9 @@
 
 Each fast path (the compiled chart plan, the Haar density kernel on entry
 rows and in node blocks, the improper coset as a sign, the templated sample
-formatter, the Monte Carlo moments with their standard errors taken in
-place, the group averages summed in node slices, the samplers drawn in row
-blocks on one or more threads) is compared with a straightforward reference
+formatter in row blocks, the Monte Carlo moments with their standard errors
+summed in row blocks, the group averages summed in node slices, the samplers
+drawn in row blocks on one or more threads) is compared with a straightforward reference
 kept here, on bytes rather than on values, so a flipped sign of zero counts
 as a difference.
 The Hamilton product that the einsum reference kernel uses lives here too,
@@ -519,8 +519,35 @@ def test_sample_output_matches_format_float(group, chart, fmt, capsys):
     assert capsys.readouterr().out == reference_lines(rows, key) + "\n"
 
 
+# Values that format_float prints itself: zeros, +-1, NaN, +-inf, an exact
+# rounding tie of the numpy path (26215 / 2^18) and its neighbours one ulp away.
+SELF_PRINTED = [0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf,
+                *ulp_neighbours(26215 / 2.0**18), -26215 / 2.0**18]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("group, chart", [(g, c) for g in GROUPS for c in GROUPS[g].charts])
+def test_format_rows_in_small_blocks_matches_one_block(group, chart, fmt, monkeypatch):
+    batch = sample(SamplerConfig(group=group, chart=chart, seed=4, count=301))
+    if fmt == "csv":
+        rows, key = batch.matrices.copy(), None
+    elif batch.quaternions is not None:
+        rows, key = batch.quaternions.copy(), "q"
+    else:
+        rows, key = batch.matrices.copy(), "R"
+    row = rows[150].reshape(-1)  # one row of self-printed values, in the middle of a block
+    row[:] = np.resize(SELF_PRINTED, row.size)
+    template = _row_template(rows.shape[1:], key)
+    monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", 2**62)
+    one_block = format_rows(template, rows)
+    assert one_block == reference_lines(rows, key)
+    for entries in (BLOCK_ENTRIES, 1000, 97):  # one block, then 6-15 rows, then 1 row per block
+        monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", entries)
+        assert format_rows(template, rows) == one_block, entries
+
+
 # ---------------------------------------------------------------------------
-# Monte Carlo orbit moments against numpy's mean and std on a second stack
+# Monte Carlo orbit moments against numpy's mean and std on the whole stack
 
 ORBIT_SPECS = {
     "sym2": ("so3", "sym2", [[1.0, -0.4, 0.0], [-0.4, 2.0, 0.7], [0.0, 0.7, -3.0]]),
@@ -554,6 +581,37 @@ def test_mc_moments_match_numpy_mean_and_std(name, r, count):
         assert same_bits(got_mean.array.reshape(-1), mean), (name, r, count)
         assert same_bits(got_stderr.array.reshape(-1), stderr), (name, r, count)
     assert same_bits(batch.matrices, sample(config).matrices)  # the batch is only read
+
+
+# (group, representation, seed, r, counts): every ORBIT_SPECS case, an order-3
+# tensor at r = 3 (S^r = 3^9), the narrowest stack (natural on O(2) at r = 1,
+# two columns) and a scalar seed, whose (N, 1) stack numpy sums pairwise.
+# Each count list has 1, 2 and one past a default block; 700 draws of the
+# order-3 case would hold a 110 MB reference stack, so it stops at 100.
+BLOCKED_CASES = {
+    **{f"{name} r={r}": (*ORBIT_SPECS[name], r, None) for name in ORBIT_SPECS for r in (1, 2, 3)},
+    "order-3 tensor r=3": ("so3", "tensor", np.random.default_rng(3).normal(size=(3, 3, 3)), 3,
+                           (1, 2, 14, 100)),
+    "natural o2 r=1": ("o2", "natural", [0.6, -1.7], 1, None),
+    "scalar r=2": ("so3", "tensor", 0.3, 2, None),
+}
+
+
+@pytest.mark.parametrize("case", BLOCKED_CASES)
+def test_mc_moments_in_row_blocks_match_numpy_mean_and_std(case, monkeypatch):
+    group, representation, seed, r, counts = BLOCKED_CASES[case]
+    dim = 3 if group.endswith("3") else 2
+    spec = OrbitSpec(group, representation, as_tensor(seed, dim=dim))
+    width = int(np.prod(spec.seed.entries.shape)) ** r
+    past = len(range(BLOCK_ENTRIES)[_node_blocks(BLOCK_ENTRIES, width)[0]]) + 1
+    for count in counts or (1, 2, 700, past):
+        batch = sample(SamplerConfig(group=group, seed=13, count=count))
+        mean, stderr = reference_mc_moments(spec, r, batch)
+        for entries in (50, BLOCK_ENTRIES, 2**62):  # 50: 25 rows per block at S^r = 2, 1 from 26 up
+            monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", entries)
+            got_mean, got_stderr = mc_moments(spec, r, batch)
+            assert same_bits(got_mean.array.reshape(-1), mean), (case, count, entries)
+            assert same_bits(got_stderr.array.reshape(-1), stderr), (case, count, entries)
 
 
 # ---------------------------------------------------------------------------

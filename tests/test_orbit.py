@@ -148,18 +148,37 @@ def test_mc_stderr_scales_like_sqrt_n():
     assert 2.5 < ratio < 6.5  # ideal 4
 
 
-def test_mc_moments_memory_per_draw():
-    # one (N, 81) stack of outer powers: the deviations overwrite it, and a
-    # batch drawn inside mc_moments is freed before the stack is built
-    spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
-    mc_moments(spec, 2, SamplerConfig(group="so3", chart="polar", seed=2, count=10))
+def mc_moments_peak(spec: OrbitSpec, r: int, count: int) -> int:
+    """tracemalloc peak of mc_moments on `count` polar draws, after a warm-up call."""
+    mc_moments(spec, r, SamplerConfig(group="so3", chart="polar", seed=2, count=10))
     tracemalloc.start()
     try:
-        mc_moments(spec, 2, SamplerConfig(group="so3", chart="polar", seed=2, count=20000))
-        peak = tracemalloc.get_traced_memory()[1]
+        mc_moments(spec, r, SamplerConfig(group="so3", chart="polar", seed=2, count=count))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_mc_moments_memory_per_draw():
+    # the (N, 9) orbit points and one row block of outer powers at a time; a
+    # batch drawn inside mc_moments is freed once its points are computed
+    spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
+    peak = mc_moments_peak(spec, 2, 20000)
     assert peak / (8 * 20000) < 110, peak
+
+
+def test_mc_moments_do_not_hold_the_stack_of_outer_powers():
+    # sym2 at r = 2 and 10^5 draws: the (N, 81) stack alone would be 62 MiB
+    spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
+    peak = mc_moments_peak(spec, 2, 100_000)
+    assert peak < 32 * 2**20, peak
+
+
+def test_mc_moments_of_an_order_3_tensor_at_r_3_stay_small():
+    # S^r = 3^9 entries per draw: the stack at 4000 draws would be 601 MiB
+    seed = as_tensor(np.random.default_rng(3).normal(size=(3, 3, 3)))
+    peak = mc_moments_peak(OrbitSpec(group="so3", representation="tensor", seed=seed), 3, 4000)
+    assert peak < 16 * 2**20, peak
 
 
 def levi_civita_spec(group="so3"):
