@@ -17,8 +17,10 @@ Tensor.to_json: json.dumps, so shortest-repr floats ("0.0", "1.5") with
 -0.0 kept.  ``sample`` output goes through format_rows, which
 keeps those bytes but builds the digits of 1e-4 <= |x| < 1 as integers in
 numpy and leaves only other values, rounding carries and near-ties to
-format_float.  It formats the rows in blocks, so the Python objects of
-one block, not of the whole batch, are alive beside the text.
+format_float.  It yields one row block's text at a time.  Each handler
+returns its stdout lines, and main alone writes them, to stdout or to the
+``--out`` file, which it opens only then: a refusal writes nothing, and only a
+failure while ``sample`` formats (a MemoryError) leaves a prefix of its text.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ import argparse
 import decimal
 import os
 import sys
+from collections.abc import Iterator
+from contextlib import nullcontext
 
 import numpy as np
 
-from .chartlang import ChartError
-from .charts import DomainError, load_chart
+from .charts import load_chart
 from .groups import GROUPS, lookup_group
 from .haar import NumericalError, _node_blocks, chart_change_check, normalize
 from .orbit import REPRESENTATIONS, OrbitSpec, mc_moments, moment
@@ -116,7 +119,7 @@ def _scaled(a: np.ndarray, k: np.ndarray):
     return p.astype(np.int64) + whole.astype(np.int64), e - whole
 
 
-def format_rows(template: str, rows: np.ndarray) -> str:
+def format_rows(template: str, rows: np.ndarray) -> Iterator[str]:
     """One line per row of ``rows``, each value filling one ``%.17g`` slot.
 
     The bytes are those of format_float on every value.  Values with
@@ -125,14 +128,12 @@ def format_rows(template: str, rows: np.ndarray) -> str:
     zeros and that integer with its trailing zeros dropped.  format_float
     itself prints every other value (0, +-1, tiny roundoff, +-inf, NaN), a
     value whose rounding carries to the next power of ten, and one within
-    _TIE_MARGIN of a rounding tie.  Rows are formatted in blocks of at most
-    haar.BLOCK_ENTRIES // _VALUE_ENTRIES values (_node_blocks) and the
-    blocks' lines joined by "\\n", so only one block's objects are alive
-    beside the text.
+    _TIE_MARGIN of a rounding tie.  It yields the lines of each block of at
+    most haar.BLOCK_ENTRIES // _VALUE_ENTRIES values (_node_blocks) as one text.
     """
     flat = rows.reshape(len(rows), -1)
     blocks = _node_blocks(len(flat), flat.shape[1] * _VALUE_ENTRIES)
-    return "\n".join([_format_block(template, flat[s]) for s in blocks])
+    return (_format_block(template, flat[s]) for s in blocks)
 
 
 def _format_block(template: str, flat: np.ndarray) -> str:
@@ -208,10 +209,10 @@ def _refuse_an_uneven_cover(density) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns the stdout text.
+# Subcommand handlers.  Each returns its stdout lines, which main writes.
 
 
-def _cmd_density(args) -> str:
+def _cmd_density(args) -> list[str]:
     chart = load_chart(args.chart)
     point = _parse_point(args.point)
     use_numeric = args.numeric or not args.closed_form
@@ -228,20 +229,20 @@ def _cmd_density(args) -> str:
             record["closed_form_density"] = value
         else:
             record["density"] = value
-    return to_json(record)
+    return [to_json(record)]
 
 
-def _cmd_normalize(args) -> str:
+def _cmd_normalize(args) -> list[str]:
     chart = load_chart(args.chart)
     density = normalize(chart, rule=args.nodes)
-    return to_json({"chart": chart.name, "C": density.C,
-                    "nodes_per_axis": list(density.grid()[0].nodes_per_axis)})
+    return [to_json({"chart": chart.name, "C": density.C,
+                     "nodes_per_axis": list(density.grid()[0].nodes_per_axis)})]
 
 
-def _cmd_sample(args) -> str:
-    config = SamplerConfig(group=args.group, chart=args.chart or "",
-                           seed=args.seed, count=args.count)
-    batch = sample(config)
+def _cmd_sample(args) -> Iterator[str]:
+    # a plain function, not a generator: sample's refusals run before main opens --out
+    batch = sample(SamplerConfig(group=args.group, chart=args.chart or "", seed=args.seed,
+                                 count=args.count))
     if args.format == "csv":
         rows, key = batch.matrices, None
     elif batch.quaternions is not None:
@@ -251,7 +252,7 @@ def _cmd_sample(args) -> str:
     return format_rows(_row_template(rows.shape[1:], key), rows)
 
 
-def _cmd_check_chart(args) -> str:
+def _cmd_check_chart(args) -> list[str]:
     if not 0 <= args.tolerance < np.inf:
         raise ValueError(f"--tolerance must be finite and nonnegative, got {args.tolerance:g}")
     chart = load_chart(args.chart)  # load already runs structural validation
@@ -266,10 +267,10 @@ def _cmd_check_chart(args) -> str:
             f"invariance check failed: grid moments of degree 1 and 2 are {worst:.3g} "
             f"from the exact rule, above {args.tolerance:g}\n" + to_json(record))
     record["status"] = "ok"
-    return to_json(record)
+    return [to_json(record)]
 
 
-def _cmd_dim(args) -> str:
+def _cmd_dim(args) -> list[str]:
     # Closed-form counts exist only in 3D; planar groups use the trace formula.
     method = args.method or ("closed" if lookup_group(args.group).dim == 3 else "quadrature")
     values = {}
@@ -278,22 +279,22 @@ def _cmd_dim(args) -> str:
     if method in ("quadrature", "both"):
         values["quadrature"] = dim_invariants_quadrature(args.group, args.order)
     if args.format == "json":
-        return to_json({"group": args.group, "order": args.order, **values})
+        return [to_json({"group": args.group, "order": args.order, **values})]
     # The quadrature value is within its roundoff slack, below 1/2, of an
     # integer (or it raised), so the table prints that integer.
-    return "\n".join(to_json(round(v)) for v in values.values())
+    return [to_json(round(v)) for v in values.values()]
 
 
-def _cmd_reynolds(args) -> str:
+def _cmd_reynolds(args) -> list[str]:
     with open(args.tensor, "r", encoding="utf-8") as fh:
         tensor = Tensor.from_json(fh.read())
     density = _averaging_density(args)
     averaged = reynolds_continuous(args.group, tensor, density)
     _refuse_an_uneven_cover(density)
-    return averaged.to_json()
+    return [averaged.to_json()]
 
 
-def _cmd_orbit_moments(args) -> str:
+def _cmd_orbit_moments(args) -> list[str]:
     if (args.seed_tensor is None) == (args.diag is None):
         raise ValueError("provide exactly one of --seed-tensor or --diag")
     if args.diag is not None:
@@ -317,10 +318,10 @@ def _cmd_orbit_moments(args) -> str:
         record["mc_m1"] = mc1.array.tolist()
         record["mc_m2"] = mc2.array.tolist()
         record["mc_stderr"] = {"m1": se1.array.tolist(), "m2": se2.array.tolist()}
-    return to_json(record)
+    return [to_json(record)]
 
 
-def _cmd_chart_change(args) -> str:
+def _cmd_chart_change(args) -> list[str]:
     c1 = load_chart(args.chart1)
     c2 = load_chart(args.chart2)
     point = _parse_point(args.point)
@@ -331,8 +332,8 @@ def _cmd_chart_change(args) -> str:
     else:
         raise ValueError(f"unknown --map {args.map!r}; use 'auto' or 'shift:dx1,dx2,...'")
     residual = chart_change_check(c1, c2, point, shift, args.nodes)
-    return to_json({"chart1": c1.name, "chart2": c2.name, "point": list(point),
-                    "residual": residual})
+    return [to_json({"chart1": c1.name, "chart2": c2.name, "point": list(point),
+                     "residual": residual})]
 
 
 # ---------------------------------------------------------------------------
@@ -425,29 +426,26 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
-        text = args.handler(args)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            return 0
+        lines = args.handler(args)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+            for line in lines:
+                print(line, file=out)
+            out.flush()
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ChartError, DomainError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # numpy names the allocation it could not make; Python does not
-        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
-        return 1
-    try:
-        print(text)
-        sys.stdout.flush()
     except BrokenPipeError:  # the reader left early, as `| head` does
         # what is still buffered goes to devnull, so the flush at exit stays quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the allocation it could not make; Python does not
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     return 0
 

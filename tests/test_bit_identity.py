@@ -489,7 +489,7 @@ def test_format_rows_matches_format_float(shape, key, with_nan):
     rows = RNG.permutation(values).reshape(60, *shape)
     if with_nan:
         rows.reshape(-1)[7] = np.nan
-    assert format_rows(_row_template(shape, key), rows) == reference_lines(rows, key)
+    assert "\n".join(format_rows(_row_template(shape, key), rows)) == reference_lines(rows, key)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -500,7 +500,7 @@ def test_format_rows_matches_format_float_on_drawn_floats(template, data):
     count = data.draw(st.integers(1, 6))
     values = data.draw(st.lists(st.floats(), min_size=size * count, max_size=size * count))
     rows = np.array(values, dtype=float).reshape(count, *shape)
-    assert format_rows(_row_template(shape, key), rows) == reference_lines(rows, key)
+    assert "\n".join(format_rows(_row_template(shape, key), rows)) == reference_lines(rows, key)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -539,11 +539,11 @@ def test_format_rows_in_small_blocks_matches_one_block(group, chart, fmt, monkey
     row[:] = np.resize(SELF_PRINTED, row.size)
     template = _row_template(rows.shape[1:], key)
     monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", 2**62)
-    one_block = format_rows(template, rows)
+    one_block = "\n".join(format_rows(template, rows))
     assert one_block == reference_lines(rows, key)
     for entries in (BLOCK_ENTRIES, 1000, 97):  # one block, then 6-15 rows, then 1 row per block
         monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", entries)
-        assert format_rows(template, rows) == one_block, entries
+        assert "\n".join(format_rows(template, rows)) == one_block, entries
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import decimal
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import haarkit.cli as cli_module
 import haarkit.orbit as orbit_module
 from haarkit.charts import BUILTIN_NAMES, builtin_chart, load_chart
 from haarkit.cli import format_float, main, to_json
-from haarkit.haar import normalize
+from haarkit.haar import BLOCK_ENTRIES, normalize
 from haarkit.orbit import OrbitSpec, covariance, mc_moments
 from haarkit.sampling import SamplerConfig, closed_form_density, sample
 from malformed_charts import MALFORMED
@@ -809,6 +811,51 @@ def test_memory_error_exits_1_with_one_line(monkeypatch, capsys):
     code, out, err = run(capsys, "sample", "--group", "so3", "-n", "10000000000")
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: out of memory: Unable to allocate 74.5 GiB for an array"]
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that drops what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_sample_holds_one_block_of_text_beside_its_batch(monkeypatch):
+    # 10^5 quaternion lines are 9.4 MB of text; main writes each row block's text as it comes
+    argv = ["sample", "--group", "so3", "--chart", "quaternion", "-n", "100000"]
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    assert main(argv[:-1] + ["10"]) == 0  # warm-up: imports and caches
+    batch = sample(SamplerConfig(group="so3", chart="quaternion", count=100000))
+    batch_bytes = batch.coordinates.nbytes + batch.matrices.nbytes + batch.quaternions.nbytes
+    del batch
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - batch_bytes < 8 * 2**20, (peak, batch_bytes)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sample_out_file_gets_the_stdout_bytes(fmt, tmp_path, capsys):
+    rows = 2 * (BLOCK_ENTRIES // (9 * cli_module._VALUE_ENTRIES)) + 7  # three format blocks
+    argv = ["sample", "--group", "o3", "--chart", "polar", "-n", str(rows), "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "rows.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert code == 0 and out.count("\n") == rows
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [["-n", "0"], ["--chart", "nonsense"], ["--seed", "-1"]])
+def test_refused_sample_makes_no_out_file(argv, tmp_path, capsys):
+    # the refusals run before main opens --out, so no empty or truncated file is left
+    target = tmp_path / "rows.json"
+    code, out, err = run(capsys, "sample", "--group", "so3", *argv, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not target.exists()
 
 
 def test_orbit_moments_seed_tensor_file_prints_the_diag_bytes(tmp_path, capsys):
