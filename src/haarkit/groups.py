@@ -76,7 +76,7 @@ class FiniteGroup:
     """A finite set of orthogonal matrices verified to form a group.
 
     Built from an (n, D, D) stack or a list of D x D matrices, which
-    as_orthogonal validates into the read-only stack ``matrices``.  Every
+    as_orthogonal validates into the read-only stack ``matrices``, each member once.  Every
     average that takes a group tag takes a FiniteGroup in its place and
     sums over the elements, improper ones included, at weight 1/|G|.
     """
@@ -93,6 +93,12 @@ class FiniteGroup:
         n, dim = arr.shape[0], arr.shape[1]
         if not np.abs(arr - np.eye(dim)).max(axis=(1, 2)).min() <= INPUT_TOL:
             raise ValueError("the identity is not among the elements")
+        def gap(a):  # (n, n) max-abs distance from each a[i] to each member
+            return np.abs(a[:, None] - arr[None]).max(axis=(2, 3))
+        twins = gap(arr) + np.tril(np.full((n, n), np.inf))
+        i, j = divmod(int(twins.argmin()), n)  # the closest pair i < j
+        if twins[i, j] <= INPUT_TOL:
+            raise ValueError(f"element {i} and element {j} are the same member; list each once")
         products = np.einsum("aij,bjk->abik", arr, arr).reshape(n * n, dim, dim)
         gaps = np.full(n * n, np.inf)
         for g in arr:  # one member at a time keeps memory O(n^2 D^2)
@@ -101,8 +107,7 @@ class FiniteGroup:
             i, j = divmod(int(gaps.argmax()), n)
             raise ValueError(f"not closed under products: element {i} * element {j} "
                              f"is {gaps.max():.3g} away from every member")
-        inv_gaps = np.abs(arr.transpose(0, 2, 1)[:, None] - arr[None]).max(axis=(2, 3)).min(axis=1)
-        if not inv_gaps.max() <= INPUT_TOL:
+        if not gap(arr.transpose(0, 2, 1)).min(axis=1).max() <= INPUT_TOL:
             raise ValueError("not closed under inverses")
 
     @classmethod
@@ -211,7 +216,7 @@ def as_orthogonal(matrices, tol: float = INPUT_TOL) -> np.ndarray:
     dets = np.linalg.det(m).ravel()
     det = dets[np.abs(np.abs(dets) - 1.0).argmax()]  # the furthest from +-1
     if not abs(abs(det) - 1.0) <= tol:
-        raise ValueError(f"matrix determinant {det:.6g} is not +-1 within tolerance")
+        raise ValueError(f"matrix determinant {det:.17g} is not +-1 within tolerance")
     m.setflags(write=False)
     return m
 

@@ -34,7 +34,8 @@ blocks (_node_blocks) of at most BLOCK_ENTRIES float64 entries.  The density
 kernel fills |det M| and the elements block by block, so normalize holds one
 block of jacobian rows and chart temporaries beside the grid; every group
 average sums its node blocks through node_mean, so it holds 2 MiB of
-integrand, not N times its width.  The kernel's bytes do not depend on the
+integrand, not N times its width; row_sum, the one running sum, adds them
+(and orbit.mc_moments' row blocks).  The kernel's bytes do not depend on the
 block size; a sum over more than one slice is added up in another order and
 can change in the last bits, and one within the budget keeps the bytes of
 the unsliced sum.  The same budget sizes the row blocks of the samplers
@@ -49,7 +50,6 @@ differentiate through the two jacobians, so no step size appears anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -311,11 +311,30 @@ def _node_blocks(count: int, width: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
+def row_sum(parts) -> np.ndarray:
+    """numpy's ``sum(axis=0)`` of the row blocks ``parts`` stacked in order.  numpy adds the rows
+    of a C-contiguous (N, W >= 2) array in order from +0.0, so carrying the running total into
+    each block as its row 0 keeps those bits; a step of one row is np.add (-0.0 reads +0.0)."""
+    parts = iter(parts)
+    total = np.asarray(next(parts).sum(axis=0))  # out= needs an array; a scalar sums to a float
+    for part in parts:  # in place: a new total per block can make malloc fault in the next
+        np.concatenate((total[None], part)).sum(axis=0, out=total)  # block's temporaries again
+    return total
+
+
 def _with_cosets(row: Group, weights: np.ndarray,
                  elements: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """(weights, stacks): SO(D) averages f over the proper elements; O(D)
     integrates (1/2)[f(g) + f(sigma g)], so its stacks add the improper coset."""
     return weights, [elements] if row.proper else [elements, improper_coset(elements)]
+
+
+def _first_chart(group_tag: str, degree: int) -> tuple[Group, Chart]:
+    """The row of a group tag and its first chart, where the exact rules of a degree lie."""
+    if degree < 0:
+        raise ValueError("polynomial degree must be nonnegative")
+    row = lookup_group(group_tag)
+    return row, builtin_chart(row.charts[0])
 
 
 def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -334,10 +353,7 @@ def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, list[np.ndarra
     The nodes lie in the group's first chart, so2-angle or so3-euler; O(D)
     adds their improper coset as a second stack, as class_nodes does.
     """
-    if degree < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    row = lookup_group(group_tag)
-    chart = builtin_chart(row.charts[0])
+    row, chart = _first_chart(group_tag, degree)
     m = degree + 1
     turns = chart.domain[0, 0] + 2.0 * np.pi * np.arange(m) / m
     if chart.d == 1:
@@ -358,10 +374,7 @@ def class_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, list[np.ndarra
     trigonometric polynomial exactly.  Starting at the identity, where Tr^n
     peaks, spares its largest terms cancellation in a.
     """
-    if degree < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    row = lookup_group(group_tag)
-    chart = builtin_chart(row.charts[0])
+    row, chart = _first_chart(group_tag, degree)
     m = degree + 2
     angles = 2.0 * np.pi * np.arange(m) / m
     points = np.zeros((m, chart.d))
@@ -395,10 +408,10 @@ def haar_nodes(group, density: HaarDensity | None,
 def node_mean(weights: np.ndarray, stacks: list[np.ndarray], width: int, term) -> np.ndarray:
     """Mean over haar_nodes' stacks of the sums term(w, mats) of an integrand of ``width``
     entries per node, weighted by w, on node slices of at most BLOCK_ENTRIES // width nodes,
-    added in order: the one walk of every group average.  A stack within the budget is one
-    slice, with the bytes of term on the whole stack; above that the last bits can change."""
-    parts = (term(weights[s], mats[s]) for mats in stacks for s in _node_blocks(len(mats), width))
-    return reduce(np.add, parts) / len(stacks)
+    added in order as row_sum's one-row parts: the one walk of every group average.  A stack
+    within the budget is one slice, with the bytes of term on the whole stack."""
+    return row_sum(term(weights[s], mats[s])[None] for mats in stacks
+                   for s in _node_blocks(len(mats), width)) / len(stacks)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of

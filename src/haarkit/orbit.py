@@ -8,8 +8,9 @@ density was normalized on, or over a finite group's elements) or, for a
 tag, from Monte Carlo sampling with entry-wise standard errors.  A Monte
 Carlo moment computes the orbit points of every draw at once, then walks
 their S^r-entry outer powers (S the seed's entry count) in row blocks of
-haar.BLOCK_ENTRIES entries, twice: once for the mean and once for the
-squared deviations from it, so no (N, S^r) stack is held;
+haar.BLOCK_ENTRIES entries, twice, through haar.row_sum, the running sum of
+every group average: once for the mean and once for the squared deviations
+from it, so no (N, S^r) stack is held;
 ``orbit-moments --mc`` draws once per command and passes the SampleBatch
 to both orders.
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, lookup_group
-from .haar import HaarDensity, NumericalError, _node_blocks, integrate_tensor
+from .haar import HaarDensity, NumericalError, _node_blocks, integrate_tensor, row_sum
 from .sampling import SampleBatch, SamplerConfig, sample
 from .tensors import Tensor, act_batch, as_tensor, check_budget, outer_power, outer_power_batch
 
@@ -104,20 +105,6 @@ def covariance(spec: OrbitSpec, density: HaarDensity | None = None, rule=None) -
     return m2 - outer_power(m1, 2)
 
 
-def _row_sum(blocks: list[slice], rows) -> np.ndarray:
-    """numpy's ``sum(axis=0)`` of the (N, W) array whose row blocks ``rows(s)`` gives.
-
-    For a C-contiguous array with W >= 2 numpy adds the rows in order, so
-    carrying the running total into the next block as its row 0 keeps the
-    bits of one sum over the whole array.
-    """
-    total = None
-    for s in blocks:
-        part = rows(s)
-        total = (part if total is None else np.concatenate((total[None], part))).sum(axis=0)
-    return total
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of
 def mc_moments(spec: OrbitSpec, r: int,
                config: SamplerConfig | SampleBatch) -> tuple[Tensor, Tensor]:
@@ -129,8 +116,8 @@ def mc_moments(spec: OrbitSpec, r: int,
     moments exactly.  The results are numpy's ``mean`` and
     ``std(ddof=1) / sqrt(n)`` over the (N, S^r) stack of outer powers, bit
     for bit, but that stack is never built: the outer powers are formed
-    and summed one row block at a time (_row_sum), once for the mean and
-    again for the squared deviations.  A mean or standard error that
+    one row block at a time and added by haar.row_sum, once for the mean
+    and again for the squared deviations.  A mean or standard error that
     overflows is a NumericalError.
     """
     if r < 1:
@@ -148,18 +135,11 @@ def mc_moments(spec: OrbitSpec, r: int,
     # Every group has D >= 2, so S^r >= 2 unless the seed is a scalar.  numpy sums an (N, 1)
     # array pairwise, not row by row, so a scalar's stack (N floats) is summed in one block.
     blocks = _node_blocks(n, width) if width > 1 else [slice(0, n)]
-    mean = _row_sum(blocks, lambda s: outer_power_batch(points[s], r))
-    mean /= n
+    mean = row_sum(outer_power_batch(points[s], r) for s in blocks) / n
     stderr = np.zeros_like(mean)
     if n > 1:
-        def squared_deviations(s):
-            dev = np.subtract(outer_power_batch(points[s], r), mean)
-            return np.square(dev, out=dev)
-
-        stderr = _row_sum(blocks, squared_deviations)
-        stderr /= n - 1
-        np.sqrt(stderr, out=stderr)
-        stderr /= np.sqrt(n)
+        deviations = (np.subtract(outer_power_batch(points[s], r), mean) for s in blocks)
+        stderr = np.sqrt(row_sum(np.square(dev, out=dev) for dev in deviations) / (n - 1)) / np.sqrt(n)
     if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
         raise NumericalError(f"Monte Carlo moment of order {r} or its standard error is not "
                              "finite: the orbit's values overflow")

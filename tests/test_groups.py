@@ -129,6 +129,33 @@ def test_finite_group_of_the_identity_and_its_negative():
     assert len(FiniteGroup([np.eye(3), -np.eye(3)])) == 2
 
 
+def test_finite_group_refuses_a_repeated_member():
+    # {I, R, R} passed every check and weighted R twice: the average of e1 read (-1/3, 0, 0)
+    half_turn = rodrigues([0.0, 0.0, 1.0], np.pi)
+    with pytest.raises(ValueError, match="element 1 and element 2 are the same member"):
+        FiniteGroup([np.eye(3), half_turn, half_turn])
+    with pytest.raises(ValueError, match="element 0 and element 2 are the same member"):
+        FiniteGroup([half_turn, np.eye(3), rodrigues([0.0, 0.0, 1.0], np.pi + 1e-10)])
+    assert len(FiniteGroup([np.eye(3), half_turn])) == 2
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: hat([1.0, 2.0]), r"hat expects a 3-vector, got shape \(2,\)"),
+    (lambda: vee(np.eye(2)), r"vee expects a 3x3 matrix, got shape \(2, 2\)"),
+    (lambda: rodrigues([1.0, 0.0], 0.3), r"rodrigues expects a 3-vector axis, got shape \(2,\)"),
+    (lambda: reflection([[1.0]]), r"reflection expects a vector of length >= 2, got shape \(1, 1\)"),
+], ids=["hat", "vee", "rodrigues", "reflection"])
+def test_constructors_refuse_the_wrong_shape(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_determinant_refusal_shows_the_deviation():
+    # orthogonal within INPUT_TOL (error 0.9e-9) but |det| - 1 = 1.35e-9; six digits printed 1
+    with pytest.raises(ValueError, match=r"determinant 1\.00000000135\d* is not \+-1 within tolerance"):
+        as_orthogonal(np.sqrt(1 + 0.9e-9) * np.eye(3))
+
+
 def test_quat_rotation_matches_rodrigues():
     axis = np.array([0.0, 0.6, 0.8])
     angle = 1.1

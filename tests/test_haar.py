@@ -1,5 +1,6 @@
 """Invariant densities: numeric vs closed form, normalization, integration."""
 
+import functools
 import re
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ import haarkit.haar as haar_module
 from haarkit.charts import Chart, DomainError, builtin_chart
 from haarkit.groups import FiniteGroup, UnknownNameError, quat_rotation_matrices
 from haarkit.haar import (NumericalError, _node_blocks, chart_change_check, density_numeric,
-                          integrate_tensor, normalize)
+                          haar_nodes, integrate_tensor, node_mean, normalize)
 from haarkit.orbit import OrbitSpec, moment
 from haarkit.quadrature import DEFAULT_NODES, QuadratureRule
 from haarkit.reynolds import dim_invariants_quadrature, reynolds_continuous, reynolds_matrix
@@ -526,6 +527,33 @@ def test_small_node_blocks_agree_with_one_slice(case, monkeypatch):
     assert calls and all(len(blocks) > 1 for blocks in calls)  # sliced at 97
     assert np.shape(blocked) == np.shape(one_slice)
     assert np.abs(np.asarray(blocked) - one_slice).max() <= 1e-14
+
+
+NODE_MEAN_NODES = {
+    "so3 grid": lambda: haar_nodes("so3", normalize(builtin_chart("so3-euler"), 8)),
+    "o3 grid, two stacks": lambda: haar_nodes("o3", normalize(builtin_chart("so3-polar"), 8)),
+    "finite group": lambda: haar_nodes(FiniteGroup.cyclic([1 / 3, 2 / 3, 2 / 3], 120), None),
+}
+NODE_MEAN_TERMS = {  # (width, term) as integrate_tensor builds them
+    "order 4": (81, lambda w, mats: np.tensordot(w, act_batch(mats, as_tensor(_tensor(4))), axes=1)),
+    "scalar": (1, lambda w, mats: np.tensordot(w, np.trace(mats, axis1=-2, axis2=-1) ** 3, axes=1)),
+}
+
+
+@pytest.mark.parametrize("term", list(NODE_MEAN_TERMS))
+@pytest.mark.parametrize("nodes", list(NODE_MEAN_NODES))
+def test_node_mean_in_small_blocks_has_the_bits_of_adding_its_slices(nodes, term, monkeypatch):
+    # row_sum's two-row sums are np.add, so node_mean keeps the bits of adding its slice sums
+    # one after another, stack after stack
+    monkeypatch.setattr(haar_module, "BLOCK_ENTRIES", 97)
+    weights, stacks = NODE_MEAN_NODES[nodes]()
+    width, term = NODE_MEAN_TERMS[term]
+    parts = [term(weights[s], mats[s]) for mats in stacks for s in _node_blocks(len(mats), width)]
+    assert len(parts) >= 2 * len(stacks)  # sliced at 97
+    reference = functools.reduce(np.add, parts) / len(stacks)
+    got = node_mean(weights, stacks, width, term)
+    assert np.shape(got) == np.shape(reference)
+    assert np.asarray(got).tobytes() == np.asarray(reference).tobytes()
 
 
 @pytest.mark.parametrize("average", [

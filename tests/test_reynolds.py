@@ -367,12 +367,15 @@ def test_quadrature_dims_on_a_density_do_not_depend_on_the_blas_thread_count():
 
 
 def test_quadrature_dims_overflow_is_a_numerical_error():
-    # 3^700 overflows; the integral must raise, not warn or fail in round()
+    # 3^700 overflows; the integral must raise, not warn or fail in round(): so3 before any
+    # node is built, a finite group (summed with no such guard) on its infinite sum
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (700, 701):
             with pytest.raises(NumericalError, match=f"Tr\\^{n} integral is not finite"):
                 dim_invariants_quadrature("so3", n)
+            with pytest.raises(NumericalError, match=f"^Tr\\^{n} integral is not finite \\(inf\\)$"):
+                dim_invariants_quadrature(FiniteGroup.cyclic(E3, 4), n)
 
 
 @pytest.mark.parametrize("group,first", [("so2", 1024), ("o2", 1024), ("so3", 647), ("o3", 647)])
