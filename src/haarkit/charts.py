@@ -344,8 +344,12 @@ def builtin_chart(name: str) -> Chart:
     return _builtin_cache[name]
 
 
+def builtin_tag(spec: str) -> str | None:
+    """The tag of a ``builtin:<tag>`` spec; None for a filesystem path."""
+    return spec.removeprefix("builtin:") if spec.startswith("builtin:") else None
+
+
 def load_chart(spec: str) -> Chart:
     """Load a chart from ``builtin:<tag>`` or a filesystem path."""
-    if spec.startswith("builtin:"):
-        return builtin_chart(spec[len("builtin:"):])
-    return Chart.from_file(spec)
+    tag = builtin_tag(spec)
+    return Chart.from_file(spec) if tag is None else builtin_chart(tag)

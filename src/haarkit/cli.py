@@ -34,10 +34,11 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .charts import load_chart
+from .charts import builtin_tag, load_chart
 from .groups import GROUPS, lookup_group
 from .haar import NumericalError, _node_blocks, chart_change_check, normalize
 from .orbit import REPRESENTATIONS, OrbitSpec, mc_moments, moment
+from .quadrature import DEFAULT_NODES
 from .reynolds import (INTEGER_SLACK, dim_invariants_closed, dim_invariants_quadrature, moment_gap,
                        reynolds_continuous)
 from .sampling import SamplerConfig, closed_form, sample
@@ -188,9 +189,10 @@ def _parse_point(text: str) -> np.ndarray:
         raise ValueError(f"could not parse {text!r} as comma-separated reals") from None
 
 
-def _builtin_tag(spec: str) -> str | None:
-    """The tag of a ``builtin:<tag>`` spec, as load_chart reads it; None for a file."""
-    return spec.removeprefix("builtin:") if spec.startswith("builtin:") else None
+def _read_tensor(path: str) -> Tensor:
+    """The tensor of a JSON file (--tensor, --seed-tensor)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return Tensor.from_json(fh.read())
 
 
 def _averaging_density(args):
@@ -221,7 +223,7 @@ def _cmd_density(args) -> list[str]:
         density = normalize(chart, rule=args.nodes)
         record["density"] = density.density(point)
     if args.closed_form:
-        tag = _builtin_tag(args.chart)
+        tag = builtin_tag(args.chart)
         if tag is None:
             raise ValueError("--closed-form needs a built-in chart (builtin:<tag>)")
         value = closed_form(tag).density(point)
@@ -286,10 +288,8 @@ def _cmd_dim(args) -> list[str]:
 
 
 def _cmd_reynolds(args) -> list[str]:
-    with open(args.tensor, "r", encoding="utf-8") as fh:
-        tensor = Tensor.from_json(fh.read())
     density = _averaging_density(args)
-    averaged = reynolds_continuous(args.group, tensor, density)
+    averaged = reynolds_continuous(args.group, _read_tensor(args.tensor), density)
     _refuse_an_uneven_cover(density)
     return [averaged.to_json()]
 
@@ -300,8 +300,7 @@ def _cmd_orbit_moments(args) -> list[str]:
     if args.diag is not None:
         seed = Tensor.from_array(np.diag(_parse_point(args.diag)))
     else:
-        with open(args.seed_tensor, "r", encoding="utf-8") as fh:
-            seed = Tensor.from_json(fh.read())
+        seed = _read_tensor(args.seed_tensor)
     spec = OrbitSpec(group=args.group, representation=args.representation, seed=seed)
     density = _averaging_density(args)
     m1 = moment(spec, 1, density)
@@ -340,82 +339,78 @@ def _cmd_chart_change(args) -> list[str]:
 # Parser assembly
 
 
+def _flag(*names, **options):
+    """One add_argument call of a _COMMANDS row: its names and its options."""
+    return names, options
+
+
+def _nodes(default=DEFAULT_NODES, when=""):
+    """The --nodes flag, with its default in its help."""
+    return _flag("--nodes", type=int, default=default,
+                 help=f"quadrature nodes per axis{when} (default {default})")
+
+
+_OUT = _flag("--out", help="write output to this path instead of stdout")
+_CHART = _flag("--chart", required=True, help="chart file path or builtin:<tag>")
+_GROUP = _flag("--group", required=True, choices=GROUPS)
+_NODES = _nodes()
+_AVERAGING = (_flag("--chart", default="",
+                    help="chart to integrate in (default: the exact product rule)"),
+              _nodes(when=" with --chart"))
+
+# (name, handler, help, flags in help order after --out), one row per subcommand
+_COMMANDS = (
+    ("density", _cmd_density, "Evaluate the uniform density of a chart at a point.", (
+        _CHART, _flag("--point", required=True, help="comma-separated chart coordinates (radians)"),
+        _flag("--numeric", action="store_true", help="numeric density (default)"),
+        _flag("--closed-form", action="store_true", help="reference closed-form density"), _NODES)),
+    ("normalize", _cmd_normalize, "Report the normalization constant C of a chart.",
+     (_CHART, _NODES)),
+    ("sample", _cmd_sample, "Draw uniform group elements.", (
+        _GROUP, _flag("--chart", default="",
+                      help="built-in chart tag or alias (euler, polar, quaternion, ...)"),
+        _flag("-n", "--count", type=int, default=1, help="number of samples"),
+        _flag("--seed", type=int, default=0, help="64-bit RNG seed"),
+        _flag("--format", choices=("json", "csv"), default="json",
+              help="json lines or row-major csv"))),
+    ("check-chart", _cmd_check_chart,
+     "Parse a chart, validate it, normalize it, and test invariance.", (
+         _CHART, _nodes(24), _flag("--tolerance", type=float, default=1e-6,
+                                   help="invariance residual tolerance (default 1e-6)"))),
+    ("dim", _cmd_dim, "Dimension of the invariant subspace of order-n tensors.", (
+        _GROUP, _flag("--order", required=True, type=int, help="tensor order n"),
+        _flag("--method", choices=("closed", "quadrature", "both"), default=None,
+              help="closed-form sum, the trace formula on n + 2 angles, or both"),
+        _flag("--format", choices=("plain", "json"), default="plain"))),
+    ("reynolds", _cmd_reynolds, "Average a tensor over a group.", (
+        _GROUP, _flag("--tensor", required=True, help="tensor JSON file"), *_AVERAGING)),
+    ("orbit-moments", _cmd_orbit_moments,
+     "Quadrature and Monte Carlo moments of an orbit random variable.", (
+         _GROUP, _flag("--representation", choices=REPRESENTATIONS, default="sym2"),
+         _flag("--seed-tensor", help="seed tensor JSON file"),
+         _flag("--diag", help="diagonal seed matrix, e.g. 1,2,3 (sym2 shorthand)"), *_AVERAGING,
+         _flag("--mc", type=int, default=0, help="Monte Carlo sample count (0 disables)"),
+         _flag("--mc-seed", type=int, default=0, help="Monte Carlo RNG seed"),
+         _flag("--mc-chart", default="", help="sampling chart for Monte Carlo"))),
+    ("chart-change", _cmd_chart_change,
+     "Residual of the change-of-chart density identity at a point.", (
+         _flag("--chart1", required=True, help="source chart (file or builtin:<tag>)"),
+         _flag("--chart2", required=True, help="target chart (file or builtin:<tag>)"),
+         _flag("--point", required=True, help="coordinates in chart1"),
+         _flag("--map", default="auto",
+               help="'auto' (through the group element) or 'shift:dx1,dx2,...'"), _NODES)),
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="haarkit",
                      description="Uniform measures, sampling, and averaging on rotation groups.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, handler, help_text):
+    for name, handler, help_text, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        return p
-
-    p = add("density", _cmd_density, "Evaluate the uniform density of a chart at a point.")
-    p.add_argument("--chart", required=True, help="chart file path or builtin:<tag>")
-    p.add_argument("--point", required=True, help="comma-separated chart coordinates (radians)")
-    p.add_argument("--numeric", action="store_true", help="numeric density (default)")
-    p.add_argument("--closed-form", action="store_true", help="reference closed-form density")
-    p.add_argument("--nodes", type=int, default=32, help="quadrature nodes per axis (default 32)")
-
-    p = add("normalize", _cmd_normalize, "Report the normalization constant C of a chart.")
-    p.add_argument("--chart", required=True, help="chart file path or builtin:<tag>")
-    p.add_argument("--nodes", type=int, default=32, help="quadrature nodes per axis (default 32)")
-
-    p = add("sample", _cmd_sample, "Draw uniform group elements.")
-    p.add_argument("--group", required=True, choices=GROUPS)
-    p.add_argument("--chart", default="",
-                   help="built-in chart tag or alias (euler, polar, quaternion, ...)")
-    p.add_argument("-n", "--count", type=int, default=1, help="number of samples")
-    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="json lines or row-major csv")
-
-    p = add("check-chart", _cmd_check_chart,
-            "Parse a chart, validate it, normalize it, and test invariance.")
-    p.add_argument("--chart", required=True, help="chart file path or builtin:<tag>")
-    p.add_argument("--nodes", type=int, default=24, help="quadrature nodes per axis (default 24)")
-    p.add_argument("--tolerance", type=float, default=1e-6,
-                   help="invariance residual tolerance (default 1e-6)")
-
-    p = add("dim", _cmd_dim, "Dimension of the invariant subspace of order-n tensors.")
-    p.add_argument("--group", required=True, choices=GROUPS)
-    p.add_argument("--order", required=True, type=int, help="tensor order n")
-    p.add_argument("--method", choices=("closed", "quadrature", "both"), default=None,
-                   help="closed-form sum, the trace formula on n + 2 angles, or both")
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-
-    p = add("reynolds", _cmd_reynolds, "Average a tensor over a group.")
-    p.add_argument("--group", required=True, choices=GROUPS)
-    p.add_argument("--tensor", required=True, help="tensor JSON file")
-    p.add_argument("--chart", default="",
-                   help="chart to integrate in (default: the exact product rule)")
-    p.add_argument("--nodes", type=int, default=32,
-                   help="quadrature nodes per axis with --chart (default 32)")
-
-    p = add("orbit-moments", _cmd_orbit_moments,
-            "Quadrature and Monte Carlo moments of an orbit random variable.")
-    p.add_argument("--group", required=True, choices=GROUPS)
-    p.add_argument("--representation", choices=REPRESENTATIONS, default="sym2")
-    p.add_argument("--seed-tensor", help="seed tensor JSON file")
-    p.add_argument("--diag", help="diagonal seed matrix, e.g. 1,2,3 (sym2 shorthand)")
-    p.add_argument("--chart", default="",
-                   help="chart to integrate in (default: the exact product rule)")
-    p.add_argument("--nodes", type=int, default=32,
-                   help="quadrature nodes per axis with --chart (default 32)")
-    p.add_argument("--mc", type=int, default=0, help="Monte Carlo sample count (0 disables)")
-    p.add_argument("--mc-seed", type=int, default=0, help="Monte Carlo RNG seed")
-    p.add_argument("--mc-chart", default="", help="sampling chart for Monte Carlo")
-
-    p = add("chart-change", _cmd_chart_change,
-            "Residual of the change-of-chart density identity at a point.")
-    p.add_argument("--chart1", required=True, help="source chart (file or builtin:<tag>)")
-    p.add_argument("--chart2", required=True, help="target chart (file or builtin:<tag>)")
-    p.add_argument("--point", required=True, help="coordinates in chart1")
-    p.add_argument("--map", default="auto",
-                   help="'auto' (through the group element) or 'shift:dx1,dx2,...'")
-    p.add_argument("--nodes", type=int, default=32, help="quadrature nodes per axis (default 32)")
-
+        for names, options in (_OUT, *flags):
+            p.add_argument(*names, **options)
     return parser
 
 

@@ -7,6 +7,7 @@ built-in density to roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,6 +18,12 @@ DEFAULT_NODES = 32
 # about 0.1 s at 1024, growing as n^2 in memory and n^3 in time (2^18 would ask
 # for 512 GiB).  Built-in densities resolve to roundoff at 32.
 MAX_NODES_PER_AXIS = 1024
+# Nodes of a whole grid, the product of the per-axis counts.  normalize keeps a
+# grid's points, its two weight vectors and its (N, D, D) elements, 14 doubles a
+# node on SO(3): 1.9 GB at 2^24 nodes (256^3), beside 0.4 GB of meshgrid while
+# the rule is built.  600^3 nodes, each axis within the cap above, would ask for
+# 24 GB, which the OOM killer, not a refusal, would end.
+MAX_GRID_NODES = 2**24
 
 
 @lru_cache(maxsize=None)
@@ -63,6 +70,9 @@ class QuadratureRule:
             if len(counts) != d:
                 raise ValueError(f"domain has {d} axes but got {len(counts)} node counts")
         axes = [axis_rule(n, lo, hi) for n, (lo, hi) in zip(counts, dom)]
+        if (total := math.prod(counts)) > MAX_GRID_NODES:
+            raise ValueError(f"a grid of {' x '.join(map(str, counts))} = {total} quadrature nodes "
+                             f"exceeds the limit of {MAX_GRID_NODES}")
         grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
         points = np.stack([g.ravel() for g in grids], axis=-1)
         weights = axes[0][1]

@@ -890,6 +890,13 @@ def test_nodes_above_the_cap_exit_1_with_one_line(capsys):
     assert err == "error: 20000 quadrature nodes per axis exceed the limit of 1024\n"
 
 
+def test_grid_past_the_node_limit_exits_1_with_one_line(capsys):
+    code, out, err = run(capsys, "normalize", "--chart", "builtin:so3-euler", "--nodes", "600")
+    assert (code, out) == (1, "")
+    assert err == ("error: a grid of 600 x 600 x 600 = 216000000 quadrature nodes exceeds "
+                   "the limit of 16777216\n")
+
+
 def test_unknown_builtin_chart_prints_one_unquoted_line(capsys):
     code, out, err = run(capsys, "normalize", "--chart", "builtin:nope")
     assert (code, out) == (1, "")

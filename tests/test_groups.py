@@ -139,6 +139,20 @@ def test_finite_group_refuses_a_repeated_member():
     assert len(FiniteGroup([np.eye(3), half_turn])) == 2
 
 
+def test_finite_group_refuses_a_set_not_closed_under_inverses():
+    # Each member is orthogonal, and each product lies within 8.0e-10 of a member, so the
+    # identity, repeated-member and product checks pass at INPUT_TOL = 1e-9.  The
+    # transposes of the two rotations lie 1.79e-9 from every member.
+    def rotation(angle):
+        return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+    members = [np.eye(2),
+               rotation(2 * np.pi / 3) + 1e-9 * np.array([[0.8, 0.0], [0.0, -0.1238]]),
+               rotation(4 * np.pi / 3) + 1e-9 * np.array([[-0.9856, -0.1072], [0.1072, -0.0619]])]
+    with pytest.raises(ValueError, match="^not closed under inverses$"):
+        FiniteGroup(members)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: hat([1.0, 2.0]), r"hat expects a 3-vector, got shape \(2,\)"),
     (lambda: vee(np.eye(2)), r"vee expects a 3x3 matrix, got shape \(2, 2\)"),

@@ -1,11 +1,13 @@
 """Gauss-Legendre tensor-product rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from haarkit.charts import builtin_chart
 from haarkit.haar import normalize
-from haarkit.quadrature import MAX_NODES_PER_AXIS, QuadratureRule, axis_rule
+from haarkit.quadrature import MAX_GRID_NODES, MAX_NODES_PER_AXIS, QuadratureRule, axis_rule
 
 
 def test_axis_rule_polynomial_exactness():
@@ -35,6 +37,22 @@ def test_axis_rule_refuses_more_than_the_node_cap(monkeypatch):
     # a 2^18-node axis once asked numpy for a 512 GiB companion matrix
     with pytest.raises(ValueError, match="exceed the limit"):
         normalize(builtin_chart("so2-angle"), 2**18)
+
+
+@pytest.mark.parametrize("counts", [(257, 256, 256), (600, 600, 600)], ids=["just past", "600^3"])
+def test_for_domain_refuses_a_grid_past_the_node_limit_before_building_it(counts):
+    # each axis is within MAX_NODES_PER_AXIS; normalize on 600^3 nodes would need about 24 GB
+    assert MAX_GRID_NODES == 256**3
+    total = int(np.prod(counts))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"= {total} quadrature nodes exceeds the limit of "
+                                             f"{MAX_GRID_NODES}$"):
+            QuadratureRule.for_domain([[0.0, 1.0]] * 3, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_product_rule_shapes():
