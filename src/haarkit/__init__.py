@@ -16,7 +16,7 @@ from .orbit import OrbitSpec, covariance, mc_moments, moment
 from .quadrature import QuadratureRule
 from .reynolds import (dim_invariants_closed, dim_invariants_quadrature, invariant_rank,
                        reynolds_continuous, reynolds_matrix)
-from .sampling import SampleBatch, SamplerConfig, closed_form, closed_form_density, sample
+from .sampling import SampleBatch, SamplerConfig, closed_form, sample
 from .tensors import Tensor, act, act_batch, as_tensor, outer_power
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "builtin_chart",
     "chart_change_check",
     "closed_form",
-    "closed_form_density",
     "covariance",
     "density_numeric",
     "dim_invariants_closed",

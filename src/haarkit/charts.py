@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -331,17 +332,13 @@ class Chart:
 # Built-in charts
 
 
-_builtin_cache: dict[str, Chart] = {}
-
-
+@cache  # an unknown name raises, and a raise is not cached
 def builtin_chart(name: str) -> Chart:
-    """Load one of the built-in charts by tag (see BUILTIN_NAMES)."""
+    """Load one of the built-in charts by tag (see BUILTIN_NAMES), once per tag."""
     if name not in BUILTIN_NAMES:
         raise UnknownNameError(f"unknown built-in chart {name!r}; available: {', '.join(BUILTIN_NAMES)}")
-    if name not in _builtin_cache:
-        text = resources.files("haarkit").joinpath(f"data/{name}.chart").read_text(encoding="utf-8")
-        _builtin_cache[name] = Chart.from_source(text)
-    return _builtin_cache[name]
+    text = resources.files("haarkit").joinpath(f"data/{name}.chart").read_text(encoding="utf-8")
+    return Chart.from_source(text)
 
 
 def builtin_tag(spec: str) -> str | None:

@@ -195,9 +195,9 @@ def _read_tensor(path: str) -> Tensor:
         return Tensor.from_json(fh.read())
 
 
-def _averaging_density(args):
-    """The density of --chart at --nodes, or None for the exact rule."""
-    return normalize(load_chart(args.chart), rule=args.nodes) if args.chart else None
+def _chart_density(args):
+    """The density of --chart, normalized at --nodes."""
+    return normalize(load_chart(args.chart), rule=args.nodes)
 
 
 def _refuse_an_uneven_cover(density) -> None:
@@ -235,9 +235,8 @@ def _cmd_density(args) -> list[str]:
 
 
 def _cmd_normalize(args) -> list[str]:
-    chart = load_chart(args.chart)
-    density = normalize(chart, rule=args.nodes)
-    return [to_json({"chart": chart.name, "C": density.C,
+    density = _chart_density(args)
+    return [to_json({"chart": density.chart.name, "C": density.C,
                      "nodes_per_axis": list(density.grid()[0].nodes_per_axis)})]
 
 
@@ -257,8 +256,8 @@ def _cmd_sample(args) -> Iterator[str]:
 def _cmd_check_chart(args) -> list[str]:
     if not 0 <= args.tolerance < np.inf:
         raise ValueError(f"--tolerance must be finite and nonnegative, got {args.tolerance:g}")
-    chart = load_chart(args.chart)  # load already runs structural validation
-    density = normalize(chart, rule=args.nodes)
+    density = _chart_density(args)  # load already runs structural validation
+    chart = density.chart
     record = {"chart": chart.name, "parse": "ok", "d": chart.d,
               "shape": list(chart.shape), "group": chart.group or "none",
               "C": density.C}
@@ -288,7 +287,7 @@ def _cmd_dim(args) -> list[str]:
 
 
 def _cmd_reynolds(args) -> list[str]:
-    density = _averaging_density(args)
+    density = _chart_density(args) if args.chart else None  # None: the exact rule
     averaged = reynolds_continuous(args.group, _read_tensor(args.tensor), density)
     _refuse_an_uneven_cover(density)
     return [averaged.to_json()]
@@ -302,7 +301,7 @@ def _cmd_orbit_moments(args) -> list[str]:
     else:
         seed = _read_tensor(args.seed_tensor)
     spec = OrbitSpec(group=args.group, representation=args.representation, seed=seed)
-    density = _averaging_density(args)
+    density = _chart_density(args) if args.chart else None
     m1 = moment(spec, 1, density)
     m2 = moment(spec, 2, density)
     _refuse_an_uneven_cover(density)

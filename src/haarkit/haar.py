@@ -56,7 +56,7 @@ import numpy as np
 from .charts import Chart, builtin_chart
 from .groups import (FiniteGroup, Group, improper_coset, lookup_group, quat_rotation_matrices,
                      so_algebra_basis)
-from .quadrature import DEFAULT_NODES, QuadratureRule, axis_rule
+from .quadrature import DEFAULT_NODES, MAX_GRID_NODES, QuadratureRule, axis_rule
 
 DEGENERATE_C = 1e-12
 _SEEDS = 64  # grid nodes nearest g that coordinates() starts from
@@ -351,10 +351,14 @@ def exact_nodes(group_tag: str, degree: int) -> tuple[np.ndarray, list[np.ndarra
     remains is a polynomial of degree <= n in cos(beta), which Gauss-Legendre
     integrates exactly (Graf & Potts, Numer. Funct. Anal. Optim. 2009).
     The nodes lie in the group's first chart, so2-angle or so3-euler; O(D)
-    adds their improper coset as a second stack, as class_nodes does.
+    adds their improper coset as a second stack, as class_nodes does.  More
+    than MAX_GRID_NODES nodes, from degree 322 on SO(3), is a ValueError.
     """
     row, chart = _first_chart(group_tag, degree)
     m = degree + 1
+    if (total := m if chart.d == 1 else m * m * (degree // 2 + 1)) > MAX_GRID_NODES:
+        raise ValueError(f"the exact rule of degree {degree} on {group_tag} has {total} nodes, "
+                         f"which exceeds the limit of {MAX_GRID_NODES}")
     turns = chart.domain[0, 0] + 2.0 * np.pi * np.arange(m) / m
     if chart.d == 1:
         return _with_cosets(row, np.full(m, 1.0 / m), chart.evaluate_many(turns[:, None]))

@@ -52,13 +52,13 @@ def reynolds_matrix(group, n: int, density: HaarDensity | None = None) -> np.nda
     g^(x)n = g^(x)a (x) g^(x)b, a = ceil(n/2), b = n - a, the node sum is a
     contraction of the outer powers of the flattened elements, of widths
     D^(2a) and D^(2b) (at n = 0 both are 1, and it is the weight sum), over
-    haar.node_mean's slices.  Its axes (i1 j1 .. in jn) are put in rows
-    (i1..in) and columns (j1..jn) once, after the sum.  The contraction is
-    a BLAS matrix multiply, so its last bits also follow the BLAS thread
-    count.  It stays one: a fixed-order np.einsum("na,nb->ab") on the
-    weighted power took about five times as long (114 ms against 20 ms for
-    the bare n = 4 contraction on 32^3 nodes, 1 BLAS thread, on a 2-vCPU
-    x86 host).
+    haar.node_mean's slices; at even n, a = b and one power serves as both.
+    Its axes (i1 j1 .. in jn) are put in rows (i1..in) and columns (j1..jn)
+    once, after the sum.  The contraction is a BLAS matrix multiply, so its
+    last bits also follow the BLAS thread count.  It stays one: a
+    fixed-order np.einsum("na,nb->ab") on the weighted power took about
+    five times as long (114 ms against 20 ms for the bare n = 4 contraction
+    on 32^3 nodes, 1 BLAS thread, on a 2-vCPU x86 host).
     """
     if n < 0:
         raise ValueError("tensor order must be nonnegative")
@@ -66,9 +66,13 @@ def reynolds_matrix(group, n: int, density: HaarDensity | None = None) -> np.nda
     check_budget(dim, 2 * n)  # the operator's D^(2n) entries, before any node is built
     weighted, stacks = haar_nodes(group, density, degree=n)
     half = (n + 1) // 2
-    total = node_mean(weighted, stacks, dim ** (2 * half), lambda w, mats: np.einsum(
-        "n,na,nb->ab", w, outer_power_batch(mats, half), outer_power_batch(mats, n // 2),
-        optimize=True))
+
+    def term(w, mats):  # g^(x)a and g^(x)b of a node slice, one array at even n
+        low = outer_power_batch(mats, n // 2)
+        high = outer_power_batch(mats, half) if n % 2 else low
+        return np.einsum("n,na,nb->ab", w, high, low, optimize=True)
+
+    total = node_mean(weighted, stacks, dim ** (2 * half), term)
     axes = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     return total.reshape((dim,) * 2 * n).transpose(axes).reshape(dim**n, dim**n)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import builtin_chart
+from .charts import builtin_chart, builtin_tag
 from .groups import UnknownNameError, improper_coset, lookup_group, quat_rotation_matrices
 from .haar import HaarDensity, _node_blocks
 
@@ -127,11 +127,6 @@ def closed_form(tag: str) -> HaarDensity:
         law.pdf(x) for law, x in zip(laws, pts.T)))
 
 
-def closed_form_density(tag: str, u) -> float:
-    """Normalized closed-form density of a built-in chart at a point."""
-    return closed_form(tag).density(u)
-
-
 # ---------------------------------------------------------------------------
 # Samplers
 
@@ -145,7 +140,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         charts = lookup_group(self.group).charts
-        name = self.chart.removeprefix("builtin:")
+        name = builtin_tag(self.chart) or self.chart
         tag = next((t for t, (alias, _) in CHART_LAWS.items() if alias == name), name) or charts[0]
         if tag not in charts:
             valid = ", ".join(f"{t} ({CHART_LAWS[t][0]})" for t in charts)

@@ -21,7 +21,7 @@ from haarkit.orbit import (OrbitSpec, covariance, diagonal_delta,
 from haarkit.quadrature import QuadratureRule
 from haarkit.reynolds import (dim_invariants_closed, dim_invariants_quadrature,
                               invariant_rank, reynolds_continuous)
-from haarkit.sampling import SamplerConfig, closed_form_density, sample
+from haarkit.sampling import SamplerConfig, closed_form, sample
 from haarkit.tensors import act, as_tensor
 
 from malformed_charts import MALFORMED
@@ -79,7 +79,7 @@ def test_03_numeric_density_equals_closed_density():
             density = normalize(chart)
             pts = chart.random_interior(1000, rng)
             got = density.density_many(pts)
-            ref = np.array([closed_form_density(tag, u) for u in pts])
+            ref = np.array([closed_form(tag).density(u) for u in pts])
             assert np.abs(got - ref).max() < 1e-6, tag
 
 

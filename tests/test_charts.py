@@ -12,7 +12,7 @@ import pytest
 
 from haarkit.chartlang import ChartError, evaluate_expr, parse_chart
 from haarkit.charts import BUILTIN_NAMES, Chart, DomainError, _Plan, builtin_chart, load_chart
-from haarkit.groups import GROUPS, hat, rodrigues
+from haarkit.groups import GROUPS, UnknownNameError, hat, rodrigues
 from haarkit.haar import normalize
 
 RNG = np.random.default_rng(77)
@@ -43,11 +43,16 @@ def test_data_holds_one_chart_file_per_builtin_and_nothing_else():
 
 def test_builtin_chart_is_cached():
     assert builtin_chart("so3-euler") is builtin_chart("so3-euler")
+    for tag in BUILTIN_NAMES:
+        assert builtin_chart(tag) is builtin_chart(tag) is load_chart(f"builtin:{tag}")
 
 
 def test_builtin_chart_unknown_name():
-    with pytest.raises(KeyError):
-        builtin_chart("so3-cayley")
+    # a refusal is not cached: the second call raises again, and nothing is kept for the name
+    for _ in range(2):
+        with pytest.raises(UnknownNameError, match="^unknown built-in chart 'so3-cayley'"):
+            builtin_chart("so3-cayley")
+    assert builtin_chart.cache_info().currsize <= len(BUILTIN_NAMES)
 
 
 def test_load_chart_builtin_prefix_and_path(tmp_path):

@@ -20,9 +20,10 @@ import haarkit.cli as cli_module
 import haarkit.orbit as orbit_module
 from haarkit.charts import BUILTIN_NAMES, builtin_chart, load_chart
 from haarkit.cli import format_float, main, to_json
+from haarkit.groups import lookup_group
 from haarkit.haar import BLOCK_ENTRIES, normalize
 from haarkit.orbit import OrbitSpec, covariance, mc_moments
-from haarkit.sampling import SamplerConfig, closed_form_density, sample
+from haarkit.sampling import CHART_LAWS, SamplerConfig, closed_form, sample
 from malformed_charts import MALFORMED
 from test_charts import EULER_REORDERED, SHEAR
 
@@ -73,7 +74,7 @@ def test_density_closed_form_alone_records_only_the_closed_form(capsys):
     assert code == 0
     record = json.loads(out)
     assert set(record) == {"chart", "point", "density"}
-    assert record["density"] == closed_form_density("so3-quat", point)
+    assert record["density"] == closed_form("so3-quat").density(point)
 
 
 def test_density_closed_form_needs_builtin(tmp_path, capsys):
@@ -848,7 +849,8 @@ def test_sample_out_file_gets_the_stdout_bytes(fmt, tmp_path, capsys):
     assert target.read_bytes() == out.encode("utf-8")
 
 
-@pytest.mark.parametrize("argv", [["-n", "0"], ["--chart", "nonsense"], ["--seed", "-1"]])
+@pytest.mark.parametrize("argv", [["-n", "0"], ["--chart", "nonsense"], ["--seed", "-1"],
+                                  ["--chart", "builtin:"]])
 def test_refused_sample_makes_no_out_file(argv, tmp_path, capsys):
     # the refusals run before main opens --out, so no empty or truncated file is left
     target = tmp_path / "rows.json"
@@ -902,6 +904,20 @@ def test_unknown_builtin_chart_prints_one_unquoted_line(capsys):
     assert (code, out) == (1, "")
     assert err == ("error: unknown built-in chart 'nope'; available: "
                    "so2-angle, so2-shifted, so3-euler, so3-polar, so3-quat\n")
+
+
+@pytest.mark.parametrize("group", ["so2", "o2", "so3", "o3"])
+def test_every_sample_chart_spelling_gives_the_same_bytes(group, capsys):
+    # the default chart, its alias, its tag, and builtin: before either of the last two
+    tag = lookup_group(group).charts[0]
+    alias = CHART_LAWS[tag][0]
+    outs = set()
+    for chart in ("", alias, tag, f"builtin:{tag}", f"builtin:{alias}"):
+        code, out, err = run(capsys, "sample", "--group", group, "--chart", chart, "-n", "2",
+                             "--seed", "9")
+        assert (code, err) == (0, ""), chart
+        outs.add(out)
+    assert len(outs) == 1 and len(next(iter(outs)).splitlines()) == 2
 
 
 def test_sampler_refusal_lists_each_chart_with_its_alias(capsys):

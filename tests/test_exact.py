@@ -8,6 +8,7 @@ owe nothing to quadrature, and with a rule one degree short, which must
 fail.
 """
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -58,6 +59,30 @@ def test_node_counts_and_weights():
         assert abs(weights.sum() - 1.0) < 1e-14
     with pytest.raises(ValueError):
         exact_nodes("so3", -1)
+
+
+@pytest.mark.parametrize("group,degree,total", [("so3", 322, 16_901_298), ("o3", 400, 32_321_001)])
+def test_exact_rule_past_the_node_limit_is_refused_before_building_it(group, degree, total):
+    # (n + 1)^2 (n // 2 + 1) nodes: degree 321 gives 16 693 124, within 2^24; at degree 400
+    # the elements alone, with O(3)'s coset, would take 4.6 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^the exact rule of degree {degree} on {group} has "
+                                             f"{total} nodes, which exceeds the limit of 16777216$"):
+            integrate_tensor(lambda mats: mats, group, None, degree=degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_exact_rule_node_limit_boundary(monkeypatch):
+    # SO(3) at degree 4 has 5^2 * 3 = 75 nodes and at degree 5 6^2 * 3 = 108; SO(2) has n + 1
+    monkeypatch.setattr("haarkit.haar.MAX_GRID_NODES", 75)
+    assert len(exact_nodes("so3", 4)[0]) == len(exact_nodes("so2", 74)[0]) == 75
+    for group, degree, total in (("so3", 5, 108), ("so2", 75, 76)):
+        with pytest.raises(ValueError, match=f" has {total} nodes, which exceeds the limit of 75$"):
+            exact_nodes(group, degree)
 
 
 def trace_power_mean(group, n):

@@ -10,6 +10,7 @@ def test_every_exported_name_resolves():
 
 
 def test_removed_names_are_not_exported():
-    for name in ("Quaternion", "reynolds_finite", "GroupElement", "integrate_scalar", "invert_cdf"):
+    for name in ("Quaternion", "reynolds_finite", "GroupElement", "integrate_scalar", "invert_cdf",
+                 "closed_form_density"):
         assert name not in haarkit.__all__
         assert not hasattr(haarkit, name)

@@ -16,7 +16,7 @@ from haarkit.haar import (NumericalError, _node_blocks, chart_change_check, dens
 from haarkit.orbit import OrbitSpec, moment
 from haarkit.quadrature import DEFAULT_NODES, QuadratureRule
 from haarkit.reynolds import dim_invariants_quadrature, reynolds_continuous, reynolds_matrix
-from haarkit.sampling import closed_form, closed_form_density
+from haarkit.sampling import closed_form
 from haarkit.tensors import act_batch, as_tensor
 
 RNG = np.random.default_rng(20240501)
@@ -36,7 +36,7 @@ def test_numeric_matches_closed_density(tag):
     density = normalize(chart)
     pts = chart.random_interior(200, RNG)
     got = density.density_many(pts)
-    ref = np.array([closed_form_density(tag, u) for u in pts])
+    ref = np.array([closed_form(tag).density(u) for u in pts])
     assert np.abs(got - ref).max() < 1e-9
 
 
@@ -55,10 +55,10 @@ def test_polar_numeric_constant_is_four_times_reference():
 
 
 def test_closed_form_examples():
-    assert np.isclose(closed_form_density("so3-euler", [0.0, np.pi / 2, 0.0]),
+    assert np.isclose(closed_form("so3-euler").density([0.0, np.pi / 2, 0.0]),
                       1 / (8 * np.pi**2))
-    assert closed_form_density("so3-euler", [0.3, 0.0, -1.0]) == 0.0
-    assert np.isclose(closed_form_density("so3-quat", [np.pi / 2, np.pi / 2, 1.0]),
+    assert closed_form("so3-euler").density([0.3, 0.0, -1.0]) == 0.0
+    assert np.isclose(closed_form("so3-quat").density([np.pi / 2, np.pi / 2, 1.0]),
                       1 / (2 * np.pi**2))
 
 

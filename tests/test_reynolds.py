@@ -26,13 +26,14 @@ import pytest
 import haarkit
 import haarkit.reynolds as reynolds_module
 from haarkit.groups import FiniteGroup, lookup_group, rodrigues
-from haarkit.haar import NumericalError, haar_nodes, integrate_tensor, normalize
+from haarkit.haar import (NumericalError, _node_blocks, haar_nodes, integrate_tensor, node_mean,
+                         normalize)
 from haarkit.charts import Chart, builtin_chart
 from haarkit.orbit import OrbitSpec, covariance, moment
 from haarkit.quadrature import QuadratureRule
 from haarkit.reynolds import (MAX_CLOSED_ORDER, dim_invariants_closed, dim_invariants_quadrature,
                               invariant_rank, reynolds_continuous, reynolds_matrix)
-from haarkit.tensors import Tensor, act, as_tensor
+from haarkit.tensors import Tensor, act, as_tensor, outer_power_batch
 
 RNG = np.random.default_rng(404)
 E3 = np.array([0.0, 0.0, 1.0])
@@ -194,6 +195,63 @@ def test_reynolds_matrix_matches_chunked_reference(group, tag, n):
         ref = chunked_reference(group, n, dens)
         assert got.shape == ref.shape == (chart.parametrises.dim**n,) * 2
         assert np.allclose(got, ref, rtol=0.0, atol=1e-14)
+
+
+@functools.cache
+def grid_density(tag, nodes):
+    return normalize(builtin_chart(tag), nodes)
+
+
+def two_power_reynolds_matrix(group, n, density):
+    """reynolds_matrix with both half powers built by their own call on every slice."""
+    weighted, stacks = haar_nodes(group, density, degree=n)
+    dim = stacks[0].shape[-1]
+    half = (n + 1) // 2
+    total = node_mean(weighted, stacks, dim ** (2 * half), lambda w, mats: np.einsum(
+        "n,na,nb->ab", w, outer_power_batch(mats, half), outer_power_batch(mats, n // 2),
+        optimize=True))
+    axes = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return total.reshape((dim,) * 2 * n).transpose(axes).reshape(dim**n, dim**n)
+
+
+C7 = FiniteGroup.cyclic(E3, 7)
+ONE_POWER_CASES = [
+    *[("so3", None, n) for n in range(6)],
+    *[("so3", ("so3-euler", 32), n) for n in range(6)],
+    *[("so3", ("so3-polar", 12), n) for n in range(6)],
+    *[("o3", ("so3-euler", 32), n) for n in range(6)],
+    *[("so2", None, n) for n in range(8)],
+    *[("so2", ("so2-angle", 40), n) for n in range(8)],
+    *[("o2", ("so2-angle", 40), n) for n in range(8)],
+    *[(C7, None, n) for n in range(6)],
+]
+
+
+@pytest.mark.parametrize("group,grid,n", ONE_POWER_CASES, ids=[
+    f"{'C7' if g is C7 else g}-{grid[0] + '@' + str(grid[1]) if grid else 'exact'}-{n}"
+    for g, grid, n in ONE_POWER_CASES])
+def test_reynolds_matrix_has_the_bytes_of_two_power_calls(group, grid, n):
+    # at even n one array serves as both half powers; the bytes are those of building it twice
+    density = grid and grid_density(*grid)
+    got = reynolds_matrix(group, n, density)
+    assert got.tobytes() == two_power_reynolds_matrix(group, n, density).tobytes()
+
+
+@pytest.mark.parametrize("group,n", [("so3", 2), ("so3", 3), ("o3", 4), ("o3", 5)])
+def test_reynolds_matrix_builds_one_power_per_node_block_at_even_n(group, n, monkeypatch):
+    calls = []
+
+    def counted(mats, k):
+        calls.append(k)
+        return outer_power_batch(mats, k)
+
+    monkeypatch.setattr("haarkit.reynolds.outer_power_batch", counted)
+    density = grid_density("so3-euler", 32)
+    _, stacks = haar_nodes(group, density)
+    blocks = sum(len(_node_blocks(len(mats), 3 ** (2 * ((n + 1) // 2)))) for mats in stacks)
+    assert blocks > len(stacks)
+    reynolds_matrix(group, n, density)
+    assert sorted(calls) == sorted(([n // 2] if n % 2 == 0 else [n // 2, (n + 1) // 2]) * blocks)
 
 
 def test_invariant_rank_matches_closed_dims():

@@ -78,6 +78,7 @@ def test_config_defaults_and_aliases():
     assert SamplerConfig(group="so3", chart="quaternion").chart == "so3-quat"
     assert SamplerConfig(group="so2", chart="shifted").chart == "so2-shifted"
     assert SamplerConfig(group="o3", chart="builtin:so3-polar").chart == "so3-polar"
+    assert SamplerConfig(group="o3", chart="builtin:euler").chart == "so3-euler"
 
 
 def test_law_table_rows_are_the_builtin_charts():
@@ -154,6 +155,9 @@ def test_config_validation():
         SamplerConfig(group="so2", count=0)
     with pytest.raises(ValueError):
         SamplerConfig(group="so2", seed=-1)
+    # "builtin:" alone names no chart; it is refused, not read as the default chart
+    with pytest.raises(ValueError, match="^chart 'builtin:' does not sample group 'so3'; valid: "):
+        SamplerConfig(group="so3", chart="builtin:")
 
 
 @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", -0.5), ("seed", True),
