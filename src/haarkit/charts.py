@@ -225,6 +225,8 @@ class Chart:
     def contains(self, u):
         """Whether a point (d,) lies in the closed box, or which rows of an (N, d) batch do."""
         u = np.asarray(u, dtype=float)
+        if u.shape[-1:] != (self.d,):  # numpy would broadcast a point of one coordinate
+            raise DomainError(f"chart {self.name!r} takes {self.d} coordinates, got shape {u.shape}")
         return np.all((u >= self.domain[:, 0]) & (u <= self.domain[:, 1]), axis=-1)
 
     def check_point(self, u) -> np.ndarray:

@@ -276,7 +276,7 @@ def chart_change_check(chart1: Chart, chart2: Chart, u, shift=None, rule=None) -
     refusals that read the charts alone: u outside chart1 (DomainError);
     without ``shift`` a double-cover (quaternion) chart on either side or
     matrices of different shapes, with it a shift of another length than u
-    or a u + shift outside chart2.
+    or a u + shift outside chart2 or of another length than its points.
     """
     u = chart1.check_point(u)
     if shift is None:

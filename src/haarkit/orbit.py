@@ -75,7 +75,7 @@ class OrbitSpec:
 
 def _power_shape(spec: OrbitSpec, r: int) -> tuple[int, ...]:
     check_budget(spec.seed.dim, spec.seed.order * r)
-    return spec.seed.entries.shape * r
+    return spec.seed.array.shape * r
 
 
 def moment(spec: OrbitSpec, r: int, density: HaarDensity | None = None, rule=None) -> Tensor:
@@ -177,9 +177,9 @@ def isotropic_basis(dim: int = 3) -> list[Tensor]:
 
 def decompose(t: Tensor, basis: list[Tensor]) -> tuple[np.ndarray, float]:
     """Least-squares coefficients of t in a tensor basis and the residual."""
-    a = np.stack([b.entries.ravel() for b in basis], axis=1)
-    coeffs, *_ = np.linalg.lstsq(a, t.entries.ravel(), rcond=None)
-    residual = float(np.abs(t.entries.ravel() - a @ coeffs).max())
+    a = np.stack([b.array.ravel() for b in basis], axis=1)
+    coeffs, *_ = np.linalg.lstsq(a, t.array.ravel(), rcond=None)
+    residual = float(np.abs(t.array.ravel() - a @ coeffs).max())
     return coeffs, residual
 
 

@@ -63,12 +63,13 @@ class QuadratureRule:
     def for_domain(cls, domain, nodes_per_axis: int | tuple[int, ...] = DEFAULT_NODES) -> "QuadratureRule":
         dom = np.array(domain, dtype=float)
         d = dom.shape[0]
-        if isinstance(nodes_per_axis, (int, np.integer)):
-            counts = (int(nodes_per_axis),) * d
-        else:
-            counts = tuple(int(n) for n in nodes_per_axis)
-            if len(counts) != d:
-                raise ValueError(f"domain has {d} axes but got {len(counts)} node counts")
+        counts = (nodes_per_axis,) * d if np.ndim(nodes_per_axis) == 0 else tuple(nodes_per_axis)
+        for n in counts:  # not 8.9, "8" or True
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"quadrature node counts must be integers, got {n!r}")
+        if len(counts) != d:
+            raise ValueError(f"domain has {d} axes but got {len(counts)} node counts")
+        counts = tuple(map(int, counts))
         axes = [axis_rule(n, lo, hi) for n, (lo, hi) in zip(counts, dom)]
         if (total := math.prod(counts)) > MAX_GRID_NODES:
             raise ValueError(f"a grid of {' x '.join(map(str, counts))} = {total} quadrature nodes "

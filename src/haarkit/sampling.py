@@ -12,19 +12,20 @@ through the abscissa of a uniform point in the unit half-disk: no iteration
 and no tolerance.
 
 Determinism contract: a fresh sampler with the same seed reproduces the
-same batch bit for bit.  Each coordinate axis draws from its own Philox
-substream (counter-jumped per axis), and O-group coin flips use a further
-substream, so coordinate laws stay independent of batch layout.
+same batch bit for bit.  Each coordinate axis j draws from its own Philox
+stream, Generator(Philox(key=seed).jumped(j)), and O-group coin flips from
+axis d's, one past the chart's last, so the laws stay independent of layout.
 
 A batch is drawn in row blocks of haar.BLOCK_ENTRIES // (WORKERS D^2)
 elements (haar._node_blocks) on WORKERS threads, one per CPU the process may
-use, the caller among them.  A thread takes the next block and draws its
-uniforms and O-group coins under one lock, so each Philox stream runs in
-block order; outside the lock, where numpy lets go of the GIL, it maps,
-charts and flips (sigma g through np.where where the coin is below 1/2) into
-its own rows of the batch.  A sampler holds one block budget of temporaries
-beside its output, and its bytes depend on neither the block size nor the
-CPU count: a law taking two uniforms per row draws one (rows, 2) row-major
+use, the caller among them: thread k draws blocks k, k + W, k + 2W, ... of
+the W in use.  Philox is counter based, so a block finds its own uniforms in
+each stream (_uniforms): no lock, no shared generator, and the block order
+does not matter.  Where numpy lets go of the GIL, a thread maps, charts and
+flips (sigma g through np.where where the coin is below 1/2) into its own
+rows of the batch.  A sampler holds one block budget of temporaries beside
+its output, and its bytes depend on neither the block size nor the CPU
+count: a law taking two uniforms per row reads one (rows, 2) row-major
 array, and every stage after the draws works row by row.
 """
 
@@ -172,9 +173,12 @@ class SampleBatch:
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _axis_streams(seed: int, axes: int) -> list[np.random.Generator]:
-    base = np.random.Philox(key=int(seed))
-    return [np.random.Generator(base.jumped(j)) for j in range(axes)]
+def _uniforms(seed: int, axis: int, start: int, rows: int, width: int = 1) -> np.ndarray:
+    """Rows start .. start + rows - 1 of axis's stream, width uniforms per row.  The stream's
+    counter starts at axis * 2^128 and steps once per four doubles (Salmon et al., SC 2011)."""
+    first = start * width
+    bits = np.random.Philox(counter=(axis << 128) + first // 4, key=int(seed))
+    return np.random.Generator(bits).random(first % 4 + rows * width)[first % 4:].reshape(rows, width)
 
 
 def sample(config: SamplerConfig) -> SampleBatch:
@@ -182,26 +186,21 @@ def sample(config: SamplerConfig) -> SampleBatch:
     tag = config.chart
     chart = builtin_chart(tag)
     group = lookup_group(config.group)
-    streams = _axis_streams(config.seed, chart.d + 1)
     count, dim = config.count, group.dim
     coords = np.empty((count, chart.d))
     mats = np.empty((count, dim, dim))
     quats = np.empty((count, 4)) if chart.is_quaternion and group.proper else None
-    blocks = _node_blocks(count, dim * dim * WORKERS)
-    todo, lock, failed = iter(blocks), threading.Lock(), []
+    blocks, failed = _node_blocks(count, dim * dim * WORKERS), []
+    runners = min(WORKERS, len(blocks))
 
-    def run():
+    def run(k: int):
         try:
-            while not failed:
-                with lock:  # the take and the draws together: every stream runs in block order
-                    if (s := next(todo, None)) is None:
-                        return
-                    rows = len(coords[s])
-                    uniforms = [(law, stream.random((rows, law.width)).T)
-                                for law, stream in zip(CHART_LAWS[tag][1], streams)]
-                    coin = None if group.proper else streams[chart.d].random(rows) < 0.5
-                for j, ((law, u), (lo, hi)) in enumerate(zip(uniforms, chart.domain)):
-                    coords[s, j] = law.draw(*u, lo, hi)
+            for s in blocks[k::runners]:
+                if failed:
+                    return
+                rows = len(coords[s])
+                for j, (law, (lo, hi)) in enumerate(zip(CHART_LAWS[tag][1], chart.domain)):
+                    coords[s, j] = law.draw(*_uniforms(config.seed, j, s.start, rows, law.width).T, lo, hi)
                 if chart.is_quaternion:
                     q = chart.quaternions_at(coords[s])
                     mats[s] = quat_rotation_matrices(q)
@@ -209,16 +208,17 @@ def sample(config: SamplerConfig) -> SampleBatch:
                         quats[s] = q
                 else:
                     mats[s] = chart.evaluate_many(coords[s])
-                if coin is not None:
-                    mats[s] = np.where(coin[:, None, None], improper_coset(mats[s]), mats[s])
+                if not group.proper:
+                    coin = _uniforms(config.seed, chart.d, s.start, rows) < 0.5
+                    mats[s] = np.where(coin[:, :, None], improper_coset(mats[s]), mats[s])
         except BaseException as exc:  # the others stop before their next block; re-raised below
             failed.append(exc)
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run,))  # carries np.errstate
-               for _ in range(min(WORKERS, len(blocks)) - 1)]
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, k))  # carries np.errstate
+               for k in range(1, runners)]
     for thread in threads:
         thread.start()
-    run()
+    run(0)
     for thread in threads:
         thread.join()
     if failed:

@@ -25,7 +25,7 @@ MAX_ORDER = 64
 class Tensor:
     dim: int
     order: int
-    entries: np.ndarray  # shape (dim,) * order, read-only
+    array: np.ndarray  # shape (dim,) * order, read-only
 
     @classmethod
     def from_array(cls, array, dim: int | None = None) -> "Tensor":
@@ -35,7 +35,7 @@ class Tensor:
             raise ValueError(f"tensor axes must all have length {d}, got shape {arr.shape}")
         check_budget(d, arr.ndim)
         arr.setflags(write=False)
-        return cls(dim=d, order=arr.ndim, entries=arr)
+        return cls(dim=d, order=arr.ndim, array=arr)
 
     @classmethod
     def zeros(cls, dim: int, order: int) -> "Tensor":
@@ -47,20 +47,16 @@ class Tensor:
         arr[index] = 1.0
         return cls.from_array(arr, dim=dim)
 
-    @property
-    def array(self) -> np.ndarray:
-        return self.entries
-
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_like(other)
-        return Tensor.from_array(self.entries + other.entries, dim=self.dim)
+        return Tensor.from_array(self.array + other.array, dim=self.dim)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_like(other)
-        return Tensor.from_array(self.entries - other.entries, dim=self.dim)
+        return Tensor.from_array(self.array - other.array, dim=self.dim)
 
     def __mul__(self, scalar: float) -> "Tensor":
-        return Tensor.from_array(self.entries * float(scalar), dim=self.dim)
+        return Tensor.from_array(self.array * float(scalar), dim=self.dim)
 
     __rmul__ = __mul__
 
@@ -78,7 +74,7 @@ class Tensor:
         return json.dumps({
             "dim": self.dim,
             "order": self.order,
-            "entries": [float(x) for x in self.entries.ravel()],
+            "entries": [float(x) for x in self.array.ravel()],
         })
 
     @classmethod
@@ -143,7 +139,7 @@ def act_batch(mats: np.ndarray, t: Tensor) -> np.ndarray:
     """Transform one tensor by a whole (N, D, D) stack, returning (N, ...)."""
     if mats.shape[1:] != (t.dim, t.dim):
         raise ValueError(f"elements are {mats.shape[1:]}, tensor has dimension {t.dim}")
-    out = np.broadcast_to(t.entries, mats.shape[:1] + t.entries.shape)
+    out = np.broadcast_to(t.array, mats.shape[:1] + t.array.shape)
     for _ in range(t.order):
         out = np.einsum("nij,nj...->n...i", mats, out)
     return np.ascontiguousarray(out) if t.order == 0 else out
@@ -164,5 +160,5 @@ def outer_power(t: Tensor, r: int) -> Tensor:
     if r < 1:
         raise ValueError("outer power needs r >= 1")
     check_budget(t.dim, t.order * r)  # before the D^(n r) entries are computed
-    out = outer_power_batch(t.entries[None], r)[0]
-    return Tensor.from_array(out.reshape(t.entries.shape * r), dim=t.dim)
+    out = outer_power_batch(t.array[None], r)[0]
+    return Tensor.from_array(out.reshape(t.array.shape * r), dim=t.dim)

@@ -4,7 +4,7 @@ Each fast path (the compiled chart plan, the Haar density kernel on entry
 rows and in node blocks, the improper coset as a sign, the templated sample
 formatter in row blocks, the Monte Carlo moments with their standard errors
 summed in row blocks, the group averages summed in node slices, the samplers
-drawn in row blocks on one or more threads) is compared with a straightforward reference
+drawn in row blocks on one or more threads and in any block order) is compared with a straightforward reference
 kept here, on bytes rather than on values, so a flipped sign of zero counts
 as a difference.
 The Hamilton product that the einsum reference kernel uses lives here too,
@@ -29,7 +29,7 @@ from haarkit.haar import (BLOCK_ENTRIES, _density_and_elements, _node_blocks, ha
                           integrate_tensor, normalize)
 from haarkit.orbit import OrbitSpec, mc_moments
 from haarkit.quadrature import QuadratureRule
-from haarkit.sampling import (CHART_LAWS, SampleBatch, SamplerConfig, _axis_streams, _cycloid_cdf,
+from haarkit.sampling import (CHART_LAWS, SampleBatch, SamplerConfig, _cycloid_cdf, _uniforms,
                               sample)
 from haarkit.reynolds import reynolds_matrix
 from haarkit.tensors import act_batch, as_tensor, outer_power_batch
@@ -334,6 +334,11 @@ def test_half_angle_cdf_matches_doubling_twice():
 # Improper flip against the np.where form
 
 
+def axis_stream(seed: int, axis: int) -> np.random.Generator:
+    """Axis axis's whole stream, drawn in order from its start."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(axis))
+
+
 @pytest.mark.parametrize("group", ["o2", "o3"])
 def test_in_place_flip_matches_where(group):
     proper = "so" + group[1:]
@@ -341,7 +346,7 @@ def test_in_place_flip_matches_where(group):
         config = SamplerConfig(group=group, chart=chart, seed=4242, count=5000)
         mats = sample(SamplerConfig(group=proper, chart=chart, seed=4242, count=5000)).matrices
         d = builtin_chart(chart).d
-        flip = _axis_streams(4242, d + 1)[d].random(5000) < 0.5
+        flip = axis_stream(4242, d).random(5000) < 0.5
         ref = np.where(flip[:, None, None], improper_coset(mats), mats)
         assert same_bits(sample(config).matrices, ref)
 
@@ -354,7 +359,7 @@ def reference_sample(config: SamplerConfig) -> SampleBatch:
     """The sampler with every stage on whole count-length arrays."""
     tag = config.chart
     chart = builtin_chart(tag)
-    streams = _axis_streams(config.seed, chart.d + 1)
+    streams = [axis_stream(config.seed, j) for j in range(chart.d + 1)]
     coords = np.column_stack([law.draw(*stream.random((config.count, law.width)).T, lo, hi)
                               for law, stream, (lo, hi) in zip(CHART_LAWS[tag][1], streams, chart.domain)])
     quats = None
@@ -398,7 +403,7 @@ def test_sampler_in_default_blocks_matches_one_draw(group, chart):
 @pytest.mark.parametrize("group, chart", SAMPLERS)
 def test_sampler_on_any_number_of_workers_matches_one_draw(group, chart, workers, monkeypatch):
     # three workers on two CPUs, and at 97 entries hundreds of blocks with a short
-    # switch interval: a block drawn out of order would move some stream's bytes
+    # switch interval: a block that read another's place in a stream would move its bytes
     monkeypatch.setattr("haarkit.sampling.WORKERS", workers)
     dim = GROUPS[group].dim
     interval = sys.getswitchinterval()
@@ -411,6 +416,37 @@ def test_sampler_on_any_number_of_workers_matches_one_draw(group, chart, workers
                 assert_same_batch(SamplerConfig(group=group, chart=chart, seed=2028, count=count))
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("group, chart", [("o3", "polar"), ("so3", "quaternion")])
+def test_sampler_in_any_block_order_matches_one_draw(group, chart, order, monkeypatch):
+    # each block finds its own uniforms, so the order in which blocks are drawn moves no bytes
+    shuffle = np.random.default_rng(45).permutation
+
+    def blocks(count, width):
+        found = _node_blocks(count, width)
+        return found[::-1] if order == "reversed" else [found[i] for i in shuffle(len(found))]
+
+    monkeypatch.setattr("haarkit.sampling._node_blocks", blocks)
+    monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", 97)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr("haarkit.sampling.WORKERS", workers)
+        for count in (1, 11, 1003):
+            assert_same_batch(SamplerConfig(group=group, chart=chart, seed=45, count=count))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("axis", range(4))  # the three law axes of SO(3) and its coin axis
+def test_block_uniforms_match_the_sequential_stream(axis, width):
+    # a Philox counter step gives four doubles, so a block's first uniform can sit at any of
+    # them: the starts cover every offset, near the stream's start and far into it
+    seed = 2**64 - 45
+    for start in (*range(10), 14_563, 10**6 + 3):
+        whole = axis_stream(seed, axis).random((start + 8) * width)
+        for rows in (1, 3, 8):
+            assert same_bits(_uniforms(seed, axis, start, rows, width),
+                             whole[start * width:(start + rows) * width].reshape(rows, width)), (start, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +638,7 @@ def test_mc_moments_in_row_blocks_match_numpy_mean_and_std(case, monkeypatch):
     group, representation, seed, r, counts = BLOCKED_CASES[case]
     dim = 3 if group.endswith("3") else 2
     spec = OrbitSpec(group, representation, as_tensor(seed, dim=dim))
-    width = int(np.prod(spec.seed.entries.shape)) ** r
+    width = int(np.prod(spec.seed.array.shape)) ** r
     past = len(range(BLOCK_ENTRIES)[_node_blocks(BLOCK_ENTRIES, width)[0]]) + 1
     for count in counts or (1, 2, 700, past):
         batch = sample(SamplerConfig(group=group, seed=13, count=count))

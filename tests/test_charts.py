@@ -5,6 +5,7 @@ direct differentiation of the quaternion components, and complex steps
 through the tree walk for a chart using every operator and function.
 """
 
+import re
 from importlib import resources
 
 import numpy as np
@@ -71,6 +72,14 @@ def test_domain_membership():
         chart.check_point([0.0, 4.0, 0.0])
     with pytest.raises(DomainError):
         chart.check_point([0.0, 1.0])  # wrong arity
+
+
+@pytest.mark.parametrize("u", [[0.5], [0.5, 0.5], [0.1] * 4, [[0.5]], np.zeros((2, 1)), 0.5])
+def test_domain_membership_refuses_a_point_of_the_wrong_length(u):
+    # [0.5] once broadcast over the three axes and read as inside
+    chart = builtin_chart("so3-euler")
+    with pytest.raises(DomainError, match=re.escape(f"'so3_euler' takes 3 coordinates, got shape {np.shape(u)}")):
+        chart.contains(u)
 
 
 def test_check_batch_checks_the_shape_only():

@@ -458,6 +458,9 @@ def test_chart_change_rejects_double_cover(capsys):
      "error: shift has length 1, but chart 'so3_euler' has 3 coordinates", "shift:0.1"),
     ("builtin:so3-euler", "builtin:so3-euler", "0.4,1.1,2.0",
      "error: shift has length 2, but chart 'so3_euler' has 3 coordinates", "shift:1,1"),
+    # chart2's contains once broadcast the one-coordinate u + shift over its three axes
+    ("builtin:so2-angle", "builtin:so3-euler", "1",
+     "error: chart 'so3_euler' takes 3 coordinates, got shape (1,)", "shift:0"),
 ])
 def test_chart_change_refuses_before_quadrature(chart1, chart2, point, message, map_,
                                                 monkeypatch, capsys):

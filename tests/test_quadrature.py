@@ -1,5 +1,6 @@
 """Gauss-Legendre tensor-product rules."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -125,3 +126,24 @@ def test_invalid_counts_rejected():
         QuadratureRule.for_domain(domain, 0)
     with pytest.raises(ValueError):
         QuadratureRule.for_domain(domain, (4,))
+
+
+@pytest.mark.parametrize("counts, named", [
+    (8.9, "8.9"), ((8.9, 8.9), "8.9"), (np.float64(32), "32.0"), (True, "True"),
+    ((4, True), "True"), ("8", "'8'"), (None, "None"), ((4, 4.0), "4.0"),
+])
+def test_for_domain_refuses_node_counts_that_are_not_integers(counts, named):
+    # 8.9 once built 8 nodes and True one; a scalar float or "8" failed with another error
+    # numpy 2 prints np.float64(32.0) where numpy 1 prints 32.0
+    with pytest.raises(ValueError, match=f"node counts must be integers, got (np.float64\\()?{re.escape(named)}"):
+        QuadratureRule.for_domain([[0.0, 1.0]] * 2, counts)
+
+
+def test_for_domain_takes_numpy_integer_node_counts():
+    domain = [[0.0, 1.0], [0.0, 2.0]]
+    ref = QuadratureRule.for_domain(domain, (3, 5))
+    for counts in ((np.int64(3), np.uint8(5)), np.array([3, 5]), [3, 5]):
+        rule = QuadratureRule.for_domain(domain, counts)
+        assert rule.nodes_per_axis == (3, 5) and type(rule.nodes_per_axis[0]) is int
+        assert np.array_equal(rule.points, ref.points) and np.array_equal(rule.weights, ref.weights)
+    assert QuadratureRule.for_domain(domain, np.int32(4)).nodes_per_axis == (4, 4)
