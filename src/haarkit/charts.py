@@ -14,10 +14,10 @@ after its last reader has run.  Jacobians run a second plan of the
 entries' symbolic partials, compiled with the first: exact, with no
 difference step.
 
-Charts are validated at 100 random domain points at load time against the
-group they parametrise (Chart.parametrises): 4 x 1 charts, unit quaternions
-(w, x, y, z) of SO(3), for unit norm; other untagged charts for finite
-entries; square charts (untagged D x D ones are of O(D)) for orthogonality
+Charts are validated at 100 domain points of a Kronecker sequence at load
+time against the group they parametrise (Chart.parametrises): 4 x 1 charts,
+unit quaternions (w, x, y, z) of SO(3), for unit norm; other untagged charts for
+finite entries; square charts (untagged D x D ones are of O(D)) for orthogonality
 (det +1 for so(D)).  Charts of any other shape have no Haar density.
 """
 
@@ -38,7 +38,6 @@ from .groups import GROUPS, INPUT_TOL, Group, UnknownNameError, lookup_group, or
 BUILTIN_NAMES = tuple(dict.fromkeys(tag for group in GROUPS.values() for tag in group.charts))
 
 _VALIDATION_POINTS = 100
-_VALIDATION_SEED = 0x5EED
 
 
 class DomainError(ValueError):
@@ -299,12 +298,15 @@ class Chart:
 
     @np.errstate(all="ignore")  # a NaN entry fails each "not err <= tol" below, quietly
     def validate(self) -> None:
-        """Random-point checks against the group the chart parametrises."""
+        """Checks against the group the chart parametrises at 100 points of Roberts' R_d sequence
+        u_k = frac(0.5 + k phi^-j), j = 1..d, phi the root of x^(d+1) = x + 1: no numpy.random."""
         def fail(message: str):
             raise ChartError(f"chart {self.name!r} {message}", 1, 1)
         rows, cols = self.shape
-        rng = np.random.default_rng(_VALIDATION_SEED)
-        pts = rng.uniform(self.domain[:, 0], self.domain[:, 1], size=(_VALIDATION_POINTS, self.d))
+        phi = np.roots([1.0] + [0.0] * (self.d - 1) + [-1.0, -1.0]).real.max()  # others: smaller modulus
+        steps = phi ** -np.arange(1.0, self.d + 1)
+        unit = (0.5 + np.arange(1, _VALIDATION_POINTS + 1)[:, None] * steps) % 1.0
+        pts = self.domain[:, 0] + unit * (self.domain[:, 1] - self.domain[:, 0])
         mats = self.evaluate_many(pts)
         group = self.parametrises
         if self.group is None and self.is_quaternion:
@@ -325,7 +327,7 @@ class Chart:
             err = orthogonality_error(mats)
             if not err <= INPUT_TOL:
                 fail(f"is not orthogonal on its domain (max |p p^T - I| = {err:.3g} "
-                     f"over {_VALIDATION_POINTS} random points)")
+                     f"over {_VALIDATION_POINTS} points)")
             if group.proper and not float(np.abs(np.linalg.det(mats) - 1.0).max()) <= INPUT_TOL:
                 fail(f"declares {self.group} but det p deviates from +1")
 

@@ -25,7 +25,8 @@ import math
 import numpy as np
 
 from .groups import FiniteGroup, lookup_group
-from .haar import HaarDensity, NumericalError, class_nodes, haar_nodes, integrate_tensor, node_mean
+from .haar import (HaarDensity, NumericalError, _node_blocks, class_nodes, haar_nodes, integrate_tensor,
+                   node_mean)
 from .tensors import Tensor, act_batch, check_budget, outer_power_batch
 
 INTEGER_SLACK = 1e-3
@@ -66,13 +67,15 @@ def reynolds_matrix(group, n: int, density: HaarDensity | None = None) -> np.nda
     check_budget(dim, 2 * n)  # the operator's D^(2n) entries, before any node is built
     weighted, stacks = haar_nodes(group, density, degree=n)
     half = (n + 1) // 2
+    width = dim ** (2 * half)
+    power = np.empty((_node_blocks(len(stacks[0]), width)[0].stop, width))  # faulted in once a call
 
     def term(w, mats):  # g^(x)a and g^(x)b of a node slice, one array at even n
-        low = outer_power_batch(mats, n // 2)
-        high = outer_power_batch(mats, half) if n % 2 else low
+        high = outer_power_batch(mats, half, out=power)
+        low = outer_power_batch(mats, n // 2) if n % 2 else high
         return np.einsum("n,na,nb->ab", w, high, low, optimize=True)
 
-    total = node_mean(weighted, stacks, dim ** (2 * half), term)
+    total = node_mean(weighted, stacks, width, term)
     axes = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     return total.reshape((dim,) * 2 * n).transpose(axes).reshape(dim**n, dim**n)
 

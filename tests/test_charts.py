@@ -5,12 +5,17 @@ direct differentiation of the quaternion components, and complex steps
 through the tree walk for a chart using every operator and function.
 """
 
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import haarkit
 from haarkit.chartlang import ChartError, evaluate_expr, parse_chart
 from haarkit.charts import BUILTIN_NAMES, Chart, DomainError, _Plan, builtin_chart, load_chart
 from haarkit.groups import GROUPS, UnknownNameError, hat, rodrigues
@@ -415,3 +420,19 @@ def test_untagged_chart_with_non_finite_entries_fails_validation():
     Chart(parse_chart(source))  # the plan itself compiles
     # finite untagged charts of any shape still load
     Chart.from_source("chart w { params: t in [0, 1]; matrix: [[t, 1, sqrt(t)]]; }")
+
+
+def test_loading_a_chart_imports_no_numpy_random():
+    # validation runs on a fixed Kronecker sequence: numpy.random costs a CLI op ~9 ms and 6 MB
+    code = """
+import contextlib, io, sys
+from haarkit import cli
+for argv in (["normalize", "--chart", "builtin:so3-euler", "--nodes", "8"],
+             ["dim", "--group", "so3", "--order", "8", "--method", "both"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print("numpy.random" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(haarkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+    assert out.stdout == b"False\n"

@@ -26,8 +26,8 @@ import pytest
 import haarkit
 import haarkit.reynolds as reynolds_module
 from haarkit.groups import FiniteGroup, lookup_group, rodrigues
-from haarkit.haar import (NumericalError, _node_blocks, haar_nodes, integrate_tensor, node_mean,
-                         normalize)
+from haarkit.haar import (BLOCK_ENTRIES, NumericalError, _node_blocks, haar_nodes, integrate_tensor,
+                         node_mean, normalize)
 from haarkit.charts import Chart, builtin_chart
 from haarkit.orbit import OrbitSpec, covariance, moment
 from haarkit.quadrature import QuadratureRule
@@ -241,9 +241,9 @@ def test_reynolds_matrix_has_the_bytes_of_two_power_calls(group, grid, n):
 def test_reynolds_matrix_builds_one_power_per_node_block_at_even_n(group, n, monkeypatch):
     calls = []
 
-    def counted(mats, k):
+    def counted(mats, k, **buffer):  # reynolds_matrix hands one power its block buffer as out=
         calls.append(k)
-        return outer_power_batch(mats, k)
+        return outer_power_batch(mats, k, **buffer)
 
     monkeypatch.setattr("haarkit.reynolds.outer_power_batch", counted)
     density = grid_density("so3-euler", 32)
@@ -702,3 +702,24 @@ def test_density_of_an_o2_chart_averages_o2(source):
     density = normalize(Chart.from_source(source), 32)
     t = Tensor.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]), dim=2)
     assert np.abs(reynolds_continuous("o2", t, density).array - 2.5 * np.eye(2)).max() <= 1e-12
+
+
+def test_reynolds_matrix_faults_its_block_buffers_in_once_per_call():
+    # one half-power buffer per call, written by every node block: a fresh process faulted in
+    # 9 920 pages per call with a new power per block, and about 990 (the buffer and einsum's
+    # weighted copy, 2 MiB each) with the buffer
+    resource = pytest.importorskip("resource")
+    code = """
+import resource
+from haarkit import builtin_chart, normalize, reynolds_matrix
+density = normalize(builtin_chart("so3-euler"))
+first = reynolds_matrix("so3", 4, density)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+second = reynolds_matrix("so3", 4, density)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, first.tobytes() == second.tobytes())
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(haarkit.__file__).parents[1]))
+    faults, same = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                                  check=True).stdout.split()
+    two_blocks = 2 * BLOCK_ENTRIES * 8 // resource.getpagesize()
+    assert same == b"True" and int(faults) <= 1.25 * two_blocks, faults

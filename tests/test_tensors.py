@@ -1,11 +1,16 @@
 """Dense small tensors and the orthogonal change-of-basis action."""
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import haarkit
 from haarkit.groups import rodrigues
 from haarkit.orbit import OrbitSpec, moment
 from haarkit.reynolds import reynolds_matrix
@@ -235,3 +240,84 @@ def test_act_checks_the_element_shape():
             act(bad, t)
     with pytest.raises(ValueError, match="tensor has dimension 3"):
         act_batch(np.ones((5, 2, 2)), t)
+
+
+def einsum_act_batch(mats, t):
+    """The action as one np.einsum per mode, the reference for act_batch's matmul."""
+    out = np.broadcast_to(t.array, mats.shape[:1] + t.array.shape)
+    for _ in range(t.order):
+        out = np.einsum("nij,nj...->n...i", mats, out)
+    return out
+
+
+def rotations(count, dim, seed=5):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(count, dim, dim)))
+    return q
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("order", range(7))
+def test_act_batch_matches_one_einsum_per_mode(order, dim, count):
+    mats = rotations(count, dim)
+    t = Tensor.from_array(RNG.normal(size=(dim,) * order), dim=dim)
+    got = act_batch(mats, t)
+    assert got.shape == (count,) + (dim,) * order and got.flags.c_contiguous
+    assert np.abs(got - einsum_act_batch(mats, t)).max(initial=0.0) <= 1e-14 * np.abs(t.array).max()
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 6])
+def test_act_batch_bytes_of_an_element_do_not_depend_on_the_stack(order):
+    # node_mean's block size decides which elements share a call
+    mats = rotations(9, 3)
+    t = as_tensor(RNG.normal(size=(3,) * order), dim=3)
+    whole = act_batch(mats, t)
+    for k in range(len(mats)):
+        assert whole[k].tobytes() == act_batch(mats[k:k + 1], t)[0].tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 6])
+def test_act_batch_of_a_strided_stack_has_the_bytes_of_its_copy(order):
+    t = as_tensor(RNG.normal(size=(3,) * order), dim=3)
+    every_other = rotations(14, 3)[::2]
+    column_major = rotations(7, 3).transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    for mats in (every_other, column_major):
+        assert not mats.flags.c_contiguous
+        assert act_batch(mats, t).tobytes() == act_batch(np.ascontiguousarray(mats), t).tobytes()
+
+
+def test_act_batch_holds_at_most_two_outputs():
+    # one order-4 block as node_mean cuts it on a 32^3 grid: 2^18 // 3^4 = 3 236 nodes
+    mats = rotations(3236, 3)
+    t = as_tensor(RNG.normal(size=(3,) * 4), dim=3)
+    tracemalloc.start()
+    try:
+        out = act_batch(mats, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes + 2**18, (peak, out.nbytes)
+
+
+def test_act_batch_bytes_do_not_depend_on_the_blas_thread_count():
+    code = """
+import hashlib
+import numpy as np
+from haarkit import Tensor, builtin_chart, normalize, reynolds_continuous
+from haarkit.tensors import act_batch
+q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4000, 3, 3)))
+rng = np.random.default_rng(4)
+for order in (2, 4, 6):
+    out = act_batch(q, Tensor.from_array(rng.normal(size=(3,) * order)))
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+out = reynolds_continuous("so3", Tensor.from_array(rng.normal(size=(3,) * 4)),
+                          normalize(builtin_chart("so3-euler")))
+print(hashlib.sha256(out.array.tobytes()).hexdigest())
+"""
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(haarkit.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        outputs[threads] = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                          env=env, check=True).stdout
+    assert outputs["1"] == outputs["2"] and len(outputs["1"].split()) == 4

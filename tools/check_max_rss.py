@@ -25,15 +25,17 @@ CASES = [
     # an order whose 2^n overflows is refused before the n + 2 class nodes are built
     (["timeout", "5", "haarkit", "dim", "--group", "so2", "--order", "100000000"], 2, 100,
      "numerical failure: "),
-    # an order-6 average on a chart's 32^3 grid sums node slices: its peak stays near
-    # normalize's, far below the 32^3 x 3^6 stack of rotated tensors (408 MB unsliced)
+    # an order-6 average on a chart's 32^3 grid sums node slices, each rotated into two block
+    # buffers by act_batch (40.0 MB; 45.7 with numpy.random loaded and one einsum per mode),
+    # far below the 32^3 x 3^6 stack of rotated tensors (408 MB unsliced)
     (["haarkit", "reynolds", "--group", "so3", "--tensor", "t6.json", "--chart", "builtin:so3-euler"],
-     0, 150, None),
+     0, 50, None),
     # a 10^6-draw sampler holds one block of temporaries beside its 92 MiB output
     ([sys.executable, "-c", SAMPLE_1E6], 0, 150, None),
     # normalize fills the density kernel in node blocks: one block of chart temporaries
-    # beside the 48^3 grid it keeps (82.7 MB of max RSS with the kernel on the whole grid)
-    (["haarkit", "normalize", "--chart", "builtin:so3-polar", "--nodes", "48"], 0, 70, None),
+    # beside the 48^3 grid it keeps (82.7 MB of max RSS with the kernel on the whole grid),
+    # and loads its chart without numpy.random (49.7 MB; 55.6 when validation imported it)
+    (["haarkit", "normalize", "--chart", "builtin:so3-polar", "--nodes", "48"], 0, 62, None),
     # Monte Carlo moments sum their outer powers in row blocks (124.8 MB with the whole stack)
     (["haarkit", "orbit-moments", "--group", "so3", "--diag", "1,2,3", "--mc", "100000"],
      0, 95, None),
