@@ -9,7 +9,10 @@ non-convergence, under-resolved quadrature, a ``--chart`` whose grid
 covers its group unevenly).  JSON output carries 17 significant digits so
 values round-trip through text; the ``dim`` table prints integers, of any
 length.  All angles are radians.  Identical argv (and seed) produce
-byte-identical stdout.
+byte-identical stdout on one numpy build and SIMD dispatch path: the
+bits of np.arccos, np.arcsin and np.arctan2, through which the samplers
+draw, depend on the loops numpy dispatches them to (AVX-512 or AVX2 on
+x86), as do those of a user chart's arccos, arcsin, tan and ^.
 
 Every float prints as format_float prints it: ``'%.17g'``, with "0" for
 -0.0 and "NaN" for NaN.  The exception is ``reynolds``, which prints

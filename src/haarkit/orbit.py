@@ -91,11 +91,9 @@ def moment(spec: OrbitSpec, r: int, density: HaarDensity | None = None, rule=Non
     if rule is not None and (density is None or rule is not density.grid()[0]):
         raise ValueError("moment runs on the grid of normalize(chart, rule); leave rule out")
     shape = _power_shape(spec, r)
-    flat = integrate_tensor(
-        lambda mats: outer_power_batch(spec.values(mats), r),
-        spec.group, density, degree=r * spec.seed.order)
-    return Tensor.from_array(np.asarray(flat).reshape(shape) if shape else float(np.asarray(flat)),
-                             dim=spec.seed.dim)
+    out = integrate_tensor(lambda mats: outer_power_batch(spec.values(mats), r).reshape((-1,) + shape),
+                           spec.group, density, degree=r * spec.seed.order)
+    return Tensor.from_array(out, dim=spec.seed.dim)
 
 
 def covariance(spec: OrbitSpec, density: HaarDensity | None = None, rule=None) -> Tensor:

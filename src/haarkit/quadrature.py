@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,21 +25,13 @@ MAX_NODES_PER_AXIS = 1024
 MAX_GRID_NODES = 2**24
 
 
-@lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def axis_rule(n: int, lower: float, upper: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [lower, upper]."""
     if n < 1:
         raise ValueError("quadrature needs at least one node per axis")
     if n > MAX_NODES_PER_AXIS:
         raise ValueError(f"{n} quadrature nodes per axis exceed the limit of {MAX_NODES_PER_AXIS}")
-    x, w = _leggauss(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (upper - lower)
     return lower + half * (x + 1.0), half * w
 

@@ -12,7 +12,10 @@ through the abscissa of a uniform point in the unit half-disk: no iteration
 and no tolerance.
 
 Determinism contract: a fresh sampler with the same seed reproduces the
-same batch bit for bit.  Each coordinate axis j draws from its own Philox
+same batch bit for bit on one numpy build and SIMD dispatch path.  The
+Euler and cycloid laws invert through np.arccos, np.arcsin and np.arctan2,
+whose bits differ between numpy's AVX-512 and AVX2 loops; the Philox
+uniforms do not.  Each coordinate axis j draws from its own Philox
 stream, Generator(Philox(key=seed).jumped(j)), and O-group coin flips from
 axis d's, one past the chart's last, so the laws stay independent of layout.
 

@@ -318,6 +318,17 @@ def test_parametrises_names_the_group_of_the_elements(source, tag):
     assert chart.parametrises is (None if tag is None else GROUPS[tag])
 
 
+@pytest.mark.parametrize("chart, text", [
+    (builtin_chart("so3-euler"), "Chart('so3_euler', d=3, shape=(3, 3), group=so(3))"),
+    (Chart.from_source(builtin_chart("so3-quat").source().replace("group: none;", "")),
+     "Chart('so3_quat', d=3, shape=(4, 1), group=quaternion)"),
+    (Chart.from_source("chart wide { params: t in [0, 1]; matrix: [[t, 1, 0], [0, 1, t]]; }"),
+     "Chart('wide', d=1, shape=(2, 3), group=none)"),
+], ids=["tagged", "untagged 4x1", "untagged 2x3"])
+def test_repr_names_the_group_tag_or_the_chart_kind(chart, text):
+    assert repr(chart) == text
+
+
 def test_validate_rejects_improper_so_chart():
     src = """chart mirror {
   params: a in [0, 2*pi];

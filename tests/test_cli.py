@@ -879,6 +879,20 @@ def test_orbit_moments_seed_tensor_file_prints_the_diag_bytes(tmp_path, capsys):
     assert "exactly one of --seed-tensor or --diag" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--chart", "builtin:so3-euler", "--nodes", "8"),
+                                   ("--mc", "10")], ids=["exact rule", "chart", "mc"])
+def test_orbit_moments_of_an_order_0_seed(tmp_path, capsys, extra):
+    path = tmp_path / "t0.json"
+    path.write_text(json.dumps({"dim": 3, "order": 0, "entries": [2.0]}))
+    code, out, err = run_quietly(capsys, "orbit-moments", "--group", "so3",
+                                 "--representation", "tensor", "--seed-tensor", str(path), *extra)
+    assert (code, err, len(out.splitlines())) == (0, "", 1)
+    record = json.loads(out)
+    assert (record["m1"], record["m2"], record["cov"]) == (2, 4, 0)
+    if extra == ("--mc", "10"):
+        assert (record["mc_m1"], record["mc_m2"], record["mc_stderr"]) == (2, 4, {"m1": 0, "m2": 0})
+
+
 def test_malformed_point_and_unknown_map_exit_1(capsys):
     code, out, err = run(capsys, "density", "--chart", "builtin:so3-euler", "--point", "1,x,2")
     assert (code, out) == (1, "")

@@ -120,6 +120,21 @@ def test_tensor_representation_order3():
     assert np.abs(m1.array - eps).max() < 1e-9
 
 
+@pytest.mark.parametrize("group, density", [
+    ("so3", None),
+    ("o3", "so3-euler"),
+    (FiniteGroup.cyclic([0, 0, 1], 4), None),
+], ids=["so3 exact rule", "o3 on an so3 grid", "cyclic C4"])
+def test_moments_of_an_order_0_seed_are_order_0_tensors(group, density):
+    # a scalar is fixed by every element: m1 = v, m2 = v^2 and no covariance
+    density = None if density is None else normalize(builtin_chart(density), 8)
+    spec = OrbitSpec(group, "tensor", Tensor.from_array(2.0, dim=3))
+    results = moment(spec, 1, density), moment(spec, 2, density), covariance(spec, density)
+    for got, want in zip(results, (2.0, 4.0, 0.0)):
+        assert (got.dim, got.order, got.array.shape) == (3, 0, ())
+        assert got.array == pytest.approx(want, abs=1e-12)
+
+
 def test_o3_odd_moments_vanish():
     density = so3_density()
     spec = OrbitSpec(group="o3", representation="natural",

@@ -21,15 +21,50 @@ from haarkit.quadrature import axis_rule
 from haarkit.sampling import CHART_LAWS, SamplerConfig, _cycloid_cdf, sample
 
 
+def dispatch_fingerprint() -> str:
+    """sha256 of np.arccos, np.arcsin and np.arctan2 on a fixed probe.  Their last bits depend
+    on the SIMD loops numpy dispatches them to (AVX-512 or AVX2 on x86), and so do the bytes of
+    the samplers whose laws invert through them: the Euler law and the cycloid law."""
+    x = np.linspace(-1.0, 1.0, 4099)[1:-1]
+    y = np.sqrt(1.0 - x * x)
+    return hashlib.sha256(np.arccos(x).tobytes() + np.arcsin(x).tobytes()
+                          + np.arctan2(y, x).tobytes()).hexdigest()
+
+
+# The fingerprints of numpy 2.4.6's AVX-512 loops and of its AVX2 loops, the latter taken under
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" on the same host.  A pin that depends
+# on the path holds one digest per path, each computed on that path.
+AVX512_LOOPS = "fca62eda43b79e9b5fad859e5a3936a24fb16349905a6af7556d9494800b8cae"
+AVX2_LOOPS = "a32ceca17826a05a788f6f97401995954e432d00f8e58901ae035661304f90af"
+
+
+def assert_pinned(digest: str, pin: str | dict[str, str]) -> None:
+    """digest is the pin, or for a per-path pin the digest of this process's dispatch path."""
+    if isinstance(pin, dict):
+        path = dispatch_fingerprint()
+        if path not in pin:
+            pytest.fail(f"no pin for numpy dispatch path {path}; it draws {digest}")
+        pin = pin[path]
+    assert digest == pin
+
+
 # sha256 of coordinates then matrices of 1000 draws at seed 2026: these samplers
-# never run the cycloid law, so a change to it leaves their bytes alone
+# never run the cycloid law, so a change to it leaves their bytes alone.  so2 and o2
+# draw through uniforms, sin and cos only, so one digest holds on every path;
+# the Euler law's arccos rounds per path.
 UNTOUCHED_SAMPLERS = {
     ("so2", "angle"): "b183ea50bd36ec2bf00c575418d41e90719b59489ee1d897871efd2f565bc501",
     ("so2", "shifted"): "00d9793e639972b06254bb71def5a6e7e30ad7c33c25e5f17a137278bbec2f6e",
     ("o2", "angle"): "85de25b74b05c81367b7328d884b63ca05fc6868f9d706fcee1a468a0c385b77",
     ("o2", "shifted"): "6d8a14e9a2aeb9a6977e939a7dc209181bdecee5a9f1226f82813477b87037d4",
-    ("so3", "euler"): "08e0c88604b4ec2b6406120c714a67fea066c0ecadabb1dd4ac77f29fdebe067",
-    ("o3", "euler"): "237421a59a6f6fcd40a454aca0461a7b59a6e29d791e06e471c1a1b5b002e1da",
+    ("so3", "euler"): {
+        AVX512_LOOPS: "08e0c88604b4ec2b6406120c714a67fea066c0ecadabb1dd4ac77f29fdebe067",
+        AVX2_LOOPS: "f0496528e74602c8cad28eeba14fa21e7460bc2a7d04b2214e1cf0260a073418",
+    },
+    ("o3", "euler"): {
+        AVX512_LOOPS: "237421a59a6f6fcd40a454aca0461a7b59a6e29d791e06e471c1a1b5b002e1da",
+        AVX2_LOOPS: "1c911b30270b899e4fc5d8582c0912fd37dd3a179bdee283999fba205482977d",
+    },
 }
 
 
@@ -37,17 +72,29 @@ UNTOUCHED_SAMPLERS = {
 def test_samplers_without_a_numeric_inversion_keep_their_bytes(group, chart):
     batch = sample(SamplerConfig(group=group, chart=chart, seed=2026, count=1000))
     digest = hashlib.sha256(batch.coordinates.tobytes() + batch.matrices.tobytes()).hexdigest()
-    assert digest == UNTOUCHED_SAMPLERS[group, chart]
+    assert_pinned(digest, UNTOUCHED_SAMPLERS[group, chart])
 
 
 # sha256 of coordinates, matrices and quaternions (so3 quaternion only) of 1000
 # draws at seed 2026, and of closed_form(tag).C then its densities at 1000 points:
 # these run the cycloid law, and a rewrite of it that keeps every bit passes
 INVERTED_SAMPLERS = {
-    ("so3", "polar"): "a5bb57b3356db6a1567289c4ce0c96e978a74468ec1c69050dd7df4d9e0a3db1",
-    ("so3", "quaternion"): "2c5c80a2af495855cb1463c41bff0ae0a0ba00425b06aeae0344f98ce1a53fec",
-    ("o3", "polar"): "388c2284070e99e4b6a83da308bd2a18e1f687bdb1fd471149e3120ef3633167",
-    ("o3", "quaternion"): "72435055d888dfbec7a03f767998b55705c003f0e9475dec89ec2cd818508db3",
+    ("so3", "polar"): {
+        AVX512_LOOPS: "a5bb57b3356db6a1567289c4ce0c96e978a74468ec1c69050dd7df4d9e0a3db1",
+        AVX2_LOOPS: "8cc975d3b104b669b2bdcc5e58040c6f58711b75a640808803681ac0b631398d",
+    },
+    ("so3", "quaternion"): {
+        AVX512_LOOPS: "2c5c80a2af495855cb1463c41bff0ae0a0ba00425b06aeae0344f98ce1a53fec",
+        AVX2_LOOPS: "6c47fa87ab49d86819f38345bfb267fdd530d20258035279cf0068c1fc2892c0",
+    },
+    ("o3", "polar"): {
+        AVX512_LOOPS: "388c2284070e99e4b6a83da308bd2a18e1f687bdb1fd471149e3120ef3633167",
+        AVX2_LOOPS: "edc46635d5210309b067379b4ef4c8d1542e4f9a4418b4c8679f2dfece6c7f46",
+    },
+    ("o3", "quaternion"): {
+        AVX512_LOOPS: "72435055d888dfbec7a03f767998b55705c003f0e9475dec89ec2cd818508db3",
+        AVX2_LOOPS: "987b54e6c35b4143fe7aaf70295f85d1a1cd5efdb23b4a827196fe079ef1755c",
+    },
 }
 CYCLOID_CLOSED_FORMS = {
     "so3-polar": "9c0af8b0891fbda3796e436351d295826af8824f7c6ab8d835317da791fe02e0",
@@ -61,7 +108,7 @@ def test_samplers_through_the_cycloid_law_keep_their_bytes(group, chart):
     quats = b"" if batch.quaternions is None else batch.quaternions.tobytes()
     assert (batch.quaternions is not None) == ((group, chart) == ("so3", "quaternion"))
     digest = hashlib.sha256(batch.coordinates.tobytes() + batch.matrices.tobytes() + quats)
-    assert digest.hexdigest() == INVERTED_SAMPLERS[group, chart]
+    assert_pinned(digest.hexdigest(), INVERTED_SAMPLERS[group, chart])
 
 
 @pytest.mark.parametrize("tag", sorted(CYCLOID_CLOSED_FORMS))
