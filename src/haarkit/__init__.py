@@ -12,11 +12,11 @@ from .groups import (FiniteGroup, as_orthogonal, frobenius, hat, rodrigues, so_a
                      vee)
 from .haar import (HaarDensity, NumericalError, chart_change_check, density_numeric,
                    integrate_tensor, normalize)
-from .orbit import OrbitSpec, covariance, mc_moments, moment
+from .orbit import OrbitSpec, covariance, mc_moments, mc_moments_each, moment
 from .quadrature import QuadratureRule
 from .reynolds import (dim_invariants_closed, dim_invariants_quadrature, invariant_rank,
                        reynolds_continuous, reynolds_matrix)
-from .sampling import SampleBatch, SamplerConfig, closed_form, sample
+from .sampling import SampleBatch, SamplerConfig, closed_form, sample, sample_chunks
 from .tensors import Tensor, act, act_batch, as_tensor, outer_power
 
 __version__ = "0.1.0"
@@ -51,6 +51,7 @@ __all__ = [
     "invariant_rank",
     "load_chart",
     "mc_moments",
+    "mc_moments_each",
     "moment",
     "normalize",
     "outer_power",
@@ -60,6 +61,7 @@ __all__ = [
     "reynolds_matrix",
     "rodrigues",
     "sample",
+    "sample_chunks",
     "so_algebra_basis",
     "vee",
 ]

@@ -20,10 +20,13 @@ Tensor.to_json: json.dumps, so shortest-repr floats ("0.0", "1.5") with
 -0.0 kept.  ``sample`` output goes through format_rows, which
 keeps those bytes but builds the digits of 1e-4 <= |x| < 1 as integers in
 numpy and leaves only other values, rounding carries and near-ties to
-format_float.  It yields one row block's text at a time.  Each handler
-returns its stdout lines, and main alone writes them, to stdout or to the
-``--out`` file, which it opens only then: a refusal writes nothing, and only a
-failure while ``sample`` formats (a MemoryError) leaves a prefix of its text.
+format_float.  It yields one row block's text at a time, and ``sample``
+formats each chunk of draws (sampling.sample_chunks) as it is drawn, so it
+streams any count in the memory of one chunk.  Each handler returns its
+stdout lines, and main alone writes them, to stdout or to the ``--out``
+file, which it opens only then: a refusal writes nothing, and only a failure
+while ``sample`` draws or formats a later chunk (a MemoryError) leaves a
+prefix of its text.
 """
 
 from __future__ import annotations
@@ -40,11 +43,11 @@ import numpy as np
 from .charts import builtin_tag, load_chart
 from .groups import GROUPS, lookup_group
 from .haar import NumericalError, _node_blocks, chart_change_check, normalize
-from .orbit import REPRESENTATIONS, OrbitSpec, mc_moments, moment
+from .orbit import REPRESENTATIONS, OrbitSpec, mc_moments_each, moment
 from .quadrature import DEFAULT_NODES
 from .reynolds import (INTEGER_SLACK, dim_invariants_closed, dim_invariants_quadrature, moment_gap,
                        reynolds_continuous)
-from .sampling import SamplerConfig, closed_form, sample
+from .sampling import SampleBatch, SamplerConfig, closed_form, sample_chunks
 from .tensors import Tensor, outer_power
 
 JSON_DIGITS = 17
@@ -244,16 +247,24 @@ def _cmd_normalize(args) -> list[str]:
 
 
 def _cmd_sample(args) -> Iterator[str]:
-    # a plain function, not a generator: sample's refusals run before main opens --out
-    batch = sample(SamplerConfig(group=args.group, chart=args.chart or "", seed=args.seed,
-                                 count=args.count))
-    if args.format == "csv":
-        rows, key = batch.matrices, None
-    elif batch.quaternions is not None:
-        rows, key = batch.quaternions, "q"
-    else:
-        rows, key = batch.matrices, "R"
-    return format_rows(_row_template(rows.shape[1:], key), rows)
+    # a plain function, not a generator: SamplerConfig's refusals run before main opens --out
+    config = SamplerConfig(group=args.group, chart=args.chart or "", seed=args.seed,
+                           count=args.count)
+    return _sample_lines(sample_chunks(config), args.format)
+
+
+def _sample_lines(chunks: Iterator[SampleBatch], fmt: str) -> Iterator[str]:
+    """The text of each chunk's row blocks, each chunk formatted as it is drawn."""
+    for batch in chunks:
+        if fmt == "csv":
+            rows, key = batch.matrices, None
+        elif batch.quaternions is not None:
+            rows, key = batch.quaternions, "q"
+        else:
+            rows, key = batch.matrices, "R"
+        del batch  # the chunk's other arrays go before its text is formatted
+        yield from format_rows(_row_template(rows.shape[1:], key), rows)
+        del rows  # and its rows before the next chunk is drawn
 
 
 def _cmd_check_chart(args) -> list[str]:
@@ -312,10 +323,9 @@ def _cmd_orbit_moments(args) -> list[str]:
     record = {"group": args.group, "representation": args.representation,
               "m1": m1.array.tolist(), "m2": m2.array.tolist(), "cov": cov.array.tolist()}
     if args.mc:
-        batch = sample(SamplerConfig(group=args.group, chart=args.mc_chart or "",
-                                     seed=args.mc_seed, count=args.mc))
-        mc1, se1 = mc_moments(spec, 1, batch)
-        mc2, se2 = mc_moments(spec, 2, batch)
+        (mc1, se1), (mc2, se2) = mc_moments_each(
+            spec, (1, 2), SamplerConfig(group=args.group, chart=args.mc_chart or "",
+                                        seed=args.mc_seed, count=args.mc))
         record["mc_m1"] = mc1.array.tolist()
         record["mc_m2"] = mc2.array.tolist()
         record["mc_stderr"] = {"m1": se1.array.tolist(), "m2": se2.array.tolist()}

@@ -39,7 +39,7 @@ integrand, not N times its width; row_sum, the one running sum, adds them
 block size; a sum over more than one slice is added up in another order and
 can change in the last bits, and one within the budget keeps the bytes of
 the unsliced sum.  The same budget sizes the row blocks of the samplers
-(sampling.sample), whose bytes do not depend on it either.
+and their chunks (sampling), whose bytes do not depend on it either.
 
 A density also inverts its chart: ``coordinates(g)`` runs batch
 Gauss-Newton (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 10) on
@@ -305,20 +305,28 @@ def chart_change_check(chart1: Chart, chart2: Chart, u, shift=None, rule=None) -
 # Normalized integration over SO / O groups and finite groups
 
 
+def _block_rows(width: int) -> int:
+    """Nodes per block of _node_blocks at width entries per node (at least one)."""
+    return max(1, BLOCK_ENTRIES // max(1, width))
+
+
 def _node_blocks(count: int, width: int) -> list[slice]:
-    """Slices of range(count), each of at most BLOCK_ENTRIES // width nodes (at least one)."""
-    step = max(1, BLOCK_ENTRIES // max(1, width))
+    """Slices of range(count), each of _block_rows(width) nodes (the last may have fewer)."""
+    step = _block_rows(width)
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def row_sum(parts) -> np.ndarray:
-    """numpy's ``sum(axis=0)`` of the row blocks ``parts`` stacked in order.  numpy adds the rows
-    of a C-contiguous (N, W >= 2) array in order from +0.0, so carrying the running total into
-    each block as its row 0 keeps those bits; a step of one row is np.add (-0.0 reads +0.0)."""
+    """numpy's ``sum(axis=0)`` of the row blocks ``part[1:]`` of ``parts``, stacked in order.  Row 0
+    of each part is spare: row_sum writes the running total there and sums the whole part, so a
+    block is added below the total where it was made, with no copy.  numpy adds the rows of a
+    C-contiguous (N, W >= 2) array in order from +0.0, so carrying the total in row 0 keeps
+    those bits; a step of one row is np.add (-0.0 reads +0.0)."""
     parts = iter(parts)
-    total = np.asarray(next(parts).sum(axis=0))  # out= needs an array; a scalar sums to a float
-    for part in parts:  # in place: a new total per block can make malloc fault in the next
-        np.concatenate((total[None], part)).sum(axis=0, out=total)  # block's temporaries again
+    total = np.asarray(next(parts)[1:].sum(axis=0))  # out= needs an array; a scalar sums to a float
+    for part in parts:  # total in place: a new one per block can make malloc fault in the
+        part[0] = total  # next block's temporaries again
+        part.sum(axis=0, out=total)
     return total
 
 
@@ -414,8 +422,8 @@ def node_mean(weights: np.ndarray, stacks: list[np.ndarray], width: int, term) -
     entries per node, weighted by w, on node slices of at most BLOCK_ENTRIES // width nodes,
     added in order as row_sum's one-row parts: the one walk of every group average.  A stack
     within the budget is one slice, with the bytes of term on the whole stack."""
-    return row_sum(term(weights[s], mats[s])[None] for mats in stacks
-                   for s in _node_blocks(len(mats), width)) / len(stacks)
+    return row_sum(np.repeat(term(weights[s], mats[s])[None], 2, axis=0)  # row 0 spare
+                   for mats in stacks for s in _node_blocks(len(mats), width)) / len(stacks)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of

@@ -6,13 +6,17 @@ group tag or a groups.FiniteGroup.  Moments come from quadrature (the
 Reynolds average of tensor powers of X, on the exact rule, on the grid a
 density was normalized on, or over a finite group's elements) or, for a
 tag, from Monte Carlo sampling with entry-wise standard errors.  A Monte
-Carlo moment computes the orbit points of every draw at once, then walks
-their S^r-entry outer powers (S the seed's entry count) in row blocks of
-haar.BLOCK_ENTRIES entries, twice, through haar.row_sum, the running sum of
-every group average: once for the mean and once for the squared deviations
-from it, so no (N, S^r) stack is held;
-``orbit-moments --mc`` draws once per command and passes the SampleBatch
-to both orders.
+Carlo moment computes each draw's orbit point once, into one (N, S) array
+(S the seed's entry count): from a SamplerConfig chunk by chunk as the
+draws are made (sampling.sample_chunks), so no batch is held, and from a
+SampleBatch block by block.  It then walks their S^r-entry outer powers in
+row blocks of haar.BLOCK_ENTRIES entries, twice, through haar.row_sum, the
+running sum of every group average: once for the mean and once for the
+squared deviations from it, so no (N, S^r) stack is held.  Each block is
+formed in one buffer below row_sum's spare row, which takes the running
+sum, so no block is copied to be added.  mc_moments_each
+takes several orders from one set of points, as ``orbit-moments --mc``
+takes its first and second.
 
 For conjugation orbits of symmetric 3x3 seeds the first two moments have
 closed forms in the isotropic tensors; see the *_closed functions.  They
@@ -28,12 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .groups import FiniteGroup, lookup_group
 from .haar import HaarDensity, NumericalError, _node_blocks, integrate_tensor, row_sum
-from .sampling import SampleBatch, SamplerConfig, sample
+from .sampling import SampleBatch, SamplerConfig, sample_chunks
 from .tensors import Tensor, act_batch, as_tensor, check_budget, outer_power, outer_power_batch
 
 REPRESENTATIONS = ("sym2", "natural", "tensor")
@@ -103,7 +108,6 @@ def covariance(spec: OrbitSpec, density: HaarDensity | None = None, rule=None) -
     return m2 - outer_power(m1, 2)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of
 def mc_moments(spec: OrbitSpec, r: int,
                config: SamplerConfig | SampleBatch) -> tuple[Tensor, Tensor]:
     """Monte Carlo m_r(X) with entry-wise standard errors of the mean.
@@ -113,12 +117,21 @@ def mc_moments(spec: OrbitSpec, r: int,
     spec's group; a FiniteGroup has no sampler, and moment() gives its
     moments exactly.  The results are numpy's ``mean`` and
     ``std(ddof=1) / sqrt(n)`` over the (N, S^r) stack of outer powers, bit
-    for bit, but that stack is never built: the outer powers are formed
-    one row block at a time and added by haar.row_sum, once for the mean
-    and again for the squared deviations.  A mean or standard error that
-    overflows is a NumericalError.
+    for bit, but that stack is never built: the orbit points are computed
+    once per draw (a SamplerConfig is drawn chunk by chunk and no chunk is
+    kept), and their outer powers are formed one row block at a time and
+    added by haar.row_sum, once for the mean and again for the squared
+    deviations.  A mean or standard error that overflows is a NumericalError.
     """
-    if r < 1:
+    return mc_moments_each(spec, (r,), config)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of
+def mc_moments_each(spec: OrbitSpec, orders: tuple[int, ...],
+                    config: SamplerConfig | SampleBatch) -> list[tuple[Tensor, Tensor]]:
+    """mc_moments(spec, r, config) for each r of ``orders``, in that order, from one draw:
+    each draw's orbit point is computed once, and every order reads the same points."""
+    if any(r < 1 for r in orders):
         raise ValueError("moment order must be positive")
     if isinstance(spec.group, FiniteGroup):
         raise ValueError("a finite group has no sampler; moment(spec, r) averages over "
@@ -126,22 +139,58 @@ def mc_moments(spec: OrbitSpec, r: int,
     drawn = (config.config if isinstance(config, SampleBatch) else config).group
     if lookup_group(drawn) is not lookup_group(spec.group):
         raise ValueError(f"draws of group {drawn!r} cannot average an orbit of {spec.group!r}")
-    shape = _power_shape(spec, r)
-    # no name holds a batch drawn here, so it is freed once its orbit points are computed
-    points = spec.values((config if isinstance(config, SampleBatch) else sample(config)).matrices)
+    shapes = [_power_shape(spec, r) for r in orders]
+    points = _orbit_points(spec, config)
+    return [_mc_moment(points, r, shape, spec.seed.dim) for r, shape in zip(orders, shapes)]
+
+
+def _orbit_points(spec: OrbitSpec, config: SamplerConfig | SampleBatch) -> np.ndarray:
+    """Each draw's orbit point, flattened to one (N, S) array.  A SampleBatch is acted on block
+    by block; a SamplerConfig is drawn chunk by chunk (sampling.sample_chunks), and each chunk
+    is dropped before the next is drawn.  Either way act_batch holds one block's buffers."""
+    width = spec.seed.array.size
+    if isinstance(config, SampleBatch):
+        n = len(config)
+        stacks = (config.matrices[s] for s in _node_blocks(n, width))
+    else:
+        n = config.count
+        stacks = map(attrgetter("matrices"), sample_chunks(config))  # keeps no chunk it passed on
+    points, start = np.empty((n, width)), 0
+    for mats in stacks:
+        points[start:start + len(mats)] = spec.values(mats).reshape(len(mats), width)
+        start += len(mats)
+        del mats  # before the next chunk is drawn
+    return points
+
+
+def _mc_moment(points: np.ndarray, r: int, shape: tuple[int, ...],
+               dim: int) -> tuple[Tensor, Tensor]:
+    """The mean and standard error of the r-th outer powers of the (N, S) orbit points."""
     n, width = len(points), math.prod(shape)
     # Every group has D >= 2, so S^r >= 2 unless the seed is a scalar.  numpy sums an (N, 1)
     # array pairwise, not row by row, so a scalar's stack (N floats) is summed in one block.
     blocks = _node_blocks(n, width) if width > 1 else [slice(0, n)]
-    mean = row_sum(outer_power_batch(points[s], r) for s in blocks) / n
+    buffer = np.empty((len(points[blocks[0]]) + 1, width))  # row_sum's spare row, then a block
+
+    def powers(mean=None):
+        """Each block's outer powers in the buffer below its spare row, less the mean and squared
+        if one is given, as row_sum's parts."""
+        for s in blocks:
+            part = buffer[:len(points[s]) + 1]
+            power = outer_power_batch(points[s], r, out=part[1:])
+            if r == 1:  # the points themselves
+                part[1:] = power
+            if mean is not None:
+                np.square(np.subtract(part[1:], mean, out=part[1:]), out=part[1:])
+            yield part
+
+    mean = row_sum(powers()) / n
     stderr = np.zeros_like(mean)
     if n > 1:
-        deviations = (np.subtract(outer_power_batch(points[s], r), mean) for s in blocks)
-        stderr = np.sqrt(row_sum(np.square(dev, out=dev) for dev in deviations) / (n - 1)) / np.sqrt(n)
+        stderr = np.sqrt(row_sum(powers(mean)) / (n - 1)) / np.sqrt(n)
     if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
         raise NumericalError(f"Monte Carlo moment of order {r} or its standard error is not "
                              "finite: the orbit's values overflow")
-    dim = spec.seed.dim
     return (Tensor.from_array(mean.reshape(shape), dim=dim),
             Tensor.from_array(stderr.reshape(shape), dim=dim))
 

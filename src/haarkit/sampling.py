@@ -19,17 +19,22 @@ uniforms do not.  Each coordinate axis j draws from its own Philox
 stream, Generator(Philox(key=seed).jumped(j)), and O-group coin flips from
 axis d's, one past the chart's last, so the laws stay independent of layout.
 
-A batch is drawn in row blocks of haar.BLOCK_ENTRIES // (WORKERS D^2)
-elements (haar._node_blocks) on WORKERS threads, one per CPU the process may
-use, the caller among them: thread k draws blocks k, k + W, k + 2W, ... of
-the W in use.  Philox is counter based, so a block finds its own uniforms in
-each stream (_uniforms): no lock, no shared generator, and the block order
-does not matter.  Where numpy lets go of the GIL, a thread maps, charts and
-flips (sigma g through np.where where the coin is below 1/2) into its own
-rows of the batch.  A sampler holds one block budget of temporaries beside
-its output, and its bytes depend on neither the block size nor the CPU
-count: a law taking two uniforms per row reads one (rows, 2) row-major
-array, and every stage after the draws works row by row.
+One routine, _draw, fills any row range [start, start + rows) of a draw, in
+row blocks of haar.BLOCK_ENTRIES // (WORKERS D^2) elements (haar._node_blocks)
+on WORKERS threads, one per CPU the process may use, the caller among them:
+thread k draws blocks k, k + W, k + 2W, ... of the W in use, and every thread
+is joined before _draw returns.  Philox is counter based, so a block finds
+its own uniforms in each stream from its first row (_uniforms): no lock, no
+shared generator, and neither the block order nor the range a block falls in
+matters.  Where numpy lets go of the GIL, a thread maps, charts and flips
+(sigma g through np.where where the coin is below 1/2) into its own rows.
+``sample`` is _draw over all rows; ``sample_chunks`` yields the same rows
+as SampleBatch chunks of one block per worker, each drawn once when it is
+asked for, so a caller that keeps no chunk holds one chunk at any count.  A
+draw holds one block budget of temporaries beside its output, and its bytes
+depend on neither the block size, the chunking nor the CPU count: a law
+taking two uniforms per row reads one (rows, 2) row-major array, and every
+stage after the draws works row by row.
 """
 
 from __future__ import annotations
@@ -38,14 +43,14 @@ import contextvars
 import math
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .charts import builtin_chart, builtin_tag
 from .groups import UnknownNameError, improper_coset, lookup_group, quat_rotation_matrices
-from .haar import HaarDensity, _node_blocks
+from .haar import HaarDensity, _block_rows, _node_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +189,12 @@ def _uniforms(seed: int, axis: int, start: int, rows: int, width: int = 1) -> np
     return np.random.Generator(bits).random(first % 4 + rows * width)[first % 4:].reshape(rows, width)
 
 
-def sample(config: SamplerConfig) -> SampleBatch:
-    """Draw config.count uniform elements of config.group through its chart, block by block."""
+def _draw(config: SamplerConfig, rows: range) -> SampleBatch:
+    """Rows ``rows`` (a range of step 1) of config's draws, block by block on WORKERS threads."""
     tag = config.chart
     chart = builtin_chart(tag)
     group = lookup_group(config.group)
-    count, dim = config.count, group.dim
+    count, dim = len(rows), group.dim
     coords = np.empty((count, chart.d))
     mats = np.empty((count, dim, dim))
     quats = np.empty((count, 4)) if chart.is_quaternion and group.proper else None
@@ -201,9 +206,9 @@ def sample(config: SamplerConfig) -> SampleBatch:
             for s in blocks[k::runners]:
                 if failed:
                     return
-                rows = len(coords[s])
+                first, size = rows.start + s.start, len(coords[s])
                 for j, (law, (lo, hi)) in enumerate(zip(CHART_LAWS[tag][1], chart.domain)):
-                    coords[s, j] = law.draw(*_uniforms(config.seed, j, s.start, rows, law.width).T, lo, hi)
+                    coords[s, j] = law.draw(*_uniforms(config.seed, j, first, size, law.width).T, lo, hi)
                 if chart.is_quaternion:
                     q = chart.quaternions_at(coords[s])
                     mats[s] = quat_rotation_matrices(q)
@@ -212,7 +217,7 @@ def sample(config: SamplerConfig) -> SampleBatch:
                 else:
                     mats[s] = chart.evaluate_many(coords[s])
                 if not group.proper:
-                    coin = _uniforms(config.seed, chart.d, s.start, rows) < 0.5
+                    coin = _uniforms(config.seed, chart.d, first, size) < 0.5
                     mats[s] = np.where(coin[:, :, None], improper_coset(mats[s]), mats[s])
         except BaseException as exc:  # the others stop before their next block; re-raised below
             failed.append(exc)
@@ -227,3 +232,22 @@ def sample(config: SamplerConfig) -> SampleBatch:
     if failed:
         raise failed[0]
     return SampleBatch(config=config, coordinates=coords, matrices=mats, quaternions=quats)
+
+
+def sample(config: SamplerConfig) -> SampleBatch:
+    """Draw config.count uniform elements of config.group through its chart, block by block."""
+    return _draw(config, range(config.count))
+
+
+def sample_chunks(config: SamplerConfig) -> Iterator[SampleBatch]:
+    """sample(config) as consecutive chunks of one sampler block per worker, in row order.
+
+    Each chunk is drawn when it is asked for and holds only its own rows, so a
+    caller that drops one before asking for the next holds one chunk at any
+    count.  The chunks concatenate to the bytes of sample(config); each carries
+    config itself, whose count is that of the whole draw.
+    """
+    dim = lookup_group(config.group).dim
+    rows, every = WORKERS * _block_rows(dim * dim * WORKERS), range(config.count)
+    for start in every[::rows]:
+        yield _draw(config, every[start:start + rows])

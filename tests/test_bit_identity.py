@@ -27,10 +27,11 @@ from haarkit.groups import (GROUPS, FiniteGroup, improper_coset, quat_rotation_m
                             so_algebra_basis)
 from haarkit.haar import (BLOCK_ENTRIES, _density_and_elements, _node_blocks, haar_nodes,
                           integrate_tensor, normalize)
-from haarkit.orbit import OrbitSpec, mc_moments
+from haarkit.orbit import OrbitSpec, mc_moments, mc_moments_each
 from haarkit.quadrature import QuadratureRule
+from haarkit import sampling
 from haarkit.sampling import (CHART_LAWS, SampleBatch, SamplerConfig, _cycloid_cdf, _uniforms,
-                              sample)
+                              sample, sample_chunks)
 from haarkit.reynolds import reynolds_matrix
 from haarkit.tensors import act_batch, as_tensor, outer_power_batch
 
@@ -436,6 +437,35 @@ def test_sampler_in_any_block_order_matches_one_draw(group, chart, order, monkey
             assert_same_batch(SamplerConfig(group=group, chart=chart, seed=45, count=count))
 
 
+def chunk_rows(config: SamplerConfig) -> int:
+    """Rows in a full chunk of sample_chunks on config's group."""
+    return len(next(sample_chunks(replace(config, count=2**40))))
+
+
+@pytest.mark.parametrize("workers", [None, 1])
+@pytest.mark.parametrize("group, chart", SAMPLERS)
+def test_sampler_chunks_concatenate_to_one_draw(group, chart, workers, monkeypatch):
+    if workers is not None:
+        monkeypatch.setattr("haarkit.sampling.WORKERS", workers)
+    config = SamplerConfig(group=group, chart=chart, seed=50, count=1)
+    chunk = chunk_rows(config)
+    dim = GROUPS[group].dim
+    block = len(range(chunk)[_node_blocks(chunk, dim * dim * sampling.WORKERS)[0]])
+    assert chunk == sampling.WORKERS * block  # one sampler block per worker
+    for count in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+        config = replace(config, count=count)
+        chunks = list(sample_chunks(config))
+        assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+        assert all(c.config is config for c in chunks)
+        ref = sample(config)
+        for name in ("coordinates", "matrices", "quaternions"):
+            parts = [getattr(c, name) for c in chunks]
+            if getattr(ref, name) is None:
+                assert all(part is None for part in parts), (config, name)
+            else:
+                assert same_bits(np.concatenate(parts), getattr(ref, name)), (config, name)
+
+
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize("axis", range(4))  # the three law axes of SO(3) and its coin axis
 def test_block_uniforms_match_the_sequential_stream(axis, width):
@@ -648,6 +678,31 @@ def test_mc_moments_in_row_blocks_match_numpy_mean_and_std(case, monkeypatch):
             got_mean, got_stderr = mc_moments(spec, r, batch)
             assert same_bits(got_mean.array.reshape(-1), mean), (case, count, entries)
             assert same_bits(got_stderr.array.reshape(-1), stderr), (case, count, entries)
+
+
+# At the default budget only the cases whose whole-stack reference stays small at three chunks
+CHUNKED_CASES = [(case, 97) for case in BLOCKED_CASES] + [
+    (case, BLOCK_ENTRIES) for case in ("sym2 r=1", "natural r=1", "natural r=2", "tensor r=1",
+                                       "natural o2 r=1", "scalar r=2")]
+
+
+@pytest.mark.parametrize("case, entries", CHUNKED_CASES)
+def test_mc_moments_across_chunks_match_their_batch_and_numpy(case, entries, monkeypatch):
+    # a config is drawn chunk by chunk and its batch acted on block by block: both give the bits
+    # of numpy's mean and std over the whole stack, whose orbit points are one act_batch call
+    monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", entries)
+    group, representation, seed, r, _ = BLOCKED_CASES[case]
+    spec = OrbitSpec(group, representation, as_tensor(seed, dim=GROUPS[group].dim))
+    config = SamplerConfig(group=group, seed=50, count=1)
+    config = replace(config, count=3 * chunk_rows(config) + 7)
+    batch = sample(config)
+    mean, stderr = reference_mc_moments(spec, r, batch)
+    (got_mean, got_stderr), _ = mc_moments_each(spec, (r, 1), config)
+    assert same_bits(got_mean.array.reshape(-1), mean), (case, entries)
+    assert same_bits(got_stderr.array.reshape(-1), stderr), (case, entries)
+    got_mean, got_stderr = mc_moments(spec, r, batch)
+    assert same_bits(got_mean.array.reshape(-1), mean), (case, entries)
+    assert same_bits(got_stderr.array.reshape(-1), stderr), (case, entries)
 
 
 # ---------------------------------------------------------------------------

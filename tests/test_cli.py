@@ -7,9 +7,11 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from haarkit.cli import format_float, main, to_json
 from haarkit.groups import lookup_group
 from haarkit.haar import BLOCK_ENTRIES, normalize
 from haarkit.orbit import OrbitSpec, covariance, mc_moments
-from haarkit.sampling import CHART_LAWS, SamplerConfig, closed_form, sample
+from haarkit.sampling import CHART_LAWS, SamplerConfig, closed_form, sample, sample_chunks
 from malformed_charts import MALFORMED
 from test_charts import EULER_REORDERED, SHEAR
 
@@ -393,10 +395,10 @@ def test_orbit_moments_mc_draws_once(capsys, monkeypatch):
 
     def counted(config):
         calls.append(config)
-        return sample(config)
+        return sample_chunks(config)
 
-    monkeypatch.setattr(cli_module, "sample", counted)
-    monkeypatch.setattr(orbit_module, "sample", counted)
+    monkeypatch.setattr(cli_module, "sample_chunks", counted)
+    monkeypatch.setattr(orbit_module, "sample_chunks", counted)
     code, out, _ = run(capsys, "orbit-moments", "--group", "so3", "--diag", "1,2,3",
                        "--mc", "5000", "--mc-seed", "4", "--mc-chart", "polar")
     assert code == 0
@@ -811,7 +813,7 @@ def test_memory_error_exits_1_with_one_line(monkeypatch, capsys):
     def too_big(config):
         raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
-    monkeypatch.setattr(cli_module, "sample", too_big)
+    monkeypatch.setattr(cli_module, "sample_chunks", too_big)
     code, out, err = run(capsys, "sample", "--group", "so3", "-n", "10000000000")
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: out of memory: Unable to allocate 74.5 GiB for an array"]
@@ -841,15 +843,66 @@ def test_sample_holds_one_block_of_text_beside_its_batch(monkeypatch):
     assert peak - batch_bytes < 8 * 2**20, (peak, batch_bytes)
 
 
+def traced_peak(argv: list[str]) -> int:
+    """tracemalloc peak of main(argv), after a warm-up run of argv with its count set to 10."""
+    main([*argv[:-1], "10"])  # imports and caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_holds_one_chunk_at_any_count(monkeypatch):
+    # the whole 3 * 10^5 batch alone is 27.5 MiB; each chunk is formatted as it is drawn
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    peak = traced_peak(["sample", "--group", "so3", "-n", "300000"])
+    assert peak < 12 * 2**20, peak
+
+
+def test_orbit_moments_mc_holds_its_orbit_points_and_no_batch(monkeypatch):
+    # 3 * 10^5 draws: the (N, 9) points are 20.6 MiB; drawn whole, the batch beside them
+    # and a second act took the peak to 68.7 MiB
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    peak = traced_peak(["orbit-moments", "--group", "so3", "--diag", "1,2,3", "--mc", "300000"])
+    assert peak < 36 * 2**20, peak
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_sample_out_file_gets_the_stdout_bytes(fmt, tmp_path, capsys):
-    rows = 2 * (BLOCK_ENTRIES // (9 * cli_module._VALUE_ENTRIES)) + 7  # three format blocks
+    # three chunks of draws and seven rows, each chunk many format blocks
+    rows = 3 * len(next(sample_chunks(SamplerConfig(group="o3", count=2**40)))) + 7
     argv = ["sample", "--group", "o3", "--chart", "polar", "-n", str(rows), "--format", fmt]
     code, out, _ = run(capsys, *argv)
     target = tmp_path / "rows.txt"
     assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
     assert code == 0 and out.count("\n") == rows
     assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_endless_sample_into_a_closed_pipe_exits_1_at_once_and_leaves_no_thread():
+    # `haarkit sample --group so3 -n 100000000 | head -c 100`: drawn whole, the batch would
+    # be 9.6 GB; streamed, the first chunk's text meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(haarkit.__file__).parents[1]))
+    start = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-m", "haarkit.cli", "sample", "--group", "so3",
+                           "-n", "100000000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read().decode()
+    assert len(head) == 100 and time.perf_counter() - start < 30
+    assert code == 1
+    assert err.splitlines() == ["error: stdout was closed before the output was written"]
+    # in process: every chunk's threads are joined before it is formatted
+    read, write = os.pipe()
+    os.close(read)
+    before = threading.active_count()
+    with open(write, "w", encoding="utf-8") as closed, redirect_stdout(closed):
+        assert main(["sample", "--group", "so3", "-n", "100000000"]) == 1
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("argv", [["-n", "0"], ["--chart", "nonsense"], ["--seed", "-1"],

@@ -189,6 +189,14 @@ def test_mc_moments_do_not_hold_the_stack_of_outer_powers():
     assert peak < 32 * 2**20, peak
 
 
+def test_mc_moments_draw_in_chunks_and_hold_only_the_orbit_points():
+    # 3 * 10^5 draws: the (N, 9) points are 20.6 MiB; the whole batch and its act_batch
+    # buffers beside them took the peak to 61.8 MiB
+    spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
+    peak = mc_moments_peak(spec, 2, 300_000)
+    assert peak < 36 * 2**20, peak
+
+
 def test_mc_moments_of_an_order_3_tensor_at_r_3_stay_small():
     # S^r = 3^9 entries per draw: the stack at 4000 draws would be 601 MiB
     seed = as_tensor(np.random.default_rng(3).normal(size=(3, 3, 3)))
@@ -277,7 +285,7 @@ def test_moments_refuse_an_order_past_the_entry_budget(monkeypatch):
     def no_draws(config):
         raise AssertionError("sampled before the budget check")
 
-    monkeypatch.setattr("haarkit.orbit.sample", no_draws)
+    monkeypatch.setattr("haarkit.orbit.sample_chunks", no_draws)
     with pytest.raises(ValueError, match="budget"):
         mc_moments(spec, 6, SamplerConfig(group="so3", seed=1, count=10))
 

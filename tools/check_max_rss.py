@@ -36,14 +36,21 @@ CASES = [
     # beside the 48^3 grid it keeps (82.7 MB of max RSS with the kernel on the whole grid),
     # and loads its chart without numpy.random (49.7 MB; 55.6 when validation imported it)
     (["haarkit", "normalize", "--chart", "builtin:so3-polar", "--nodes", "48"], 0, 62, None),
-    # Monte Carlo moments sum their outer powers in row blocks (124.8 MB with the whole stack)
+    # Monte Carlo moments draw in chunks and hold only the (N, 9) orbit points, whose outer
+    # powers they sum in row blocks: 54.1 MB (63.2 with the whole batch and a whole-stack act
+    # beside the points, 124.8 MB with the whole stack of outer powers), and 116.1 MB at 10^6
+    # draws (268.9 MB with the whole batch)
     (["haarkit", "orbit-moments", "--group", "so3", "--diag", "1,2,3", "--mc", "100000"],
-     0, 95, None),
-    # sample writes each row block's text as it is formatted, beside the batch: 79.8 MB when
-    # the batch was formatted at once, and 99-101 MB at 200 000 rows when its whole text was
+     0, 58, None),
+    (["haarkit", "orbit-moments", "--group", "so3", "--diag", "1,2,3", "--mc", "1000000"],
+     0, 140, None),
+    # sample formats each chunk as it is drawn and writes each row block's text as it is
+    # formatted: 55.9 MB at 10^6 rows (132.0 MB with the whole batch; 79.8 MB at 30 000 rows
+    # when the batch was formatted at once, 99-101 MB at 200 000 when its whole text was)
     (["haarkit", "sample", "--group", "so3", "-n", "30000"], 0, 72, None),
     (["haarkit", "sample", "--group", "so3", "--chart", "quaternion", "-n", "200000"],
      0, 85, None),
+    (["haarkit", "sample", "--group", "so3", "-n", "1000000"], 0, 70, None),
 ]
 
 
