@@ -35,11 +35,11 @@ kernel fills |det M| and the elements block by block, so normalize holds one
 block of jacobian rows and chart temporaries beside the grid; every group
 average sums its node blocks through node_mean, so it holds 2 MiB of
 integrand, not N times its width; row_sum, the one running sum, adds them
-(and orbit.mc_moments' row blocks).  The kernel's bytes do not depend on the
-block size; a sum over more than one slice is added up in another order and
-can change in the last bits, and one within the budget keeps the bytes of
-the unsliced sum.  The same budget sizes the row blocks of the samplers
-and their chunks (sampling), whose bytes do not depend on it either.
+(and those of each chunk in orbit.mc_moments).  The kernel's bytes do not
+depend on the block size; a sum over more than one slice is added up in
+another order and can change in the last bits, and one within the budget
+keeps the bytes of the unsliced sum.  The same budget sizes the samplers'
+chunks and blocks (sampling), whose bytes do not depend on it either.
 
 A density also inverts its chart: ``coordinates(g)`` runs batch
 Gauss-Newton (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 10) on

@@ -6,17 +6,16 @@ group tag or a groups.FiniteGroup.  Moments come from quadrature (the
 Reynolds average of tensor powers of X, on the exact rule, on the grid a
 density was normalized on, or over a finite group's elements) or, for a
 tag, from Monte Carlo sampling with entry-wise standard errors.  A Monte
-Carlo moment computes each draw's orbit point once, into one (N, S) array
-(S the seed's entry count): from a SamplerConfig chunk by chunk as the
-draws are made (sampling.sample_chunks), so no batch is held, and from a
-SampleBatch block by block.  It then walks their S^r-entry outer powers in
-row blocks of haar.BLOCK_ENTRIES entries, twice, through haar.row_sum, the
-running sum of every group average: once for the mean and once for the
-squared deviations from it, so no (N, S^r) stack is held.  Each block is
-formed in one buffer below row_sum's spare row, which takes the running
-sum, so no block is copied to be added.  mc_moments_each
-takes several orders from one set of points, as ``orbit-moments --mc``
-takes its first and second.
+Carlo moment walks the draws once, in the chunks of sampling._chunks: a
+SamplerConfig drawn one chunk at a time, a SampleBatch cut at the same
+rows.  It acts on each chunk once and walks the points' S^r-entry outer
+powers in row blocks of haar.BLOCK_ENTRIES entries, formed in one buffer
+below the spare row of haar.row_sum, the running sum of every group
+average, twice: for the chunk's mean and its squared deviations.  The
+chunks' (n, mean, squared deviations) are merged in order by Chan, Golub &
+LeVeque's pairwise update (Am. Stat. 37, 1983), so nothing of size N is
+held.  mc_moments_each takes several orders from one walk, as
+``orbit-moments --mc`` takes its first and second.
 
 For conjugation orbits of symmetric 3x3 seeds the first two moments have
 closed forms in the isotropic tensors; see the *_closed functions.  They
@@ -30,7 +29,6 @@ for distinct orthonormal columns u, v (d is the Kronecker delta).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -38,7 +36,7 @@ import numpy as np
 
 from .groups import FiniteGroup, lookup_group
 from .haar import HaarDensity, NumericalError, _node_blocks, integrate_tensor, row_sum
-from .sampling import SampleBatch, SamplerConfig, sample_chunks
+from .sampling import SampleBatch, SamplerConfig, _chunks, sample_chunks
 from .tensors import Tensor, act_batch, as_tensor, check_budget, outer_power, outer_power_batch
 
 REPRESENTATIONS = ("sym2", "natural", "tensor")
@@ -115,13 +113,14 @@ def mc_moments(spec: OrbitSpec, r: int,
     ``config`` is a SamplerConfig to draw from or a SampleBatch already drawn,
     which gives the same bytes as its own config.  Either must draw the
     spec's group; a FiniteGroup has no sampler, and moment() gives its
-    moments exactly.  The results are numpy's ``mean`` and
-    ``std(ddof=1) / sqrt(n)`` over the (N, S^r) stack of outer powers, bit
-    for bit, but that stack is never built: the orbit points are computed
-    once per draw (a SamplerConfig is drawn chunk by chunk and no chunk is
-    kept), and their outer powers are formed one row block at a time and
-    added by haar.row_sum, once for the mean and again for the squared
-    deviations.  A mean or standard error that overflows is a NumericalError.
+    moments exactly.  The draws are walked in chunks of BLOCK_ENTRIES // D^2
+    rows.  Within one, the results are numpy's ``mean`` and
+    ``std(ddof=1) / sqrt(n)`` over its outer powers, bit for bit; the
+    chunks' means and summed squared deviations M2 are merged in order by
+    Chan, Golub & LeVeque's update, and the standard error is
+    sqrt(M2 / (n - 1)) / sqrt(n).  So the bytes depend on neither the CPU
+    count nor the kind of ``config``.  A mean or standard error that
+    overflows is a NumericalError.
     """
     return mc_moments_each(spec, (r,), config)[0]
 
@@ -140,59 +139,54 @@ def mc_moments_each(spec: OrbitSpec, orders: tuple[int, ...],
     if lookup_group(drawn) is not lookup_group(spec.group):
         raise ValueError(f"draws of group {drawn!r} cannot average an orbit of {spec.group!r}")
     shapes = [_power_shape(spec, r) for r in orders]
-    points = _orbit_points(spec, config)
-    return [_mc_moment(points, r, shape, spec.seed.dim) for r, shape in zip(orders, shapes)]
-
-
-def _orbit_points(spec: OrbitSpec, config: SamplerConfig | SampleBatch) -> np.ndarray:
-    """Each draw's orbit point, flattened to one (N, S) array.  A SampleBatch is acted on block
-    by block; a SamplerConfig is drawn chunk by chunk (sampling.sample_chunks), and each chunk
-    is dropped before the next is drawn.  Either way act_batch holds one block's buffers."""
-    width = spec.seed.array.size
-    if isinstance(config, SampleBatch):
-        n = len(config)
-        stacks = (config.matrices[s] for s in _node_blocks(n, width))
+    if isinstance(config, SampleBatch):  # cut where sample_chunks cuts its draws
+        stacks = (config.matrices[c.start:c.stop] for c in _chunks(len(config), spec.seed.dim))
     else:
-        n = config.count
         stacks = map(attrgetter("matrices"), sample_chunks(config))  # keeps no chunk it passed on
-    points, start = np.empty((n, width)), 0
+    totals = [None] * len(orders)
     for mats in stacks:
-        points[start:start + len(mats)] = spec.values(mats).reshape(len(mats), width)
-        start += len(mats)
-        del mats  # before the next chunk is drawn
-    return points
+        points = spec.values(mats).reshape(len(mats), -1)
+        del mats  # before the points' outer powers are formed
+        totals = [_merge(total, _chunk_moments(points, r)) for total, r in zip(totals, orders)]
+        del points  # before the next chunk is drawn
+    out = []
+    for (n, mean, squares), r, shape in zip(totals, orders, shapes):
+        pair = mean, (np.sqrt(squares / (n - 1)) / np.sqrt(n) if n > 1 else np.zeros_like(mean))
+        if not np.isfinite(pair).all():
+            raise NumericalError(f"Monte Carlo moment of order {r} or its standard error is not "
+                                 "finite: the orbit's values overflow")
+        out.append(tuple(Tensor.from_array(a.reshape(shape), dim=spec.seed.dim) for a in pair))
+    return out
 
 
-def _mc_moment(points: np.ndarray, r: int, shape: tuple[int, ...],
-               dim: int) -> tuple[Tensor, Tensor]:
-    """The mean and standard error of the r-th outer powers of the (N, S) orbit points."""
-    n, width = len(points), math.prod(shape)
-    # Every group has D >= 2, so S^r >= 2 unless the seed is a scalar.  numpy sums an (N, 1)
-    # array pairwise, not row by row, so a scalar's stack (N floats) is summed in one block.
-    blocks = _node_blocks(n, width) if width > 1 else [slice(0, n)]
+def _chunk_moments(points: np.ndarray, r: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """n, the mean and the summed squared deviations of the r-th outer powers of one chunk's
+    (n, S) orbit points, each a row_sum over row blocks (at width 1, one block: the chunk)."""
+    n, width = len(points), points.shape[1] ** r
+    blocks = _node_blocks(n, width)
     buffer = np.empty((len(points[blocks[0]]) + 1, width))  # row_sum's spare row, then a block
 
     def powers(mean=None):
-        """Each block's outer powers in the buffer below its spare row, less the mean and squared
-        if one is given, as row_sum's parts."""
+        """row_sum's parts: each block's outer powers, less the mean and squared if one is given."""
         for s in blocks:
             part = buffer[:len(points[s]) + 1]
-            power = outer_power_batch(points[s], r, out=part[1:])
-            if r == 1:  # the points themselves
-                part[1:] = power
+            part[1:] = outer_power_batch(points[s], r, out=part[1:])  # in place from r = 2 on
             if mean is not None:
                 np.square(np.subtract(part[1:], mean, out=part[1:]), out=part[1:])
             yield part
 
     mean = row_sum(powers()) / n
-    stderr = np.zeros_like(mean)
-    if n > 1:
-        stderr = np.sqrt(row_sum(powers(mean)) / (n - 1)) / np.sqrt(n)
-    if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
-        raise NumericalError(f"Monte Carlo moment of order {r} or its standard error is not "
-                             "finite: the orbit's values overflow")
-    return (Tensor.from_array(mean.reshape(shape), dim=dim),
-            Tensor.from_array(stderr.reshape(shape), dim=dim))
+    return n, mean, row_sum(powers(mean))
+
+
+def _merge(a, b):
+    """(n, mean, squares) of two sets of rows from each one's, in order: the pairwise update of
+    Chan, Golub & LeVeque (Am. Stat. 37, 1983).  None stands for no rows."""
+    if a is None:
+        return b
+    (na, ma, sa), (nb, mb, sb) = a, b
+    n, delta = na + nb, mb - ma
+    return n, ma + delta * (nb / n), sa + sb + delta**2 * (na * nb / n)
 
 
 # ---------------------------------------------------------------------------

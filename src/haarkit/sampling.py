@@ -20,21 +20,21 @@ stream, Generator(Philox(key=seed).jumped(j)), and O-group coin flips from
 axis d's, one past the chart's last, so the laws stay independent of layout.
 
 One routine, _draw, fills any row range [start, start + rows) of a draw, in
-row blocks of haar.BLOCK_ENTRIES // (WORKERS D^2) elements (haar._node_blocks)
-on WORKERS threads, one per CPU the process may use, the caller among them:
-thread k draws blocks k, k + W, k + 2W, ... of the W in use, and every thread
-is joined before _draw returns.  Philox is counter based, so a block finds
-its own uniforms in each stream from its first row (_uniforms): no lock, no
-shared generator, and neither the block order nor the range a block falls in
-matters.  Where numpy lets go of the GIL, a thread maps, charts and flips
-(sigma g through np.where where the coin is below 1/2) into its own rows.
-``sample`` is _draw over all rows; ``sample_chunks`` yields the same rows
-as SampleBatch chunks of one block per worker, each drawn once when it is
-asked for, so a caller that keeps no chunk holds one chunk at any count.  A
-draw holds one block budget of temporaries beside its output, and its bytes
-depend on neither the block size, the chunking nor the CPU count: a law
-taking two uniforms per row reads one (rows, 2) row-major array, and every
-stage after the draws works row by row.
+chunks of haar.BLOCK_ENTRIES // D^2 rows (_chunks), each cut evenly into
+min(WORKERS, rows) blocks for WORKERS threads, one per CPU the process may
+use, the caller among them: thread k draws blocks k, k + W, k + 2W, ... of the
+W in use, and every thread is joined before _draw returns.  Philox is counter
+based, so a block finds its own uniforms in each stream from its first row
+(_uniforms): no lock, no shared generator, and neither the block order nor the
+range a block falls in matters.  Where numpy lets go of the GIL, a thread
+maps, charts and flips (sigma g through np.where where the coin is below 1/2)
+into its own rows.  ``sample`` is _draw over all rows; ``sample_chunks``
+yields the same rows as SampleBatch chunks, each drawn once when it is asked
+for, so a caller that keeps no chunk holds one chunk at any count.  A draw
+holds one block budget of temporaries beside its output; neither its bytes nor
+its chunks depend on the CPU count, and its bytes on neither the block size
+nor the chunking: a law taking two uniforms per row reads one (rows, 2)
+row-major array, and every stage after the draws works row by row.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from .charts import builtin_chart, builtin_tag
 from .groups import UnknownNameError, improper_coset, lookup_group, quat_rotation_matrices
-from .haar import HaarDensity, _block_rows, _node_blocks
+from .haar import HaarDensity, _block_rows
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +189,14 @@ def _uniforms(seed: int, axis: int, start: int, rows: int, width: int = 1) -> np
     return np.random.Generator(bits).random(first % 4 + rows * width)[first % 4:].reshape(rows, width)
 
 
+def _chunks(count: int, dim: int) -> Iterator[range]:
+    """range(count) in chunks of one block budget of D x D matrices, whatever the CPU count."""
+    every, step = range(count), _block_rows(dim * dim)
+    return (every[start:start + step] for start in every[::step])
+
+
 def _draw(config: SamplerConfig, rows: range) -> SampleBatch:
-    """Rows ``rows`` (a range of step 1) of config's draws, block by block on WORKERS threads."""
+    """Rows ``rows`` (a range of step 1) of config's draws, each chunk split over WORKERS threads."""
     tag = config.chart
     chart = builtin_chart(tag)
     group = lookup_group(config.group)
@@ -198,7 +204,10 @@ def _draw(config: SamplerConfig, rows: range) -> SampleBatch:
     coords = np.empty((count, chart.d))
     mats = np.empty((count, dim, dim))
     quats = np.empty((count, 4)) if chart.is_quaternion and group.proper else None
-    blocks, failed = _node_blocks(count, dim * dim * WORKERS), []
+    blocks, failed = [], []
+    for c in _chunks(count, dim):  # min(WORKERS, rows) blocks each, their sizes within one
+        p = min(WORKERS, len(c))
+        blocks += [slice(c.start + len(c) * k // p, c.start + len(c) * (k + 1) // p) for k in range(p)]
     runners = min(WORKERS, len(blocks))
 
     def run(k: int):
@@ -240,14 +249,11 @@ def sample(config: SamplerConfig) -> SampleBatch:
 
 
 def sample_chunks(config: SamplerConfig) -> Iterator[SampleBatch]:
-    """sample(config) as consecutive chunks of one sampler block per worker, in row order.
+    """sample(config) as consecutive chunks (_chunks) in row order.
 
     Each chunk is drawn when it is asked for and holds only its own rows, so a
     caller that drops one before asking for the next holds one chunk at any
     count.  The chunks concatenate to the bytes of sample(config); each carries
     config itself, whose count is that of the whole draw.
     """
-    dim = lookup_group(config.group).dim
-    rows, every = WORKERS * _block_rows(dim * dim * WORKERS), range(config.count)
-    for start in every[::rows]:
-        yield _draw(config, every[start:start + rows])
+    return (_draw(config, chunk) for chunk in _chunks(config.count, lookup_group(config.group).dim))

@@ -3,10 +3,11 @@
 Each fast path (the compiled chart plan, the Haar density kernel on entry
 rows and in node blocks, the improper coset as a sign, the templated sample
 formatter in row blocks, the Monte Carlo moments with their standard errors
-summed in row blocks, the group averages summed in node slices, the samplers
-drawn in row blocks on one or more threads and in any block order) is compared with a straightforward reference
-kept here, on bytes rather than on values, so a flipped sign of zero counts
-as a difference.
+summed in row blocks and merged chunk by chunk, the group averages summed in
+node slices, the samplers drawn in row blocks on one or more threads and in
+any block order) is compared with a straightforward reference kept here,
+on bytes rather than on values, so a flipped sign of zero counts as a
+difference.
 The Hamilton product that the einsum reference kernel uses lives here too,
 with tests of its own.
 """
@@ -29,9 +30,9 @@ from haarkit.haar import (BLOCK_ENTRIES, _density_and_elements, _node_blocks, ha
                           integrate_tensor, normalize)
 from haarkit.orbit import OrbitSpec, mc_moments, mc_moments_each
 from haarkit.quadrature import QuadratureRule
-from haarkit import sampling
-from haarkit.sampling import (CHART_LAWS, SampleBatch, SamplerConfig, _cycloid_cdf, _uniforms,
-                              sample, sample_chunks)
+from haarkit import haar
+from haarkit.sampling import (CHART_LAWS, SampleBatch, SamplerConfig, _chunks, _cycloid_cdf,
+                              _uniforms, sample, sample_chunks)
 from haarkit.reynolds import reynolds_matrix
 from haarkit.tensors import act_batch, as_tensor, outer_power_batch
 
@@ -422,14 +423,15 @@ def test_sampler_on_any_number_of_workers_matches_one_draw(group, chart, workers
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
 @pytest.mark.parametrize("group, chart", [("o3", "polar"), ("so3", "quaternion")])
 def test_sampler_in_any_block_order_matches_one_draw(group, chart, order, monkeypatch):
-    # each block finds its own uniforms, so the order in which blocks are drawn moves no bytes
+    # each block finds its own uniforms, so the order in which chunks, and so their blocks,
+    # are drawn moves no bytes
     shuffle = np.random.default_rng(45).permutation
 
-    def blocks(count, width):
-        found = _node_blocks(count, width)
+    def chunks(count, dim):
+        found = list(_chunks(count, dim))
         return found[::-1] if order == "reversed" else [found[i] for i in shuffle(len(found))]
 
-    monkeypatch.setattr("haarkit.sampling._node_blocks", blocks)
+    monkeypatch.setattr("haarkit.sampling._chunks", chunks)
     monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", 97)
     for workers in (1, 2, 3):
         monkeypatch.setattr("haarkit.sampling.WORKERS", workers)
@@ -449,9 +451,7 @@ def test_sampler_chunks_concatenate_to_one_draw(group, chart, workers, monkeypat
         monkeypatch.setattr("haarkit.sampling.WORKERS", workers)
     config = SamplerConfig(group=group, chart=chart, seed=50, count=1)
     chunk = chunk_rows(config)
-    dim = GROUPS[group].dim
-    block = len(range(chunk)[_node_blocks(chunk, dim * dim * sampling.WORKERS)[0]])
-    assert chunk == sampling.WORKERS * block  # one sampler block per worker
+    assert chunk == BLOCK_ENTRIES // GROUPS[group].dim ** 2  # on any number of workers
     for count in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
         config = replace(config, count=count)
         chunks = list(sample_chunks(config))
@@ -464,6 +464,38 @@ def test_sampler_chunks_concatenate_to_one_draw(group, chart, workers, monkeypat
                 assert all(part is None for part in parts), (config, name)
             else:
                 assert same_bits(np.concatenate(parts), getattr(ref, name)), (config, name)
+
+
+@pytest.mark.parametrize("entries", [97, BLOCK_ENTRIES])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("group", ["so2", "o3"])
+def test_every_sampler_chunk_is_split_evenly_over_the_workers(group, workers, entries, monkeypatch):
+    # the tail too: each chunk is min(WORKERS, rows) blocks, read off axis 0's uniforms
+    monkeypatch.setattr("haarkit.sampling.WORKERS", workers)
+    monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", entries)
+    calls = []
+
+    def recorded(seed, axis, start, rows, width=1):
+        if axis == 0:
+            calls.append((start, rows))
+        return _uniforms(seed, axis, start, rows, width)
+
+    monkeypatch.setattr("haarkit.sampling._uniforms", recorded)
+    config = SamplerConfig(group=group, seed=51, count=1)
+    chunk = chunk_rows(config)
+    for count in (1, 2, 3 * chunk + 7):
+        start = 0
+        calls.clear()
+        for drawn in sample_chunks(replace(config, count=count)):  # each drawn as it is asked for
+            blocks, drawn = sorted(calls), len(drawn)
+            calls.clear()
+            sizes = [rows for _, rows in blocks]
+            assert len(blocks) == min(workers, drawn), (count, start)
+            assert max(sizes) - min(sizes) <= 1, (count, start, sizes)
+            assert blocks[0][0] == start and sum(sizes) == drawn
+            assert all(a + n == b for (a, n), (b, _) in zip(blocks, blocks[1:]))
+            start += drawn
+        assert start == count
 
 
 @pytest.mark.parametrize("width", [1, 2])
@@ -613,7 +645,7 @@ def test_format_rows_in_small_blocks_matches_one_block(group, chart, fmt, monkey
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo orbit moments against numpy's mean and std on the whole stack
+# Monte Carlo orbit moments against numpy's per-chunk sums, merged chunk by chunk
 
 ORBIT_SPECS = {
     "sym2": ("so3", "sym2", [[1.0, -0.4, 0.0], [-0.4, 2.0, 0.7], [0.0, 0.7, -3.0]]),
@@ -623,12 +655,40 @@ ORBIT_SPECS = {
 
 
 def reference_mc_moments(spec: OrbitSpec, r: int, batch) -> tuple[np.ndarray, np.ndarray]:
-    values = outer_power_batch(spec.values(batch.matrices), r)
-    n = values.shape[0]
-    mean = np.mean(values, axis=0)
+    """numpy's sum(axis=0) of each chunk's outer powers (BLOCK_ENTRIES // D^2 rows) and of their
+    squared deviations from the chunk's mean, merged in chunk order by Chan, Golub & LeVeque's
+    pairwise update; in one chunk, numpy's mean and std(ddof=1) / sqrt(n)."""
+    values = outer_power_batch(spec.values(batch.matrices), r).reshape(len(batch), -1)
+    step = max(1, haar.BLOCK_ENTRIES // spec.seed.dim ** 2)
+    n = 0
+    for start in range(0, len(values), step):
+        chunk = values[start:start + step]
+        nb = len(chunk)
+        mb = chunk.sum(axis=0) / nb
+        sb = ((chunk - mb) * (chunk - mb)).sum(axis=0)
+        if n == 0:
+            n, mean, squares = nb, mb, sb
+            continue
+        delta = mb - mean
+        mean, squares = mean + delta * (nb / (n + nb)), squares + sb + delta**2 * (n * nb / (n + nb))
+        n += nb
     if n == 1:
         return mean, np.zeros_like(mean)
-    return mean, np.std(values, axis=0, ddof=1) / np.sqrt(n)
+    return mean, np.sqrt(squares / (n - 1)) / np.sqrt(n)
+
+
+@pytest.mark.parametrize("count", [1, 2, 700])
+@pytest.mark.parametrize("name", ORBIT_SPECS)
+def test_one_chunk_reference_is_numpy_mean_and_std(name, count):
+    group, representation, seed = ORBIT_SPECS[name]
+    spec = OrbitSpec(group, representation, as_tensor(seed))
+    batch = sample(SamplerConfig(group=group, seed=11, count=count))
+    for r in (1, 2, 3):
+        values = outer_power_batch(spec.values(batch.matrices), r).reshape(count, -1)
+        mean, stderr = reference_mc_moments(spec, r, batch)
+        assert same_bits(mean, np.mean(values, axis=0))
+        if count > 1:
+            assert same_bits(stderr, np.std(values, axis=0, ddof=1) / np.sqrt(count))
 
 
 @pytest.mark.parametrize("count", [1, 2, 700])
@@ -672,9 +732,9 @@ def test_mc_moments_in_row_blocks_match_numpy_mean_and_std(case, monkeypatch):
     past = len(range(BLOCK_ENTRIES)[_node_blocks(BLOCK_ENTRIES, width)[0]]) + 1
     for count in counts or (1, 2, 700, past):
         batch = sample(SamplerConfig(group=group, seed=13, count=count))
-        mean, stderr = reference_mc_moments(spec, r, batch)
         for entries in (50, BLOCK_ENTRIES, 2**62):  # 50: 25 rows per block at S^r = 2, 1 from 26 up
             monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", entries)
+            mean, stderr = reference_mc_moments(spec, r, batch)  # chunks of 5 rows at 50 on SO(3)
             got_mean, got_stderr = mc_moments(spec, r, batch)
             assert same_bits(got_mean.array.reshape(-1), mean), (case, count, entries)
             assert same_bits(got_stderr.array.reshape(-1), stderr), (case, count, entries)
@@ -688,8 +748,8 @@ CHUNKED_CASES = [(case, 97) for case in BLOCKED_CASES] + [
 
 @pytest.mark.parametrize("case, entries", CHUNKED_CASES)
 def test_mc_moments_across_chunks_match_their_batch_and_numpy(case, entries, monkeypatch):
-    # a config is drawn chunk by chunk and its batch acted on block by block: both give the bits
-    # of numpy's mean and std over the whole stack, whose orbit points are one act_batch call
+    # a config is drawn chunk by chunk and its batch cut into the same chunks: both give the
+    # reference's bits, whose orbit points are one act_batch call
     monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", entries)
     group, representation, seed, r, _ = BLOCKED_CASES[case]
     spec = OrbitSpec(group, representation, as_tensor(seed, dim=GROUPS[group].dim))
@@ -703,6 +763,21 @@ def test_mc_moments_across_chunks_match_their_batch_and_numpy(case, entries, mon
     got_mean, got_stderr = mc_moments(spec, r, batch)
     assert same_bits(got_mean.array.reshape(-1), mean), (case, entries)
     assert same_bits(got_stderr.array.reshape(-1), stderr), (case, entries)
+
+
+@pytest.mark.parametrize("case", ["sym2 r=2", "natural o2 r=1", "scalar r=2"])
+def test_mc_moments_on_any_number_of_workers_keep_their_bytes(case, monkeypatch):
+    # the chunks, and so the order their moments are merged in, do not follow the CPU count
+    group, representation, seed, r, _ = BLOCKED_CASES[case]
+    spec = OrbitSpec(group, representation, as_tensor(seed, dim=GROUPS[group].dim))
+    config = SamplerConfig(group=group, seed=51, count=1)
+    config = replace(config, count=3 * chunk_rows(config) + 7)
+    mean, stderr = reference_mc_moments(spec, r, sample(config))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr("haarkit.sampling.WORKERS", workers)
+        got_mean, got_stderr = mc_moments(spec, r, config)
+        assert same_bits(got_mean.array.reshape(-1), mean), (case, workers)
+        assert same_bits(got_stderr.array.reshape(-1), stderr), (case, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,7 @@ def mc_moments_peak(spec: OrbitSpec, r: int, count: int) -> int:
 
 
 def test_mc_moments_memory_per_draw():
-    # the (N, 9) orbit points and one row block of outer powers at a time; a
-    # batch drawn inside mc_moments is freed once its points are computed
+    # one chunk of draws, its (n, 9) orbit points and one row block of outer powers at a time
     spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
     peak = mc_moments_peak(spec, 2, 20000)
     assert peak / (8 * 20000) < 110, peak
@@ -189,12 +188,22 @@ def test_mc_moments_do_not_hold_the_stack_of_outer_powers():
     assert peak < 32 * 2**20, peak
 
 
-def test_mc_moments_draw_in_chunks_and_hold_only_the_orbit_points():
-    # 3 * 10^5 draws: the (N, 9) points are 20.6 MiB; the whole batch and its act_batch
-    # buffers beside them took the peak to 61.8 MiB
+def test_mc_moments_hold_one_chunk_of_orbit_points():
+    # 3 * 10^5 draws: all (N, 9) orbit points would be 20.6 MiB (27.9 MiB peak when they were
+    # held, 61.8 MiB with the whole batch beside them); each chunk's are 2 MiB
     spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
     peak = mc_moments_peak(spec, 2, 300_000)
-    assert peak < 36 * 2**20, peak
+    assert peak < 14 * 2**20, peak
+
+
+def test_mc_moments_peak_does_not_grow_with_the_draw_count(monkeypatch):
+    # each chunk's moments are merged into a running total, so 10^6 draws hold what 10^5 do
+    # (76.0 against 14.2 MiB when every orbit point was held); on one worker, because how far
+    # two threads' temporaries overlap moves the peak by up to one block's
+    monkeypatch.setattr("haarkit.sampling.WORKERS", 1)
+    spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
+    small, large = mc_moments_peak(spec, 2, 100_000), mc_moments_peak(spec, 2, 1_000_000)
+    assert large < small + 2**20, (small, large)
 
 
 def test_mc_moments_of_an_order_3_tensor_at_r_3_stay_small():

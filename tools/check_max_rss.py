@@ -36,14 +36,14 @@ CASES = [
     # beside the 48^3 grid it keeps (82.7 MB of max RSS with the kernel on the whole grid),
     # and loads its chart without numpy.random (49.7 MB; 55.6 when validation imported it)
     (["haarkit", "normalize", "--chart", "builtin:so3-polar", "--nodes", "48"], 0, 62, None),
-    # Monte Carlo moments draw in chunks and hold only the (N, 9) orbit points, whose outer
-    # powers they sum in row blocks: 54.1 MB (63.2 with the whole batch and a whole-stack act
-    # beside the points, 124.8 MB with the whole stack of outer powers), and 116.1 MB at 10^6
-    # draws (268.9 MB with the whole batch)
+    # Monte Carlo moments hold one chunk of draws and its orbit points, whose outer powers they
+    # sum in row blocks and merge into a running total: 47.1 MB at 10^5 draws and 47.2 MB at
+    # 10^6 (54.1 and 115.9 MB with every orbit point held, 63.2 and 268.9 MB with the whole
+    # batch beside them, 124.8 MB at 10^5 with the whole stack of outer powers)
     (["haarkit", "orbit-moments", "--group", "so3", "--diag", "1,2,3", "--mc", "100000"],
-     0, 58, None),
+     0, 53, None),
     (["haarkit", "orbit-moments", "--group", "so3", "--diag", "1,2,3", "--mc", "1000000"],
-     0, 140, None),
+     0, 56, None),
     # sample formats each chunk as it is drawn and writes each row block's text as it is
     # formatted: 55.9 MB at 10^6 rows (132.0 MB with the whole batch; 79.8 MB at 30 000 rows
     # when the batch was formatted at once, 99-101 MB at 200 000 when its whole text was)
