@@ -34,12 +34,12 @@ blocks (_node_blocks) of at most BLOCK_ENTRIES float64 entries.  The density
 kernel fills |det M| and the elements block by block, so normalize holds one
 block of jacobian rows and chart temporaries beside the grid; every group
 average sums its node blocks through node_mean, so it holds 2 MiB of
-integrand, not N times its width; row_sum, the one running sum, adds them
-(and those of each chunk in orbit.mc_moments).  The kernel's bytes do not
-depend on the block size; a sum over more than one slice is added up in
-another order and can change in the last bits, and one within the budget
-keeps the bytes of the unsliced sum.  The same budget sizes the samplers'
-chunks and blocks (sampling), whose bytes do not depend on it either.
+integrand, not N times its width, and adds each block's sum into one
+running total in place.  The kernel's bytes do not depend on the block
+size; a sum over more than one slice is added up in another order and can
+change in the last bits, and one within the budget keeps the bytes of the
+unsliced sum.  The same budget sizes the samplers' chunks and blocks
+(sampling), whose bytes do not depend on it either.
 
 A density also inverts its chart: ``coordinates(g)`` runs batch
 Gauss-Newton (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 10) on
@@ -316,20 +316,6 @@ def _node_blocks(count: int, width: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def row_sum(parts) -> np.ndarray:
-    """numpy's ``sum(axis=0)`` of the row blocks ``part[1:]`` of ``parts``, stacked in order.  Row 0
-    of each part is spare: row_sum writes the running total there and sums the whole part, so a
-    block is added below the total where it was made, with no copy.  numpy adds the rows of a
-    C-contiguous (N, W >= 2) array in order from +0.0, so carrying the total in row 0 keeps
-    those bits; a step of one row is np.add (-0.0 reads +0.0)."""
-    parts = iter(parts)
-    total = np.asarray(next(parts)[1:].sum(axis=0))  # out= needs an array; a scalar sums to a float
-    for part in parts:  # total in place: a new one per block can make malloc fault in the
-        part[0] = total  # next block's temporaries again
-        part.sum(axis=0, out=total)
-    return total
-
-
 def _with_cosets(row: Group, weights: np.ndarray,
                  elements: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """(weights, stacks): SO(D) averages f over the proper elements; O(D)
@@ -420,10 +406,13 @@ def haar_nodes(group, density: HaarDensity | None,
 def node_mean(weights: np.ndarray, stacks: list[np.ndarray], width: int, term) -> np.ndarray:
     """Mean over haar_nodes' stacks of the sums term(w, mats) of an integrand of ``width``
     entries per node, weighted by w, on node slices of at most BLOCK_ENTRIES // width nodes,
-    added in order as row_sum's one-row parts: the one walk of every group average.  A stack
-    within the budget is one slice, with the bytes of term on the whole stack."""
-    return row_sum(np.repeat(term(weights[s], mats[s])[None], 2, axis=0)  # row 0 spare
-                   for mats in stacks for s in _node_blocks(len(mats), width)) / len(stacks)
+    added in order into one running total in place: the one walk of every group average.  A
+    stack within the budget is one slice, with the bytes of term on the whole stack."""
+    parts = (term(weights[s], mats[s]) for mats in stacks for s in _node_blocks(len(mats), width))
+    total = np.array(next(parts))  # a copy: a term may return its own buffer
+    for part in parts:
+        np.add(total, part, out=total)
+    return total / len(stacks)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of

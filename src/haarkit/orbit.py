@@ -9,13 +9,13 @@ tag, from Monte Carlo sampling with entry-wise standard errors.  A Monte
 Carlo moment walks the draws once, in the chunks of sampling._chunks: a
 SamplerConfig drawn one chunk at a time, a SampleBatch cut at the same
 rows.  It acts on each chunk once and walks the points' S^r-entry outer
-powers in row blocks of haar.BLOCK_ENTRIES entries, formed in one buffer
-below the spare row of haar.row_sum, the running sum of every group
-average, twice: for the chunk's mean and its squared deviations.  The
-chunks' (n, mean, squared deviations) are merged in order by Chan, Golub &
-LeVeque's pairwise update (Am. Stat. 37, 1983), so nothing of size N is
-held.  mc_moments_each takes several orders from one walk, as
-``orbit-moments --mc`` takes its first and second.
+powers in row blocks of haar.BLOCK_ENTRIES entries (haar._node_blocks),
+each formed once in one reused buffer, where its squared deviations from
+its own mean replace it.  The blocks' (n, mean, squared deviations) are
+merged in order by Chan, Golub & LeVeque's pairwise update (Am. Stat. 37,
+1983), so nothing of size N is held.  mc_moments_each takes several
+orders from one walk, as ``orbit-moments --mc`` takes its first and
+second.
 
 For conjugation orbits of symmetric 3x3 seeds the first two moments have
 closed forms in the isotropic tensors; see the *_closed functions.  They
@@ -35,7 +35,7 @@ from operator import attrgetter
 import numpy as np
 
 from .groups import FiniteGroup, lookup_group
-from .haar import HaarDensity, NumericalError, _node_blocks, integrate_tensor, row_sum
+from .haar import HaarDensity, NumericalError, _block_rows, _node_blocks, integrate_tensor
 from .sampling import SampleBatch, SamplerConfig, _chunks, sample_chunks
 from .tensors import Tensor, act_batch, as_tensor, check_budget, outer_power, outer_power_batch
 
@@ -112,15 +112,15 @@ def mc_moments(spec: OrbitSpec, r: int,
 
     ``config`` is a SamplerConfig to draw from or a SampleBatch already drawn,
     which gives the same bytes as its own config.  Either must draw the
-    spec's group; a FiniteGroup has no sampler, and moment() gives its
-    moments exactly.  The draws are walked in chunks of BLOCK_ENTRIES // D^2
-    rows.  Within one, the results are numpy's ``mean`` and
-    ``std(ddof=1) / sqrt(n)`` over its outer powers, bit for bit; the
-    chunks' means and summed squared deviations M2 are merged in order by
-    Chan, Golub & LeVeque's update, and the standard error is
-    sqrt(M2 / (n - 1)) / sqrt(n).  So the bytes depend on neither the CPU
-    count nor the kind of ``config``.  A mean or standard error that
-    overflows is a NumericalError.
+    spec's group and hold a draw; a FiniteGroup has no sampler, and moment()
+    gives its moments exactly.  Each chunk of BLOCK_ENTRIES // D^2 draws is
+    cut into row blocks of BLOCK_ENTRIES // S^r outer powers.  Within one
+    block, the results are numpy's ``mean`` and ``std(ddof=1) / sqrt(n)``,
+    bit for bit; the blocks' means and summed squared deviations M2 are
+    merged in order by Chan, Golub & LeVeque's update, and the standard
+    error is sqrt(M2 / (n - 1)) / sqrt(n).  So the bytes depend on neither
+    the CPU count nor the kind of ``config``.  A mean or standard error
+    that overflows is a NumericalError.
     """
     return mc_moments_each(spec, (r,), config)[0]
 
@@ -135,6 +135,8 @@ def mc_moments_each(spec: OrbitSpec, orders: tuple[int, ...],
     if isinstance(spec.group, FiniteGroup):
         raise ValueError("a finite group has no sampler; moment(spec, r) averages over "
                          "its elements exactly")
+    if isinstance(config, SampleBatch) and not len(config):
+        raise ValueError("the SampleBatch is empty: a Monte Carlo moment needs at least one draw")
     drawn = (config.config if isinstance(config, SampleBatch) else config).group
     if lookup_group(drawn) is not lookup_group(spec.group):
         raise ValueError(f"draws of group {drawn!r} cannot average an orbit of {spec.group!r}")
@@ -147,7 +149,7 @@ def mc_moments_each(spec: OrbitSpec, orders: tuple[int, ...],
     for mats in stacks:
         points = spec.values(mats).reshape(len(mats), -1)
         del mats  # before the points' outer powers are formed
-        totals = [_merge(total, _chunk_moments(points, r)) for total, r in zip(totals, orders)]
+        totals = [_chunk_moments(total, points, r) for total, r in zip(totals, orders)]
         del points  # before the next chunk is drawn
     out = []
     for (n, mean, squares), r, shape in zip(totals, orders, shapes):
@@ -159,24 +161,18 @@ def mc_moments_each(spec: OrbitSpec, orders: tuple[int, ...],
     return out
 
 
-def _chunk_moments(points: np.ndarray, r: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """n, the mean and the summed squared deviations of the r-th outer powers of one chunk's
-    (n, S) orbit points, each a row_sum over row blocks (at width 1, one block: the chunk)."""
-    n, width = len(points), points.shape[1] ** r
-    blocks = _node_blocks(n, width)
-    buffer = np.empty((len(points[blocks[0]]) + 1, width))  # row_sum's spare row, then a block
-
-    def powers(mean=None):
-        """row_sum's parts: each block's outer powers, less the mean and squared if one is given."""
-        for s in blocks:
-            part = buffer[:len(points[s]) + 1]
-            part[1:] = outer_power_batch(points[s], r, out=part[1:])  # in place from r = 2 on
-            if mean is not None:
-                np.square(np.subtract(part[1:], mean, out=part[1:]), out=part[1:])
-            yield part
-
-    mean = row_sum(powers()) / n
-    return n, mean, row_sum(powers(mean))
+def _chunk_moments(total, points: np.ndarray, r: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """total merged, in order, with the n, mean (numpy's sum(axis=0) / n) and summed squared
+    deviations of each row block of the r-th outer powers of one chunk's (n, S) orbit points."""
+    width = points.shape[1] ** r
+    buffer = np.empty((min(len(points), _block_rows(width)), width))
+    for s in _node_blocks(len(points), width):
+        part = buffer[:len(points[s])]
+        powers = outer_power_batch(points[s], r, out=part)  # at r = 1 a view of the points
+        mean = powers.sum(axis=0) / len(part)
+        np.square(np.subtract(powers, mean, out=part), out=part)  # into part, never the points
+        total = _merge(total, (len(part), mean, part.sum(axis=0)))
+    return total
 
 
 def _merge(a, b):

@@ -645,7 +645,7 @@ def test_format_rows_in_small_blocks_matches_one_block(group, chart, fmt, monkey
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo orbit moments against numpy's per-chunk sums, merged chunk by chunk
+# Monte Carlo orbit moments against numpy's per-block sums, merged block by block
 
 ORBIT_SPECS = {
     "sym2": ("so3", "sym2", [[1.0, -0.4, 0.0], [-0.4, 2.0, 0.7], [0.0, 0.7, -3.0]]),
@@ -654,24 +654,30 @@ ORBIT_SPECS = {
 }
 
 
-def reference_mc_moments(spec: OrbitSpec, r: int, batch) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's sum(axis=0) of each chunk's outer powers (BLOCK_ENTRIES // D^2 rows) and of their
-    squared deviations from the chunk's mean, merged in chunk order by Chan, Golub & LeVeque's
-    pairwise update; in one chunk, numpy's mean and std(ddof=1) / sqrt(n)."""
-    values = outer_power_batch(spec.values(batch.matrices), r).reshape(len(batch), -1)
+def reference_mc_moments(spec: OrbitSpec, r: int,
+                         mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's sum(axis=0) of each row block's outer powers (BLOCK_ENTRIES // S^r rows, cut inside
+    each chunk of BLOCK_ENTRIES // D^2 rows) and of their squared deviations from the block's
+    mean, merged in block order by Chan, Golub & LeVeque's pairwise update; in one block,
+    numpy's mean and std(ddof=1) / sqrt(n)."""
+    values = outer_power_batch(spec.values(mats), r).reshape(len(mats), -1)
     step = max(1, haar.BLOCK_ENTRIES // spec.seed.dim ** 2)
+    rows = max(1, haar.BLOCK_ENTRIES // values.shape[1])
     n = 0
     for start in range(0, len(values), step):
         chunk = values[start:start + step]
-        nb = len(chunk)
-        mb = chunk.sum(axis=0) / nb
-        sb = ((chunk - mb) * (chunk - mb)).sum(axis=0)
-        if n == 0:
-            n, mean, squares = nb, mb, sb
-            continue
-        delta = mb - mean
-        mean, squares = mean + delta * (nb / (n + nb)), squares + sb + delta**2 * (n * nb / (n + nb))
-        n += nb
+        for first in range(0, len(chunk), rows):
+            block = chunk[first:first + rows]
+            nb = len(block)
+            mb = block.sum(axis=0) / nb
+            sb = ((block - mb) * (block - mb)).sum(axis=0)
+            if n == 0:
+                n, mean, squares = nb, mb, sb
+                continue
+            delta = mb - mean
+            mean = mean + delta * (nb / (n + nb))
+            squares = squares + sb + delta**2 * (n * nb / (n + nb))
+            n += nb
     if n == 1:
         return mean, np.zeros_like(mean)
     return mean, np.sqrt(squares / (n - 1)) / np.sqrt(n)
@@ -679,16 +685,23 @@ def reference_mc_moments(spec: OrbitSpec, r: int, batch) -> tuple[np.ndarray, np
 
 @pytest.mark.parametrize("count", [1, 2, 700])
 @pytest.mark.parametrize("name", ORBIT_SPECS)
-def test_one_chunk_reference_is_numpy_mean_and_std(name, count):
+def test_one_chunk_reference_is_numpy_mean_and_std(name, count, monkeypatch):
+    # each count is one chunk, and on the rows of each of its row blocks the reference is numpy's
+    # mean and std(ddof=1) / sqrt(n): every block at the default budget (sym2's 700 draws at
+    # r = 3, S^r = 729, are two blocks of 359 and 341 rows), and the whole chunk as one at 2^62
     group, representation, seed = ORBIT_SPECS[name]
     spec = OrbitSpec(group, representation, as_tensor(seed))
     batch = sample(SamplerConfig(group=group, seed=11, count=count))
     for r in (1, 2, 3):
         values = outer_power_batch(spec.values(batch.matrices), r).reshape(count, -1)
-        mean, stderr = reference_mc_moments(spec, r, batch)
-        assert same_bits(mean, np.mean(values, axis=0))
-        if count > 1:
-            assert same_bits(stderr, np.std(values, axis=0, ddof=1) / np.sqrt(count))
+        for entries in (BLOCK_ENTRIES, 2**62):
+            monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", entries)
+            for s in _node_blocks(count, values.shape[1]):
+                block = values[s]
+                mean, stderr = reference_mc_moments(spec, r, batch.matrices[s])
+                assert same_bits(mean, np.mean(block, axis=0)), (r, entries, s)
+                if len(block) > 1:
+                    assert same_bits(stderr, np.std(block, axis=0, ddof=1) / np.sqrt(len(block)))
 
 
 @pytest.mark.parametrize("count", [1, 2, 700])
@@ -699,7 +712,7 @@ def test_mc_moments_match_numpy_mean_and_std(name, r, count):
     spec = OrbitSpec(group, representation, as_tensor(seed))
     config = SamplerConfig(group=group, seed=11, count=count)
     batch = sample(config)
-    mean, stderr = reference_mc_moments(spec, r, batch)
+    mean, stderr = reference_mc_moments(spec, r, batch.matrices)
     if count == 1:
         assert not stderr.any()
     for draws in (config, batch):  # a drawn batch gives its config's bytes
@@ -732,9 +745,11 @@ def test_mc_moments_in_row_blocks_match_numpy_mean_and_std(case, monkeypatch):
     past = len(range(BLOCK_ENTRIES)[_node_blocks(BLOCK_ENTRIES, width)[0]]) + 1
     for count in counts or (1, 2, 700, past):
         batch = sample(SamplerConfig(group=group, seed=13, count=count))
-        for entries in (50, BLOCK_ENTRIES, 2**62):  # 50: 25 rows per block at S^r = 2, 1 from 26 up
+        # 50: chunks of 5 rows on SO(3)/O(3) and 12 on SO(2)/O(2), cut into row blocks of at most
+        # 25 rows at S^r = 2 and of 1 row from S^r = 26 up
+        for entries in (50, BLOCK_ENTRIES, 2**62):
             monkeypatch.setattr("haarkit.haar.BLOCK_ENTRIES", entries)
-            mean, stderr = reference_mc_moments(spec, r, batch)  # chunks of 5 rows at 50 on SO(3)
+            mean, stderr = reference_mc_moments(spec, r, batch.matrices)
             got_mean, got_stderr = mc_moments(spec, r, batch)
             assert same_bits(got_mean.array.reshape(-1), mean), (case, count, entries)
             assert same_bits(got_stderr.array.reshape(-1), stderr), (case, count, entries)
@@ -756,7 +771,7 @@ def test_mc_moments_across_chunks_match_their_batch_and_numpy(case, entries, mon
     config = SamplerConfig(group=group, seed=50, count=1)
     config = replace(config, count=3 * chunk_rows(config) + 7)
     batch = sample(config)
-    mean, stderr = reference_mc_moments(spec, r, batch)
+    mean, stderr = reference_mc_moments(spec, r, batch.matrices)
     (got_mean, got_stderr), _ = mc_moments_each(spec, (r, 1), config)
     assert same_bits(got_mean.array.reshape(-1), mean), (case, entries)
     assert same_bits(got_stderr.array.reshape(-1), stderr), (case, entries)
@@ -772,7 +787,7 @@ def test_mc_moments_on_any_number_of_workers_keep_their_bytes(case, monkeypatch)
     spec = OrbitSpec(group, representation, as_tensor(seed, dim=GROUPS[group].dim))
     config = SamplerConfig(group=group, seed=51, count=1)
     config = replace(config, count=3 * chunk_rows(config) + 7)
-    mean, stderr = reference_mc_moments(spec, r, sample(config))
+    mean, stderr = reference_mc_moments(spec, r, sample(config).matrices)
     for workers in (1, 2, 3):
         monkeypatch.setattr("haarkit.sampling.WORKERS", workers)
         got_mean, got_stderr = mc_moments(spec, r, config)

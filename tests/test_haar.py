@@ -543,8 +543,8 @@ NODE_MEAN_TERMS = {  # (width, term) as integrate_tensor builds them
 @pytest.mark.parametrize("term", list(NODE_MEAN_TERMS))
 @pytest.mark.parametrize("nodes", list(NODE_MEAN_NODES))
 def test_node_mean_in_small_blocks_has_the_bits_of_adding_its_slices(nodes, term, monkeypatch):
-    # row_sum's two-row sums are np.add, so node_mean keeps the bits of adding its slice sums
-    # one after another, stack after stack
+    # node_mean adds each slice sum into its running total by np.add, so it keeps the bits of
+    # adding its slice sums one after another, stack after stack
     monkeypatch.setattr(haar_module, "BLOCK_ENTRIES", 97)
     weights, stacks = NODE_MEAN_NODES[nodes]()
     width, term = NODE_MEAN_TERMS[term]

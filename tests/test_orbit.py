@@ -17,11 +17,11 @@ from haarkit.charts import builtin_chart
 from haarkit.groups import FiniteGroup
 from haarkit.haar import NumericalError, normalize
 from haarkit.orbit import (REPRESENTATIONS, OrbitSpec, covariance, decompose, identity_pair,
-                           isotropic_basis, mc_moments, moment, sym2_covariance_closed,
-                           sym2_mean_closed, sym2_second_moment_closed)
+                           isotropic_basis, mc_moments, mc_moments_each, moment,
+                           sym2_covariance_closed, sym2_mean_closed, sym2_second_moment_closed)
 from haarkit.reynolds import reynolds_continuous
-from haarkit.sampling import SamplerConfig, sample
-from haarkit.tensors import Tensor, as_tensor, outer_power
+from haarkit.sampling import SampleBatch, SamplerConfig, sample
+from haarkit.tensors import Tensor, as_tensor, outer_power, outer_power_batch
 
 V0 = np.diag([1.0, 2.0, 3.0])
 
@@ -211,6 +211,38 @@ def test_mc_moments_of_an_order_3_tensor_at_r_3_stay_small():
     seed = as_tensor(np.random.default_rng(3).normal(size=(3, 3, 3)))
     peak = mc_moments_peak(OrbitSpec(group="so3", representation="tensor", seed=seed), 3, 4000)
     assert peak < 16 * 2**20, peak
+
+
+def test_mc_moments_form_each_row_block_of_outer_powers_once(monkeypatch):
+    # sym2 at r = 2 and 10^5 draws: 4 chunks of at most 29 127 rows, cut into 10, 10, 10 and 4
+    # row blocks of at most 3236 rows (S^r = 81); r = 1 is one block per chunk.  Each block's
+    # outer powers are formed once (68 calls at r = 2 when each chunk formed them twice)
+    calls = []
+
+    def counting(values, r, out=None):
+        calls.append(r)
+        return outer_power_batch(values, r, out=out)
+
+    monkeypatch.setattr("haarkit.orbit.outer_power_batch", counting)
+    spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
+    config = SamplerConfig(group="so3", seed=7, count=100_000)
+    mc_moments_each(spec, (2,), config)
+    assert len(calls) == 34
+    calls.clear()
+    mc_moments_each(spec, (1, 2), config)
+    assert (calls.count(1), calls.count(2)) == (4, 34)
+
+
+def test_mc_moments_refuse_an_empty_batch(monkeypatch):
+    # refused before any orbit point is formed
+    monkeypatch.setattr("haarkit.orbit.act_batch", None)
+    spec = OrbitSpec(group="so3", representation="sym2", seed=as_tensor(V0))
+    empty = SampleBatch(config=SamplerConfig(group="so3"), coordinates=np.empty((0, 3)),
+                        matrices=np.empty((0, 3, 3)))
+    with pytest.raises(ValueError, match="the SampleBatch is empty"):
+        mc_moments(spec, 1, empty)
+    with pytest.raises(ValueError, match="the SampleBatch is empty"):
+        mc_moments_each(spec, (1, 2), empty)
 
 
 def levi_civita_spec(group="so3"):

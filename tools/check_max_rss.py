@@ -37,9 +37,10 @@ CASES = [
     # and loads its chart without numpy.random (49.7 MB; 55.6 when validation imported it)
     (["haarkit", "normalize", "--chart", "builtin:so3-polar", "--nodes", "48"], 0, 62, None),
     # Monte Carlo moments hold one chunk of draws and its orbit points, whose outer powers they
-    # sum in row blocks and merge into a running total: 47.1 MB at 10^5 draws and 47.2 MB at
-    # 10^6 (54.1 and 115.9 MB with every orbit point held, 63.2 and 268.9 MB with the whole
-    # batch beside them, 124.8 MB at 10^5 with the whole stack of outer powers)
+    # form once per row block in one buffer, each block's (n, mean, M2) merged into a running
+    # total: 47.1 MB at 10^5 draws and 47.2 MB at 10^6 (54.1 and 115.9 MB with every orbit
+    # point held, 63.2 and 268.9 MB with the whole batch beside them, 124.8 MB at 10^5 with
+    # the whole stack of outer powers)
     (["haarkit", "orbit-moments", "--group", "so3", "--diag", "1,2,3", "--mc", "100000"],
      0, 53, None),
     (["haarkit", "orbit-moments", "--group", "so3", "--diag", "1,2,3", "--mc", "1000000"],
